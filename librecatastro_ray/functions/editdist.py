@@ -18,15 +18,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def _lengths(terms: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(len, terms), dtype=np.int64, count=len(terms))
+
+
 def _codepoint_matrix(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N × maxlen int32 codepoint matrix padded with -1, lengths int64)."""
-    lens = np.array([len(t) for t in terms], dtype=np.int64)
+    """(N × maxlen int32 codepoint matrix padded with -1, lengths int64):
+    one UTF-32 encode of the concatenated terms, scattered row by row."""
+    lens = _lengths(terms)
     maxlen = int(lens.max()) if len(lens) else 0
     mat = np.full((len(terms), maxlen), -1, dtype=np.int32)
-    for i, t in enumerate(terms):
-        mat[i, : lens[i]] = np.frombuffer(t.encode("utf-32-le"), dtype=np.uint32).astype(
-            np.int32
-        )
+    flat = np.frombuffer("".join(terms).encode("utf-32-le"), dtype=np.uint32)
+    rows = np.repeat(np.arange(len(terms)), lens)
+    mat[rows, np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)] = flat
     return mat, lens
 
 
@@ -48,7 +52,7 @@ def osa_within(
         return np.zeros(0, dtype=bool)
     q = np.frombuffer(query.encode("utf-32-le"), dtype=np.uint32).astype(np.int32)
     m = len(q)
-    lens = np.array([len(t) for t in terms], dtype=np.int64)
+    lens = _lengths(terms)
     band = np.abs(lens - m) <= max_edits
     out = np.zeros(n, dtype=bool)
     if not band.any():

@@ -10,8 +10,13 @@ over the on-disk term-partitioned index (SURVEY.md §2.Q):
     Q5 hits.total     exact count                       (cadaster_entry.py:68-71)
 
 Design: a ``QueryEngine`` is cheap, stateful, file-backed — term dictionaries
-are cached per (partition, salt); posting blocks are read with parquet
-predicate pushdown on ``term`` and decoded to numpy.  A hot (salted) term's
+are cached per (partition, salt) and double as the term → row-span table of
+the posting files: the merge writes each term's ``ceil(df / block_size)``
+blocks contiguously in dictionary order, and the positions sidecar is
+row-aligned with them.  Each blocks/positions file is read at most once per
+engine, a row group at a time into a byte-bounded LRU; a term's blocks are a
+zero-copy slice of it, decoded to numpy.  Prefix, wildcard and fuzzy
+expansions run over one sorted engine vocabulary.  A hot (salted) term's
 per-salt runs are disjoint doc subsets (doc_id % S), so they merge by
 concatenation + one argsort — the logical "second merge stage" of the salting
 scheme, executed lazily at read time.
@@ -25,6 +30,8 @@ stateful-stage pattern fixing the reference's per-record client connections
 from __future__ import annotations
 
 import os
+import re
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -36,19 +43,39 @@ from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import topk_indices
 from librecatastro_ray.functions.codec import varbyte_decode
 from librecatastro_ray.functions.hashing import term_hash
-from librecatastro_ray.stages.merge import blocks_file, dict_file
+from librecatastro_ray.stages.merge import blocks_file, dict_file, positions_file
 from librecatastro_ray.state.manifest import load_manifest
+
+# columns the engine reads from each posting file (the term/block_no columns
+# are implied by the dictionary's row spans)
+_FILE_COLUMNS = {
+    "blocks": ["n", "last_doc", "max_tfnorm", "docs", "tfs", "dls"],
+    "positions": ["positions"],
+}
 
 RESULT_SCHEMA = pa.schema(
     [("rank", pa.int64()), ("doc_id", pa.int64()), ("score", pa.float64())]
 )
 
 
+def _result_table(ranks: np.ndarray, docs: np.ndarray, scores: np.ndarray) -> pa.Table:
+    """A (rank, doc_id, score) answer whose three columns share ONE numpy
+    buffer: about 2 KB of Arrow objects per answer instead of about 5.5 KB
+    for three separately wrapped arrays, which adds up when a caller keeps
+    thousands of answers."""
+    buf = pa.py_buffer(np.concatenate([
+        ranks.astype(np.int64, copy=False), docs.astype(np.int64, copy=False),
+        np.ascontiguousarray(scores, dtype=np.float64).view(np.int64),
+    ]))
+    n = len(docs)
+    cols = [pa.Array.from_buffers(f.type, n, [None, buf], offset=i * n)
+            for i, f in enumerate(RESULT_SCHEMA)]
+    return pa.Table.from_arrays(cols, schema=RESULT_SCHEMA)
+
+
 def _empty_result() -> pa.Table:
-    return pa.table(
-        {"rank": pa.array([], pa.int64()), "doc_id": pa.array([], pa.int64()),
-         "score": pa.array([], pa.float64())}
-    )
+    z = np.zeros(0, dtype=np.int64)
+    return _result_table(z, z, z)
 
 
 # dense per-doc accumulators are used while the doc-id space fits comfortably
@@ -76,8 +103,6 @@ def wildcard_regex(pattern: str) -> str:
     token characters, ``?`` = exactly one.  Dictionary terms only contain
     ``[a-z0-9_]``, so the char class is the token alphabet.  Shared verbatim
     with the DuckDB oracle (regexp_matches) so the two sides cannot drift."""
-    import re as _re
-
     parts = []
     for ch in pattern:
         if ch == "*":
@@ -85,7 +110,7 @@ def wildcard_regex(pattern: str) -> str:
         elif ch == "?":
             parts.append("[a-z0-9_]")
         else:
-            parts.append(_re.escape(ch))
+            parts.append(re.escape(ch))
     return "^" + "".join(parts) + "$"
 
 
@@ -165,6 +190,34 @@ def decode_positions_stream(positions_col, tfs: np.ndarray) -> np.ndarray:
     cs = np.cumsum(gaps)
     seg_base = cs[starts] - gaps[starts]
     return cs - np.repeat(seg_base, tfs)
+
+
+def _select(run: tuple, m: np.ndarray) -> tuple:
+    """Postings ``m`` (bool mask) of a decoded ``(docs, tf, dl[, pos_flat])``
+    run, with the positions of the kept postings regathered."""
+    d, f, L = run[:3]
+    out = (d[m], f[m], L[m])
+    if len(run) == 4:
+        out += (_segment_gather(run[3], (np.cumsum(f) - f)[m], f[m]),)
+    return out
+
+
+def _merge_runs(runs: list[tuple], width: int) -> tuple:
+    """One doc-sorted ``(docs, tf, dl[, pos_flat])`` stream from a term's
+    per-salt runs: salted runs are disjoint doc subsets, so one stable
+    argsort merges the fixed-width arrays and the variable-length position
+    segments are gathered with one vectorized index build."""
+    if not runs:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(width))
+    if len(runs) == 1:
+        return runs[0]
+    cols = [np.concatenate(c) for c in zip(*runs)]
+    order = np.argsort(cols[0], kind="stable")
+    if width == 4:
+        tfs = cols[1]
+        cols[3] = _segment_gather(cols[3], (np.cumsum(tfs) - tfs)[order], tfs[order])
+    cols[:3] = [c[order] for c in cols[:3]]
+    return tuple(cols)
 
 
 def _phrase_stats(
@@ -257,10 +310,22 @@ class QueryEngine:
         self.avgdl: float = (float(self.sum_dl) / float(self.n_docs)) if self.n_docs else 1.0
         self.hot: set[str] = set(self.manifest["hot_terms"])
         self._dict_cache: dict[tuple[int, int], pa.Table] = {}
+        # per-(partition, salt) {term: (first_row, end_row, df)} and the
+        # file row count the spans tile
+        self._span_maps: dict[tuple[int, int], tuple[dict[str, tuple[int, int, int]], int]] = {}
+        # per-file (path, footer, row-group start rows), parsed once
+        self._footers: dict[tuple[str, int, int], tuple] = {}
+        # row groups read from the posting files, BYTE-bounded LRU: at
+        # serving scale each file is read once and every term read after
+        # that is a slice of memory
+        self._rowgroup_cache: OrderedDict[tuple[str, int], pa.Table] = OrderedDict()
+        self._rowgroup_cache_size = 0
+        self._rowgroup_cache_cap = 256 << 20
+        # sorted deduplicated vocabulary (Arrow and numpy views), built on
+        # the first expansion
+        self._vocab: tuple[pa.Array, np.ndarray] | None = None
         self._docstats: pads.Dataset | None = None
         # per-term postings LRU (bounded by total cached postings)
-        from collections import OrderedDict
-
         self._postings_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
         self._postings_cache_size = 0
         # postings = 24 B/entry (docs+tf+dl int64); contributions = 16 B/entry
@@ -282,8 +347,7 @@ class QueryEngine:
         # per-(term, salt) block metadata (prev_last, last, max_tfnorm) —
         # the block-max skip structure; tiny relative to postings
         self._blockmeta_cache: dict[tuple[str, int], tuple | None] = {}
-        self._prefix_cache: dict[str, list[str]] = {}
-        self._df_maps: dict[tuple[int, int], dict[str, int]] = {}
+        self._expansion_cache: dict[tuple, list[str]] = {}
         # keyword-clause results LRU, BYTE-bounded: one entry can be
         # O(n_docs) ids (e.g. lang=en over half the corpus), so an
         # entry-count cap alone would commit unbounded memory
@@ -313,34 +377,121 @@ class QueryEngine:
             self._dict_cache[key] = t
         return t
 
-    def _df_map(self, pkey: int, salt: int) -> dict[str, int]:
-        """{term: df} for one dictionary file — O(1) lookups for workloads
-        that probe many terms (prefix expansions)."""
+    def _span_table(self, pkey: int, salt: int) -> tuple[dict[str, tuple[int, int, int]], int]:
+        """({term: (first_row, end_row, df)}, row count) for one (partition,
+        salt): the merge writes each term's ``ceil(df / block_size)`` blocks
+        contiguously in dictionary order, so the spans are a cumsum over the
+        dictionary (and also O(1) df lookups for workloads that probe many
+        terms)."""
         key = (pkey, salt)
-        m = self._df_maps.get(key)
-        if m is None:
+        entry = self._span_maps.get(key)
+        if entry is None:
             d = self._dict_table(pkey, salt)
-            m = dict(zip(d["term"].to_pylist(), d["df"].to_pylist()))
-            self._df_maps[key] = m
-        return m
+            df = d["df"].to_numpy()
+            n_blocks = -(-df // self.config.block_size)
+            ends = np.cumsum(n_blocks)
+            spans = zip((ends - n_blocks).tolist(), ends.tolist(), df.tolist())
+            entry = (dict(zip(d["term"].to_pylist(), spans)), int(ends[-1]) if len(ends) else 0)
+            self._span_maps[key] = entry
+        return entry
+
+    def _span(self, term: str, salt: int) -> tuple[int, int] | None:
+        """Row span [first, end) of a (term, salt) run in its posting files."""
+        s = self._span_table(self._pkey(term), salt)[0].get(term)
+        return None if s is None else (s[0], s[1])
 
     def term_df(self, term: str) -> int:
         """Total document frequency (summed over salt runs for hot terms)."""
         pkey = self._pkey(term)
-        return sum(self._df_map(pkey, salt).get(term, 0) for salt in self._salts(term))
+        return sum(
+            self._span_table(pkey, salt)[0].get(term, (0, 0, 0))[2] for salt in self._salts(term)
+        )
+
+    def _file(self, kind: str, pkey: int, salt: int) -> tuple:
+        """(path, footer, row-group start rows) of a ``blocks``/``positions``
+        file, the footer parsed once per engine.  The dictionary's spans must
+        tile the file exactly: any other row count means the files drifted
+        from the dictionary, and every answer read through the spans would be
+        silently wrong."""
+        key = (kind, pkey, salt)
+        f = self._footers.get(key)
+        if f is None:
+            if kind == "blocks":
+                path = blocks_file(self.index_dir, pkey, salt, self._parts)
+                want, what = self._span_table(pkey, salt)[1], "its dictionary's term spans cover"
+            else:
+                path = positions_file(self.index_dir, pkey, salt, self._parts)
+                if not os.path.exists(path):
+                    raise ValueError(
+                        f"index at {self.index_dir} has no positions sidecar — build "
+                        f"with IndexConfig(positions=True) to serve phrase queries"
+                    )
+                want, what = self._file("blocks", pkey, salt)[1].num_rows, "its blocks file has"
+            meta = pq.read_metadata(path)
+            if meta.num_rows != want:
+                raise ValueError(
+                    f"{path} has {meta.num_rows} rows but {what} {want} — the "
+                    f"posting files do not match the term dictionary"
+                )
+            sizes = [meta.row_group(i).num_rows for i in range(meta.num_row_groups)]
+            f = self._footers[key] = (path, meta, np.cumsum([0] + sizes))
+        return f
+
+    def _rows(self, kind: str, pkey: int, salt: int, rows: np.ndarray) -> pa.Table:
+        """Rows ``rows`` (sorted, unique, non-empty) of one posting file: a
+        zero-copy slice of a cached row group when they are one contiguous
+        run in it, else a take.  Row groups are read on a miss (no file
+        handle stays open) into the byte-bounded LRU."""
+        path, meta, starts = self._file(kind, pkey, salt)
+        rg_of = np.searchsorted(starts, rows, side="right") - 1
+        parts = []
+        for rg in np.unique(rg_of).tolist():
+            t = self._rowgroup_cache.get((path, rg))
+            if t is None:
+                with pq.ParquetFile(path, metadata=meta) as pf:
+                    t = pf.read_row_group(rg, columns=_FILE_COLUMNS[kind])
+                self._rowgroup_cache[(path, rg)] = t
+                self._rowgroup_cache_size += t.nbytes
+                while (self._rowgroup_cache_size > self._rowgroup_cache_cap
+                       and len(self._rowgroup_cache) > 1):
+                    _, old = self._rowgroup_cache.popitem(last=False)
+                    self._rowgroup_cache_size -= old.nbytes
+            else:
+                self._rowgroup_cache.move_to_end((path, rg))
+            local = rows[rg_of == rg] - starts[rg]
+            if local[-1] - local[0] + 1 == len(local):
+                parts.append(t.slice(int(local[0]), len(local)))
+            else:
+                parts.append(t.take(pa.array(local)))
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
     def _read_blocks(self, term: str, salt: int) -> pa.Table | None:
-        path = blocks_file(self.index_dir, self._pkey(term), salt, self._parts)
-        if not os.path.exists(path):
+        """All posting-block rows of a (term, salt) run, or None."""
+        span = self._span(term, salt)
+        if span is None:
             return None
-        t = pq.read_table(path, filters=[("term", "==", term)])
-        return t if len(t) else None
+        return self._rows("blocks", self._pkey(term), salt, np.arange(*span))
+
+    def _run(
+        self, term: str, salt: int, blocks: np.ndarray | None = None, positions: bool = False
+    ) -> tuple | None:
+        """Decoded ``(docs, tf, dl[, pos_flat])`` of one (term, salt) run —
+        all of its blocks, or the block numbers ``blocks`` (sorted) — or None
+        when the term has no run in that salt.  The positions sidecar is
+        row-aligned with the blocks, so both reads use the same rows."""
+        span = self._span(term, salt)
+        if span is None:
+            return None
+        rows = np.arange(*span) if blocks is None else span[0] + blocks
+        pkey = self._pkey(term)
+        d, f, L = decode_blocks_table(self._rows("blocks", pkey, salt, rows))
+        if not positions:
+            return d, f, L
+        pos = decode_positions_stream(self._rows("positions", pkey, salt, rows)["positions"], f)
+        return d, f, L, pos
 
     def preload_terms(self, terms: list[str]) -> None:
-        """Warm the contribution (and postings) caches for a term list.
-        (A grouped `term IN (...)` parquet read was measured SLOWER than
-        per-term predicate reads here — per-term row-group pruning with the
-        small blocks_row_group_size wins — so this is a plain loop.)"""
+        """Warm the contribution (and postings) caches for a term list."""
         for t in dict.fromkeys(terms):
             self._term_contribution(t)
 
@@ -352,49 +503,14 @@ class QueryEngine:
         if cached is not None:
             self._postings_cache.move_to_end(term)
             return cached
-        docs_l, tfs_l, dls_l = [], [], []
-        for salt in self._salts(term):
-            bt = self._read_blocks(term, salt)
-            if bt is None:
-                continue
-            d, f, L = decode_blocks_table(bt)
-            docs_l.append(d)
-            tfs_l.append(f)
-            dls_l.append(L)
-        if not docs_l:
-            z = np.zeros(0, dtype=np.int64)
-            result = (z, z.copy(), z.copy())
-        else:
-            docs = np.concatenate(docs_l)
-            tfs = np.concatenate(tfs_l)
-            dls = np.concatenate(dls_l)
-            if len(docs_l) > 1:
-                # salted runs are disjoint doc subsets; one argsort merges them
-                order = np.argsort(docs, kind="stable")
-                docs, tfs, dls = docs[order], tfs[order], dls[order]
-            result = (docs, tfs, dls)
+        runs = [r for s in self._salts(term) if (r := self._run(term, s)) is not None]
+        result = _merge_runs(runs, 3)
         self._postings_cache[term] = result
         self._postings_cache_size += len(result[0])
         while self._postings_cache_size > self._postings_cache_cap and len(self._postings_cache) > 1:
             _, old = self._postings_cache.popitem(last=False)
             self._postings_cache_size -= len(old[0])
         return result
-
-    def _decode_positions_salt(self, term: str, salt: int, tfs: np.ndarray) -> np.ndarray:
-        """Flat absolute positions for one (term, salt) posting stream, in
-        posting order (posting i owns exactly ``tfs[i]`` values — the sidecar
-        stores no lengths; tf IS the length).  One varbyte pass + a segmented
-        cumsum with per-posting restarts, the decode_blocks_table pattern."""
-        from librecatastro_ray.stages.merge import positions_file
-
-        path = positions_file(self.index_dir, self._pkey(term), salt, self._parts)
-        if not os.path.exists(path):
-            raise ValueError(
-                f"index at {self.index_dir} has no positions sidecar — build "
-                f"with IndexConfig(positions=True) to serve phrase queries"
-            )
-        t = pq.read_table(path, filters=[("term", "==", term)])
-        return decode_positions_stream(t["positions"], tfs)
 
     def load_postings_with_positions(
         self, term: str
@@ -407,31 +523,8 @@ class QueryEngine:
         if cached is not None:
             self._positions_cache.move_to_end(term)
             return cached
-        per_salt = []
-        for salt in self._salts(term):
-            bt = self._read_blocks(term, salt)
-            if bt is None:
-                continue
-            d, f, L = decode_blocks_table(bt)
-            p = self._decode_positions_salt(term, salt, f)
-            per_salt.append((d, f, L, p))
-        if not per_salt:
-            z = np.zeros(0, dtype=np.int64)
-            result = (z, z.copy(), z.copy(), z.copy())
-        else:
-            docs = np.concatenate([x[0] for x in per_salt])
-            tfs = np.concatenate([x[1] for x in per_salt])
-            dls = np.concatenate([x[2] for x in per_salt])
-            pos = np.concatenate([x[3] for x in per_salt])
-            if len(per_salt) > 1:
-                # salted runs are disjoint doc subsets; merge the fixed-width
-                # arrays by argsort and gather the variable-length position
-                # segments with one vectorized index build
-                order = np.argsort(docs, kind="stable")
-                seg_starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-                pos = _segment_gather(pos, seg_starts[order], tfs[order])
-                docs, tfs, dls = docs[order], tfs[order], dls[order]
-            result = (docs, tfs, dls, pos)
+        runs = [r for s in self._salts(term) if (r := self._run(term, s, positions=True)) is not None]
+        result = _merge_runs(runs, 4)
         self._positions_cache[term] = result
         self._positions_cache_size += len(result[3]) + len(result[0])
         while (
@@ -446,86 +539,40 @@ class QueryEngine:
         self, term: str, docs_sel: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Positional postings for exactly the SELECTED docs of a term —
-        reads only the posting blocks containing them (``block_no IN`` per
-        salt, against the block-max skip metadata), so a phrase query with
-        one hot term never decodes the hot term's full position stream (the
-        positions analogue of WAND's block skipping).  Returns
-        ``(docs, tf, dl, pos_flat)`` restricted to ``docs_sel`` (doc-sorted;
-        ``docs ⊆ docs_sel``)."""
-        from librecatastro_ray.stages.merge import positions_file
-
-        docs_l, tfs_l, dls_l, pos_l = [], [], [], []
+        decodes only the posting blocks containing them (located with the
+        block-max skip metadata), so a phrase query with one hot term never
+        decodes the hot term's full position stream (the positions analogue
+        of WAND's block skipping).  Returns ``(docs, tf, dl, pos_flat)``
+        restricted to ``docs_sel`` (doc-sorted; ``docs ⊆ docs_sel``)."""
+        runs = []
         for salt in self._salts(term):
             bm = self._block_meta(term, salt)
             if bm is None:
                 continue
-            _prev, last, _maxtf = bm
+            last = bm[1]
             bi = np.searchsorted(last, docs_sel)  # first block whose last >= doc
             need = np.unique(bi[bi < len(last)])
             if len(need) == 0:
                 continue
-            filters = [
-                ("term", "==", term),
-                ("block_no", "in", [int(x) for x in need]),
-            ]
-            bt = pq.read_table(
-                blocks_file(self.index_dir, self._pkey(term), salt, self._parts), filters=filters
-            )
-            if len(bt) == 0:
-                continue
-            d, f, L = decode_blocks_table(bt)
-            ppath = positions_file(self.index_dir, self._pkey(term), salt, self._parts)
-            if not os.path.exists(ppath):
-                raise ValueError(
-                    f"index at {self.index_dir} has no positions sidecar — "
-                    f"build with IndexConfig(positions=True)"
-                )
-            pos_all = decode_positions_stream(
-                pq.read_table(ppath, filters=filters)["positions"], f
-            )
-            m = _in_sorted(d, docs_sel)
-            if not m.any():
-                continue
-            seg_starts = (np.cumsum(f) - f)[m]
-            docs_l.append(d[m])
-            tfs_l.append(f[m])
-            dls_l.append(L[m])
-            pos_l.append(_segment_gather(pos_all, seg_starts, f[m]))
-        if not docs_l:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), z.copy(), z.copy()
-        docs = np.concatenate(docs_l)
-        tfs = np.concatenate(tfs_l)
-        dls = np.concatenate(dls_l)
-        pos = np.concatenate(pos_l)
-        if len(docs_l) > 1:
-            order = np.argsort(docs, kind="stable")
-            seg_starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-            pos = _segment_gather(pos, seg_starts[order], tfs[order])
-            docs, tfs, dls = docs[order], tfs[order], dls[order]
-        return docs, tfs, dls, pos
+            run = self._run(term, salt, need, positions=True)
+            runs.append(_select(run, _in_sorted(run[0], docs_sel)))
+        return _merge_runs(runs, 4)
 
     def _block_meta(self, term: str, salt: int):
         """(prev_last, last, max_tfnorm) int64/int64/float64 arrays for one
-        (term, salt) posting stream, block order — read WITHOUT the encoded
-        posting columns (the block-max skip structure is metadata-sized)."""
+        (term, salt) posting stream, block order — the block-max skip
+        structure, read without decoding any posting."""
         key = (term, salt)
         if key in self._blockmeta_cache:
             return self._blockmeta_cache[key]
-        path = blocks_file(self.index_dir, self._pkey(term), salt, self._parts)
+        t = self._read_blocks(term, salt)
         result = None
-        if os.path.exists(path):
-            t = pq.read_table(
-                path,
-                columns=["last_doc", "max_tfnorm"],
-                filters=[("term", "==", term)],
-            )
-            if len(t):
-                last = t["last_doc"].to_numpy().astype(np.int64)
-                prev = np.empty_like(last)
-                prev[0] = -1
-                prev[1:] = last[:-1]
-                result = (prev, last, t["max_tfnorm"].to_numpy())
+        if t is not None:
+            last = t["last_doc"].to_numpy().astype(np.int64)
+            prev = np.empty_like(last)
+            prev[0] = -1
+            prev[1:] = last[:-1]
+            result = (prev, last, t["max_tfnorm"].to_numpy())
         self._blockmeta_cache[key] = result
         return result
 
@@ -588,15 +635,8 @@ class QueryEngine:
             m = self._alive(docs)
             docs, scores = docs[m], scores[m]
         sel = topk_indices(scores, docs, offset + k)[offset:]
-        return pa.table(
-            {
-                "rank": pa.array(
-                    np.arange(offset + 1, offset + len(sel) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": pa.array(docs[sel], pa.int64()),
-                "score": pa.array(scores[sel], pa.float64()),
-            }
-        )
+        ranks = np.arange(offset + 1, offset + len(sel) + 1, dtype=np.int64)
+        return _result_table(ranks, docs[sel], scores[sel])
 
     def _docstats_ds(self) -> pads.Dataset:
         if self._docstats is None:
@@ -728,7 +768,6 @@ class QueryEngine:
         out_docs: list[np.ndarray] = []
         out_scores: list[np.ndarray] = []
         n_scored = 0
-        bt_cache: dict[tuple[str, int], pa.Table] = {}
         decoded_blocks: dict[str, int] = {}
         total_blocks = {
             term: sum(len(bm[1]) for _s, bm in streams) for term, _w, streams in tinfo
@@ -782,11 +821,7 @@ class QueryEngine:
                     if len(needed) == 0:
                         continue
                     decoded_blocks[term] = decoded_blocks.get(term, 0) + len(needed)
-                    bt = bt_cache.get((term, salt))
-                    if bt is None:
-                        bt = self._read_blocks(term, salt)
-                        bt_cache[(term, salt)] = bt
-                    d, f, L = decode_blocks_table(bt.take(pa.array(needed)))
+                    d, f, L = self._run(term, salt, needed)
                     inside = in_intervals(d)
                     d_in = d[inside]
                     if len(d_in) == 0:
@@ -1044,11 +1079,12 @@ class QueryEngine:
     def _postings_for_candidates(
         self, term: str, df: int, cand_provider, n_cand: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Choose full (LRU-cached) vs block-skipping decode: skipping reads
-        parquet every call, so it only wins when the candidate set is much
-        smaller than the posting list AND the term isn't already cached.
-        ``cand_provider`` is a zero-arg callable yielding the sorted candidate
-        ids (only materialized when skipping is chosen)."""
+        """Choose full (LRU-cached) vs block-skipping decode: skipping
+        decodes its blocks again on every call (nothing is cached per term),
+        so it only wins when the candidate set is much smaller than the
+        posting list AND the term isn't already cached.  ``cand_provider`` is
+        a zero-arg callable yielding the sorted candidate ids (only
+        materialized when skipping is chosen)."""
         if (
             n_cand < 0
             or term in self._postings_cache
@@ -1064,33 +1100,19 @@ class QueryEngine:
         """Decode only blocks whose [first, last] doc range can intersect the
         candidate set (skip pointers = per-block last_doc)."""
         cand = np.sort(candidate)
-        docs_l, tfs_l, dls_l = [], [], []
+        runs = []
         for salt in self._salts(term):
-            bt = self._read_blocks(term, salt)
-            if bt is None:
+            bm = self._block_meta(term, salt)
+            if bm is None:
                 continue
-            last = bt["last_doc"].to_numpy()
-            # block b covers (last[b-1], last[b]] within this salt run
-            prev = np.empty_like(last)
-            prev[0] = -1
-            prev[1:] = last[:-1]
+            # block b covers (prev[b], last[b]] within this salt run
+            prev, last, _maxtf = bm
             lo_idx = np.searchsorted(cand, prev, side="right")
             hi_idx = np.searchsorted(cand, last, side="right")
             wanted = np.nonzero(hi_idx > lo_idx)[0]
-            if len(wanted) == 0:
-                continue
-            d, f, L = decode_blocks_table(bt.take(pa.array(wanted)))
-            docs_l.append(d)
-            tfs_l.append(f)
-            dls_l.append(L)
-        if not docs_l:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), z.copy()
-        docs = np.concatenate(docs_l).astype(np.int64)
-        tfs = np.concatenate(tfs_l)
-        dls = np.concatenate(dls_l)
-        order = np.argsort(docs, kind="stable")
-        return docs[order], tfs[order], dls[order]
+            if len(wanted):
+                runs.append(self._run(term, salt, wanted))
+        return _merge_runs(runs, 3)
 
     def prefix_content(self, prefix: str, k: int = 10, offset: int = 0) -> pa.Table:
         """Q2 on the analyzed field: term-dictionary range scan → OR of
@@ -1121,42 +1143,15 @@ class QueryEngine:
         )
 
     def _constant_score_union(self, terms: list[str], k: int, offset: int) -> pa.Table:
-        """OR of the expanded terms' postings, constant score 1.0.  Small
-        expanded terms not already in the LRU batch into one
-        ``term IN (...)`` read per (partition, salt) file — an expansion can
-        hit thousands of tiny terms, and per-term parquet opens would
-        dominate."""
-        cold_small: dict[tuple[int, int], list[str]] = {}
-        via_cache: list[str] = []
-        big_cut = 10 * self.config.block_size
-        for t in terms:
-            if t in self._postings_cache or self.term_df(t) >= big_cut:
-                via_cache.append(t)
-            else:
-                pk = self._pkey(t)
-                for salt in self._salts(t):
-                    cold_small.setdefault((pk, salt), []).append(t)
-        doc_parts: list[np.ndarray] = []
-        for (pk, salt), ts in cold_small.items():
-            path = blocks_file(self.index_dir, pk, salt, self._parts)
-            if not os.path.exists(path):
-                continue
-            bt = pq.read_table(path, columns=["n", "docs", "tfs", "dls"],
-                               filters=[("term", "in", ts)])
-            if len(bt):
-                d, _f, _L = decode_blocks_table(bt)
-                doc_parts.append(d)
-        docs = self._union_docs(via_cache, extra_docs=doc_parts)
+        """OR of the expanded terms' postings, constant score 1.0."""
+        docs = self._union_docs(terms)
         if docs is None:
             return _empty_result()
         return self._topk_table(docs, np.ones(len(docs), dtype=np.float64), k, offset)
 
-    def _union_docs(
-        self, terms: list[str], extra_docs: list[np.ndarray] | None = None
-    ) -> np.ndarray | None:
-        """Sorted unique union of the terms' doc ids plus any pre-decoded doc
-        arrays (dense-flag path when the id space fits; sparse otherwise)."""
-        extra = [d for d in (extra_docs or []) if len(d)]
+    def _union_docs(self, terms: list[str]) -> np.ndarray | None:
+        """Sorted unique union of the terms' doc ids (dense-flag path when
+        the id space fits; sparse otherwise)."""
         if self.n_docs <= DENSE_ACC_LIMIT:
             flags = np.zeros(self.n_docs, dtype=bool)
             hit = False
@@ -1165,70 +1160,66 @@ class QueryEngine:
                 if len(d):
                     flags[d] = True
                     hit = True
-            for d in extra:
-                flags[d] = True
-                hit = True
             if not hit:
                 return None
             docs = np.nonzero(flags)[0].astype(np.int64)
             return docs[self._alive(docs)] if len(self._deleted) else docs
         doc_sets = [d for term in terms for d, _, _ in [self.load_postings(term)] if len(d)]
-        doc_sets.extend(extra)
         if not doc_sets:
             return None
         docs = np.unique(np.concatenate(doc_sets))
         return docs[self._alive(docs)] if len(self._deleted) else docs
 
-    def expand_prefix(self, prefix: str) -> list[str]:
-        """All dictionary terms with the given prefix (scans every partition's
-        dictionary — the dictionaries are the small artifact).  Cached per
-        prefix: batch workloads repeat them."""
-        cached = self._prefix_cache.get(prefix)
-        if cached is not None:
-            return cached
-        out: set[str] = set()
-        for pkey in range(self.config.num_partitions):
-            for salt in range(self.config.num_salts):
-                d = self._dict_table(pkey, salt)
-                if len(d) == 0:
-                    continue
-                m = pc.starts_with(d["term"], prefix)
-                sub = d.filter(m)
-                out.update(sub["term"].to_pylist())
-        result = sorted(out)
-        if len(self._prefix_cache) < 10_000:
-            self._prefix_cache[prefix] = result
-        return result
+    def _vocabulary(self) -> tuple[pa.Array, np.ndarray]:
+        """The sorted, deduplicated vocabulary of every (partition, salt)
+        dictionary as Arrow and numpy arrays, built once per engine (sorted
+        by code point, the order ``_prefix_upper_bound`` assumes)."""
+        if self._vocab is None:
+            cols = [
+                self._dict_table(pkey, salt)["term"]
+                for pkey in range(self.config.num_partitions)
+                for salt in range(self.config.num_salts)
+            ]
+            v = pc.unique(pa.chunked_array(cols, pa.string()))
+            v = v.take(pc.sort_indices(v))
+            self._vocab = (v, v.to_numpy(zero_copy_only=False))
+        return self._vocab
 
-    def _scan_dictionary(self, fn) -> list[str]:
-        """Union of ``fn(term_column) -> bool mask`` over every partition's
-        dictionary (the small index artifact — vocabulary-scale, not
-        posting-scale)."""
-        out: set[str] = set()
-        for pkey in range(self.config.num_partitions):
-            for salt in range(self.config.num_salts):
-                d = self._dict_table(pkey, salt)
-                if len(d) == 0:
-                    continue
-                mask = fn(d["term"])
-                sub = d.filter(mask) if not isinstance(mask, np.ndarray) else d.filter(
-                    pa.array(mask)
-                )
-                out.update(sub["term"].to_pylist())
-        return sorted(out)
+    def _prefix_range(self, prefix: str) -> tuple[int, int]:
+        """[lo, hi) of the vocabulary terms that start with ``prefix``."""
+        v = self._vocabulary()[1]
+        ub = _prefix_upper_bound(prefix)
+        return int(np.searchsorted(v, prefix)), len(v) if ub is None else int(np.searchsorted(v, ub))
+
+    def expand_prefix(self, prefix: str) -> list[str]:
+        """All dictionary terms with the given prefix, sorted: two binary
+        searches over the vocabulary."""
+        lo, hi = self._prefix_range(prefix)
+        return self._vocabulary()[1][lo:hi].tolist()
+
+    def _expand(self, key: tuple, prefix: str, keep) -> list[str]:
+        """Sorted vocabulary terms starting with ``prefix`` that
+        ``keep(arrow_terms, numpy_terms) -> bool mask`` selects; cached per
+        ``key`` (batch workloads repeat patterns)."""
+        cached = self._expansion_cache.get(key)
+        if cached is None:
+            lo, hi = self._prefix_range(prefix)
+            col, arr = (x[lo:hi] for x in self._vocabulary())
+            cached = arr[keep(col, arr)].tolist()
+            if len(self._expansion_cache) < 10_000:
+                self._expansion_cache[key] = cached
+        return cached
 
     def expand_wildcard(self, pattern: str) -> list[str]:
-        """Dictionary terms matching an ES wildcard pattern (``*``/``?``)."""
-        cached = self._prefix_cache.get(("wild", pattern))
-        if cached is not None:
-            return cached
+        """Dictionary terms matching an ES wildcard pattern (``*``/``?``):
+        one regex over the vocabulary range of the pattern's literal
+        prefix."""
         regex = wildcard_regex(pattern)
-        result = self._scan_dictionary(
-            lambda col: pc.match_substring_regex(col, regex)
+        return self._expand(
+            ("wild", pattern),
+            re.match(r"[^*?]*", pattern).group(),
+            lambda col, _arr: pc.match_substring_regex(col, regex).to_numpy(zero_copy_only=False),
         )
-        if len(self._prefix_cache) < 10_000:
-            self._prefix_cache[("wild", pattern)] = result
-        return result
 
     def expand_fuzzy(
         self,
@@ -1237,32 +1228,16 @@ class QueryEngine:
         prefix_length: int = 0,
         transpositions: bool = True,
     ) -> list[str]:
-        """Dictionary terms within ``max_edits`` (ES ``fuzzy``); vectorized
-        banded DP over each dictionary's term column at once."""
-        key = ("fuzzy", term, max_edits, prefix_length, transpositions)
-        cached = self._prefix_cache.get(key)
-        if cached is not None:
-            return cached
+        """Dictionary terms within ``max_edits`` (ES ``fuzzy``): one
+        vectorized banded DP over the vocabulary range of the required
+        ``prefix_length`` prefix."""
         from librecatastro_ray.functions.editdist import osa_within
 
-        pre = term[:prefix_length]
-
-        def scan(col: pa.ChunkedArray) -> np.ndarray:
-            if prefix_length:
-                narrowed = pc.starts_with(col, pre).to_numpy(zero_copy_only=False)
-            else:
-                narrowed = np.ones(len(col), dtype=bool)
-            arr = col.to_numpy(zero_copy_only=False)
-            mask = np.zeros(len(col), dtype=bool)
-            idx = np.nonzero(narrowed)[0]
-            if len(idx):
-                mask[idx] = osa_within(arr[idx], term, max_edits, transpositions)
-            return mask
-
-        result = self._scan_dictionary(scan)
-        if len(self._prefix_cache) < 10_000:
-            self._prefix_cache[key] = result
-        return result
+        return self._expand(
+            ("fuzzy", term, max_edits, prefix_length, transpositions),
+            term[:prefix_length],
+            lambda _col, arr: osa_within(arr, term, max_edits, transpositions),
+        )
 
     def terms_agg(
         self,
@@ -1450,14 +1425,15 @@ class QueryEngine:
         terms_l, docs_l, tfs_l = [], [], []
         for pkey in range(self.config.num_partitions):
             for salt in range(self.config.num_salts):
-                path = blocks_file(self.index_dir, pkey, salt, self._parts)
-                if not os.path.exists(path):
+                n_rows = self._span_table(pkey, salt)[1]
+                if not n_rows:
                     continue
-                bt = pq.read_table(path, columns=["term", "n", "docs", "tfs", "dls"])
+                bt = self._rows("blocks", pkey, salt, np.arange(n_rows))
                 d, f, _L = decode_blocks_table(bt)
-                n = bt["n"].to_numpy().astype(np.int64)
-                terms_np = bt["term"].to_numpy(zero_copy_only=False)
-                terms_l.append(np.repeat(terms_np, n))
+                # the spans tile the file in dictionary order, so posting i
+                # belongs to the dictionary term whose df run covers it
+                dt = self._dict_table(pkey, salt)
+                terms_l.append(np.repeat(dt["term"].to_numpy(zero_copy_only=False), dt["df"].to_numpy()))
                 docs_l.append(d)
                 tfs_l.append(f)
         if not docs_l:
@@ -1571,8 +1547,6 @@ class QueryEngine:
         snippet rule (first match, window split evenly, cut at token
         boundaries already guaranteed by char arithmetic) so tests can pin
         exact strings."""
-        import re as _re
-
         # re-analysis needs CHAR OFFSETS, which the Analyzer protocol doesn't
         # expose — supported for the built-in analyzers by their known token
         # patterns (a custom analyzer must ship an offsets rule first)
@@ -1595,7 +1569,7 @@ class QueryEngine:
         )
         content = dict(zip(t["doc_id"].to_pylist(), t["content"].to_pylist()))
         out_snip: list[str | None] = []
-        token_re = _re.compile(pat)
+        token_re = re.compile(pat)
         m = len(terms)
         for d in ids.tolist():
             c = content.get(int(d)) or ""
@@ -1733,7 +1707,17 @@ def queries_to_table(queries: list[dict]) -> pa.Table:
     ``list<null>`` for blocks whose list fields happen to be all-empty,
     which drifts the schema across blocks (executor warnings + repeated
     schema unification); an explicit schema keeps every block identical.
-    Missing keys become nulls — SearchActor treats null as empty."""
+    Missing keys become nulls — SearchActor treats null as empty.  A key the
+    schema lacks (``after``, ``keyword_in``, ``minimum_should_match``, ...)
+    raises: ``from_pylist`` would drop it and the query would silently
+    answer without it."""
+    for q in queries:
+        unknown = sorted(set(q) - set(QUERY_INPUT_SCHEMA.names))
+        if unknown:
+            raise ValueError(
+                f"query {q.get('query_id')!r} has fields the replica-pool path "
+                f"cannot serve: {unknown} — use batch_search_scatter"
+            )
     return pa.Table.from_pylist(queries, schema=QUERY_INPUT_SCHEMA)
 
 
@@ -1851,82 +1835,29 @@ class RangeEngine:
         # per-range term caches: the working set is the range's 1/R share of
         # the postings, so a batch of queries decodes each term once
         self._contrib: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._postings: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._postings_pos: dict[str, tuple] = {}
+        self._postings: dict[tuple[str, bool], tuple] = {}
         self._prefix_docs: dict[str, np.ndarray] = {}
         # this range's slice of the tombstone set, range-local indices
         dlt = self.eng._deleted
         i, j = np.searchsorted(dlt, (self.lo, self.hi))
         self._dead_local = (dlt[i:j] - self.lo).astype(np.int64)
 
-    def _postings_range(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read AND decode only blocks overlapping [lo, hi): the overlapping
-        block_no span (contiguous — blocks are doc-sorted) goes into the
-        parquet filter, so a range task's IO is its share of the postings,
-        not the term's whole list (32 ranges × full reads would amplify IO
-        by the range count)."""
-        cached = self._postings.get(term)
+    def _postings_range(self, term: str, positions: bool = False) -> tuple:
+        """Range-restricted postings ``(docs, tf, dl[, pos_flat])``: only the
+        blocks overlapping [lo, hi) are decoded (a contiguous block span —
+        blocks are doc-sorted), so a range task's decode is its share of the
+        postings, not the term's whole list (32 ranges × full decodes would
+        amplify the work by the range count)."""
+        cached = self._postings.get((term, positions))
         if cached is not None:
             return cached
         eng = self.eng
-        docs_l, tfs_l, dls_l = [], [], []
-        for salt in eng._salts(term):
-            bm = eng._block_meta(term, salt)
-            if bm is None:
-                continue
-            prev, last, _maxtf = bm
-            wanted = np.nonzero((last >= self.lo) & (prev < self.hi - 1))[0]
-            if len(wanted) == 0:
-                continue
-            path = blocks_file(eng.index_dir, eng._pkey(term), salt, eng._parts)
-            bt = pq.read_table(
-                path,
-                filters=[
-                    ("term", "==", term),
-                    ("block_no", ">=", int(wanted[0])),
-                    ("block_no", "<=", int(wanted[-1])),
-                ],
-            )
-            if len(bt) == 0:
-                continue
-            d, f, L = decode_blocks_table(bt)
-            m = (d >= self.lo) & (d < self.hi)
-            docs_l.append(d[m])
-            tfs_l.append(f[m])
-            dls_l.append(L[m])
-        if not docs_l:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), z.copy()
-        docs = np.concatenate(docs_l)
-        tfs = np.concatenate(tfs_l)
-        dls = np.concatenate(dls_l)
-        if len(docs_l) > 1:
-            order = np.argsort(docs, kind="stable")
-            docs, tfs, dls = docs[order], tfs[order], dls[order]
-        result = (docs, tfs, dls)
-        self._postings[term] = result
-        return result
-
-    def _postings_range_pos(
-        self, term: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Range-restricted positional postings ``(docs, tf, dl, pos_flat)``:
-        the positions sidecar is block-aligned with the doc blocks, so the
-        SAME block-span parquet filter prunes both reads — a range task's
-        position IO is its share of the occurrences, not the term's whole
-        stream."""
-        cached = self._postings_pos.get(term)
-        if cached is not None:
-            return cached
-        from librecatastro_ray.stages.merge import positions_file
-
-        eng = self.eng
-        if not getattr(eng.config, "positions", False):
+        if positions and not getattr(eng.config, "positions", False):
             raise ValueError(
                 f"index at {eng.index_dir} was built without positions — "
                 f"phrase queries need IndexConfig(positions=True)"
             )
-        docs_l, tfs_l, dls_l, pos_l = [], [], [], []
+        runs = []
         for salt in eng._salts(term):
             bm = eng._block_meta(term, salt)
             if bm is None:
@@ -1935,40 +1866,10 @@ class RangeEngine:
             wanted = np.nonzero((last >= self.lo) & (prev < self.hi - 1))[0]
             if len(wanted) == 0:
                 continue
-            filters = [
-                ("term", "==", term),
-                ("block_no", ">=", int(wanted[0])),
-                ("block_no", "<=", int(wanted[-1])),
-            ]
-            bt = pq.read_table(blocks_file(eng.index_dir, eng._pkey(term), salt, eng._parts), filters=filters)
-            if len(bt) == 0:
-                continue
-            d, f, L = decode_blocks_table(bt)
-            pt = pq.read_table(
-                positions_file(eng.index_dir, eng._pkey(term), salt, eng._parts), filters=filters
-            )
-            pos_all = decode_positions_stream(pt["positions"], f)
-            m = (d >= self.lo) & (d < self.hi)
-            seg_starts = (np.cumsum(f) - f)[m]
-            docs_l.append(d[m])
-            tfs_l.append(f[m])
-            dls_l.append(L[m])
-            pos_l.append(_segment_gather(pos_all, seg_starts, f[m]))
-        if not docs_l:
-            z = np.zeros(0, dtype=np.int64)
-            result = (z, z.copy(), z.copy(), z.copy())
-        else:
-            docs = np.concatenate(docs_l)
-            tfs = np.concatenate(tfs_l)
-            dls = np.concatenate(dls_l)
-            pos = np.concatenate(pos_l)
-            if len(docs_l) > 1:
-                order = np.argsort(docs, kind="stable")
-                seg_starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-                pos = _segment_gather(pos, seg_starts[order], tfs[order])
-                docs, tfs, dls = docs[order], tfs[order], dls[order]
-            result = (docs, tfs, dls, pos)
-        self._postings_pos[term] = result
+            run = eng._run(term, salt, wanted, positions)
+            runs.append(_select(run, (run[0] >= self.lo) & (run[0] < self.hi)))
+        result = _merge_runs(runs, 4 if positions else 3)
+        self._postings[(term, positions)] = result
         return result
 
     def match_phrase(self, text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1978,7 +1879,7 @@ class RangeEngine:
         terms = self.eng.analyzer.tokenize(text)
         if not terms:
             return self._EMPTY
-        loaded = [self._postings_range_pos(t) for t in terms]
+        loaded = [self._postings_range(t, positions=True) for t in terms]
         cand, pf, dl_cand = _phrase_stats(loaded)
         hit = pf > 0
         if len(self._dead_local) and len(cand):
@@ -2141,74 +2042,27 @@ class RangeEngine:
         sel = topk_indices(acc[cand], docs, k)
         return docs[sel], acc[cand][sel]
 
-    def union_count(self, terms: list[str]) -> tuple[np.ndarray, int]:
+    def union(self, terms: list[str]) -> np.ndarray:
+        """Live range docs holding any of ``terms``: count queries and the
+        constant-score rewrite of prefix/wildcard/fuzzy expansions."""
         flags = np.zeros(self.hi - self.lo, dtype=bool)
         for term in terms:
-            d, _f, _L = self._postings_range(term)
-            if len(d):
-                flags[d - self.lo] = True
-        if len(self._dead_local):
-            flags[self._dead_local] = False
-        docs = np.nonzero(flags)[0].astype(np.int64) + self.lo
-        return docs, len(docs)
-
-    def prefix_union(self, prefix: str) -> tuple[np.ndarray, int]:
-        """Union of all docs whose terms start with ``prefix``, restricted to
-        the range (see :meth:`expansion_union` for the IO plan)."""
-        cached = self._prefix_docs.get(prefix)
-        if cached is None:
-            cached = self.expansion_union(self.eng.expand_prefix(prefix))
-            self._prefix_docs[prefix] = cached
-        return cached, len(cached)
-
-    def expansion_union(self, terms: list[str]) -> np.ndarray:
-        """Union of the expanded terms' docs, restricted to the range (the
-        constant-score multi-term rewrite for prefix/wildcard/fuzzy through
-        the scatter path).  Hybrid IO plan: terms with many posting blocks go
-        through the block-pruned per-term read (IO = the range's share); the
-        long tail of small terms — an expansion can hit thousands — batches
-        into ONE ``term IN (...)`` read per (partition, salt) file (their
-        whole lists are at most a few blocks, so range pruning buys nothing
-        but per-read overhead dominates)."""
-        eng = self.eng
-        flags = np.zeros(self.hi - self.lo, dtype=bool)
-        # a per-term ranged read costs ~ms of parquet open/footer work;
-        # it only beats the batched IN-read when the doc-range pruning
-        # saves a corpus-scale fraction of the decode
-        big_cut = max(10 * eng.config.block_size, eng.n_docs // 64)
-        grouped: dict[tuple[int, int], list[str]] = {}
-        for term in terms:
-            pk = eng._pkey(term)
-            if eng.term_df(term) >= big_cut:
-                d, _f, _L = self._postings_range(term)
-                if len(d):
-                    flags[d - self.lo] = True
-            else:
-                for salt in eng._salts(term):
-                    grouped.setdefault((pk, salt), []).append(term)
-        for (pk, salt), small in grouped.items():
-            path = blocks_file(eng.index_dir, pk, salt, eng._parts)
-            if not os.path.exists(path):
-                continue
-            bt = pq.read_table(
-                path,
-                columns=["n", "docs", "tfs", "dls"],
-                filters=[("term", "in", small)],
-            )
-            if len(bt) == 0:
-                continue
-            d, _f, _L = decode_blocks_table(bt)
-            m = (d >= self.lo) & (d < self.hi)
-            if m.any():
-                flags[d[m] - self.lo] = True
+            d = self._postings_range(term)[0]
+            flags[d - self.lo] = True
         if len(self._dead_local):
             flags[self._dead_local] = False
         return np.nonzero(flags)[0].astype(np.int64) + self.lo
 
+    def prefix_union(self, prefix: str) -> np.ndarray:
+        """:meth:`union` of the terms starting with ``prefix``, cached per
+        prefix."""
+        cached = self._prefix_docs.get(prefix)
+        if cached is None:
+            cached = self._prefix_docs[prefix] = self.union(self.eng.expand_prefix(prefix))
+        return cached
 
-from collections import OrderedDict as _OrderedDict
 
-_PROCESS_RANGE_ENGINES: "_OrderedDict[tuple[str, int, int], RangeEngine]" = _OrderedDict()
+_PROCESS_RANGE_ENGINES: "OrderedDict[tuple[str, int, int], RangeEngine]" = OrderedDict()
 # a long-lived worker executes tasks for many ranges over a session; each
 # cached RangeEngine pins its range-share of decoded postings, so bound the
 # set (LRU) to keep per-process memory at a few range-shares, not all of them
@@ -2378,8 +2232,8 @@ def _eval_range_batch(
                     minimum_should_match=q.get("minimum_should_match"),
                 )
             elif kind == "prefix_content":
-                docs, _n = rng.prefix_union(q.get("prefix") or "")
-                docs = docs[: min(k, k_cap)]  # constant score → lowest ids win
+                # constant score → lowest ids win
+                docs = rng.prefix_union(q.get("prefix") or "")[: min(k, k_cap)]
                 scores = np.ones(len(docs), dtype=np.float64)
             elif kind in ("wildcard", "fuzzy"):
                 # expansion from the PROCESS-cached dictionaries (same on
@@ -2394,10 +2248,10 @@ def _eval_range_batch(
                         int(q.get("prefix_length") or 0),
                         bool(q.get("transpositions", True)),
                     )
-                docs = rng.expansion_union(terms_x)[: min(k, k_cap)]
+                docs = rng.union(terms_x)[: min(k, k_cap)]
                 scores = np.ones(len(docs), dtype=np.float64)
             elif kind == "count":
-                _docs, n = rng.union_count(rng.eng.analyzer.tokenize(q.get("text") or ""))
+                n = len(rng.union(rng.eng.analyzer.tokenize(q.get("text") or "")))
                 docs = np.array([-1], dtype=np.int64)
                 scores = np.array([float(n)], dtype=np.float64)
             else:
