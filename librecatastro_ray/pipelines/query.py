@@ -369,7 +369,9 @@ class QueryEngine:
         if t is None:
             path = dict_file(self.index_dir, pkey, salt, self._parts)
             if os.path.exists(path):
-                t = pq.read_table(path)
+                # read on the calling thread, like the posting files (_rows)
+                with pq.ParquetFile(path) as pf:
+                    t = pf.read(use_threads=False)
             else:
                 t = pa.table({"term": pa.array([], pa.string()),
                               "df": pa.array([], pa.int64()),
@@ -441,7 +443,10 @@ class QueryEngine:
         """Rows ``rows`` (sorted, unique, non-empty) of one posting file: a
         zero-copy slice of a cached row group when they are one contiguous
         run in it, else a take.  Row groups are read on a miss (no file
-        handle stays open) into the byte-bounded LRU."""
+        handle stays open) into the byte-bounded LRU, on the calling thread:
+        an engine serves inside a one-CPU task, and handing a few hundred KB
+        of columns to Arrow's pool of one thread per visible core made a cold
+        read slower and its time less steady."""
         path, meta, starts = self._file(kind, pkey, salt)
         rg_of = np.searchsorted(starts, rows, side="right") - 1
         parts = []
@@ -449,7 +454,7 @@ class QueryEngine:
             t = self._rowgroup_cache.get((path, rg))
             if t is None:
                 with pq.ParquetFile(path, metadata=meta) as pf:
-                    t = pf.read_row_group(rg, columns=_FILE_COLUMNS[kind])
+                    t = pf.read_row_group(rg, columns=_FILE_COLUMNS[kind], use_threads=False)
                 self._rowgroup_cache[(path, rg)] = t
                 self._rowgroup_cache_size += t.nbytes
                 while (self._rowgroup_cache_size > self._rowgroup_cache_cap
