@@ -1751,8 +1751,8 @@ h AS (SELECT DISTINCT doc_id FROM tf WHERE term = 'table'),
 v AS (SELECT dl.dl FROM dl JOIN h USING (doc_id))
 SELECT 'count' AS key, count(*)::BIGINT AS count FROM v
 UNION ALL SELECT 'sum', coalesce(sum(dl), 0)::BIGINT FROM v
-UNION ALL SELECT 'min', coalesce(min(dl), 0)::BIGINT FROM v
-UNION ALL SELECT 'max', coalesce(max(dl), 0)::BIGINT FROM v
+UNION ALL SELECT 'min', min(dl)::BIGINT FROM v
+UNION ALL SELECT 'max', max(dl)::BIGINT FROM v
 """),
         ]),
         "quality_scores": rf"""

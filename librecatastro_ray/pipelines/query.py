@@ -1295,6 +1295,7 @@ class QueryEngine:
         streamed sorted-membership doc-store scan as :meth:`terms_agg`
         (per-batch numpy reductions; hit values never materialize).  avg is
         sum/count, left to the caller so the output stays integer-exact.
+        On an empty hit set min and max are null, as in Elasticsearch.
         Beyond the reference's surface (it only reads hits.total); included
         for ES drop-in completeness."""
         hits = np.asarray(hits, dtype=np.int64)
@@ -1319,11 +1320,7 @@ class QueryEngine:
         return pa.table(
             {
                 "key": pa.array(["count", "sum", "min", "max"], pa.string()),
-                "count": pa.array(
-                    [n, total, mn if mn is not None else 0,
-                     mx if mx is not None else 0],
-                    pa.int64(),
-                ),
+                "count": pa.array([n, total, mn, mx], pa.int64()),
             }
         )
 
@@ -1792,34 +1789,44 @@ class SearchActor:
 # §1.2, re-expressed for a corpus where no single worker can hold the index)
 # ---------------------------------------------------------------------------
 
-_PROCESS_ENGINES: dict[tuple, QueryEngine] = {}
+_PROCESS_ENGINES: dict[tuple, tuple[QueryEngine, tuple]] = {}
 
 
-def _manifest_version(index_dir: str) -> tuple:
-    """Cheap identity of the index CONTENT at this path (manifest + tombstone
-    file size + mtime) — a drop + rebuild OR a delete at the same path must
-    not be served from a reused worker's cached engine/postings."""
-    from librecatastro_ray.state.manifest import deleted_path, manifest_path
-
-    st = os.stat(manifest_path(index_dir))
-    dpath = deleted_path(index_dir)
-    dstat = (0, 0)
-    if os.path.exists(dpath):
-        d = os.stat(dpath)
-        dstat = (d.st_size, d.st_mtime_ns)
-    return (st.st_size, st.st_mtime_ns, *dstat)
+def _file_identity(path: str) -> tuple:
+    """Identity of the file installed at ``path`` (``()`` when absent).
+    Every commit installs its file with ``os.replace``, so a new version has
+    a new inode even when its size and mtime equal the old one's (two writes
+    inside one mtime tick); ctime guards against a recycled inode number."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return ()
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 def _process_engine(index_dir: str) -> QueryEngine:
-    """One QueryEngine per worker process per index VERSION, shared across
-    range tasks — Ray reuses worker processes, so dictionaries/block
-    metadata load once; a rebuilt index gets a fresh engine."""
-    key = (index_dir, _manifest_version(index_dir))
-    eng = _PROCESS_ENGINES.get(key)
-    if eng is None:
-        _PROCESS_ENGINES.clear()  # at most one engine per process path set
+    """One QueryEngine per worker process per manifest version, shared across
+    range tasks — Ray reuses worker processes, so dictionaries and row groups
+    load once.  A manifest change (add, a compacted index swapped in, drop +
+    rebuild) builds a fresh engine.  A tombstone-only change (``delete_docs``)
+    reloads the engine's tombstone set in place: a delete rewrites no posting
+    file and moves no corpus statistic (N, avgdl and df keep counting
+    tombstoned docs), so every other cache stays valid."""
+    from librecatastro_ray.state.manifest import deleted_path, load_deleted, manifest_path
+
+    # stat BEFORE loading: a commit that races the load shows up as a changed
+    # identity on the next lookup
+    key = (index_dir, _file_identity(manifest_path(index_dir)))
+    tombstones = _file_identity(deleted_path(index_dir))
+    cached = _PROCESS_ENGINES.get(key)
+    if cached is None:
+        _PROCESS_ENGINES.clear()  # at most one engine per process
         eng = QueryEngine(index_dir)
-        _PROCESS_ENGINES[key] = eng
+    else:
+        eng, seen = cached
+        if seen != tombstones:
+            eng._deleted = load_deleted(index_dir)
+    _PROCESS_ENGINES[key] = (eng, tombstones)
     return eng
 
 
@@ -1833,19 +1840,25 @@ class RangeEngine:
     Memory is bounded by the range's share of postings, not the corpus.
     """
 
-    def __init__(self, index_dir: str, lo: int, hi: int):
-        self.eng = _process_engine(index_dir)
+    def __init__(self, eng: QueryEngine, lo: int, hi: int):
+        self.eng = eng
         self.lo = int(lo)
         self.hi = int(hi)
         # per-range term caches: the working set is the range's 1/R share of
-        # the postings, so a batch of queries decodes each term once
+        # the postings, so a batch of queries decodes each term once.  Only
+        # _prefix_docs depends on the tombstones.
         self._contrib: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._postings: dict[tuple[str, bool], tuple] = {}
         self._prefix_docs: dict[str, np.ndarray] = {}
-        # this range's slice of the tombstone set, range-local indices
-        dlt = self.eng._deleted
+        self.sync_deleted()
+
+    def sync_deleted(self) -> None:
+        """Take this range's slice of the engine's current tombstone set
+        (range-local indices) and drop the tombstone-filtered caches."""
+        dlt = self._tombstones = self.eng._deleted
         i, j = np.searchsorted(dlt, (self.lo, self.hi))
         self._dead_local = (dlt[i:j] - self.lo).astype(np.int64)
+        self._prefix_docs.clear()
 
     def _postings_range(self, term: str, positions: bool = False) -> tuple:
         """Range-restricted postings ``(docs, tf, dl[, pos_flat])``: only the
@@ -2077,20 +2090,26 @@ _PROCESS_RANGE_ENGINES_CAP = 8
 def _process_range_engine(index_dir: str, lo: int, hi: int) -> "RangeEngine":
     """One RangeEngine per (index_dir, range) per worker process (LRU-capped)
     — query CHUNKS of the same range reuse the decoded range-share postings
-    instead of re-reading them per chunk (Ray reuses worker processes)."""
-    key = (index_dir, _manifest_version(index_dir), lo, hi)
+    instead of re-reading them per chunk (Ray reuses worker processes).  It
+    lives as long as its process engine: a manifest change replaces it, a
+    tombstone change re-slices its tombstones in place."""
+    eng = _process_engine(index_dir)
+    key = (index_dir, lo, hi)
     rng = _PROCESS_RANGE_ENGINES.get(key)
-    if rng is None:
-        rng = RangeEngine(index_dir, lo, hi)
-        _PROCESS_RANGE_ENGINES[key] = rng
-        evictions = 0
-        while len(_PROCESS_RANGE_ENGINES) > _PROCESS_RANGE_ENGINES_CAP:
-            _PROCESS_RANGE_ENGINES.popitem(last=False)
-            evictions += 1
-        _record_range_cache(0, 1, evictions)
-    else:
+    if rng is not None and rng.eng is eng:
         _PROCESS_RANGE_ENGINES.move_to_end(key)
+        if rng._tombstones is not eng._deleted:
+            rng.sync_deleted()
         _record_range_cache(1, 0, 0)
+        return rng
+    rng = RangeEngine(eng, lo, hi)
+    _PROCESS_RANGE_ENGINES[key] = rng
+    _PROCESS_RANGE_ENGINES.move_to_end(key)  # a replaced entry keeps its slot
+    evictions = 0
+    while len(_PROCESS_RANGE_ENGINES) > _PROCESS_RANGE_ENGINES_CAP:
+        _PROCESS_RANGE_ENGINES.popitem(last=False)
+        evictions += 1
+    _record_range_cache(0, 1, evictions)
     return rng
 
 
@@ -2195,8 +2214,17 @@ def range_cache_stats() -> dict | None:
     return ray.get(handle.stats.remote())
 
 
+# one row per (query, range, hit): a range task's output, the merge's input
+_PARTIAL_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("doc_id", pa.int64()), ("score", pa.float64()),
+     ("kind", pa.string()), ("k", pa.int64()), ("from", pa.int64())]
+)
+# rank 0 / doc_id -1 rows carry count-kind totals in ``score``
+_SCATTER_SCHEMA = pa.schema([pa.field("query_id", pa.int64()), *RESULT_SCHEMA])
+
+
 def _eval_range_batch(
-    batch: pa.Table, *, index_dir: str, bounds: list[int], k_cap: int, merge_buckets: int
+    batch: pa.Table, *, index_dir: str, bounds: list[int], k_cap: int
 ) -> pa.Table:
     """map_batches task: evaluate every query against one doc range; emit
     top-k partials (plus per-range counts for count-kind queries)."""
@@ -2272,36 +2300,24 @@ def _eval_range_batch(
                 k_l.append(np.full(len(docs), q_k, dtype=np.int64))
                 frm_l.append(np.full(len(docs), q_frm, dtype=np.int64))
     if not qid_l:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "qbucket": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64()),
-                         "kind": pa.array([], pa.string()),
-                         "k": pa.array([], pa.int64()),
-                         "from": pa.array([], pa.int64())})
-    qids = np.concatenate(qid_l)
-    return pa.table({"query_id": pa.array(qids, pa.int64()),
-                     "qbucket": pa.array(qids % merge_buckets, pa.int64()),
-                     "doc_id": pa.array(np.concatenate(doc_l), pa.int64()),
-                     "score": pa.array(np.concatenate(score_l), pa.float64()),
-                     "kind": pa.array(kind_l, pa.string()),
-                     "k": pa.array(np.concatenate(k_l), pa.int64()),
-                     "from": pa.array(np.concatenate(frm_l), pa.int64())})
+        return _PARTIAL_SCHEMA.empty_table()
+    return pa.table([np.concatenate(qid_l), np.concatenate(doc_l),
+                     np.concatenate(score_l), pa.array(kind_l, pa.string()),
+                     np.concatenate(k_l), np.concatenate(frm_l)],
+                    schema=_PARTIAL_SCHEMA)
 
 
-def _merge_query_buckets(group: pa.Table) -> pa.Table:
-    """map_groups over a BUCKET of queries (``query_id % merge_buckets``):
-    merge every member query's per-range partials into its final top-k (or
-    summed count) in one vectorized pass — one lexsort over the bucket's
-    rows plus segmented position math, instead of one Python map_groups
-    call per query (the per-group-overhead cliff at millions of queries).
-    The pinned (score desc, doc_id asc) tiebreak is identical to
-    :func:`topk_indices`, so results match the single-engine path
-    bit-for-bit."""
-    qids = group["query_id"].to_numpy().astype(np.int64)
-    docs = group["doc_id"].to_numpy().astype(np.int64)
-    scores = group["score"].to_numpy().astype(np.float64)
-    kinds = group["kind"].to_numpy(zero_copy_only=False)
+def _merge_query_buckets(partials: pa.Table) -> pa.Table:
+    """Merge every query's per-range partials into its final top-k (or
+    summed count) in one vectorized pass: one lexsort over all partial rows
+    plus segmented position math, instead of one call per query.  The pinned
+    (score desc, doc_id asc) tiebreak is identical to :func:`topk_indices`,
+    so results match the single-engine path bit-for-bit.  Rows come out
+    sorted by (query_id, rank)."""
+    qids = partials["query_id"].to_numpy()
+    docs = partials["doc_id"].to_numpy()
+    scores = partials["score"].to_numpy()
+    kinds = partials["kind"].to_numpy(zero_copy_only=False)
     out_q, out_r, out_d, out_s = [], [], [], []
     is_count = kinds == "count"
     if is_count.any():
@@ -2316,8 +2332,8 @@ def _merge_query_buckets(group: pa.Table) -> pa.Table:
     ranked = ~is_count
     if ranked.any():
         rq, rd, rs = qids[ranked], docs[ranked], scores[ranked]
-        rk = group["k"].to_numpy().astype(np.int64)[ranked]
-        rf = group["from"].to_numpy().astype(np.int64)[ranked]
+        rk = partials["k"].to_numpy()[ranked]
+        rf = partials["from"].to_numpy()[ranked]
         order = np.lexsort((rd, -rs, rq))  # qid asc, score desc, doc_id asc
         rq, rd, rs = rq[order], rd[order], rs[order]
         rk, rf = rk[order], rf[order]
@@ -2330,19 +2346,16 @@ def _merge_query_buckets(group: pa.Table) -> pa.Table:
         out_d.append(rd[keep])
         out_s.append(rs[keep])
     if not out_q:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
-    return pa.table({"query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                     "rank": pa.array(np.concatenate(out_r), pa.int64()),
-                     "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-                     "score": pa.array(np.concatenate(out_s), pa.float64())})
+        return _SCATTER_SCHEMA.empty_table()
+    q, r = np.concatenate(out_q), np.concatenate(out_r)
+    order = np.lexsort((r, q))
+    return pa.table([q[order], r[order], np.concatenate(out_d)[order],
+                     np.concatenate(out_s)[order]], schema=_SCATTER_SCHEMA)
 
 
-# chunks of one range grouped into a single task: bounds per-task JSON bytes
-# (chunk_size × this × ~200 B) while amortizing the range-engine build over
-# the group — the at-scale knob between failure granularity and decode reuse
+# chunks of one range evaluated by one task: bounds a task's JSON input
+# (chunk_size × this × ~200 B) and the partial block it streams back to the
+# driver, while one task's scheduling cost covers this many chunks
 _CHUNKS_PER_TASK = 8
 
 
@@ -2356,28 +2369,44 @@ def batch_search_scatter(
     """Scatter-gather batch evaluation: every query runs against ``n_ranges``
     doc-id ranges in parallel (each range task touches only its slice of the
     postings — the memory-bounded serving path for corpora whose index
-    exceeds one worker), partial top-k/count rows shuffle by ``query_id``
-    (a tiny exchange: ≤ ranges × k rows per query) and merge exactly.
+    exceeds one worker).  The driver streams the range tasks' partial
+    top-k/count rows back, concatenates them and merges them exactly in one
+    vectorized pass, with no shuffle: it holds at most ``n_ranges × (from +
+    k)`` partial rows per query (one per range for a count).
 
     Results are identical to running each query on a single full engine:
     per-doc scores are computed whole within the doc's range and the merge
-    reuses the pinned (score desc, doc_id asc) top-k selection.
+    reuses the pinned (score desc, doc_id asc) top-k selection.  With
+    ``output_dir`` the merged (query_id, rank, doc_id, score) table is
+    written to ``output_dir/part-0.parquet`` (the directory is emptied
+    first) and a one-row ``rows_written`` summary is returned.
     """
+    merged = (
+        _scatter(index_dir, queries, n_ranges, chunk_size)
+        if queries else _SCATTER_SCHEMA.empty_table()
+    )
+    if output_dir is None:
+        return merged
+    import shutil
+
+    shutil.rmtree(output_dir, ignore_errors=True)
+    os.makedirs(output_dir)
+    # dot-prefixed: dataset readers skip the temp file until it is renamed
+    tmp = os.path.join(output_dir, ".part-0.parquet.tmp")
+    pq.write_table(merged, tmp)
+    os.replace(tmp, os.path.join(output_dir, "part-0.parquet"))
+    return pa.table({"rows_written": pa.array([len(merged)], pa.int64()),
+                     "output_dir": pa.array([output_dir], pa.string())})
+
+
+def _scatter(index_dir: str, queries: list[dict], n_ranges: int, chunk_size: int) -> pa.Table:
+    """Evaluate ``queries`` over ``n_ranges`` doc ranges in Ray Data tasks and
+    merge their partials on the driver."""
     import json
 
     import ray.data
 
-    if not queries:
-        if output_dir is not None:
-            os.makedirs(output_dir, exist_ok=True)
-            return pa.table({"rows_written": pa.array([0], pa.int64()),
-                             "output_dir": pa.array([output_dir], pa.string())})
-        return pa.table(
-            {"query_id": pa.array([], pa.int64()), "rank": pa.array([], pa.int64()),
-             "doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
-        )
-    manifest = load_manifest(index_dir)
-    n_docs = int(manifest["n_docs"])
+    n_docs = int(load_manifest(index_dir)["n_docs"])
     n_ranges = max(1, min(n_ranges, max(1, n_docs)))
     bounds = [round(i * n_docs / n_ranges) for i in range(n_ranges)] + [n_docs]
     k_cap = max(
@@ -2405,54 +2434,13 @@ def batch_search_scatter(
         for cj in chunks
     ]
     n_blocks = max(n_ranges, -(-len(rows) // _CHUNKS_PER_TASK))
-    work = ray.data.from_items(rows, override_num_blocks=n_blocks)
-    # merge-bucket count: the gather shuffle moves the same ≤ ranges×k rows
-    # per query but the groupby sees buckets of queries instead of one group
-    # per query (per-group map_groups overhead is Ray Data's known cliff at
-    # millions of tiny groups), each bucket merged in one vectorized pass.
-    # Keep buckets ≥ 4× the sort's output-partition count (= work blocks) so
-    # the range exchange never emits empty (schema-less) partitions, and
-    # ≤ n_queries so every bucket is non-empty.
-    merge_buckets = max(
-        1, min(len(queries), max(4 * n_blocks, -(-len(queries) // 1024)))
-    )
-    partials = work.map_batches(
+    partials = ray.data.from_items(rows, override_num_blocks=n_blocks).map_batches(
         _eval_range_batch,
-        fn_kwargs={
-            "index_dir": index_dir,
-            "bounds": bounds,
-            "k_cap": k_cap,
-            "merge_buckets": merge_buckets,
-        },
+        fn_kwargs={"index_dir": index_dir, "bounds": bounds, "k_cap": k_cap},
         batch_format="pyarrow",
         batch_size=1,
     )
-    merged = (
-        partials.groupby("qbucket")
-        .map_groups(_merge_query_buckets, batch_format="pyarrow")
+    blocks = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
+    return _merge_query_buckets(
+        pa.concat_tables(blocks) if blocks else _PARTIAL_SCHEMA.empty_table()
     )
-    if output_dir is not None:
-        # streaming sink for workloads whose RESULT is large (many queries ×
-        # k rows): results go block-per-file to partitioned parquet instead
-        # of materializing on the driver.  Ray's write_parquet APPENDS into
-        # an existing dir — wipe first so a rerun never mixes stale files
-        import shutil
-
-        shutil.rmtree(output_dir, ignore_errors=True)
-        merged.write_parquet(output_dir)
-        n = int(
-            pads.dataset(output_dir, format="parquet").count_rows()
-        )
-        return pa.table({"rows_written": pa.array([n], pa.int64()),
-                         "output_dir": pa.array([output_dir], pa.string())})
-    df = merged.to_pandas()
-    if len(df) == 0 or "query_id" not in df.columns:
-        # every query zero-hit (or paged past its results): an all-empty
-        # Dataset loses its schema through to_pandas — return the typed shape
-        return pa.table(
-            {"query_id": pa.array([], pa.int64()), "rank": pa.array([], pa.int64()),
-             "doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
-        )
-    t = pa.Table.from_pandas(df, preserve_index=False)
-    order = pc.sort_indices(t, sort_keys=[("query_id", "ascending"), ("rank", "ascending")])
-    return t.take(order)

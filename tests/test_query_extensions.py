@@ -597,7 +597,7 @@ def test_stats_agg_matches_pandas(engine):
 
 def test_stats_agg_empty_hits(engine):
     got = dict(zip(*engine.stats_agg("dl", []).to_pydict().values()))
-    assert got == {"count": 0, "sum": 0, "min": 0, "max": 0}
+    assert got == {"count": 0, "sum": 0, "min": None, "max": None}
 
 
 def test_keyword_in_is_or_of_eq(engine, oracle_small):
