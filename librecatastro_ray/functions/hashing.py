@@ -15,6 +15,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def sha256_hex(s: str | bytes) -> str:
@@ -48,12 +49,15 @@ def term_hash(term: str) -> int:
     return h
 
 
-def term_hashes(terms: np.ndarray) -> np.ndarray:
-    """Vectorized-ish stable hash of an array of terms.
+def term_hashes(terms: np.ndarray | pa.Array) -> np.ndarray:
+    """``term_hash`` of each term in an array of strings, as int64.
 
-    Hashes each *unique* term once (Zipf vocabularies make uniques ≪ tokens)
-    and broadcasts via inverse indices.
+    Hashes each *distinct* term once (Zipf vocabularies make distinct terms
+    ≪ tokens): a hash-based Arrow dictionary encode finds them, and its
+    indices broadcast the hashes back.
     """
-    uniq, inv = np.unique(np.asarray(terms, dtype=object), return_inverse=True)
-    hu = np.fromiter((term_hash(t) for t in uniq), dtype=np.int64, count=len(uniq))
-    return hu[inv]
+    if not isinstance(terms, pa.Array):
+        terms = pa.array(np.asarray(terms, dtype=object), pa.string())
+    enc = pc.dictionary_encode(terms)
+    hu = np.array([term_hash(t) for t in enc.dictionary.to_pylist()], dtype=np.int64)
+    return hu[enc.indices.to_numpy()]

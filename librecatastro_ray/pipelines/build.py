@@ -18,8 +18,9 @@
                                                         map-side scatter by
                                                         partition_cols write,
                                                         no sort network step)
-      → per-partition merge_batch tasks → parts/ +
-        checkpoints/                                   (stateful actors)
+      → merge_batch tasks over runs of partitions
+        → parts/ + checkpoints/                        (≤ 2 × CPUs tasks; one
+                                                        checkpoint per partition)
       → finalize manifest.json
 
 Every phase is gated by a completion marker; the merge phase is resumable at
@@ -91,6 +92,10 @@ def corpus_fingerprint(path: str) -> str:
 TARGET_BLOCK_BYTES = 64 << 20  # ~64 MB of (compressed) parquet per block
 
 
+def _cluster_cpus() -> int:
+    return max(2, int(ray.cluster_resources().get("CPU", 4)))
+
+
 def _read_sized(path: str, columns: list[str]) -> ray.data.Dataset:
     """Size-aware parquet read: Ray's default read split (min 200 blocks)
     fragments small inputs into KB-scale blocks, multiplying per-block task
@@ -102,8 +107,7 @@ def _read_sized(path: str, columns: list[str]) -> ray.data.Dataset:
         for f in files:
             if f.endswith(".parquet"):
                 total += os.path.getsize(os.path.join(root, f))
-    n_cpus = max(2, int(ray.cluster_resources().get("CPU", 4)))
-    n_blocks = max(2 * n_cpus, total // TARGET_BLOCK_BYTES or 1)
+    n_blocks = max(2 * _cluster_cpus(), total // TARGET_BLOCK_BYTES or 1)
     from librecatastro_ray.sources.readers import read_parquet_clean
 
     return read_parquet_clean(path, columns=columns, override_num_blocks=int(n_blocks))
@@ -176,6 +180,31 @@ def estimate_hot_terms(docs_ds: ray.data.Dataset, n_docs: int, config: IndexConf
     df = parts.groupby("term", sort=True)["df"].sum()
     hot = df[df >= config.hot_df_ratio * n_sampled]
     return sorted(hot.index.tolist())
+
+
+def _merge_partitions(
+    skeys: list[int], index_dir: str, avgdl: float, config: IndexConfig, **dirs: str
+) -> None:
+    """Merge the shuffle partitions ``skeys`` in min(#skeys, 2 × cluster
+    CPUs) tasks, each over a contiguous run of skeys (``batch_size=None``:
+    one batch per block), so a small cluster does not pay one task launch
+    per partition.  Each partition is checkpointed as soon as it is merged,
+    so resume stays per partition."""
+    ray.data.from_items(
+        [{"skey": int(s)} for s in skeys],
+        override_num_blocks=min(len(skeys), 2 * _cluster_cpus()),
+    ).map_batches(
+        merge_batch,
+        fn_kwargs={
+            "index_dir": index_dir,
+            "avgdl": avgdl,
+            "config_json": config.to_json(),
+            **dirs,
+        },
+        batch_format="pyarrow",
+        batch_size=None,
+        num_cpus=1,
+    ).materialize()
 
 
 def build_index(
@@ -328,26 +357,13 @@ def build_index(
     shuffle_meta = read_json(_marker(shuffle_dir))
     skeys_present = shuffle_meta["skeys"]
 
-    # ---- phase D: per-partition merge (actor pool), checkpoint anti-join --
+    # ---- phase D: merge in task groups, checkpoint anti-join --------------
     done = completed_partitions(index_dir)
     pending = [s for s in skeys_present if s not in done]
     report["partitions_skipped"] = len(skeys_present) - len(pending)
     report["partitions_merged"] = len(pending)
     if pending:
-        work = ray.data.from_items(
-            [{"skey": int(s)} for s in pending], override_num_blocks=len(pending)
-        )
-        work.map_batches(
-            merge_batch,
-            fn_kwargs={
-                "index_dir": index_dir,
-                "avgdl": avgdl,
-                "config_json": config.to_json(),
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            num_cpus=1,
-        ).materialize()
+        _merge_partitions(pending, index_dir, avgdl, config)
     report["phase_seconds"]["merge"] = round(_t() - _t0, 3)
     done = completed_partitions(index_dir)
     missing = [s for s in skeys_present if s not in done]
@@ -405,9 +421,15 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         content is never re-tokenized, so add cost scales with INDEX size +
         batch size, not corpus text size (a Lucene big-merge, not a rebuild);
         block-max bounds are recomputed with the updated avgdl;
-      - MVCC: the re-merge writes a NEW generation parts dir
-        (``parts-g{n}``) and the manifest flips LAST — a crash mid-add
-        leaves the old index fully readable; rerunning the add redoes it.
+      - the re-merge writes a NEW generation parts dir (``parts-g{n}``)
+        and the manifest flips LAST, so the old postings stay intact until
+        the flip and rerunning a crashed add redoes it.  The add is NOT
+        atomic, though: a crash mid-add does not leave the old index fully
+        readable.  The upsert tombstones go through ``delete_docs`` before
+        the manifest flips, so the replaced versions already vanish, and
+        ``docs/gen-{n}`` is already visible to ``keyword_docs``, whose ids
+        then reach past the committed ``n_docs``.  One commit point for
+        tombstones, doc store and parts is ROADMAP.md direction 1.
 
     The partitioning scheme (P, S, HOT TERM LIST) is frozen at build time —
     new postings must land in the same (pkey, salt) files, so the hot list
@@ -509,24 +531,10 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     sum_dl = int(manifest["sum_dl"]) + int(sum_dl_new)
     avgdl = (float(sum_dl) / float(n_docs)) if n_docs else 1.0
     all_skeys = list(range(config.num_partitions * config.num_salts))
-    work = ray.data.from_items(
-        [{"skey": s} for s in all_skeys], override_num_blocks=len(all_skeys)
+    _merge_partitions(
+        all_skeys, index_dir, avgdl, config, parts_dir=new_parts,
+        spill_dir=spill_dir_name, ckpt_name=ckpt_name, old_parts=old_parts,
     )
-    work.map_batches(
-        merge_batch,
-        fn_kwargs={
-            "index_dir": index_dir,
-            "avgdl": avgdl,
-            "config_json": config.to_json(),
-            "parts_dir": new_parts,
-            "spill_dir": spill_dir_name,
-            "ckpt_name": ckpt_name,
-            "old_parts": old_parts,
-        },
-        batch_format="pyarrow",
-        batch_size=1,
-        num_cpus=1,
-    ).materialize()
 
     # ---- finalize: manifest flips last (MVCC commit point) ----------------
     partitions = {}

@@ -1,8 +1,9 @@
 """Per-partition posting merge: sort → per-term delta+varbyte blocks with
 block-max metadata → atomic write + checkpoint.
 
-One merge task owns one shuffle partition (skey); partitions are independent,
-resumable units (reference analogue: the per-street anti-join skip that makes
+One merge task owns a run of shuffle partitions (skeys); partitions are
+independent units, each checkpointed as soon as it is merged, so resume is
+per partition (reference analogue: the per-street anti-join skip that makes
 crawls resumable, reference: src/utils/elasticsearch_utils.py:100-136).
 
 Output per skey = (pkey, salt):
@@ -348,9 +349,11 @@ def merge_batch(
     old_parts: str | None = None,
 ) -> pa.Table:
     """map_batches (task, ``fn_kwargs``): merge the partitions named in the
-    batch.  Each input row is one skey; per-partition work is large, so the
-    (index_dir, avgdl, config) kwargs are negligible per-task overhead and
-    warm-worker reuse beats actor-pool process startup."""
+    batch, one after another (one row per skey; a batch is a whole block of
+    ``_merge_partitions``' task groups).  Each partition is checkpointed as
+    soon as it is merged, so a task that fails part-way keeps the finished
+    ones.  Stateless tasks, not an actor pool: the only state is the small
+    (index_dir, avgdl, config) kwargs."""
     import json
 
     config = IndexConfig.from_json(config_json)

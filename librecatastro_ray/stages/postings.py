@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from librecatastro_ray.functions.analysis import get_analyzer, term_frequencies_with
 from librecatastro_ray.functions.hashing import term_hashes
@@ -50,28 +51,44 @@ def flat_postings(
     pool slot.  A genuinely large broadcast side would move to ``ray.put`` +
     an actor pool.  The analyzer travels as its registry ID (resolved here,
     inside the task)."""
-    P, S = num_partitions, num_salts
-    hot = np.array(sorted(hot_terms), dtype=object)
-    tf_table, _dl = term_frequencies_with(get_analyzer(analyzer_id), batch["content"])
+    tf_table, dl = term_frequencies_with(get_analyzer(analyzer_id), batch["content"])
     rows = tf_table["row"].to_numpy()
-    doc_ids = batch["doc_id"].to_numpy()[rows]
-    dl_per_row = _dl[rows]
-    terms = tf_table["term"].to_numpy(zero_copy_only=False)
-    tf = tf_table["tf"].to_numpy()
-    h = term_hashes(terms)
-    pkey = h % P
-    salt = np.zeros(len(terms), dtype=np.int64)
-    if len(hot) and len(terms):
-        hot_mask = np.isin(terms, hot)
-        salt[hot_mask] = doc_ids[hot_mask] % S
-    skey = pkey * S + salt
+    enc = pc.dictionary_encode(tf_table["term"].combine_chunks())
+    return _postings_table(
+        enc.dictionary, enc.indices.to_numpy(), batch["doc_id"].to_numpy()[rows],
+        tf_table["tf"].to_numpy(), dl[rows],
+        num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,
+    )
+
+
+def _postings_table(
+    dictionary: pa.Array,
+    codes: np.ndarray,
+    doc_ids: np.ndarray,
+    tf: np.ndarray,
+    dl: np.ndarray,
+    *,
+    num_partitions: int,
+    num_salts: int,
+    hot_terms: list[str],
+    **extra: pa.Array,
+) -> pa.Table:
+    """The flat postings both emitters return, posting i being term
+    ``dictionary[codes[i]]`` in doc ``doc_ids[i]``.  The term hash and the
+    hot-term test run once per distinct term (a hash lookup, not a sort)
+    and reach the postings through ``codes``."""
+    S = num_salts
+    pkey = term_hashes(dictionary) % num_partitions
+    hot = pc.is_in(dictionary, value_set=pa.array(hot_terms, pa.string()))
+    salt = np.where(hot.to_numpy(zero_copy_only=False)[codes], doc_ids % S, 0)
     return pa.table(
         {
-            "term": pa.array(terms, pa.string()),
+            "term": dictionary.take(codes),
             "doc_id": pa.array(doc_ids, pa.int64()),
             "tf": pa.array(tf, pa.int64()),
-            "dl": pa.array(dl_per_row, pa.int64()),
-            "skey": pa.array(skey, pa.int64()),
+            "dl": pa.array(dl, pa.int64()),
+            "skey": pa.array(pkey[codes] * S + salt, pa.int64()),
+            **extra,
         }
     )
 
@@ -106,16 +123,14 @@ def flat_postings_positional(
     from librecatastro_ray.functions.codec import varbyte_encode_with_lengths
     from librecatastro_ray.functions.tokenizer import token_positions_from
 
-    P, S = num_partitions, num_salts
-    hot = np.array(sorted(hot_terms), dtype=object)
     analyzer = get_analyzer(analyzer_id)
     parent_idx, toks, dl = analyzer.tokenize_batch(batch["content"])
     pos = token_positions_from(parent_idx, dl)
     n_tok = len(toks)
+    enc = pc.dictionary_encode(pa.array(toks, pa.string()))
     if n_tok:
         # group occurrences by (row, term); np.lexsort is stable, so within a
         # group the document-order (ascending) positions are preserved
-        enc = pa.compute.dictionary_encode(pa.array(toks, pa.string()))
         codes = enc.indices.to_numpy().astype(np.int64)
         order = np.lexsort((codes, parent_idx))
         rows_s, codes_s, pos_s = parent_idx[order], codes[order], pos[order]
@@ -134,31 +149,14 @@ def flat_postings_positional(
         # cum[group_starts[i]] .. cum[next start] — one bounds array
         bounds = cum[np.append(group_starts, n_tok)]
         pos_col = _cut_binary(stream, bounds)
-        terms = enc.dictionary.to_numpy(zero_copy_only=False)[codes_s[group_starts]]
-        doc_ids = batch["doc_id"].to_numpy()[rows_s[group_starts]]
-        dl_per_row = dl[rows_s[group_starts]]
+        rows, term_codes = rows_s[group_starts], codes_s[group_starts]
     else:
-        tf = np.zeros(0, dtype=np.int64)
-        terms = np.zeros(0, dtype=object)
-        doc_ids = np.zeros(0, dtype=np.int64)
-        dl_per_row = np.zeros(0, dtype=np.int64)
+        rows = term_codes = tf = np.zeros(0, dtype=np.int64)
         pos_col = pa.array([], pa.binary())
-    h = term_hashes(terms)
-    pkey = h % P
-    salt = np.zeros(len(terms), dtype=np.int64)
-    if len(hot) and len(terms):
-        hot_mask = np.isin(terms, hot)
-        salt[hot_mask] = doc_ids[hot_mask] % S
-    skey = pkey * S + salt
-    return pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "tf": pa.array(tf, pa.int64()),
-            "dl": pa.array(dl_per_row, pa.int64()),
-            "skey": pa.array(skey, pa.int64()),
-            "pos": pos_col,
-        }
+    return _postings_table(
+        enc.dictionary, term_codes, batch["doc_id"].to_numpy()[rows], tf, dl[rows],
+        num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,
+        pos=pos_col,
     )
 
 

@@ -1,0 +1,182 @@
+"""Write-path kernels and the grouped merge.
+
+- The posting emitters route every posting to
+  ``skey = (term_hash(t) % P) * S + (doc_id % S if t is hot else 0)``, and
+  ``term_hashes`` equals the scalar ``term_hash`` (partition routing depends
+  on both being exact).  No Ray.
+- A merge task over a run of partitions checkpoints each partition as it
+  finishes: a failure part-way keeps the finished checkpoints, and resume
+  merges exactly the rest.
+"""
+
+import json
+import os
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from librecatastro_ray.config import IndexConfig
+from librecatastro_ray.functions.analysis import get_analyzer
+from librecatastro_ray.functions.hashing import sha256_hex, term_hash, term_hashes
+from librecatastro_ray.stages import merge
+from librecatastro_ray.stages.postings import flat_postings, flat_postings_positional
+
+# ASCII word characters, separators of both analyzers, punctuation and
+# non-ASCII letters (kept as terms by whitespace_v1), up to U+10FFFF
+ALPHABET = ["a", "b", "Z", "_", "7", " ", "\n", ".", "(", "é", "ß", "日", "Ω", "\U0010FFFF"]
+_content = st.one_of(st.none(), st.text(alphabet=st.sampled_from(ALPHABET), max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    contents=st.lists(_content, max_size=8),
+    first_id=st.integers(0, 10_000),
+    P=st.integers(1, 9),
+    S=st.integers(1, 5),
+    analyzer_id=st.sampled_from(["code_standard_v1", "whitespace_v1"]),
+    hot_mode=st.sampled_from(["none", "all", "alternate", "some"]),
+    data=st.data(),
+)
+def test_emitters_route_every_posting_by_its_term_and_doc(
+    contents, first_id, P, S, analyzer_id, hot_mode, data
+):
+    batch = pa.table(
+        {
+            "doc_id": pa.array(first_id + 3 * np.arange(len(contents)), pa.int64()),
+            "content": pa.array(contents, pa.string()),
+        }
+    )
+    vocab = sorted({t for c in contents for t in get_analyzer(analyzer_id).tokenize(c)})
+    if hot_mode == "none":
+        hot = []
+    elif hot_mode == "all":
+        hot = vocab + ["never_a_term"]
+    elif hot_mode == "alternate":
+        hot = vocab[::2]
+    else:
+        hot = data.draw(st.lists(st.sampled_from(vocab), unique=True)) if vocab else []
+    hot_set = set(hot)
+    kw = {"num_partitions": P, "num_salts": S, "hot_terms": hot, "analyzer_id": analyzer_id}
+    cols = ["term", "doc_id", "tf", "dl", "skey"]
+    plain = flat_postings(batch, **kw)
+    positional = flat_postings_positional(batch, **kw)
+    for out in (plain, positional):
+        rows = out.select(cols).to_pylist()
+        assert {r["term"] for r in rows} == set(vocab)
+        for r in rows:
+            t, d = r["term"], r["doc_id"]
+            assert r["skey"] == (term_hash(t) % P) * S + (d % S if t in hot_set else 0), r
+    key = lambda r: (r["doc_id"], r["term"])  # noqa: E731
+    assert sorted(plain.to_pylist(), key=key) == sorted(
+        positional.select(cols).to_pylist(), key=key
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(
+        st.one_of(st.sampled_from(["def", "return", "é", ""]), st.text(max_size=6)), max_size=40
+    )
+)
+def test_term_hashes_equals_scalar_term_hash(terms):
+    want = [term_hash(t) for t in terms]
+    for arr in (np.array(terms, dtype=object), pa.array(terms, pa.string())):
+        got = term_hashes(arr)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def _cfg():
+    return IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16,
+                       positions=True)
+
+
+@pytest.fixture(scope="module")
+def clean_build(tmp_path_factory):
+    from librecatastro_ray.pipelines.build import build_index
+    from librecatastro_ray.sources.synth import make_corpus
+
+    corpus = make_corpus(n_docs=200, seed=7, vocab_size=500, mean_tokens=40)
+    d = str(tmp_path_factory.mktemp("grouped") / "clean")
+    build_index(corpus, d, _cfg())
+    return corpus, d
+
+
+def _unmerged_copy(clean_dir: str, dst: str) -> tuple[list[int], float]:
+    """``clean_dir`` as a build that crashed before its merge phase: the
+    shuffle spill is complete; no manifest, parts or checkpoint exists."""
+    shutil.copytree(clean_dir, dst)
+    os.remove(os.path.join(dst, "manifest.json"))
+    shutil.rmtree(os.path.join(dst, "parts"))
+    shutil.rmtree(os.path.join(dst, "checkpoints"))
+    with open(os.path.join(dst, "shuffle", "_DONE.json")) as f:
+        skeys = json.load(f)["skeys"]
+    with open(os.path.join(dst, "docs", "_DONE.json")) as f:
+        stats = json.load(f)
+    return skeys, stats["sum_dl"] / stats["n_docs"]
+
+
+def _merge_kwargs(index_dir, avgdl):
+    return {"index_dir": index_dir, "avgdl": avgdl, "config_json": _cfg().to_json()}
+
+
+def _parts_bytes(index_dir: str) -> dict[str, bytes]:
+    parts = os.path.join(index_dir, "parts")
+    out = {}
+    for name in sorted(os.listdir(parts)):
+        with open(os.path.join(parts, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+def test_grouped_merge_crash_keeps_finished_checkpoints(clean_build, tmp_path, monkeypatch):
+    from librecatastro_ray.pipelines.build import build_index
+    from librecatastro_ray.state.manifest import completed_partitions, load_manifest
+
+    corpus, clean_dir = clean_build
+    crash_dir = str(tmp_path / "crash")
+    skeys, avgdl = _unmerged_copy(clean_dir, crash_dir)
+    assert len(skeys) > 3
+    real = merge.merge_partition
+
+    def third_raises(index_dir, skey, *args, **kwargs):
+        if skey == skeys[2]:
+            raise RuntimeError("injected merge failure")
+        return real(index_dir, skey, *args, **kwargs)
+
+    monkeypatch.setattr(merge, "merge_partition", third_raises)
+    with pytest.raises(RuntimeError, match="injected"):
+        merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(crash_dir, avgdl))
+    monkeypatch.undo()
+
+    done = completed_partitions(crash_dir)
+    assert sorted(done) == skeys[:2]
+    clean_done = completed_partitions(clean_dir)
+    for skey, ck in done.items():
+        with open(os.path.join(crash_dir, ck["outputs"][0]), "rb") as f:
+            assert sha256_hex(f.read()) == ck["output_sha256"]
+        assert ck["output_sha256"] == clean_done[skey]["output_sha256"]
+        assert ck["outputs"] == clean_done[skey]["outputs"]
+
+    r = build_index(corpus, crash_dir, _cfg(), resume=True)
+    assert r["report"]["partitions_merged"] == len(skeys) - 2
+    assert r["report"]["partitions_skipped"] == 2
+    assert json.dumps(load_manifest(crash_dir), sort_keys=True) == json.dumps(
+        load_manifest(clean_dir), sort_keys=True
+    )
+
+
+def test_multi_row_merge_batch_writes_the_bytes_of_one_row_calls(clean_build, tmp_path):
+    _corpus, clean_dir = clean_build
+    grouped, single = str(tmp_path / "grouped"), str(tmp_path / "single")
+    skeys, avgdl = _unmerged_copy(clean_dir, grouped)
+    _unmerged_copy(clean_dir, single)
+    merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(grouped, avgdl))
+    for s in skeys:
+        merge.merge_batch(pa.table({"skey": [s]}), **_merge_kwargs(single, avgdl))
+    got = _parts_bytes(grouped)
+    assert got == _parts_bytes(single) == _parts_bytes(clean_dir)
+    assert len(got) == 3 * len(skeys)
