@@ -120,9 +120,9 @@ def make_query_set(n: int = 200, phrase_pool: list[str] | None = None) -> list[d
     langs = ["en", "es", "de", "fr"]
     qs = []
     for i in range(n):
-        base = {"query_id": i, "kind": "", "text": "", "must_terms": [], "prefix": "",
-                "keyword_eq": [], "keyword_prefix": [], "must_not_terms": [],
-                "should_terms": [], "k": 10, "from": 0}
+        # each kind carries only the keys it takes: batch_search_scatter
+        # rejects any other
+        base = {"query_id": i, "k": 10}
         kind = ["match", "match", "match", "bool_must", "prefix_content",
                 "phrase", "bool_must", "match", "bool_kw_probe", "bool_must"][i % 10]
         if kind == "phrase":
@@ -177,7 +177,6 @@ def run_bench() -> dict:
 
     from librecatastro_ray.config import IndexConfig
     from librecatastro_ray.pipelines.build import build_index
-    from librecatastro_ray.pipelines.query import SearchActor
     from librecatastro_ray.pipelines.relational import lineitem_agg
     from librecatastro_ray.pipelines.training import ann_topk
     from librecatastro_ray.state.manifest import drop_index
@@ -202,25 +201,14 @@ def run_bench() -> dict:
     build_sec = time.monotonic() - t0
     build_phases = build_out["report"].get("phase_seconds", {})
 
-    # batch query evaluation: full-replica actor pool while an actor can hold
-    # the hot working set; doc-range scatter-gather (each task touches 1/R of
-    # the postings) once the corpus outgrows that — the at-scale serving path
+    # batch query evaluation: batch_search_scatter on the range-actor pool.
     # LCRAY_BENCH_PHRASES=0 reproduces the round-4 all-match mix for
     # apples-to-apples comparisons against earlier rounds' readings
     with_phrases = os.environ.get("LCRAY_BENCH_PHRASES", "1") != "0"
     queries = make_query_set(
         int(os.environ.get("LCRAY_BENCH_QUERIES", "4000")),
         phrase_pool=make_phrase_pool(SF_DIR) if with_phrases else None)
-    # crossover tuned FROM the round-5 range-engine cache counters (the
-    # measurement they were added for): with the range-major layout, scatter
-    # matches or beats the replica pool at every corpus size measured —
-    # 5k docs (1586 vs 1602 QPS, a wash; phrases 231 vs 148), 60k (1627 vs
-    # 1277; phrases 180 vs 84), 600k+ (replica thrashes).  Default drops
-    # 300k → 50k; below that the pool's per-actor engines are already warm
-    # and the two paths tie.
-    scatter_min = int(os.environ.get("LCRAY_SCATTER_MIN_DOCS", "50000"))
-    from librecatastro_ray.pipelines.query import (
-        range_cache_stats, start_range_cache_stats)
+    from librecatastro_ray.pipelines.query import batch_search_scatter, range_cache_stats
 
     # the positional phrase workload is timed as its OWN phase ("phrase" in
     # the queries dict): it is a new round-5 addition to the mix, and folding
@@ -230,39 +218,17 @@ def run_bench() -> dict:
     plain_queries = [q for q in queries if q["kind"] != "match_phrase"]
 
     def _serve(qs: list[dict]) -> int:
-        if not qs:
-            return 0
-        if n_docs >= scatter_min:
-            from librecatastro_ray.pipelines.query import batch_search_scatter
+        return len(batch_search_scatter(index_dir, qs, n_ranges=NUM_CPUS))
 
-            return len(batch_search_scatter(index_dir, qs, n_ranges=NUM_CPUS))
-        from librecatastro_ray.pipelines.query import queries_to_table
-
-        pool = max(2, NUM_CPUS // 2)
-        qds = ray.data.from_arrow(queries_to_table(qs)).repartition(pool * 4)
-        return qds.map_batches(
-            SearchActor,
-            fn_constructor_kwargs={"index_dir": index_dir},
-            batch_format="pyarrow",
-            batch_size=32,
-            concurrency=pool,
-            num_cpus=1,
-            max_restarts=0,  # ray#53727: ctor args in the object store
-        ).count()
-
-    query_mode = "scatter" if n_docs >= scatter_min else "replica-pool"
-    start_range_cache_stats()
     t0 = time.monotonic()
     out = _serve(plain_queries)
     query_sec = time.monotonic() - t0
     t0 = time.monotonic()
     out += _serve(phrase_queries)
     phrase_sec = time.monotonic() - t0
-    # per-process RangeEngine LRU totals for THIS workload (the replica-pool
-    # vs scatter crossover, LCRAY_SCATTER_MIN_DOCS, is tuned from this —
-    # hit_rate near (chunks-1)/chunks means engines are reused across
-    # chunks; near 0 means the LRU thrashes and scatter's per-range decode
-    # is being paid repeatedly)
+    # the pool actors' RangeEngine LRU totals for this session (hit_rate near
+    # (chunks-1)/chunks: engines are reused across chunks; near 0: the LRU
+    # thrashes and every call re-decodes its ranges' postings)
     cache_stats = range_cache_stats()
 
     t0 = time.monotonic()
@@ -294,7 +260,6 @@ def run_bench() -> dict:
         "phrase_qps": (round(len(phrase_queries) / phrase_sec, 1)
                        if phrase_queries else None),
         "result_rows": out,
-        "query_mode": query_mode,
         "build_phases": build_phases,
         "range_engine_cache": cache_stats,
     }

@@ -17,7 +17,6 @@ from librecatastro_ray.pipelines.query import (
     delete_by_query,
     multi_match_best_fields,
     range_cache_stats,
-    start_range_cache_stats,
 )
 from librecatastro_ray.state.manifest import delete_docs, drop_index
 
@@ -29,7 +28,6 @@ __all__ = [
     "QueryEngine",
     "batch_search_scatter",
     "multi_match_best_fields",
-    "start_range_cache_stats",
     "range_cache_stats",
     "delete_docs",
     "delete_by_query",

@@ -21,10 +21,11 @@ per-salt runs are disjoint doc subsets (doc_id % S), so they merge by
 concatenation + one argsort — the logical "second merge stage" of the salting
 scheme, executed lazily at read time.
 
-``SearchActor`` wraps the engine as an actor-pool UDF for batch query
-evaluation: ``queries_ds.map_batches(SearchActor, concurrency=N)`` — the
-stateful-stage pattern fixing the reference's per-record client connections
-(reference: cadaster_entry.py:48,57 opens a new ES client per document).
+``batch_search_scatter`` serves query batches from a pool of long-lived
+zero-CPU range actors, one pool per Ray session: each actor keeps its doc
+ranges' engines warm across rounds — the stateful-actor fix for the
+reference's per-record client connections (reference: cadaster_entry.py:48,57
+opens a new ES client per document).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+import ray
 
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import topk_indices
@@ -364,6 +366,10 @@ class QueryEngine:
         return term_hash(term) % self.config.num_partitions
 
     def _dict_table(self, pkey: int, salt: int) -> pa.Table:
+        """Term dictionary of one (partition, salt).  A partition the
+        manifest does not list (no posting hashed to it) is empty; a listed
+        one whose file is gone raises — a later write replaced this engine's
+        generation, and answering empty would be silently wrong."""
         key = (pkey, salt)
         t = self._dict_cache.get(key)
         if t is None:
@@ -372,6 +378,12 @@ class QueryEngine:
                 # read on the calling thread, like the posting files (_rows)
                 with pq.ParquetFile(path) as pf:
                     t = pf.read(use_threads=False)
+            elif str(pkey * self.config.num_salts + salt) in self.manifest["partitions"]:
+                raise FileNotFoundError(
+                    f"{path} is gone: generation {self.manifest.get('generation', 0)} of "
+                    f"the index at {self.index_dir} was replaced by a later write — "
+                    f"open a new QueryEngine"
+                )
             else:
                 t = pa.table({"term": pa.array([], pa.string()),
                               "df": pa.array([], pa.int64()),
@@ -1455,7 +1467,7 @@ class QueryEngine:
         commit) via parquet predicate pushdown over docstats.  Cached per
         (field, value, prefix): batch workloads repeat the same keyword
         clauses, and the scatter serving path slices one global answer per
-        range instead of re-reading docstats per range task."""
+        range instead of re-reading docstats per range."""
         ck = (field_name, value, prefix)
         cached = self._keyword_cache.get(ck)
         if cached is not None:
@@ -1686,104 +1698,6 @@ def multi_match_best_fields(
     return field_engines[0]._topk_table(uniq, final, k, offset)
 
 
-QUERY_INPUT_SCHEMA = pa.schema(
-    [
-        ("query_id", pa.int64()),
-        ("kind", pa.string()),
-        ("text", pa.string()),
-        ("must_terms", pa.list_(pa.string())),
-        ("prefix", pa.string()),
-        ("keyword_eq", pa.list_(pa.list_(pa.string()))),
-        ("keyword_prefix", pa.list_(pa.list_(pa.string()))),
-        ("must_not_terms", pa.list_(pa.string())),
-        ("should_terms", pa.list_(pa.string())),
-        ("require_should", pa.bool_()),
-        ("k", pa.int64()),
-        ("from", pa.int64()),
-    ]
-)
-
-
-def queries_to_table(queries: list[dict]) -> pa.Table:
-    """Typed Arrow table for a batch-query workload.  ``from_items`` infers
-    ``list<null>`` for blocks whose list fields happen to be all-empty,
-    which drifts the schema across blocks (executor warnings + repeated
-    schema unification); an explicit schema keeps every block identical.
-    Missing keys become nulls — SearchActor treats null as empty.  A key the
-    schema lacks (``after``, ``keyword_in``, ``minimum_should_match``, ...)
-    raises: ``from_pylist`` would drop it and the query would silently
-    answer without it."""
-    for q in queries:
-        unknown = sorted(set(q) - set(QUERY_INPUT_SCHEMA.names))
-        if unknown:
-            raise ValueError(
-                f"query {q.get('query_id')!r} has fields the replica-pool path "
-                f"cannot serve: {unknown} — use batch_search_scatter"
-            )
-    return pa.Table.from_pylist(queries, schema=QUERY_INPUT_SCHEMA)
-
-
-class SearchActor:
-    """Actor-pool UDF for batch query evaluation: one QueryEngine per actor,
-    loaded once in __init__ (the stateful-stage fix for the reference's
-    per-record connection churn, reference: cadaster_entry.py:48,57)."""
-
-    def __init__(self, index_dir: str, preload_hot: bool = True):
-        self.engine = QueryEngine(index_dir)
-        if preload_hot:
-            # stateful-stage setup belongs in __init__: warm the postings +
-            # contribution caches for the manifest's hot terms once per actor
-            # instead of on the first query that hits each of them
-            self.engine.preload_terms(sorted(self.engine.hot))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_qid, out_rank, out_doc, out_score = [], [], [], []
-        for row in batch.to_pylist():
-            qid = row["query_id"]
-            kind = row["kind"]
-            k = int(row.get("k") or 10)
-            offset = int(row.get("from") or 0)
-            if kind == "match":
-                res = self.engine.match(row.get("text") or "", k, offset=offset)
-            elif kind == "match_phrase":
-                res = self.engine.match_phrase(row.get("text") or "", k, offset=offset)
-            elif kind == "bool_must":
-                res = self.engine.bool_must(
-                    list(row.get("must_terms") or []),
-                    k,
-                    keyword_eq=[tuple(p) for p in row.get("keyword_eq") or []],
-                    keyword_prefix=[tuple(p) for p in row.get("keyword_prefix") or []],
-                    must_not_terms=list(row.get("must_not_terms") or []),
-                    should_terms=list(row.get("should_terms") or []),
-                    offset=offset,
-                    require_should=bool(row.get("require_should") or False),
-                )
-            elif kind == "prefix_content":
-                res = self.engine.prefix_content(row.get("prefix") or "", k, offset=offset)
-            elif kind == "count":
-                n = self.engine.count(row.get("text") or "")
-                out_qid.append(qid)
-                out_rank.append(0)
-                out_doc.append(-1)
-                out_score.append(float(n))
-                continue
-            else:
-                raise ValueError(f"unknown query kind: {kind}")
-            n = len(res)
-            out_qid.extend([qid] * n)
-            out_rank.extend(res["rank"].to_pylist())
-            out_doc.extend(res["doc_id"].to_pylist())
-            out_score.extend(res["score"].to_pylist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_qid, pa.int64()),
-                "rank": pa.array(out_rank, pa.int64()),
-                "doc_id": pa.array(out_doc, pa.int64()),
-                "score": pa.array(out_score, pa.float64()),
-            }
-        )
-
-
 # ---------------------------------------------------------------------------
 # Scatter-gather serving (doc-range sharded — the ES 5-shard model, SURVEY.md
 # §1.2, re-expressed for a corpus where no single worker can hold the index)
@@ -1805,10 +1719,10 @@ def _file_identity(path: str) -> tuple:
 
 
 def _process_engine(index_dir: str) -> QueryEngine:
-    """One QueryEngine per worker process per manifest version, shared across
-    range tasks — Ray reuses worker processes, so dictionaries and row groups
-    load once.  A manifest change (add, a compacted index swapped in, drop +
-    rebuild) builds a fresh engine.  A tombstone-only change (``delete_docs``)
+    """One QueryEngine per process per manifest version, shared across the
+    calls a pool actor serves, so dictionaries and row groups load once.  A
+    manifest change (add, a compacted index swapped in, drop + rebuild)
+    builds a fresh engine.  A tombstone-only change (``delete_docs``)
     reloads the engine's tombstone set in place: a delete rewrites no posting
     file and moves no corpus statistic (N, avgdl and df keep counting
     tombstoned docs), so every other cache stays valid."""
@@ -1820,7 +1734,10 @@ def _process_engine(index_dir: str) -> QueryEngine:
     tombstones = _file_identity(deleted_path(index_dir))
     cached = _PROCESS_ENGINES.get(key)
     if cached is None:
-        _PROCESS_ENGINES.clear()  # at most one engine per process
+        # at most one engine per process, and only its range engines: a
+        # stale one pins its old engine and every cache of it
+        _PROCESS_ENGINES.clear()
+        _PROCESS_RANGE_ENGINES.clear()
         eng = QueryEngine(index_dir)
     else:
         eng, seen = cached
@@ -1863,7 +1780,7 @@ class RangeEngine:
     def _postings_range(self, term: str, positions: bool = False) -> tuple:
         """Range-restricted postings ``(docs, tf, dl[, pos_flat])``: only the
         blocks overlapping [lo, hi) are decoded (a contiguous block span —
-        blocks are doc-sorted), so a range task's decode is its share of the
+        blocks are doc-sorted), so a range's decode is its share of the
         postings, not the term's whole list (32 ranges × full decodes would
         amplify the work by the range count)."""
         cached = self._postings.get((term, positions))
@@ -1968,8 +1885,8 @@ class RangeEngine:
 
     def _keyword_range(self, field_name: str, value: str, prefix: bool) -> np.ndarray:
         """Keyword clause docs restricted to [lo, hi) — the global answer is
-        computed (and cached) ONCE per worker process by the shared engine;
-        each range task slices its span with two searchsorteds instead of
+        computed (and cached) ONCE per process by the shared engine;
+        each range slices its span with two searchsorteds instead of
         re-reading docstats per range."""
         d = self.eng.keyword_docs(field_name, value, prefix=prefix)
         i, j = np.searchsorted(d, (self.lo, self.hi))
@@ -2081,140 +1998,38 @@ class RangeEngine:
 
 
 _PROCESS_RANGE_ENGINES: "OrderedDict[tuple[str, int, int], RangeEngine]" = OrderedDict()
-# a long-lived worker executes tasks for many ranges over a session; each
-# cached RangeEngine pins its range-share of decoded postings, so bound the
-# set (LRU) to keep per-process memory at a few range-shares, not all of them
+# a pool actor serves many ranges over a session; each cached RangeEngine
+# pins its range-share of decoded postings, so bound the set (LRU) to keep
+# per-process memory at a few range-shares, not all of them
 _PROCESS_RANGE_ENGINES_CAP = 8
+# this process's range-engine LRU events; range_cache_stats() sums them over
+# the pool actors
+_RANGE_CACHE_LOCAL = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _process_range_engine(index_dir: str, lo: int, hi: int) -> "RangeEngine":
-    """One RangeEngine per (index_dir, range) per worker process (LRU-capped)
-    — query CHUNKS of the same range reuse the decoded range-share postings
-    instead of re-reading them per chunk (Ray reuses worker processes).  It
-    lives as long as its process engine: a manifest change replaces it, a
-    tombstone change re-slices its tombstones in place."""
+    """One RangeEngine per (index_dir, range) per process (LRU-capped): a
+    pool actor's later calls for the same range reuse the decoded range-share
+    postings.  It lives as long as its process engine: a manifest change
+    drops it, a tombstone change re-slices its tombstones in place."""
     eng = _process_engine(index_dir)
     key = (index_dir, lo, hi)
     rng = _PROCESS_RANGE_ENGINES.get(key)
-    if rng is not None and rng.eng is eng:
+    if rng is not None:
         _PROCESS_RANGE_ENGINES.move_to_end(key)
         if rng._tombstones is not eng._deleted:
             rng.sync_deleted()
-        _record_range_cache(1, 0, 0)
+        _RANGE_CACHE_LOCAL["hits"] += 1
         return rng
-    rng = RangeEngine(eng, lo, hi)
-    _PROCESS_RANGE_ENGINES[key] = rng
-    _PROCESS_RANGE_ENGINES.move_to_end(key)  # a replaced entry keeps its slot
-    evictions = 0
+    rng = _PROCESS_RANGE_ENGINES[key] = RangeEngine(eng, lo, hi)
+    _RANGE_CACHE_LOCAL["misses"] += 1
     while len(_PROCESS_RANGE_ENGINES) > _PROCESS_RANGE_ENGINES_CAP:
         _PROCESS_RANGE_ENGINES.popitem(last=False)
-        evictions += 1
-    _record_range_cache(0, 1, evictions)
+        _RANGE_CACHE_LOCAL["evictions"] += 1
     return rng
 
 
-# --- range-engine cache observability ---------------------------------------
-# The replica-pool vs scatter crossover (LCRAY_SCATTER_MIN_DOCS) is a cache
-# question: scatter wins once per-process engines stop thrashing.  These
-# counters measure that directly — a low hit rate at a given corpus size
-# means chunks are rebuilding engines instead of reusing them.  bench.py
-# creates the named collector actor and emits the totals in its JSON line.
-
-RANGE_CACHE_STATS_ACTOR = "lcray_range_cache_stats"
-_RANGE_CACHE_LOCAL = {"hits": 0, "misses": 0, "evictions": 0}
-_RANGE_CACHE_HANDLE = None
-
-
-def _record_range_cache(hits: int, misses: int, evictions: int) -> None:
-    """Count a range-engine cache event process-locally and fire-and-forget
-    the delta to the named collector actor when one exists (absent — tests,
-    direct-engine paths — counting stays local and free).  Event frequency
-    is one per (range × chunk) task row, not per query, so the actor call
-    is never on a hot loop.  Delivery is async: a report submitted by the
-    last task can in principle land after a driver reads the totals, so
-    readers treat the numbers as observability, not an exact invariant."""
-    global _RANGE_CACHE_HANDLE
-    _RANGE_CACHE_LOCAL["hits"] += hits
-    _RANGE_CACHE_LOCAL["misses"] += misses
-    _RANGE_CACHE_LOCAL["evictions"] += evictions
-    import ray
-
-    if _RANGE_CACHE_HANDLE is None:
-        if not ray.is_initialized():
-            return
-        try:
-            _RANGE_CACHE_HANDLE = ray.get_actor(RANGE_CACHE_STATS_ACTOR)
-        except ValueError:
-            return
-    try:
-        _RANGE_CACHE_HANDLE.report.remote(hits, misses, evictions)
-    except Exception:
-        _RANGE_CACHE_HANDLE = None
-
-
-class _RangeCacheStats:
-    """Named zero-CPU collector actor: workers report LRU deltas, the bench
-    driver reads the totals after a workload."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def report(self, hits: int, misses: int, evictions: int) -> None:
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hits / total, 4) if total else None,
-        }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-
-
-_RANGE_CACHE_COLLECTOR = None  # driver-side anchor: named actors are
-# ref-counted, so the collector must stay referenced for the session
-
-
-def start_range_cache_stats():
-    """Driver-side: create (or fetch) the named collector and zero it.
-    Workers discover it lazily on their next cache event."""
-    global _RANGE_CACHE_COLLECTOR
-    import ray
-
-    try:
-        handle = ray.get_actor(RANGE_CACHE_STATS_ACTOR)
-    except ValueError:
-        handle = (
-            ray.remote(num_cpus=0)(_RangeCacheStats)
-            .options(name=RANGE_CACHE_STATS_ACTOR)
-            .remote()
-        )
-    _RANGE_CACHE_COLLECTOR = handle
-    ray.get(handle.reset.remote())
-    return handle
-
-
-def range_cache_stats() -> dict | None:
-    """Driver-side: totals from the named collector, or None when no
-    collector was started (counters then only exist process-locally)."""
-    import ray
-
-    try:
-        handle = ray.get_actor(RANGE_CACHE_STATS_ACTOR)
-    except ValueError:
-        return None
-    return ray.get(handle.stats.remote())
-
-
-# one row per (query, range, hit): a range task's output, the merge's input
+# one row per (query, range, hit): an actor call's output, the merge's input
 _PARTIAL_SCHEMA = pa.schema(
     [("query_id", pa.int64()), ("doc_id", pa.int64()), ("score", pa.float64()),
      ("kind", pa.string()), ("k", pa.int64()), ("from", pa.int64())]
@@ -2224,18 +2039,15 @@ _SCATTER_SCHEMA = pa.schema([pa.field("query_id", pa.int64()), *RESULT_SCHEMA])
 
 
 def _eval_range_batch(
-    batch: pa.Table, *, index_dir: str, bounds: list[int], k_cap: int
+    queries: list[dict], *, index_dir: str, ranges: list[tuple[int, int]]
 ) -> pa.Table:
-    """map_batches task: evaluate every query against one doc range; emit
-    top-k partials (plus per-range counts for count-kind queries)."""
-    import json
-
+    """A pool actor's call: evaluate every query against each doc range
+    [lo, hi) of ``ranges``; emit top-(from + k) partials (plus per-range
+    counts for count-kind queries)."""
     qid_l, doc_l, score_l, kind_l, k_l, frm_l = [], [], [], [], [], []
-    for row in batch.to_pylist():
-        rid = int(row["range_id"])
-        lo, hi = bounds[rid], bounds[rid + 1]
+    for lo, hi in ranges:
         rng = _process_range_engine(index_dir, lo, hi)
-        for q in json.loads(row["queries_json"]):
+        for q in queries:
             qid, kind = q["query_id"], q["kind"]
             q_k = int(q.get("k") or 10)
             q_frm = int(q.get("from") or 0)
@@ -2244,16 +2056,14 @@ def _eval_range_batch(
             if kind == "match":
                 after = q.get("after")
                 docs, scores = rng.match(
-                    q.get("text") or "",
-                    min(k, k_cap),
-                    after=tuple(after) if after is not None else None,
+                    q.get("text") or "", k, after=tuple(after) if after is not None else None
                 )
             elif kind == "match_phrase":
-                docs, scores = rng.match_phrase(q.get("text") or "", min(k, k_cap))
+                docs, scores = rng.match_phrase(q.get("text") or "", k)
             elif kind == "bool_must":
                 docs, scores = rng.bool_must(
                     list(q.get("must_terms") or []),
-                    min(k, k_cap),
+                    k,
                     keyword_eq=[tuple(p) for p in q.get("keyword_eq") or []],
                     keyword_prefix=[tuple(p) for p in q.get("keyword_prefix") or []],
                     must_not_terms=list(q.get("must_not_terms") or []),
@@ -2266,11 +2076,11 @@ def _eval_range_batch(
                 )
             elif kind == "prefix_content":
                 # constant score → lowest ids win
-                docs = rng.prefix_union(q.get("prefix") or "")[: min(k, k_cap)]
+                docs = rng.prefix_union(q.get("prefix") or "")[:k]
                 scores = np.ones(len(docs), dtype=np.float64)
             elif kind in ("wildcard", "fuzzy"):
                 # expansion from the PROCESS-cached dictionaries (same on
-                # every range of a worker; the per-pattern result is LRU'd
+                # every range of a process; the per-pattern result is LRU'd
                 # in the engine's expansion cache)
                 if kind == "wildcard":
                     terms_x = rng.eng.expand_wildcard(q.get("pattern") or "")
@@ -2281,22 +2091,17 @@ def _eval_range_batch(
                         int(q.get("prefix_length") or 0),
                         bool(q.get("transpositions", True)),
                     )
-                docs = rng.union(terms_x)[: min(k, k_cap)]
+                docs = rng.union(terms_x)[:k]
                 scores = np.ones(len(docs), dtype=np.float64)
-            elif kind == "count":
+            else:  # count (the driver checked every kind)
                 n = len(rng.union(rng.eng.analyzer.tokenize(q.get("text") or "")))
                 docs = np.array([-1], dtype=np.int64)
                 scores = np.array([float(n)], dtype=np.float64)
-            else:
-                raise ValueError(kind)
             if len(docs):
                 qid_l.append(np.full(len(docs), qid, dtype=np.int64))
                 doc_l.append(docs)
                 score_l.append(scores)
                 kind_l.extend([kind] * len(docs))
-                # per-row k/from: the merge needs them and the query dict is
-                # in hand HERE — no driver-side query-id→k map shipped to
-                # every task (that map is workload-sized)
                 k_l.append(np.full(len(docs), q_k, dtype=np.int64))
                 frm_l.append(np.full(len(docs), q_frm, dtype=np.int64))
     if not qid_l:
@@ -2353,10 +2158,36 @@ def _merge_query_buckets(partials: pa.Table) -> pa.Table:
                      np.concatenate(out_s)[order]], schema=_SCATTER_SCHEMA)
 
 
-# chunks of one range evaluated by one task: bounds a task's JSON input
-# (chunk_size × this × ~200 B) and the partial block it streams back to the
-# driver, while one task's scheduling cost covers this many chunks
-_CHUNKS_PER_TASK = 8
+# keys each batch-query kind takes besides query_id, kind, k and from
+_QUERY_KEYS = {
+    "match": {"text", "after"},
+    "match_phrase": {"text"},
+    "bool_must": {"must_terms", "keyword_eq", "keyword_prefix", "keyword_in",
+                  "must_not_terms", "should_terms", "require_should",
+                  "minimum_should_match"},
+    "prefix_content": {"prefix"},
+    "wildcard": {"pattern"},
+    "fuzzy": {"term", "max_edits", "prefix_length", "transpositions"},
+    "count": {"text"},
+}
+_COMMON_QUERY_KEYS = {"query_id", "kind", "k", "from"}
+
+
+def _check_queries(queries: list[dict]) -> None:
+    """Reject a query dict the evaluator would misread: a missing
+    ``query_id``, an unknown kind, or a key its kind does not take (a typo or
+    a clause of another kind would otherwise be silently ignored)."""
+    for q in queries:
+        qid, kind = q.get("query_id"), q.get("kind")
+        if qid is None:
+            raise ValueError(f"query {q!r} has no query_id")
+        if kind not in _QUERY_KEYS:
+            raise ValueError(
+                f"query {qid!r} has unknown kind {kind!r}; kinds: {sorted(_QUERY_KEYS)}"
+            )
+        unknown = sorted(set(q) - _COMMON_QUERY_KEYS - _QUERY_KEYS[kind])
+        if unknown:
+            raise ValueError(f"query {qid!r} ({kind}) has keys {kind} does not take: {unknown}")
 
 
 def batch_search_scatter(
@@ -2367,12 +2198,15 @@ def batch_search_scatter(
     output_dir: str | None = None,
 ) -> pa.Table:
     """Scatter-gather batch evaluation: every query runs against ``n_ranges``
-    doc-id ranges in parallel (each range task touches only its slice of the
+    doc-id ranges in parallel (each range touches only its slice of the
     postings — the memory-bounded serving path for corpora whose index
-    exceeds one worker).  The driver streams the range tasks' partial
-    top-k/count rows back, concatenates them and merges them exactly in one
-    vectorized pass, with no shuffle: it holds at most ``n_ranges × (from +
-    k)`` partial rows per query (one per range for a count).
+    exceeds one worker).  The ranges are served by this Ray session's pool of
+    min(``n_ranges``, cluster CPUs) range actors, each call at most
+    ``chunk_size`` queries; the driver gathers their partial top-k/count rows
+    and merges them exactly in one vectorized pass, holding at most
+    ``n_ranges × (from + k)`` partial rows per query (one per range for a
+    count).  A query dict without ``query_id``, of an unknown kind or with a
+    key its kind does not take raises ``ValueError`` before any actor call.
 
     Results are identical to running each query on a single full engine:
     per-doc scores are computed whole within the doc's range and the merge
@@ -2381,6 +2215,7 @@ def batch_search_scatter(
     written to ``output_dir/part-0.parquet`` (the directory is emptied
     first) and a one-row ``rows_written`` summary is returned.
     """
+    _check_queries(queries)
     merged = (
         _scatter(index_dir, queries, n_ranges, chunk_size)
         if queries else _SCATTER_SCHEMA.empty_table()
@@ -2399,48 +2234,97 @@ def batch_search_scatter(
                      "output_dir": pa.array([output_dir], pa.string())})
 
 
+class _RangeServer:
+    """A long-lived range server of the scatter pool.  Its process engines
+    (:func:`_process_engine`, :func:`_process_range_engine`) are its state:
+    they stay warm across calls and re-key on the manifest they are asked
+    about."""
+
+    def eval(self, index_dir: str, ranges: list[tuple[int, int]], queries: list[dict]) -> pa.Table:
+        return _eval_range_batch(queries, index_dir=index_dir, ranges=ranges)
+
+    def cache_stats(self) -> dict:
+        return dict(_RANGE_CACHE_LOCAL)
+
+
+# zero-CPU: the pool never holds a core a build needs.  The class stays
+# importable under its own name, so Ray ships it by reference and its
+# methods run against this module's globals, not a pickled copy of them.
+_RangeActor = ray.remote(num_cpus=0)(_RangeServer)
+
+
+# this Ray session's scatter pool, grown on demand to min(n_ranges, cluster
+# CPUs) actors; a new session starts an empty one
+_POOL: dict = {"session": None, "cpus": 0, "actors": []}
+
+
+def _session() -> tuple:
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()
+
+
+def _range_pool(n_ranges: int) -> list:
+    """The first min(``n_ranges``, cluster CPUs) actors of the session's
+    pool, started on first use.  One pool serves every index dir, so a
+    fresh index pays no process start."""
+    session = _session()
+    if _POOL["session"] != session:
+        cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+        _POOL.update(session=session, cpus=cpus, actors=[])
+    size = min(n_ranges, _POOL["cpus"])
+    actors = _POOL["actors"]
+    while len(actors) < size:
+        actors.append(_RangeActor.remote())
+    return actors[:size]
+
+
+def _replace_actor(slot: int, dead) -> "ray.actor.ActorHandle":
+    """Pool slot ``slot`` with a live actor in place of ``dead``."""
+    actors = _POOL["actors"]
+    if actors[slot] is dead:  # not yet replaced by an earlier failed call
+        actors[slot] = _RangeActor.remote()
+    return actors[slot]
+
+
 def _scatter(index_dir: str, queries: list[dict], n_ranges: int, chunk_size: int) -> pa.Table:
-    """Evaluate ``queries`` over ``n_ranges`` doc ranges in Ray Data tasks and
-    merge their partials on the driver."""
-    import json
-
-    import ray.data
-
+    """Evaluate ``queries`` over ``n_ranges`` doc ranges on the pool actors
+    and merge their partials on the driver.  Range r always goes to actor
+    r % pool size, so its RangeEngine stays warm across calls.  A call whose
+    actor died runs once more on a replacement."""
     n_docs = int(load_manifest(index_dir)["n_docs"])
     n_ranges = max(1, min(n_ranges, max(1, n_docs)))
     bounds = [round(i * n_docs / n_ranges) for i in range(n_ranges)] + [n_docs]
-    k_cap = max(
-        (int(q.get("k") or 10) + int(q.get("from") or 0) for q in queries), default=10
-    )
-    # chunk the query list so no single work item (or range task) carries the
-    # whole workload as one JSON blob — at millions of queries the driver
-    # serializes per-chunk and range tasks pipeline over chunks
-    chunks = [
-        json.dumps(queries[i : i + chunk_size])
+    pool = _range_pool(n_ranges)
+    calls = [
+        (slot, [(bounds[r], bounds[r + 1]) for r in range(slot, n_ranges, len(pool))],
+         queries[i : i + chunk_size])
         for i in range(0, len(queries), chunk_size)
+        for slot in range(len(pool))
     ]
-    # RANGE-MAJOR row order + multi-chunk blocks: all chunks of a range are
-    # contiguous and a block carries up to _CHUNKS_PER_TASK of them, so one
-    # task evaluates consecutive chunks of the SAME range and reuses its
-    # process-cached RangeEngine deterministically.  The chunk-major layout
-    # this replaces left engine reuse to scheduler placement — the bench's
-    # range-engine cache counters measured a 3% hit rate (each chunk wave
-    # re-decoded nearly every range's postings); range-major makes the reuse
-    # intra-task.  A block straddling two ranges (when chunk count isn't a
-    # multiple of the group size) just builds both engines — harmless.
-    rows = [
-        {"range_id": r, "queries_json": cj}
-        for r in range(n_ranges)
-        for cj in chunks
-    ]
-    n_blocks = max(n_ranges, -(-len(rows) // _CHUNKS_PER_TASK))
-    partials = ray.data.from_items(rows, override_num_blocks=n_blocks).map_batches(
-        _eval_range_batch,
-        fn_kwargs={"index_dir": index_dir, "bounds": bounds, "k_cap": k_cap},
-        batch_format="pyarrow",
-        batch_size=1,
-    )
-    blocks = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
-    return _merge_query_buckets(
-        pa.concat_tables(blocks) if blocks else _PARTIAL_SCHEMA.empty_table()
-    )
+    refs = [pool[slot].eval.remote(index_dir, ranges, chunk) for slot, ranges, chunk in calls]
+    parts = []
+    for (slot, ranges, chunk), ref in zip(calls, refs):
+        try:
+            parts.append(ray.get(ref))
+        except ray.exceptions.RayActorError:
+            actor = _replace_actor(slot, pool[slot])
+            parts.append(ray.get(actor.eval.remote(index_dir, ranges, chunk)))
+    return _merge_query_buckets(pa.concat_tables(parts))
+
+
+def range_cache_stats() -> dict | None:
+    """Range-engine LRU hits, misses and evictions summed over the scatter
+    pool's actors (each counts its own lookups), or None when this Ray
+    session has no pool.  A dead actor's counts died with it."""
+    if not ray.is_initialized() or _POOL["session"] != _session():
+        return None
+    totals = {"hits": 0, "misses": 0, "evictions": 0}
+    for actor in _POOL["actors"]:
+        try:
+            for key, n in ray.get(actor.cache_stats.remote()).items():
+                totals[key] += n
+        except ray.exceptions.RayActorError:
+            pass
+    lookups = totals["hits"] + totals["misses"]
+    totals["hit_rate"] = round(totals["hits"] / lookups, 4) if lookups else None
+    return totals

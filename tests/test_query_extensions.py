@@ -107,38 +107,6 @@ def test_pure_should_is_or_semantics(engine):
 # ---------------------------------------------------------------------------
 
 
-def test_search_actor_keyword_clauses(built_index, engine):
-    import ray.data
-
-    from librecatastro_ray.pipelines.query import SearchActor
-
-    index_dir, _ = built_index
-    exp = engine.bool_must(
-        ["def"], k=10, keyword_eq=[("lang", "py")], must_not_terms=["return"]
-    ).to_pylist()
-    ds = ray.data.from_items(
-        [{
-            "query_id": 7, "kind": "bool_must", "text": "", "must_terms": ["def"],
-            "keyword_eq": [["lang", "py"]], "keyword_prefix": [],
-            "must_not_terms": ["return"], "should_terms": [],
-            "prefix": "", "k": 10,
-        }]
-    )
-    out = (
-        ds.map_batches(
-            SearchActor,
-            fn_constructor_kwargs={"index_dir": index_dir},
-            batch_format="pyarrow",
-            batch_size=4,
-            concurrency=1,
-        )
-        .to_pandas()
-        .sort_values("rank")
-    )
-    assert out["doc_id"].tolist() == [r["doc_id"] for r in exp]
-    assert np.allclose(out["score"].to_numpy(), [r["score"] for r in exp])
-
-
 def test_scatter_keyword_clauses_and_from(built_index, engine, oracle_small):
     from librecatastro_ray.pipelines.query import batch_search_scatter
 

@@ -22,7 +22,6 @@ from librecatastro_ray.pipelines.query import (
     QueryEngine,
     decode_blocks_table,
     decode_positions_stream,
-    queries_to_table,
     wildcard_regex,
 )
 from librecatastro_ray.sources.synth import make_corpus
@@ -137,6 +136,38 @@ def test_positions_drift_raises_naming_the_file(small_index, tmp_path):
         eng.load_postings_with_positions(term)
 
 
+def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
+    """An engine opened before an add reads terms it has not read yet after
+    the add reclaimed its generation's files: it raises, naming the file and
+    its generation, and never answers empty."""
+    idx = str(tmp_path / "idx")
+    corpus = make_corpus(n_docs=120, seed=5, vocab_size=80, mean_tokens=20)
+    build_index(corpus.slice(0, 100), idx, CFG)
+    terms = QueryEngine(idx).full_dictionary()["term"].to_pylist()
+    old = QueryEngine(idx)
+    warm = terms[0]
+    want = old.match(warm, k=5).to_pylist()
+    add_documents(corpus.slice(100), idx)
+    assert old.match(warm, k=5).to_pylist() == want  # read before the add
+    cold = [t for t in terms if old._pkey(t) != old._pkey(warm)]
+    assert cold
+    for term in cold:
+        with pytest.raises(FileNotFoundError, match=r"dict-.*generation 0 "):
+            old.match(term, k=5)
+
+
+def test_unlisted_partition_is_empty(tmp_path):
+    """A (partition, salt) no posting hashed to is absent from the manifest
+    and has no files: the engine reads it as empty."""
+    idx = str(tmp_path / "idx")
+    cfg = IndexConfig(num_partitions=32, num_salts=1, block_size=4)
+    build_index(make_corpus(n_docs=8, seed=1, vocab_size=10, mean_tokens=3), idx, cfg)
+    eng = QueryEngine(idx)
+    assert len(eng.manifest["partitions"]) < cfg.num_partitions
+    n_terms = sum(p["n_terms"] for p in eng.manifest["partitions"].values())
+    assert len(eng.full_dictionary()) == n_terms
+
+
 # a vocabulary with code points next to the surrogate gap and at the top of
 # the code space, where the prefix upper bound must skip or give up
 ALPHABET = ["a", "b", "_", "\ud7ff", "\ue000", "\U0010fffe", "\U0010ffff"]
@@ -194,12 +225,3 @@ def test_expand_fuzzy_equals_brute_force(unicode_engine, term, max_edits, prefix
         and osa_distance(t, term, transpositions) <= max_edits
     )
     assert eng.expand_fuzzy(term, max_edits, prefix_length, transpositions) == want
-
-
-def test_queries_to_table_rejects_fields_it_cannot_carry():
-    ok = queries_to_table([{"query_id": 0, "kind": "match", "text": "def", "k": 3}])
-    assert ok.num_rows == 1
-    for extra in ({"after": [1.0, 3]}, {"keyword_in": [["lang", ["py"]]]},
-                  {"minimum_should_match": 2}):
-        with pytest.raises(ValueError, match=next(iter(extra))):
-            queries_to_table([{"query_id": 1, "kind": "bool_must", **extra}])

@@ -4,7 +4,6 @@ place, and are rebuilt on a manifest change (add, compaction swap, drop +
 rebuild).  Range evaluation and the merge run in-process here, exactly as a
 range task and the driver run them."""
 
-import json
 import os
 import shutil
 import tempfile
@@ -63,11 +62,9 @@ def _bounds(index_dir: str) -> list[int]:
 def _scatter_in_process(index_dir: str, queries: list[dict]) -> dict:
     """{query_id: [(doc_id, score), ...] or count}: every range evaluated
     through the process engines, merged as the driver merges."""
-    work = pa.table({"range_id": list(range(N_RANGES)),
-                     "queries_json": [json.dumps(queries)] * N_RANGES})
-    k_cap = max(q.get("k", 10) + q.get("from", 0) for q in queries)
+    b = _bounds(index_dir)
     merged = _merge_query_buckets(
-        _eval_range_batch(work, index_dir=index_dir, bounds=_bounds(index_dir), k_cap=k_cap)
+        _eval_range_batch(queries, index_dir=index_dir, ranges=list(zip(b, b[1:])))
     )
     out: dict = {}
     for qid, doc, score in zip(*(merged[c].to_pylist() for c in ("query_id", "doc_id", "score"))):
