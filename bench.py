@@ -177,7 +177,6 @@ def run_bench() -> dict:
 
     from librecatastro_ray.config import IndexConfig
     from librecatastro_ray.pipelines.build import build_index
-    from librecatastro_ray.pipelines.relational import lineitem_agg
     from librecatastro_ray.pipelines.training import ann_topk
     from librecatastro_ray.state.manifest import drop_index
 
@@ -235,14 +234,10 @@ def run_bench() -> dict:
     ann_topk(SF_DIR, n_queries=5, k=10)
     ann_sec = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    lineitem_agg(SF_DIR)
-    rel_sec = time.monotonic() - t0
-
     ray.shutdown()
-    total = build_sec + query_sec + phrase_sec + ann_sec + rel_sec
+    total = build_sec + query_sec + phrase_sec + ann_sec
     return {
-        "metric": "index build + BM25 batch query + phrase + ann + relational agg wall time",
+        "metric": "index build + BM25 batch query + phrase + ann wall time",
         "value": round(total, 3),
         "unit": "sec",
         "queries": {
@@ -250,7 +245,6 @@ def run_bench() -> dict:
             "query": round(query_sec, 3),
             "phrase": round(phrase_sec, 3),
             "ann": round(ann_sec, 3),
-            "relational": round(rel_sec, 3),
         },
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,

@@ -304,8 +304,10 @@ class QueryEngine:
         from librecatastro_ray.state.manifest import load_deleted
 
         self._deleted: np.ndarray = load_deleted(index_dir)
-        # generation-versioned parts dir (incremental adds flip it in the
-        # manifest last — MVCC: a crashed add leaves the old index readable)
+        # generation-versioned parts dir: an add writes the next generation's
+        # parts and flips the manifest last, so the flip is the commit point;
+        # the add is not atomic (a crash can leave tombstones and doc store
+        # ahead of the manifest — ROADMAP.md direction 1)
         self._parts: str = self.manifest.get("parts_dir", "parts")
         self.n_docs: int = int(self.manifest["n_docs"])
         self.sum_dl: int = int(self.manifest["sum_dl"])
@@ -365,11 +367,21 @@ class QueryEngine:
     def _pkey(self, term: str) -> int:
         return term_hash(term) % self.config.num_partitions
 
+    def _replaced(self, path: str) -> FileNotFoundError:
+        """The error for a file of a partition the manifest lists that is no
+        longer on disk: a later write replaced this engine's generation, and
+        answering empty (or from another generation) would be silently
+        wrong."""
+        return FileNotFoundError(
+            f"{path} is gone: generation {self.manifest.get('generation', 0)} of "
+            f"the index at {self.index_dir} was replaced by a later write — "
+            f"open a new QueryEngine"
+        )
+
     def _dict_table(self, pkey: int, salt: int) -> pa.Table:
         """Term dictionary of one (partition, salt).  A partition the
         manifest does not list (no posting hashed to it) is empty; a listed
-        one whose file is gone raises — a later write replaced this engine's
-        generation, and answering empty would be silently wrong."""
+        one whose file is gone raises :meth:`_replaced`'s error."""
         key = (pkey, salt)
         t = self._dict_cache.get(key)
         if t is None:
@@ -379,11 +391,7 @@ class QueryEngine:
                 with pq.ParquetFile(path) as pf:
                     t = pf.read(use_threads=False)
             elif str(pkey * self.config.num_salts + salt) in self.manifest["partitions"]:
-                raise FileNotFoundError(
-                    f"{path} is gone: generation {self.manifest.get('generation', 0)} of "
-                    f"the index at {self.index_dir} was replaced by a later write — "
-                    f"open a new QueryEngine"
-                )
+                raise self._replaced(path)
             else:
                 t = pa.table({"term": pa.array([], pa.string()),
                               "df": pa.array([], pa.int64()),
@@ -426,7 +434,9 @@ class QueryEngine:
         file, the footer parsed once per engine.  The dictionary's spans must
         tile the file exactly: any other row count means the files drifted
         from the dictionary, and every answer read through the spans would be
-        silently wrong."""
+        silently wrong.  A posting file is only read for a term its
+        partition's dictionary lists, so a missing one was reclaimed by a
+        later write (:meth:`_replaced`)."""
         key = (kind, pkey, salt)
         f = self._footers.get(key)
         if f is None:
@@ -435,13 +445,16 @@ class QueryEngine:
                 want, what = self._span_table(pkey, salt)[1], "its dictionary's term spans cover"
             else:
                 path = positions_file(self.index_dir, pkey, salt, self._parts)
-                if not os.path.exists(path):
+                if not self.config.positions:
                     raise ValueError(
                         f"index at {self.index_dir} has no positions sidecar — build "
                         f"with IndexConfig(positions=True) to serve phrase queries"
                     )
                 want, what = self._file("blocks", pkey, salt)[1].num_rows, "its blocks file has"
-            meta = pq.read_metadata(path)
+            try:
+                meta = pq.read_metadata(path)
+            except FileNotFoundError:
+                raise self._replaced(path) from None
             if meta.num_rows != want:
                 raise ValueError(
                     f"{path} has {meta.num_rows} rows but {what} {want} — the "
@@ -465,8 +478,12 @@ class QueryEngine:
         for rg in np.unique(rg_of).tolist():
             t = self._rowgroup_cache.get((path, rg))
             if t is None:
-                with pq.ParquetFile(path, metadata=meta) as pf:
-                    t = pf.read_row_group(rg, columns=_FILE_COLUMNS[kind], use_threads=False)
+                try:
+                    with pq.ParquetFile(path, metadata=meta) as pf:
+                        t = pf.read_row_group(rg, columns=_FILE_COLUMNS[kind],
+                                              use_threads=False)
+                except FileNotFoundError:
+                    raise self._replaced(path) from None
                 self._rowgroup_cache[(path, rg)] = t
                 self._rowgroup_cache_size += t.nbytes
                 while (self._rowgroup_cache_size > self._rowgroup_cache_cap

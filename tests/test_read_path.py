@@ -139,7 +139,8 @@ def test_positions_drift_raises_naming_the_file(small_index, tmp_path):
 def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     """An engine opened before an add reads terms it has not read yet after
     the add reclaimed its generation's files: it raises, naming the file and
-    its generation, and never answers empty."""
+    its generation, and never answers empty — from a dictionary, a posting
+    file footer, a row group or a positions file."""
     idx = str(tmp_path / "idx")
     corpus = make_corpus(n_docs=120, seed=5, vocab_size=80, mean_tokens=20)
     build_index(corpus.slice(0, 100), idx, CFG)
@@ -147,6 +148,9 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     old = QueryEngine(idx)
     warm = terms[0]
     want = old.match(warm, k=5).to_pylist()
+    dict_only = QueryEngine(idx)
+    for term in terms:
+        dict_only.term_df(term)
     add_documents(corpus.slice(100), idx)
     assert old.match(warm, k=5).to_pylist() == want  # read before the add
     cold = [t for t in terms if old._pkey(t) != old._pkey(warm)]
@@ -154,6 +158,32 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     for term in cold:
         with pytest.raises(FileNotFoundError, match=r"dict-.*generation 0 "):
             old.match(term, k=5)
+    # the warm term's dictionary and blocks are cached, its positions are not
+    with pytest.raises(FileNotFoundError, match=r"positions-.*generation 0 "):
+        old.match_phrase(warm, k=5)
+    # every dictionary cached, no posting file footer read yet
+    for term in terms:
+        with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
+            dict_only.match(term, k=5)
+    # footer cached, row groups evicted
+    old._rowgroup_cache.clear()
+    salt = next(s for s in old._salts(warm) if old._span(warm, s) is not None)
+    with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
+        old._rows("blocks", old._pkey(warm), salt, np.arange(*old._span(warm, salt)))
+
+
+def test_phrase_on_an_index_without_positions_says_so(tmp_path):
+    """An index built without positions is diagnosed as such, not as a
+    replaced generation."""
+    idx = str(tmp_path / "idx")
+    build_index(make_corpus(n_docs=40, seed=5, vocab_size=30, mean_tokens=10), idx,
+                IndexConfig(num_partitions=3, num_salts=2, block_size=4))
+    eng = QueryEngine(idx)
+    term = eng.full_dictionary()["term"][0].as_py()
+    with pytest.raises(ValueError, match="built without positions"):
+        eng.match_phrase(term, k=5)
+    with pytest.raises(ValueError, match="no positions sidecar"):
+        eng.load_postings_with_positions(term)
 
 
 def test_unlisted_partition_is_empty(tmp_path):
