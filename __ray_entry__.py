@@ -37,59 +37,59 @@ def _sql_list(words: list[str]) -> str:
 _ENGINES: dict[str, Any] = {}
 
 
-def _engine(sf_dir: str):
-    from librecatastro_ray.config import IndexConfig
-    from librecatastro_ray.pipelines.build import build_index
+def _cached_engine(sf_dir: str, variant: str, make: Callable[[str], None]):
+    """The engine over ``sf_dir``'s ``variant`` index, made by
+    ``make(idx_dir)`` in a cache dir the first time (``make`` skips the
+    steps a dir already holds).  The dir is keyed on the sf dir's path, the
+    index format version and the identity of its ``documents.parquet``
+    (inode, size, mtime), so a changed corpus at the same path is rebuilt."""
     from librecatastro_ray.pipelines.query import QueryEngine
-    from librecatastro_ray.sources.docs_table import corpus_from_documents
-
     from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION
 
+    st = os.stat(os.path.join(sf_dir, "documents.parquet"))
     key = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}".encode()
+        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}:{variant}:"
+        f"{st.st_ino}:{st.st_size}:{st.st_mtime_ns}".encode()
     ).hexdigest()[:12]
     idx_dir = os.path.join(CACHE_ROOT, key)
     if idx_dir not in _ENGINES:
-        if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
-            build_index(
-                corpus_from_documents(sf_dir),
-                idx_dir,
-                IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.05),
-            )
+        make(idx_dir)
         _ENGINES[idx_dir] = QueryEngine(idx_dir)
     return _ENGINES[idx_dir]
+
+
+def _build_once(sf_dir: str, idx_dir: str, batch_fn=None, **config) -> None:
+    """Build ``sf_dir``'s corpus, each batch through ``batch_fn`` when given,
+    into ``idx_dir`` unless it already holds an index."""
+    from librecatastro_ray.config import IndexConfig
+    from librecatastro_ray.pipelines.build import build_index
+    from librecatastro_ray.sources.docs_table import corpus_from_documents
+
+    if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
+        corpus = corpus_from_documents(sf_dir)
+        if batch_fn is not None:
+            corpus = corpus.map_batches(batch_fn, batch_format="pyarrow")
+        build_index(corpus, idx_dir,
+                    IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.05, **config))
+
+
+def _engine(sf_dir: str):
+    return _cached_engine(sf_dir, "flagship", lambda d: _build_once(sf_dir, d))
 
 
 def _engine_del(sf_dir: str):
     """Engine over an index with the 'de'-language docs TOMBSTONED
     (delete-by-id lifecycle) — its own cached build; the shared flagship
     index is never mutated.  Deletion is applied once (idempotent)."""
-    from librecatastro_ray.config import IndexConfig
-    from librecatastro_ray.pipelines.build import build_index
     from librecatastro_ray.pipelines.query import QueryEngine
-    from librecatastro_ray.sources.docs_table import corpus_from_documents
-    from librecatastro_ray.state.manifest import (
-        INDEX_FORMAT_VERSION,
-        delete_docs,
-        load_deleted,
-    )
+    from librecatastro_ray.state.manifest import delete_docs, load_deleted
 
-    key = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}:del".encode()
-    ).hexdigest()[:12]
-    idx_dir = os.path.join(CACHE_ROOT, key)
-    if idx_dir not in _ENGINES:
-        if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
-            build_index(
-                corpus_from_documents(sf_dir),
-                idx_dir,
-                IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.05),
-            )
+    def make(idx_dir: str) -> None:
+        _build_once(sf_dir, idx_dir)
         if len(load_deleted(idx_dir)) == 0:
-            eng0 = QueryEngine(idx_dir)
-            delete_docs(idx_dir, eng0.keyword_docs("lang", "de"))
-        _ENGINES[idx_dir] = QueryEngine(idx_dir)  # fresh: loads tombstones
-    return _ENGINES[idx_dir]
+            delete_docs(idx_dir, QueryEngine(idx_dir).keyword_docs("lang", "de"))
+
+    return _cached_engine(sf_dir, "del", make)
 
 
 def _engine_add(sf_dir: str):
@@ -99,67 +99,28 @@ def _engine_add(sf_dir: str):
     ((lang='de'), repo, path)."""
     import pyarrow.compute as pc
 
-    from librecatastro_ray.config import IndexConfig
-    from librecatastro_ray.pipelines.build import add_documents, build_index
-    from librecatastro_ray.pipelines.query import QueryEngine
+    from librecatastro_ray.pipelines.build import add_documents
     from librecatastro_ray.sources.docs_table import corpus_from_documents
+    from librecatastro_ray.state.manifest import load_manifest
 
-    from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION
-
-    key = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}:add".encode()
-    ).hexdigest()[:12]
-    idx_dir = os.path.join(CACHE_ROOT, key)
-    if idx_dir not in _ENGINES:
-        if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
-            build_index(
-                corpus_from_documents(sf_dir).map_batches(
-                    lambda b: b.filter(pc.not_equal(b["lang"], "de")),
-                    batch_format="pyarrow",
-                ),
-                idx_dir,
-                IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.05),
-            )
-        from librecatastro_ray.state.manifest import load_manifest
-
+    def make(idx_dir: str) -> None:
+        _build_once(sf_dir, idx_dir, lambda b: b.filter(pc.not_equal(b["lang"], "de")))
         if int(load_manifest(idx_dir).get("generation", 0)) == 0:
             add_documents(
                 corpus_from_documents(sf_dir).map_batches(
-                    lambda b: b.filter(pc.equal(b["lang"], "de")),
-                    batch_format="pyarrow",
+                    lambda b: b.filter(pc.equal(b["lang"], "de")), batch_format="pyarrow"
                 ),
                 idx_dir,
             )
-        _ENGINES[idx_dir] = QueryEngine(idx_dir)
-    return _ENGINES[idx_dir]
+
+    return _cached_engine(sf_dir, "add", make)
 
 
 def _engine_pos(sf_dir: str):
     """Positional twin of :func:`_engine` (IndexConfig(positions=True)) —
     its own cache key, so the non-positional flagship index (and every
     entry riding it) is untouched by the phrase surface."""
-    from librecatastro_ray.config import IndexConfig
-    from librecatastro_ray.pipelines.build import build_index
-    from librecatastro_ray.pipelines.query import QueryEngine
-    from librecatastro_ray.sources.docs_table import corpus_from_documents
-
-    from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION
-
-    key = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}:pos".encode()
-    ).hexdigest()[:12]
-    idx_dir = os.path.join(CACHE_ROOT, key)
-    if idx_dir not in _ENGINES:
-        if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
-            build_index(
-                corpus_from_documents(sf_dir),
-                idx_dir,
-                IndexConfig(
-                    num_partitions=4, num_salts=2, hot_df_ratio=0.05, positions=True
-                ),
-            )
-        _ENGINES[idx_dir] = QueryEngine(idx_dir)
-    return _ENGINES[idx_dir]
+    return _cached_engine(sf_dir, "pos", lambda d: _build_once(sf_dir, d, positions=True))
 
 
 def _engine_pathfield(sf_dir: str):
@@ -170,33 +131,10 @@ def _engine_pathfield(sf_dir: str):
     exactly Lucene's per-field statistics."""
     import pyarrow as pa  # noqa: F811 — local for the worker-shipped closure
 
-    from librecatastro_ray.config import IndexConfig
-    from librecatastro_ray.pipelines.build import build_index
-    from librecatastro_ray.pipelines.query import QueryEngine
-    from librecatastro_ray.sources.docs_table import corpus_from_documents
-    from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION
+    def _path_as_content(b: pa.Table) -> pa.Table:
+        return b.set_column(b.schema.get_field_index("content"), "content", b["path"])
 
-    key = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}:pathfield".encode()
-    ).hexdigest()[:12]
-    idx_dir = os.path.join(CACHE_ROOT, key)
-    if idx_dir not in _ENGINES:
-        if not os.path.exists(os.path.join(idx_dir, "manifest.json")):
-
-            def _path_as_content(b: pa.Table) -> pa.Table:
-                return b.set_column(
-                    b.schema.get_field_index("content"), "content", b["path"]
-                )
-
-            build_index(
-                corpus_from_documents(sf_dir).map_batches(
-                    _path_as_content, batch_format="pyarrow"
-                ),
-                idx_dir,
-                IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.05),
-            )
-        _ENGINES[idx_dir] = QueryEngine(idx_dir)
-    return _ENGINES[idx_dir]
+    return _cached_engine(sf_dir, "pathfield", lambda d: _build_once(sf_dir, d, _path_as_content))
 
 
 def _docstats_table(sf_dir: str) -> pa.Table:

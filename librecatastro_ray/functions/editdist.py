@@ -7,10 +7,13 @@ non-degenerate inputs — computed simultaneously for N candidate terms
 against one query term: the DP iterates over CHARACTER POSITIONS
 (O(|q|·maxlen) numpy ops), never over candidates.
 
-Used by ``QueryEngine.expand_fuzzy`` to scan the term dictionary (the small
-index artifact); the matching oracle replays with DuckDB's
-``damerau_levenshtein`` and the test suite pins the two equal over real
-dictionaries.
+``QueryEngine.expand_fuzzy`` does not scan the dictionary with it: it looks
+candidates up in a map of every term's ``deletions`` (a term and a query
+within k edits share a string that each reaches with at most k deletions,
+transpositions included), and ``osa_within`` checks only those candidates,
+so it stays the one definition of distance.  The matching oracle replays
+with DuckDB's ``damerau_levenshtein`` and the test suite pins the two equal
+over real dictionaries.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ def osa_within(
     from OSA on degenerate inputs like ca→abc, so the SQL-gated path pins
     the Levenshtein flavor).
 
-    Length-band prefilter (distance >= |len difference|), then one banded DP
-    over all surviving candidates at once.
+    Length-band prefilter (distance >= |len difference|), then one DP over
+    all surviving candidates at once.
     """
     n = len(terms)
     if n == 0:
@@ -60,35 +63,38 @@ def osa_within(
     cand = terms[band]
     mat, clens = _codepoint_matrix(cand)
     N, L = mat.shape
-    BIG = np.int32(max_edits + 1)  # saturation value — all we need is <= max_edits
+    cols = np.arange(L + 1, dtype=np.int32)
+    eq = mat[None, :, :] == q[:, None, None]  # (m, N, L): query char i == candidate char j
+    cost = (~eq).astype(np.int32)  # substitution cost
+    # swap[i]: q[i..i+1] == c[j+1], c[j] (an adjacent transposition)
+    swap = eq[:-1, :, 1:] & eq[1:, :, :-1]
+    has_swap = transpositions & swap.any(axis=(1, 2))
     # rows of the DP over query prefix length i; each row is (N, L+1)
     prev2 = None
-    prev = np.minimum(np.arange(L + 1, dtype=np.int32), BIG)[None, :].repeat(N, axis=0)
+    prev = np.broadcast_to(cols, (N, L + 1))
+    base = np.empty((N, L + 1), dtype=np.int32)
     for i in range(1, m + 1):
-        cur = np.empty_like(prev)
-        cur[:, 0] = min(i, int(BIG))
-        sub_cost = (mat != q[i - 1]).astype(np.int32)  # (N, L)
-        diag = prev[:, :-1] + sub_cost
-        up = prev[:, 1:] + 1
-        cand_min = np.minimum(diag, up)
-        if transpositions and prev2 is not None and i >= 2:
-            # transposition: q[i-2..i-1] == c[j-1], c[j-2] swapped
-            tr = np.full((N, L), BIG, dtype=np.int32)
-            if L >= 2:
-                ok = (mat[:, 1:] == q[i - 2]) & (mat[:, :-1] == q[i - 1])
-                tr[:, 1:] = np.where(ok, prev2[:, :-2] + 1, BIG)
-            cand_min = np.minimum(cand_min, tr)
-        # the left-dependency needs a scan: cur[j] = min(cand_min[j-1 col], cur[j-1]+1)
-        # do it as a running minimum — np.minimum.accumulate over (cand - j)
-        # trick: cur[j] = min over j' <= j of (base[j'] + (j - j')) where
-        # base[j] = cand_min[j] and base[0] = cur[0]
-        base = np.concatenate([cur[:, :1], cand_min], axis=1)  # (N, L+1)
-        shifted = base - np.arange(L + 1, dtype=np.int32)[None, :]
-        runmin = np.minimum.accumulate(shifted, axis=1)
-        cur = np.minimum(runmin + np.arange(L + 1, dtype=np.int32)[None, :], BIG)
+        base[:, 0] = i
+        # substitution (diagonal) or deletion (up)
+        np.minimum(prev[:, :-1] + cost[i - 1], prev[:, 1:] + 1, out=base[:, 1:])
+        if i >= 2 and has_swap[i - 2]:
+            np.minimum(base[:, 2:], prev2[:, :-2] + 1, out=base[:, 2:], where=swap[i - 2])
+        # the left-dependency (insertion) needs a scan: cur[j] = min over
+        # j' <= j of (base[j'] + (j - j')), a running minimum of base - j
+        cur = np.minimum.accumulate(base - cols, axis=1) + cols
         prev2, prev = prev, cur
     final = prev[np.arange(N), clens]
     out[np.nonzero(band)[0]] = final <= max_edits
+    return out
+
+
+def deletions(term: str, depth: int) -> set[str]:
+    """``term`` with every choice of up to ``depth`` characters deleted
+    (``term`` itself included): its deletion neighbourhood."""
+    out = frontier = {term}
+    for _ in range(depth):
+        frontier = {t[:i] + t[i + 1:] for t in frontier for i in range(len(t))}
+        out = out | frontier
     return out
 
 

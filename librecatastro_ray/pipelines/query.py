@@ -16,10 +16,11 @@ blocks contiguously in dictionary order, and the positions sidecar is
 row-aligned with them.  Each blocks/positions file is read at most once per
 engine, a row group at a time into a byte-bounded LRU; a term's blocks are a
 zero-copy slice of it, decoded to numpy.  Prefix, wildcard and fuzzy
-expansions run over one sorted engine vocabulary.  A hot (salted) term's
-per-salt runs are disjoint doc subsets (doc_id % S), so they merge by
-concatenation + one argsort — the logical "second merge stage" of the salting
-scheme, executed lazily at read time.
+expansions run over one sorted engine vocabulary; fuzzy looks its candidates
+up in a deletion-neighbourhood map of it and checks only those.  A hot
+(salted) term's per-salt runs are disjoint doc subsets (doc_id % S), so they
+merge by concatenation + one argsort — the logical "second merge stage" of
+the salting scheme, executed lazily at read time.
 
 ``batch_search_scatter`` serves query batches from a pool of long-lived
 zero-CPU range actors, one pool per Ray session: each actor keeps its doc
@@ -114,6 +115,23 @@ def wildcard_regex(pattern: str) -> str:
         else:
             parts.append(re.escape(ch))
     return "^" + "".join(parts) + "$"
+
+
+def _neighbourhood_hashes(keys: list[str]) -> np.ndarray:
+    """int64 hash of each deletion-neighbourhood key.  Python's string hash
+    is salted per process; the map lives and is queried in one engine's
+    process.  A collision only adds a candidate, which the OSA check drops."""
+    return np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
+
+
+def _check_fuzzy_params(max_edits, prefix_length, where: str = "fuzzy") -> None:
+    """Reject fuzzy parameters the engine cannot serve: ``max_edits`` is
+    0, 1 or 2 (ES/Lucene's limit, and the neighbourhood map's depth), and
+    ``prefix_length`` is not negative."""
+    if max_edits not in (0, 1, 2):
+        raise ValueError(f"{where} max_edits must be 0, 1 or 2, got {max_edits!r}")
+    if prefix_length < 0:
+        raise ValueError(f"{where} prefix_length must not be negative, got {prefix_length!r}")
 
 
 def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,6 +346,10 @@ class QueryEngine:
         # sorted deduplicated vocabulary (Arrow and numpy views), built on
         # the first expansion
         self._vocab: tuple[pa.Array, np.ndarray] | None = None
+        # per max_edits depth: (sorted key hashes int64, vocabulary rows
+        # int32) of every term's deletion neighbourhood, built on the first
+        # fuzzy expansion of that depth
+        self._fuzzy_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._docstats: pads.Dataset | None = None
         # per-term postings LRU (bounded by total cached postings)
         self._postings_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
@@ -1231,15 +1253,12 @@ class QueryEngine:
         lo, hi = self._prefix_range(prefix)
         return self._vocabulary()[1][lo:hi].tolist()
 
-    def _expand(self, key: tuple, prefix: str, keep) -> list[str]:
-        """Sorted vocabulary terms starting with ``prefix`` that
-        ``keep(arrow_terms, numpy_terms) -> bool mask`` selects; cached per
-        ``key`` (batch workloads repeat patterns)."""
+    def _expand(self, key: tuple, compute) -> list[str]:
+        """``compute()``'s sorted vocabulary terms, cached per ``key``
+        (batch workloads repeat patterns)."""
         cached = self._expansion_cache.get(key)
         if cached is None:
-            lo, hi = self._prefix_range(prefix)
-            col, arr = (x[lo:hi] for x in self._vocabulary())
-            cached = arr[keep(col, arr)].tolist()
+            cached = compute()
             if len(self._expansion_cache) < 10_000:
                 self._expansion_cache[key] = cached
         return cached
@@ -1248,12 +1267,28 @@ class QueryEngine:
         """Dictionary terms matching an ES wildcard pattern (``*``/``?``):
         one regex over the vocabulary range of the pattern's literal
         prefix."""
-        regex = wildcard_regex(pattern)
-        return self._expand(
-            ("wild", pattern),
-            re.match(r"[^*?]*", pattern).group(),
-            lambda col, _arr: pc.match_substring_regex(col, regex).to_numpy(zero_copy_only=False),
-        )
+
+        def compute() -> list[str]:
+            lo, hi = self._prefix_range(re.match(r"[^*?]*", pattern).group())
+            col, arr = (x[lo:hi] for x in self._vocabulary())
+            mask = pc.match_substring_regex(col, wildcard_regex(pattern))
+            return arr[mask.to_numpy(zero_copy_only=False)].tolist()
+
+        return self._expand(("wild", pattern), compute)
+
+    def _fuzzy_map(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted key hashes, vocabulary rows): one entry per vocabulary
+        term and string of its deletion neighbourhood of ``depth``."""
+        from librecatastro_ray.functions.editdist import deletions
+
+        m = self._fuzzy_maps.get(depth)
+        if m is None:
+            keys = [deletions(t, depth) for t in self._vocabulary()[1]]
+            rows = np.repeat(np.arange(len(keys), dtype=np.int32), [len(k) for k in keys])
+            hashes = _neighbourhood_hashes([x for k in keys for x in k])
+            order = np.argsort(hashes)
+            m = self._fuzzy_maps[depth] = (hashes[order], rows[order])
+        return m
 
     def expand_fuzzy(
         self,
@@ -1262,16 +1297,26 @@ class QueryEngine:
         prefix_length: int = 0,
         transpositions: bool = True,
     ) -> list[str]:
-        """Dictionary terms within ``max_edits`` (ES ``fuzzy``): one
-        vectorized banded DP over the vocabulary range of the required
-        ``prefix_length`` prefix."""
-        from librecatastro_ray.functions.editdist import osa_within
+        """Dictionary terms within ``max_edits`` (ES ``fuzzy``): the rows
+        whose deletion neighbourhood meets the term's, inside the vocabulary
+        range of the required ``prefix_length`` prefix, checked by one
+        vectorized OSA/Levenshtein DP.  Raises ``ValueError`` on parameters
+        :func:`_check_fuzzy_params` rejects."""
+        from librecatastro_ray.functions.editdist import deletions, osa_within
 
-        return self._expand(
-            ("fuzzy", term, max_edits, prefix_length, transpositions),
-            term[:prefix_length],
-            lambda _col, arr: osa_within(arr, term, max_edits, transpositions),
-        )
+        _check_fuzzy_params(max_edits, prefix_length)
+
+        def compute() -> list[str]:
+            hashes, rows = self._fuzzy_map(max_edits)
+            q = _neighbourhood_hashes(list(deletions(term, max_edits)))
+            starts = np.searchsorted(hashes, q, side="left").tolist()
+            ends = np.searchsorted(hashes, q, side="right").tolist()
+            cand = np.unique(np.concatenate([rows[a:b] for a, b in zip(starts, ends)]))
+            lo, hi = self._prefix_range(term[:prefix_length])
+            terms = self._vocabulary()[1][cand[(cand >= lo) & (cand < hi)]]
+            return terms[osa_within(terms, term, max_edits, transpositions)].tolist()
+
+        return self._expand(("fuzzy", term, max_edits, prefix_length, transpositions), compute)
 
     def terms_agg(
         self,
@@ -2104,7 +2149,7 @@ def _eval_range_batch(
                 else:
                     terms_x = rng.eng.expand_fuzzy(
                         q.get("term") or "",
-                        int(q.get("max_edits") or 1),
+                        int(q.get("max_edits", 1)),
                         int(q.get("prefix_length") or 0),
                         bool(q.get("transpositions", True)),
                     )
@@ -2192,8 +2237,9 @@ _COMMON_QUERY_KEYS = {"query_id", "kind", "k", "from"}
 
 def _check_queries(queries: list[dict]) -> None:
     """Reject a query dict the evaluator would misread: a missing
-    ``query_id``, an unknown kind, or a key its kind does not take (a typo or
-    a clause of another kind would otherwise be silently ignored)."""
+    ``query_id``, an unknown kind, a key its kind does not take (a typo or
+    a clause of another kind would otherwise be silently ignored), or fuzzy
+    parameters the engine cannot serve."""
     for q in queries:
         qid, kind = q.get("query_id"), q.get("kind")
         if qid is None:
@@ -2205,6 +2251,9 @@ def _check_queries(queries: list[dict]) -> None:
         unknown = sorted(set(q) - _COMMON_QUERY_KEYS - _QUERY_KEYS[kind])
         if unknown:
             raise ValueError(f"query {qid!r} ({kind}) has keys {kind} does not take: {unknown}")
+        if kind == "fuzzy":
+            _check_fuzzy_params(q.get("max_edits", 1), q.get("prefix_length") or 0,
+                               where=f"query {qid!r} (fuzzy)")
 
 
 def batch_search_scatter(

@@ -93,6 +93,17 @@ def test_fuzzy_prefix_length_narrows(engine, doc_vocab):
     assert got == want and got  # fires
 
 
+def test_fuzzy_rejects_parameters_it_cannot_serve(engine):
+    """max_edits outside {0, 1, 2} or a negative prefix_length raises,
+    naming the value, instead of answering empty."""
+    for kwargs, bad in [({"max_edits": 3}, "got 3"), ({"max_edits": -1}, "got -1"),
+                        ({"prefix_length": -2}, "prefix_length .*got -2")]:
+        with pytest.raises(ValueError, match=bad):
+            engine.expand_fuzzy("retur", **kwargs)
+        with pytest.raises(ValueError, match=bad):
+            engine.fuzzy_content("retur", **kwargs)
+
+
 def test_constant_score_union_docs(engine, doc_vocab):
     toks, vocab = doc_vocab
     rx = re.compile(wildcard_regex("id_0000*"))

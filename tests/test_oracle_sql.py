@@ -66,3 +66,21 @@ def test_entry_matches_oracle_sql(oracle_con, name):
                 f"column {c} differs; first at row {bad[0]}: "
                 f"got={g.iloc[bad[0]]} exp={e.iloc[bad[0]]}"
             )
+
+
+def test_changed_corpus_is_rebuilt_not_served_stale(oracle_con, tmp_path, monkeypatch):
+    """The entries' index cache keys on the identity of ``documents.parquet``:
+    a corpus cut in place at the same path is rebuilt, not served from the
+    index of the old one."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    monkeypatch.setattr(entrymod, "_ENGINES", {})
+    docs = tmp_path / "documents.parquet"
+    shutil.copyfile(os.path.join(SF_DIR, "documents.parquet"), docs)
+    full = entrymod._engine(str(tmp_path)).n_docs
+    pq.write_table(pq.read_table(docs).slice(0, 100), docs)
+    entrymod._ENGINES.clear()
+    assert full > 100
+    assert entrymod._engine(str(tmp_path)).n_docs == 100

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.editdist import osa_distance
+from librecatastro_ray.pipelines import query as qmod
 from librecatastro_ray.pipelines.build import add_documents, build_index, compact_index
 from librecatastro_ray.pipelines.query import (
     QueryEngine,
@@ -255,3 +256,44 @@ def test_expand_fuzzy_equals_brute_force(unicode_engine, term, max_edits, prefix
         and osa_distance(t, term, transpositions) <= max_edits
     )
     assert eng.expand_fuzzy(term, max_edits, prefix_length, transpositions) == want
+
+
+def test_osa_check_not_the_map_decides_fuzzy_membership(unicode_engine, small_index,
+                                                         monkeypatch):
+    """With every neighbourhood key hashed alike, every vocabulary row is a
+    candidate, and the expansion still equals brute force: the OSA check
+    decides membership.  The map is built once per (engine, depth), and an
+    engine that serves no fuzzy query builds none."""
+    built: list[int] = []
+
+    def constant_hash(keys):
+        built.append(len(keys))
+        return np.zeros(len(keys), dtype=np.int64)
+
+    monkeypatch.setattr(qmod, "_neighbourhood_hashes", constant_hash)
+    _, terms = unicode_engine
+    eng = QueryEngine(unicode_engine[0].index_dir)
+    rng = random.Random(3)
+    probes = [t[:i] + rng.choice(ALPHABET) + t[i + 1:]
+              for t in rng.sample(terms, 40) for i in [rng.randrange(len(t))]]
+    probes += ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 5)))
+               for _ in range(20)]
+    for term in probes:
+        for max_edits in (0, 1, 2):
+            for prefix_length in (0, 1, 3):
+                for transpositions in (True, False):
+                    want = sorted(t for t in terms if t.startswith(term[:prefix_length])
+                                  and osa_distance(t, term, transpositions) <= max_edits)
+                    got = eng.expand_fuzzy(term, max_edits, prefix_length, transpositions)
+                    assert got == want, (term, max_edits, prefix_length, transpositions)
+    builds = [n for n in built if n >= len(terms)]  # a query term has far fewer keys
+    assert sorted(builds) == sorted(len(h) for h, _ in eng._fuzzy_maps.values())
+    assert sorted(eng._fuzzy_maps) == [0, 1, 2]
+
+    built.clear()
+    other = QueryEngine(small_index)
+    word = other.full_dictionary()["term"][0].as_py()
+    other.match(word, k=5)
+    other.match_phrase(f"{word} {word}", k=5)
+    other.bool_must([word], k=5)
+    assert built == [] and other._fuzzy_maps == {}

@@ -5,6 +5,7 @@ calls and index dirs, a killed actor is replaced, and a process holds only
 its current engine's range engines."""
 
 import gc
+import time
 import weakref
 
 import pytest
@@ -85,7 +86,7 @@ def _query(data, qid: int, terms, phrases, langs, paths, eng) -> dict:
         t = data.draw(term)
         i = data.draw(st.integers(0, len(t) - 1))
         q["term"] = t[:i] + data.draw(st.sampled_from("aqz0")) + t[i + 1:]
-        q["max_edits"] = data.draw(st.integers(1, 2))
+        q["max_edits"] = data.draw(st.integers(0, 2))
         q["prefix_length"] = data.draw(st.integers(0, 2))
         q["transpositions"] = data.draw(st.booleans())
     return q
@@ -163,10 +164,15 @@ def test_scatter_equals_direct_for_random_queries(pool_index, data):
     ({"kind": "count", "text": "def", "prefix": "de"}, "prefix"),
     ({"kind": "match_wand", "text": "def"}, "match_wand"),
     ({"text": "def"}, "None"),
+    ({"kind": "fuzzy", "term": "def", "max_edits": 3}, "max_edits"),
+    ({"kind": "fuzzy", "term": "def", "max_edits": -1}, "max_edits"),
+    ({"kind": "fuzzy", "term": "def", "max_edits": None}, "max_edits"),
+    ({"kind": "fuzzy", "term": "def", "prefix_length": -1}, "prefix_length"),
 ])
 def test_scatter_rejects_unknown_kinds_and_keys(pool_index, monkeypatch, bad, offending):
-    """One driver-side check, before any actor call: an unknown kind or a key
-    the kind does not take raises, naming the query and the offending key."""
+    """One driver-side check, before any actor call: an unknown kind, a key
+    the kind does not take or a fuzzy parameter the engine cannot serve
+    raises, naming the query and the offending key."""
     index_dir = pool_index[0]
 
     def no_actor(n_ranges):
@@ -202,8 +208,13 @@ def test_killed_pool_actor_is_replaced(pool_index):
     batch_search_scatter(index_dir, queries, n_ranges=2)
     victim = qmod._POOL["actors"][0]
     ray.kill(victim)
+    # the kill is asynchronous: a call sent right after it may still be
+    # answered, so call until the actor is gone (at most a minute)
+    deadline = time.monotonic() + 60
     with pytest.raises(ray.exceptions.RayActorError):
-        ray.get(victim.cache_stats.remote(), timeout=60)
+        while time.monotonic() < deadline:
+            ray.get(victim.cache_stats.remote(), timeout=60)
+            time.sleep(0.05)
     _assert_same(_by_query(batch_search_scatter(index_dir, queries, n_ranges=2)), eng, queries)
     assert qmod._POOL["actors"][0] is not victim
     assert qmod.range_cache_stats() is not None
