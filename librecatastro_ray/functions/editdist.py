@@ -8,10 +8,11 @@ against one query term: the DP iterates over CHARACTER POSITIONS
 (O(|q|·maxlen) numpy ops), never over candidates.
 
 ``QueryEngine.expand_fuzzy`` does not scan the dictionary with it: it looks
-candidates up in a map of every term's ``deletions`` (a term and a query
-within k edits share a string that each reaches with at most k deletions,
-transpositions included), and ``osa_within`` checks only those candidates,
-so it stays the one definition of distance.  The matching oracle replays
+candidates up in a map of the ``deletions`` of every term's first few
+characters (a term and a query within k edits, transpositions included,
+have same-length prefixes that share a string each reaches with at most k
+deletions), and ``osa_within`` checks only those candidates, so it stays
+the one definition of distance.  The matching oracle replays
 with DuckDB's ``damerau_levenshtein`` and the test suite pins the two equal
 over real dictionaries.
 """

@@ -31,9 +31,11 @@ opens a new ES client per document).
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from collections import OrderedDict
+from collections.abc import Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -117,21 +119,42 @@ def wildcard_regex(pattern: str) -> str:
     return "^" + "".join(parts) + "$"
 
 
-def _neighbourhood_hashes(keys: list[str]) -> np.ndarray:
+def _neighbourhood_hashes(keys: Iterable[str]) -> np.ndarray:
     """int64 hash of each deletion-neighbourhood key.  Python's string hash
     is salted per process; the map lives and is queried in one engine's
     process.  A collision only adds a candidate, which the OSA check drops."""
-    return np.fromiter(map(hash, keys), dtype=np.int64, count=len(keys))
+    return np.fromiter(map(hash, keys), dtype=np.int64)
 
 
-def _check_fuzzy_params(max_edits, prefix_length, where: str = "fuzzy") -> None:
-    """Reject fuzzy parameters the engine cannot serve: ``max_edits`` is
-    0, 1 or 2 (ES/Lucene's limit, and the neighbourhood map's depth), and
-    ``prefix_length`` is not negative."""
-    if max_edits not in (0, 1, 2):
+# the fuzzy map holds the deletion neighbourhood of each term's first
+# _FUZZY_KEY_LEN code points only, so a term has at most
+# sum(C(_FUZZY_KEY_LEN, i) for i <= k) rows at depth k however long it is
+# (a long token, minified code or embedded data, would otherwise cost
+# millions).  Two terms within k edits have k-deep neighbourhoods of their
+# same-length prefixes that still meet, so the cut only adds candidates.
+_FUZZY_KEY_LEN = 8
+
+
+def _check_fuzzy_params(max_edits, prefix_length, where: str = "fuzzy") -> tuple[int, int]:
+    """(max_edits, prefix_length) as ints, or ``ValueError`` naming a value
+    the engine cannot serve: ``max_edits`` is the integer 0, 1 or 2
+    (ES/Lucene's limit, and the neighbourhood map's depth), and
+    ``prefix_length`` is a non-negative integer."""
+    try:
+        edits = operator.index(max_edits)
+    except TypeError:
+        edits = None
+    if edits not in (0, 1, 2):
         raise ValueError(f"{where} max_edits must be 0, 1 or 2, got {max_edits!r}")
-    if prefix_length < 0:
-        raise ValueError(f"{where} prefix_length must not be negative, got {prefix_length!r}")
+    try:
+        prefix = operator.index(prefix_length)
+    except TypeError:
+        prefix = -1
+    if prefix < 0:
+        raise ValueError(
+            f"{where} prefix_length must be a non-negative integer, got {prefix_length!r}"
+        )
+    return edits, prefix
 
 
 def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1278,14 +1301,23 @@ class QueryEngine:
 
     def _fuzzy_map(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """(sorted key hashes, vocabulary rows): one entry per vocabulary
-        term and string of its deletion neighbourhood of ``depth``."""
+        term and string of the ``depth`` deletion neighbourhood of its first
+        ``_FUZZY_KEY_LEN`` code points."""
         from librecatastro_ray.functions.editdist import deletions
 
         m = self._fuzzy_maps.get(depth)
         if m is None:
-            keys = [deletions(t, depth) for t in self._vocabulary()[1]]
-            rows = np.repeat(np.arange(len(keys), dtype=np.int32), [len(k) for k in keys])
-            hashes = _neighbourhood_hashes([x for k in keys for x in k])
+            vocab = self._vocabulary()[1]
+            counts = np.empty(len(vocab), dtype=np.int64)
+
+            def keys():  # one term's strings alive at a time, hashed as made
+                for i, t in enumerate(vocab):
+                    d = deletions(t[:_FUZZY_KEY_LEN], depth)
+                    counts[i] = len(d)
+                    yield from d
+
+            hashes = _neighbourhood_hashes(keys())
+            rows = np.repeat(np.arange(len(vocab), dtype=np.int32), counts)
             order = np.argsort(hashes)
             m = self._fuzzy_maps[depth] = (hashes[order], rows[order])
         return m
@@ -1304,11 +1336,11 @@ class QueryEngine:
         :func:`_check_fuzzy_params` rejects."""
         from librecatastro_ray.functions.editdist import deletions, osa_within
 
-        _check_fuzzy_params(max_edits, prefix_length)
+        max_edits, prefix_length = _check_fuzzy_params(max_edits, prefix_length)
 
         def compute() -> list[str]:
             hashes, rows = self._fuzzy_map(max_edits)
-            q = _neighbourhood_hashes(list(deletions(term, max_edits)))
+            q = _neighbourhood_hashes(deletions(term[:_FUZZY_KEY_LEN], max_edits))
             starts = np.searchsorted(hashes, q, side="left").tolist()
             ends = np.searchsorted(hashes, q, side="right").tolist()
             cand = np.unique(np.concatenate([rows[a:b] for a, b in zip(starts, ends)]))
@@ -2149,8 +2181,8 @@ def _eval_range_batch(
                 else:
                     terms_x = rng.eng.expand_fuzzy(
                         q.get("term") or "",
-                        int(q.get("max_edits", 1)),
-                        int(q.get("prefix_length") or 0),
+                        q.get("max_edits", 1),
+                        q.get("prefix_length") or 0,
                         bool(q.get("transpositions", True)),
                     )
                 docs = rng.union(terms_x)[:k]

@@ -94,10 +94,12 @@ def test_fuzzy_prefix_length_narrows(engine, doc_vocab):
 
 
 def test_fuzzy_rejects_parameters_it_cannot_serve(engine):
-    """max_edits outside {0, 1, 2} or a negative prefix_length raises,
-    naming the value, instead of answering empty."""
+    """max_edits outside {0, 1, 2}, a negative prefix_length or either one
+    not an integer raises, naming the value, instead of answering empty."""
     for kwargs, bad in [({"max_edits": 3}, "got 3"), ({"max_edits": -1}, "got -1"),
-                        ({"prefix_length": -2}, "prefix_length .*got -2")]:
+                        ({"max_edits": 1.0}, "got 1.0"), ({"max_edits": None}, "got None"),
+                        ({"prefix_length": -2}, "prefix_length .*got -2"),
+                        ({"prefix_length": "2"}, "prefix_length .*got '2'")]:
         with pytest.raises(ValueError, match=bad):
             engine.expand_fuzzy("retur", **kwargs)
         with pytest.raises(ValueError, match=bad):

@@ -4,6 +4,7 @@ vocabulary.  Each reader is pinned against a direct filtered
 ``pq.read_table`` decode, on every index generation a write can leave, and
 each expansion against a brute-force scan of the dictionary."""
 
+import math
 import random
 import re
 import shutil
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from librecatastro_ray.config import IndexConfig
-from librecatastro_ray.functions.editdist import osa_distance
+from librecatastro_ray.functions.editdist import osa_distance, osa_within
 from librecatastro_ray.pipelines import query as qmod
 from librecatastro_ray.pipelines.build import add_documents, build_index, compact_index
 from librecatastro_ray.pipelines.query import (
@@ -267,8 +268,9 @@ def test_osa_check_not_the_map_decides_fuzzy_membership(unicode_engine, small_in
     built: list[int] = []
 
     def constant_hash(keys):
-        built.append(len(keys))
-        return np.zeros(len(keys), dtype=np.int64)
+        n = sum(1 for _ in keys)
+        built.append(n)
+        return np.zeros(n, dtype=np.int64)
 
     monkeypatch.setattr(qmod, "_neighbourhood_hashes", constant_hash)
     _, terms = unicode_engine
@@ -297,3 +299,66 @@ def test_osa_check_not_the_map_decides_fuzzy_membership(unicode_engine, small_in
     other.match_phrase(f"{word} {word}", k=5)
     other.bool_must([word], k=5)
     assert built == [] and other._fuzzy_maps == {}
+
+
+def _edit(rng, t, alphabet):
+    """``t`` with one random substitution, insertion, deletion or adjacent
+    transposition."""
+    i = rng.randrange(len(t) + 1)
+    op = rng.randrange(4)
+    if op == 0 and i < len(t):
+        return t[:i] + rng.choice(alphabet) + t[i + 1:]
+    if op == 1:
+        return t[:i] + rng.choice(alphabet) + t[i:]
+    if op == 2 and i < len(t):
+        return t[:i] + t[i + 1:]
+    if i + 1 < len(t):
+        return t[:i] + t[i + 1] + t[i] + t[i + 2:]
+    return t
+
+
+def test_fuzzy_map_rows_are_bounded_for_long_terms(tmp_path):
+    """A term gets deletion-neighbourhood rows for its first
+    ``_FUZZY_KEY_LEN`` code points only: a 500-character token costs no
+    more rows than an 8-character one, and expansions whose edits fall on
+    either side of the cut, against terms far longer than the key, still
+    equal brute force."""
+    rng = random.Random(7)
+    alphabet = "ab_"
+    long_term = "".join(rng.choice(alphabet) for _ in range(500))
+    near = {long_term}
+    while len(near) < 6:
+        near.add(_edit(rng, _edit(rng, long_term, alphabet), alphabet))
+    vocab = {"".join(rng.choice(alphabet) for _ in range(rng.randint(1, 14)))
+             for _ in range(250)} | near
+    docs = sorted(vocab)
+    corpus = pa.table({
+        "repo": pa.array(["r"] * len(docs), pa.string()),
+        "path": pa.array([f"f{i}.txt" for i in range(len(docs))], pa.string()),
+        "commit": pa.array(["c"] * len(docs), pa.string()),
+        "lang": pa.array(["md"] * len(docs), pa.string()),
+        "content": pa.array(docs, pa.string()),
+    })
+    idx = str(tmp_path / "idx")
+    build_index(corpus, idx, IndexConfig(num_partitions=2, num_salts=1, hot_df_ratio=0.5,
+                                         block_size=4, analyzer="whitespace_v1"))
+    eng = QueryEngine(idx)
+    terms = np.array(sorted(eng.full_dictionary()["term"].to_pylist()), dtype=object)
+    assert set(terms) == vocab
+    probes = [_edit(rng, _edit(rng, t, alphabet), alphabet)
+              for t in rng.sample(sorted(vocab - near), 30) + sorted(near)]
+    probes += [long_term[:rng.randint(1, 20)] for _ in range(5)]
+    for term in probes:
+        for max_edits in (0, 1, 2):
+            for prefix_length in (0, 2, 9):
+                for transpositions in (True, False):
+                    ok = osa_within(terms, term, max_edits, transpositions)
+                    want = [t for t in terms[ok] if t.startswith(term[:prefix_length])]
+                    got = eng.expand_fuzzy(term, max_edits, prefix_length, transpositions)
+                    assert got == want, (term, max_edits, prefix_length, transpositions)
+    row = int(np.searchsorted(terms, long_term))
+    for depth in (0, 1, 2):
+        per_term = sum(math.comb(qmod._FUZZY_KEY_LEN, i) for i in range(depth + 1))
+        rows = eng._fuzzy_maps[depth][1]
+        assert 0 < (rows == row).sum() <= per_term
+        assert len(rows) <= len(terms) * per_term

@@ -168,6 +168,8 @@ def test_scatter_equals_direct_for_random_queries(pool_index, data):
     ({"kind": "fuzzy", "term": "def", "max_edits": -1}, "max_edits"),
     ({"kind": "fuzzy", "term": "def", "max_edits": None}, "max_edits"),
     ({"kind": "fuzzy", "term": "def", "prefix_length": -1}, "prefix_length"),
+    ({"kind": "fuzzy", "term": "def", "prefix_length": "2"}, "prefix_length .*'2'"),
+    ({"kind": "fuzzy", "term": "def", "max_edits": 1.0}, "max_edits .*1.0"),
 ])
 def test_scatter_rejects_unknown_kinds_and_keys(pool_index, monkeypatch, bad, offending):
     """One driver-side check, before any actor call: an unknown kind, a key
