@@ -37,22 +37,39 @@ def _sql_list(words: list[str]) -> str:
 _ENGINES: dict[str, Any] = {}
 
 
+def _md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()[:12]
+
+
 def _cached_engine(sf_dir: str, variant: str, make: Callable[[str], None]):
     """The engine over ``sf_dir``'s ``variant`` index, made by
     ``make(idx_dir)`` in a cache dir the first time (``make`` skips the
-    steps a dir already holds).  The dir is keyed on the sf dir's path, the
-    index format version and the identity of its ``documents.parquet``
-    (inode, size, mtime), so a changed corpus at the same path is rebuilt."""
+    steps a dir already holds).  The dir is named ``{prefix}-{identity}``:
+    the prefix keys the sf dir's path and the variant, the identity the
+    index format version and ``documents.parquet``'s (inode, size, mtime),
+    so a changed corpus at the same path is rebuilt.  A rebuild removes the
+    superseded dirs of its prefix, their engines, and any cache dir holding
+    an index of another format version, which no engine can open."""
+    import glob
+    import shutil
+
     from librecatastro_ray.pipelines.query import QueryEngine
-    from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION
+    from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION, manifest_path, read_json
 
     st = os.stat(os.path.join(sf_dir, "documents.parquet"))
-    key = hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:v{INDEX_FORMAT_VERSION}:{variant}:"
-        f"{st.st_ino}:{st.st_size}:{st.st_mtime_ns}".encode()
-    ).hexdigest()[:12]
-    idx_dir = os.path.join(CACHE_ROOT, key)
+    prefix = _md5(f"{os.path.abspath(sf_dir)}:{variant}")
+    ident = _md5(f"v{INDEX_FORMAT_VERSION}:{st.st_ino}:{st.st_size}:{st.st_mtime_ns}")
+    idx_dir = os.path.join(CACHE_ROOT, f"{prefix}-{ident}")
     if idx_dir not in _ENGINES:
+        if not os.path.exists(manifest_path(idx_dir)):
+            for old in glob.glob(os.path.join(CACHE_ROOT, "*")):
+                m = manifest_path(old)
+                other_version = (os.path.exists(m)
+                                 and read_json(m).get("version") != INDEX_FORMAT_VERSION)
+                if old != idx_dir and (os.path.basename(old).startswith(prefix + "-")
+                                       or other_version):
+                    shutil.rmtree(old, ignore_errors=True)
+                    _ENGINES.pop(old, None)
         make(idx_dir)
         _ENGINES[idx_dir] = QueryEngine(idx_dir)
     return _ENGINES[idx_dir]

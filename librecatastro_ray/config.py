@@ -45,21 +45,24 @@ class IndexConfig:
 
     # Positional indexing (Lucene IndexOptions.DOCS_AND_FREQS_AND_POSITIONS
     # analogue): when True, every posting also stores the token positions of
-    # the term's occurrences (delta+varbyte, in a SEPARATE positions file per
-    # partition so doc-stream reads never pay for them).  Required by
-    # match_phrase; off by default — positions add ~1-2 bytes per token
-    # occurrence to the shuffle and the index, exactly Lucene's rationale
-    # for making index options an opt-in.
+    # the term's occurrences, as a row-aligned ``positions`` list<int32>
+    # column of the posting file that only phrase reads project, so
+    # doc-stream reads never pay for them.  Required by match_phrase; off by
+    # default — positions add ~1-2 bytes per token occurrence to the shuffle
+    # and the index, exactly Lucene's rationale for making index options an
+    # opt-in.
     positions: bool = False
 
-    # Posting blocks: postings for a term are split into fixed-size blocks of
-    # ``block_size`` entries; each block stores delta+varbyte doc ids, varbyte
-    # tfs and dls, the last doc id (skip pointer) and the block-max normalized
-    # tf (for block-max WAND pruning).
+    # Block-max WAND granularity: a term's postings are cut into blocks of
+    # ``block_size`` postings, and the engine derives each block's last doc
+    # id (skip pointer) and max tf_norm (bound) from the postings at its own
+    # avgdl — nothing is stored per block.
     block_size: int = 128
 
-    # Parquet row-group size for the per-partition block files (controls the
-    # granularity of predicate-pushdown term reads).
+    # Parquet row groups of the posting files hold
+    # ``blocks_row_group_size × block_size`` postings (the unit a read
+    # decodes and the engine caches); the dictionary files use
+    # ``blocks_row_group_size`` rows.
     blocks_row_group_size: int = 2048
 
     # Tokenize/doc-stats batch size (rows per map_batches call). content can

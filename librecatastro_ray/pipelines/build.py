@@ -47,6 +47,7 @@ from librecatastro_ray.stages.postings import flat_postings, flat_postings_posit
 from librecatastro_ray.state.manifest import (
     INDEX_FORMAT_VERSION,
     atomic_write_json,
+    check_version,
     completed_partitions,
     load_manifest,
     manifest_path,
@@ -182,9 +183,7 @@ def estimate_hot_terms(docs_ds: ray.data.Dataset, n_docs: int, config: IndexConf
     return sorted(hot.index.tolist())
 
 
-def _merge_partitions(
-    skeys: list[int], index_dir: str, avgdl: float, config: IndexConfig, **dirs: str
-) -> None:
+def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig, **dirs: str) -> None:
     """Merge the shuffle partitions ``skeys`` in min(#skeys, 2 × cluster
     CPUs) tasks, each over a contiguous run of skeys (``batch_size=None``:
     one batch per block), so a small cluster does not pay one task launch
@@ -197,7 +196,6 @@ def _merge_partitions(
         merge_batch,
         fn_kwargs={
             "index_dir": index_dir,
-            "avgdl": avgdl,
             "config_json": config.to_json(),
             **dirs,
         },
@@ -239,17 +237,20 @@ def build_index(
         # returning an index built with another analyzer/scorer would hand
         # the caller something their queries get rejected against.  Legacy
         # manifests (no strategy keys) resolve to the CANONICAL defaults
-        # via IndexConfig.from_json, never to the requested values.
-        mcfg = IndexConfig.from_json(load_manifest(index_dir).get("config", {}))
+        # via IndexConfig.from_json, never to the requested values.  An
+        # index of another format version is rebuilt the same way.
+        old = load_manifest(index_dir)
+        mcfg = IndexConfig.from_json(old.get("config", {}))
         if (
-            mcfg.analyzer == config.analyzer
+            old.get("version") == INDEX_FORMAT_VERSION
+            and mcfg.analyzer == config.analyzer
             and mcfg.scorer == config.scorer
             and float(mcfg.k1) == float(config.k1)
             and float(mcfg.b) == float(config.b)
             and bool(mcfg.positions) == bool(config.positions)
         ):
             report["phases_skipped"] = ["all"]
-            return {"manifest": load_manifest(index_dir), "report": report}
+            return {"manifest": old, "report": report}
         # mismatch: fall through to a rebuild (the phase markers carry the
         # old analysis fingerprint, so the stale phases are wiped).  Remove
         # the stale manifest FIRST — otherwise a crash mid-rebuild leaves a
@@ -319,18 +320,20 @@ def build_index(
 
     n_docs = int(stats["n_docs"])
     sum_dl = int(stats["sum_dl"])
-    avgdl = (float(sum_dl) / float(n_docs)) if n_docs else 1.0
 
     # ---- phase C: hot terms + salted partitioned postings spill -----------
-    if _phase_done(shuffle_dir):
+    shuffle_meta = read_json(_marker(shuffle_dir)) if _phase_done(shuffle_dir) else None
+    if shuffle_meta is not None and shuffle_meta.get("version") == INDEX_FORMAT_VERSION:
         report["phases_skipped"].append("shuffle")
-        shuffle_meta = read_json(_marker(shuffle_dir))
         hot_terms = shuffle_meta["hot_terms"]
     else:
         import shutil
 
-        if os.path.isdir(shuffle_dir):
-            shutil.rmtree(shuffle_dir)
+        # a spill of another index format: it and every partition merged
+        # from it are stale
+        for d in (shuffle_dir, os.path.join(index_dir, "checkpoints"),
+                  os.path.join(index_dir, "parts")):
+            shutil.rmtree(d, ignore_errors=True)
         hot_terms = estimate_hot_terms(mat_docs, n_docs, config)
         ds_postings = mat_docs.map_batches(
             flat_postings_positional if config.positions else flat_postings,
@@ -350,7 +353,8 @@ def build_index(
             if name.startswith("skey=")
         )
         atomic_write_json(
-            _marker(shuffle_dir), {"hot_terms": hot_terms, "skeys": skeys_present}
+            _marker(shuffle_dir),
+            {"hot_terms": hot_terms, "skeys": skeys_present, "version": INDEX_FORMAT_VERSION},
         )
     report["phase_seconds"]["shuffle"] = round(_t() - _t0, 3)
     _t0 = _t()
@@ -363,7 +367,7 @@ def build_index(
     report["partitions_skipped"] = len(skeys_present) - len(pending)
     report["partitions_merged"] = len(pending)
     if pending:
-        _merge_partitions(pending, index_dir, avgdl, config)
+        _merge_partitions(pending, index_dir, config)
     report["phase_seconds"]["merge"] = round(_t() - _t0, 3)
     done = completed_partitions(index_dir)
     missing = [s for s in skeys_present if s not in done]
@@ -417,10 +421,10 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
       - global stats move to the new totals (N += batch, sum_dl += batch;
         tombstoned old versions keep counting until a full rebuild, the
         documented delete semantics);
-      - every partition re-merges DECODED old postings with the new spill —
-        content is never re-tokenized, so add cost scales with INDEX size +
-        batch size, not corpus text size (a Lucene big-merge, not a rebuild);
-        block-max bounds are recomputed with the updated avgdl;
+      - every partition re-merges its old postings, read back as they are,
+        with the new spill — content is never re-tokenized, so add cost
+        scales with INDEX size + batch size, not corpus text size (a Lucene
+        big-merge, not a rebuild);
       - the re-merge writes a NEW generation parts dir (``parts-g{n}``)
         and the manifest flips LAST, so the old postings stay intact until
         the flip and rerunning a crashed add redoes it.  The add is NOT
@@ -441,7 +445,7 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     from librecatastro_ray.pipelines.query import QueryEngine
     from librecatastro_ray.state.manifest import delete_docs
 
-    manifest = load_manifest(index_dir)
+    manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
     gen = int(manifest.get("generation", 0)) + 1
     old_parts = manifest.get("parts_dir", "parts")
@@ -526,13 +530,12 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     spill_path = os.path.join(index_dir, spill_dir_name)
     ds_postings.write_parquet(spill_path, partition_cols=["skey"])
 
-    # ---- re-merge EVERY partition (avgdl changed → all bounds recompute) --
+    # ---- re-merge EVERY partition into the next generation ---------------
     n_docs = id_base + int(n_new)
     sum_dl = int(manifest["sum_dl"]) + int(sum_dl_new)
-    avgdl = (float(sum_dl) / float(n_docs)) if n_docs else 1.0
     all_skeys = list(range(config.num_partitions * config.num_salts))
     _merge_partitions(
-        all_skeys, index_dir, avgdl, config, parts_dir=new_parts,
+        all_skeys, index_dir, config, parts_dir=new_parts,
         spill_dir=spill_dir_name, ckpt_name=ckpt_name, old_parts=old_parts,
     )
 
@@ -587,7 +590,7 @@ def compact_index(index_dir: str, target_dir: str) -> dict:
     if os.path.abspath(target_dir) == os.path.abspath(index_dir):
         raise ValueError("compact_index needs a distinct target_dir "
                          "(the source stays readable during compaction)")
-    manifest = load_manifest(index_dir)
+    manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
     dead = load_deleted(index_dir)
     dead_ref = ray.put(dead)

@@ -11,11 +11,13 @@ over the on-disk term-partitioned index (SURVEY.md §2.Q):
 
 Design: a ``QueryEngine`` is cheap, stateful, file-backed — term dictionaries
 are cached per (partition, salt) and double as the term → row-span table of
-the posting files: the merge writes each term's ``ceil(df / block_size)``
-blocks contiguously in dictionary order, and the positions sidecar is
-row-aligned with them.  Each blocks/positions file is read at most once per
-engine, a row group at a time into a byte-bounded LRU; a term's blocks are a
-zero-copy slice of it, decoded to numpy.  Prefix, wildcard and fuzzy
+the posting files: the merge writes one row per posting, each term's ``df``
+rows contiguously in dictionary order, so a term's span is ``cumsum(df)``.
+Each posting file is read at most once per engine, a row group at a time,
+into a byte-bounded LRU of DECODED Parquet columns (doc, tf, dl, and
+positions only for phrase reads); a term read is a zero-copy slice of it,
+with no per-query decode.  Block-max bounds are derived from the slice at
+the engine's own avgdl.  Prefix, wildcard and fuzzy
 expansions run over one sorted engine vocabulary; fuzzy looks its candidates
 up in a deletion-neighbourhood map of it and checks only those.  A hot
 (salted) term's per-salt runs are disjoint doc subsets (doc_id % S), so they
@@ -31,11 +33,13 @@ opens a new ES client per document).
 
 from __future__ import annotations
 
+import bisect
 import operator
 import os
 import re
 from collections import OrderedDict
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -46,17 +50,12 @@ import ray
 
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import topk_indices
-from librecatastro_ray.functions.codec import varbyte_decode
 from librecatastro_ray.functions.hashing import term_hash
-from librecatastro_ray.stages.merge import blocks_file, dict_file, positions_file
-from librecatastro_ray.state.manifest import load_manifest
+from librecatastro_ray.stages.merge import blocks_file, dict_file
+from librecatastro_ray.state.manifest import check_version, load_manifest
 
-# columns the engine reads from each posting file (the term/block_no columns
-# are implied by the dictionary's row spans)
-_FILE_COLUMNS = {
-    "blocks": ["n", "last_doc", "max_tfnorm", "docs", "tfs", "dls"],
-    "positions": ["positions"],
-}
+# the columns every term read uses; phrase reads add "positions"
+_POSTING_COLUMNS = ["doc", "tf", "dl"]
 
 RESULT_SCHEMA = pa.schema(
     [("rank", pa.int64()), ("doc_id", pa.int64()), ("score", pa.float64())]
@@ -178,71 +177,71 @@ def _in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == values
 
 
-from librecatastro_ray.functions.codec import binary_column_payload as _binary_payload  # noqa: E402
+def _array(col: pa.ChunkedArray) -> pa.Array:
+    """A column read from one row group as one array (zero copy when the
+    reader returns one chunk, as it does below 2 GiB)."""
+    return col.chunk(0) if col.num_chunks == 1 else pa.concat_arrays(col.chunks)
 
 
-def decode_blocks_table(bt: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of a set of posting blocks: one varbyte pass over the
-    concatenated buffers, then a segmented cumsum to rebuild absolute doc ids
-    (each block's deltas restart at an absolute first doc)."""
-    n = bt["n"].to_numpy().astype(np.int64)
-    if len(n) == 0 or int(n.sum()) == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    gaps = varbyte_decode(_binary_payload(bt["docs"])).astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(n)[:-1]])
-    cs = np.cumsum(gaps)
-    seg_base = cs[starts] - gaps[starts]
-    docs = cs - np.repeat(seg_base, n)
-    tfs = varbyte_decode(_binary_payload(bt["tfs"])).astype(np.int64)
-    dls = varbyte_decode(_binary_payload(bt["dls"])).astype(np.int64)
-    return docs, tfs, dls
+class PostingSlice(NamedTuple):
+    """Rows of a posting file as numpy views of its decoded Parquet columns.
+    Positional reads also carry the row group's flat ``values`` and the
+    rows' ``offsets`` into it: posting i's positions are
+    ``values[offsets[i]:offsets[i + 1]]``."""
+
+    doc: np.ndarray
+    tf: np.ndarray
+    dl: np.ndarray
+    values: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.doc)
+
+    def rows(self, i: int, j: int, positions: bool) -> "PostingSlice":
+        """Rows [i, j), a view."""
+        if not positions:
+            return PostingSlice(self.doc[i:j], self.tf[i:j], self.dl[i:j])
+        return PostingSlice(self.doc[i:j], self.tf[i:j], self.dl[i:j], self.values,
+                            self.offsets[i:j + 1])
+
+
+def _concat_slices(parts: list[PostingSlice], positions: bool) -> PostingSlice:
+    """One slice of consecutive row-group slices (a copy)."""
+    doc, tf, dl = (np.concatenate(c) for c in zip(*(p[:3] for p in parts)))
+    if not positions:
+        return PostingSlice(doc, tf, dl)
+    values = np.concatenate([p.values[p.offsets[0]:p.offsets[-1]] for p in parts])
+    return PostingSlice(doc, tf, dl, values, np.concatenate(([0], np.cumsum(tf))))
+
+
+def decode_blocks_table(bt: PostingSlice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(docs, tf, dl)`` int64 arrays of a slice of a posting file — views
+    of the columns Parquet decoded once per row group, so no slice is
+    decoded again (the one place a slice becomes numpy arrays)."""
+    return bt.doc, bt.tf, bt.dl
+
+
+def _segment_index(seg_starts: np.ndarray, seg_counts: np.ndarray) -> np.ndarray:
+    """Indices of the concatenated segments ``[seg_starts[i],
+    seg_starts[i] + seg_counts[i])`` — one vectorized build, no
+    per-segment Python."""
+    total = int(seg_counts.sum())
+    out_starts = np.cumsum(seg_counts) - seg_counts
+    return (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(out_starts, seg_counts)
+        + np.repeat(seg_starts, seg_counts)
+    )
 
 
 def _segment_gather(
     flat: np.ndarray, seg_starts: np.ndarray, seg_counts: np.ndarray
 ) -> np.ndarray:
     """Concatenate variable-length segments of ``flat`` (segment i =
-    ``flat[seg_starts[i] : seg_starts[i] + seg_counts[i]]``) — one vectorized
-    index build, no per-segment Python."""
-    total = int(seg_counts.sum())
-    out_starts = np.cumsum(seg_counts) - seg_counts
-    idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, seg_counts)
-        + np.repeat(seg_starts, seg_counts)
-    )
-    return flat[idx]
-
-
-def decode_positions_stream(positions_col, tfs: np.ndarray) -> np.ndarray:
-    """Absolute positions of a positions-sidecar blob column, posting order.
-    Posting i owns exactly ``tfs[i]`` values (the sidecar stores no lengths —
-    tf IS the length); one varbyte pass + a segmented cumsum with per-posting
-    restarts (the decode_blocks_table pattern)."""
-    gaps = varbyte_decode(_binary_payload(positions_col)).astype(np.int64)
-    total = int(tfs.sum())
-    if len(gaps) != total:
-        raise ValueError(
-            f"positions stream has {len(gaps)} values, expected {total} "
-            f"(= sum of tf) — corrupt sidecar"
-        )
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-    cs = np.cumsum(gaps)
-    seg_base = cs[starts] - gaps[starts]
-    return cs - np.repeat(seg_base, tfs)
-
-
-def _select(run: tuple, m: np.ndarray) -> tuple:
-    """Postings ``m`` (bool mask) of a decoded ``(docs, tf, dl[, pos_flat])``
-    run, with the positions of the kept postings regathered."""
-    d, f, L = run[:3]
-    out = (d[m], f[m], L[m])
-    if len(run) == 4:
-        out += (_segment_gather(run[3], (np.cumsum(f) - f)[m], f[m]),)
-    return out
+    ``flat[seg_starts[i] : seg_starts[i] + seg_counts[i]]``)."""
+    return flat[_segment_index(seg_starts, seg_counts)]
 
 
 def _merge_runs(runs: list[tuple], width: int) -> tuple:
@@ -263,39 +262,58 @@ def _merge_runs(runs: list[tuple], width: int) -> tuple:
     return tuple(cols)
 
 
-def _phrase_stats(
-    loaded: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phrase occurrence counts from per-term positional postings.
+# a term's occurrences in the phrase candidates are kept by mask over all of
+# its postings when the candidates number at least 1/_MASK_COVERAGE of
+# them (few numpy calls), else gathered per candidate (work proportional
+# to the candidates, not to the term's postings)
+_MASK_COVERAGE = 4
 
-    ``loaded[i] = (docs, tfs, dls, pos_flat)`` for query position i (docs
-    sorted; posting j owns ``tfs[j]`` positions).  Returns
-    ``(cand_docs, phrase_freq, dl)`` over the docs containing ALL terms
-    (freq may be 0 — terms present but never consecutive).  Vectorized:
-    sorted doc intersection, then per-term occurrence keys
-    ``cand_index·2³² + (pos − i)`` intersected across query positions."""
-    z = np.zeros(0, dtype=np.int64)
-    cand = loaded[0][0]
-    for docs_t, _tf, _dl, _p in loaded[1:]:
-        cand = _intersect_sorted(cand, docs_t)
-    if len(cand) == 0:
-        return z, z.copy(), z.copy()
-    SHIFT = np.int64(1) << np.int64(32)
-    keys: np.ndarray | None = None
-    for i, (docs_t, tfs_t, _dl, pos_t) in enumerate(loaded):
-        j = np.searchsorted(docs_t, cand)
-        seg_starts = (np.cumsum(tfs_t) - tfs_t)[j]
-        seg_counts = tfs_t[j]
-        adj = _segment_gather(pos_t, seg_starts, seg_counts) - np.int64(i)
-        kk = np.repeat(np.arange(len(cand), dtype=np.int64) * SHIFT, seg_counts) + adj
-        kk = kk[adj >= 0]  # a phrase can't start before the doc
-        keys = kk if keys is None else _intersect_sorted(keys, kk)
-        if len(keys) == 0:
-            return z, z.copy(), z.copy()
-    pf = np.bincount((keys >> np.int64(32)).astype(np.int64), minlength=len(cand))
-    docs0, _tf0, dls0, _p0 = loaded[0]
-    dl_cand = dls0[np.searchsorted(docs0, cand)]
-    return cand, pf.astype(np.int64), dl_cand
+
+def _occurrences(runs: list[tuple], cand: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``base[c] + p`` for every occurrence at position ``p`` of a term in
+    candidate doc ``cand[c]`` (``cand`` sorted, each doc in one of ``runs``,
+    the term's per-salt ``(docs, tf, pos values, pos offsets)`` views)."""
+    if _MASK_COVERAGE * len(cand) >= sum(len(r[0]) for r in runs):
+        if len(runs) == 1:
+            d, f, values, offs = runs[0]
+            pos = values[offs[0]:offs[-1]]
+        else:
+            d, f, pos = (np.concatenate(c) for c in
+                         zip(*((r[0], r[1], r[2][r[3][0]:r[3][-1]]) for r in runs)))
+        j = np.minimum(np.searchsorted(cand, d), len(cand) - 1)
+        tok = np.repeat(base[j], f) + pos
+        m = cand[j] == d
+        return tok if m.all() else tok[np.repeat(m, f)]
+    tok = []
+    for d, f, values, offs in runs:
+        j = np.minimum(np.searchsorted(d, cand), len(d) - 1)
+        hit = d[j] == cand
+        rows = j[hit]
+        tok.append(np.repeat(base[:-1][hit], f[rows]) + values[_segment_index(offs[rows], f[rows])])
+    return np.concatenate(tok)
+
+
+def _phrase_freqs(base: np.ndarray, terms: list[str], occ: dict[str, np.ndarray]) -> np.ndarray:
+    """Phrase frequency of each candidate doc (may be 0 — terms present but
+    never consecutive).  The candidates' tokens are laid end to end, doc c's
+    token p at ``base[c] + p`` with ``len(terms)`` unused slots before each
+    doc, so a start and its followers never reach into a neighbouring doc;
+    ``occ[t]`` holds term t's occurrences in that layout
+    (:func:`_occurrences`).  The rarest query position's occurrences give the
+    candidate starts, and each other position keeps the starts whose token
+    at that offset is marked in its term's bitmap."""
+    a = min(range(len(terms)), key=lambda i: len(occ[terms[i]]))
+    starts = occ[terms[a]] - a
+    marks: dict[str, np.ndarray] = {}
+    for i, term in enumerate(terms):
+        if i == a:
+            continue
+        mark = marks.get(term)
+        if mark is None:
+            mark = marks[term] = np.zeros(int(base[-1]), dtype=bool)
+            mark[occ[term]] = True
+        starts = starts[mark[starts + i]]
+    return np.bincount(np.searchsorted(base, starts, side="right") - 1, minlength=len(base) - 1)
 
 
 class QueryEngine:
@@ -309,7 +327,7 @@ class QueryEngine:
         from librecatastro_ray.functions.analysis import get_analyzer, get_scorer
 
         self.index_dir = index_dir
-        self.manifest = load_manifest(index_dir)
+        self.manifest = check_version(index_dir, load_manifest(index_dir))
         self.config = IndexConfig.from_json(self.manifest["config"])
         for given, want, kind in (
             (analyzer, self.config.analyzer, "analyzer"),
@@ -322,9 +340,8 @@ class QueryEngine:
                     f"index or drop the explicit {kind}"
                 )
         # the scorer's PARAMETERS are part of its identity, not just the id:
-        # the block-max tfnorm bounds stored at build time were computed with
-        # the build k1/b, so an explicit bm25_v1 with different parameters
-        # would break WAND pruning (bounds no longer upper-bound) — reject it
+        # the manifest pins the build's k1/b, and an explicit bm25_v1 with
+        # other parameters would score a different index — reject it
         if scorer is not None:
             for p in ("k1", "b"):
                 got = getattr(scorer, p, None)
@@ -332,9 +349,9 @@ class QueryEngine:
                 if got is not None and float(got) != float(want_p):
                     raise ValueError(
                         f"index at {index_dir} was built with {p}={want_p}; "
-                        f"the explicit scorer has {p}={got} — the stored "
-                        f"block-max bounds are only valid for the build "
-                        f"parameters (rebuild, or drop the explicit scorer)"
+                        f"the explicit scorer has {p}={got} — the index "
+                        f"scores with its build parameters only (rebuild, "
+                        f"or drop the explicit scorer)"
                     )
         self.analyzer = analyzer or get_analyzer(self.config.analyzer)
         self.scorer = scorer or get_scorer(
@@ -359,11 +376,11 @@ class QueryEngine:
         # file row count the spans tile
         self._span_maps: dict[tuple[int, int], tuple[dict[str, tuple[int, int, int]], int]] = {}
         # per-file (path, footer, row-group start rows), parsed once
-        self._footers: dict[tuple[str, int, int], tuple] = {}
-        # row groups read from the posting files, BYTE-bounded LRU: at
+        self._footers: dict[tuple[int, int], tuple] = {}
+        # decoded row groups of the posting files, BYTE-bounded LRU: at
         # serving scale each file is read once and every term read after
-        # that is a slice of memory
-        self._rowgroup_cache: OrderedDict[tuple[str, int], pa.Table] = OrderedDict()
+        # that is a zero-copy slice of memory
+        self._rowgroup_cache: OrderedDict[tuple[str, int], tuple[PostingSlice, int]] = OrderedDict()
         self._rowgroup_cache_size = 0
         self._rowgroup_cache_cap = 256 << 20
         # sorted deduplicated vocabulary (Arrow and numpy views), built on
@@ -382,19 +399,11 @@ class QueryEngine:
         # set: hot terms are ~5% df each, so ~50 cached terms of a 600k-doc
         # partition ≈ 15M entries.  ~(360+320) MB per actor at the caps.
         self._postings_cache_cap = 15_000_000
-        # per-term decoded positions LRU (positional indexes only): flat
-        # int64 positions, one value per token occurrence — bounded like the
-        # postings cache so a phrase workload over hot terms stays warm
-        self._positions_cache: OrderedDict[
-            str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = OrderedDict()
-        self._positions_cache_size = 0
-        self._positions_cache_cap = 30_000_000
         self._contrib_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._contrib_cache_size = 0
         self._contrib_cache_cap = 20_000_000
         # per-(term, salt) block metadata (prev_last, last, max_tfnorm) —
-        # the block-max skip structure; tiny relative to postings
+        # the block-max skip structure, derived at this engine's avgdl
         self._blockmeta_cache: dict[tuple[str, int], tuple | None] = {}
         self._expansion_cache: dict[tuple, list[str]] = {}
         # keyword-clause results LRU, BYTE-bounded: one entry can be
@@ -446,24 +455,22 @@ class QueryEngine:
 
     def _span_table(self, pkey: int, salt: int) -> tuple[dict[str, tuple[int, int, int]], int]:
         """({term: (first_row, end_row, df)}, row count) for one (partition,
-        salt): the merge writes each term's ``ceil(df / block_size)`` blocks
-        contiguously in dictionary order, so the spans are a cumsum over the
-        dictionary (and also O(1) df lookups for workloads that probe many
-        terms)."""
+        salt): the merge writes each term's ``df`` postings contiguously in
+        dictionary order, so the spans are a cumsum over the dictionary (and
+        also O(1) df lookups for workloads that probe many terms)."""
         key = (pkey, salt)
         entry = self._span_maps.get(key)
         if entry is None:
             d = self._dict_table(pkey, salt)
             df = d["df"].to_numpy()
-            n_blocks = -(-df // self.config.block_size)
-            ends = np.cumsum(n_blocks)
-            spans = zip((ends - n_blocks).tolist(), ends.tolist(), df.tolist())
+            ends = np.cumsum(df)
+            spans = zip((ends - df).tolist(), ends.tolist(), df.tolist())
             entry = (dict(zip(d["term"].to_pylist(), spans)), int(ends[-1]) if len(ends) else 0)
             self._span_maps[key] = entry
         return entry
 
     def _span(self, term: str, salt: int) -> tuple[int, int] | None:
-        """Row span [first, end) of a (term, salt) run in its posting files."""
+        """Row span [first, end) of a (term, salt) run in its posting file."""
         s = self._span_table(self._pkey(term), salt)[0].get(term)
         return None if s is None else (s[0], s[1])
 
@@ -474,100 +481,130 @@ class QueryEngine:
             self._span_table(pkey, salt)[0].get(term, (0, 0, 0))[2] for salt in self._salts(term)
         )
 
-    def _file(self, kind: str, pkey: int, salt: int) -> tuple:
-        """(path, footer, row-group start rows) of a ``blocks``/``positions``
-        file, the footer parsed once per engine.  The dictionary's spans must
-        tile the file exactly: any other row count means the files drifted
-        from the dictionary, and every answer read through the spans would be
+    def _file(self, pkey: int, salt: int) -> tuple:
+        """(path, footer, row-group start rows) of a posting file, the footer
+        parsed once per engine.  The file must hold exactly the dictionary's
+        df sum of rows: any other count means the file drifted from the
+        dictionary, and every answer read through the spans would be
         silently wrong.  A posting file is only read for a term its
         partition's dictionary lists, so a missing one was reclaimed by a
         later write (:meth:`_replaced`)."""
-        key = (kind, pkey, salt)
-        f = self._footers.get(key)
+        f = self._footers.get((pkey, salt))
         if f is None:
-            if kind == "blocks":
-                path = blocks_file(self.index_dir, pkey, salt, self._parts)
-                want, what = self._span_table(pkey, salt)[1], "its dictionary's term spans cover"
-            else:
-                path = positions_file(self.index_dir, pkey, salt, self._parts)
-                if not self.config.positions:
-                    raise ValueError(
-                        f"index at {self.index_dir} has no positions sidecar — build "
-                        f"with IndexConfig(positions=True) to serve phrase queries"
-                    )
-                want, what = self._file("blocks", pkey, salt)[1].num_rows, "its blocks file has"
+            path = blocks_file(self.index_dir, pkey, salt, self._parts)
+            want = self._span_table(pkey, salt)[1]
             try:
                 meta = pq.read_metadata(path)
             except FileNotFoundError:
                 raise self._replaced(path) from None
             if meta.num_rows != want:
                 raise ValueError(
-                    f"{path} has {meta.num_rows} rows but {what} {want} — the "
-                    f"posting files do not match the term dictionary"
+                    f"{path} has {meta.num_rows} rows but its dictionary's df sum is "
+                    f"{want} — the posting file does not match the term dictionary"
                 )
             sizes = [meta.row_group(i).num_rows for i in range(meta.num_row_groups)]
-            f = self._footers[key] = (path, meta, np.cumsum([0] + sizes))
+            f = self._footers[(pkey, salt)] = (path, meta, np.cumsum([0] + sizes).tolist())
         return f
 
-    def _rows(self, kind: str, pkey: int, salt: int, rows: np.ndarray) -> pa.Table:
-        """Rows ``rows`` (sorted, unique, non-empty) of one posting file: a
-        zero-copy slice of a cached row group when they are one contiguous
-        run in it, else a take.  Row groups are read on a miss (no file
-        handle stays open) into the byte-bounded LRU, on the calling thread:
-        an engine serves inside a one-CPU task, and handing a few hundred KB
-        of columns to Arrow's pool of one thread per visible core made a cold
-        read slower and its time less steady."""
-        path, meta, starts = self._file(kind, pkey, salt)
-        rg_of = np.searchsorted(starts, rows, side="right") - 1
+    def _rowgroup(self, path: str, meta, rg: int, positions: bool) -> PostingSlice:
+        """Row group ``rg`` of a posting file as decoded columns, from the
+        byte-bounded LRU or read on a miss (no file handle stays open), on
+        the calling thread: an engine serves inside a one-CPU task, and
+        handing a few hundred KB of columns to Arrow's pool of one thread
+        per visible core made a cold read slower and its time less steady.
+        The positions column is read only for a positional read; its list
+        lengths are checked against tf once per load."""
+        key = (path, rg)
+        old = self._rowgroup_cache.get(key)
+        if old is not None and (not positions or old[0].values is not None):
+            self._rowgroup_cache.move_to_end(key)
+            return old[0]
+        cols = ["positions"] if old is not None else _POSTING_COLUMNS + ["positions"] * positions
+        try:
+            with pq.ParquetFile(path, metadata=meta) as pf:
+                t = pf.read_row_group(rg, columns=cols, use_threads=False)
+        except FileNotFoundError:
+            raise self._replaced(path) from None
+        rgs = PostingSlice(*(old[0][:3] if old is not None else
+                             (_array(t.column(c)).to_numpy() for c in _POSTING_COLUMNS)))
+        if positions:
+            lst = _array(t.column("positions"))
+            rgs = rgs._replace(values=lst.values.to_numpy(), offsets=lst.offsets.to_numpy())
+            if not np.array_equal(np.diff(rgs.offsets), rgs.tf):
+                raise ValueError(
+                    f"{path} row group {rg}: position-list lengths differ from tf — "
+                    f"the posting file is corrupt"
+                )
+        if old is not None:
+            self._rowgroup_cache_size -= old[1]
+        nbytes = sum(a.nbytes for a in rgs if a is not None)
+        self._rowgroup_cache[key] = (rgs, nbytes)
+        self._rowgroup_cache.move_to_end(key)
+        self._rowgroup_cache_size += nbytes
+        while (self._rowgroup_cache_size > self._rowgroup_cache_cap
+               and len(self._rowgroup_cache) > 1):
+            _, (_rgs, n) = self._rowgroup_cache.popitem(last=False)
+            self._rowgroup_cache_size -= n
+        return rgs
+
+    def _rows(self, pkey: int, salt: int, first: int, end: int,
+              positions: bool = False) -> PostingSlice:
+        """Rows [first, end) (non-empty) of one posting file: a zero-copy
+        slice of its cached row group, or of each row group the span
+        crosses, concatenated."""
+        if positions and not self.config.positions:
+            raise ValueError(
+                f"index at {self.index_dir} has no positions — build with "
+                f"IndexConfig(positions=True) to serve phrase queries"
+            )
+        path, meta, starts = self._file(pkey, salt)
+        rg = bisect.bisect_right(starts, first) - 1
         parts = []
-        for rg in np.unique(rg_of).tolist():
-            t = self._rowgroup_cache.get((path, rg))
-            if t is None:
-                try:
-                    with pq.ParquetFile(path, metadata=meta) as pf:
-                        t = pf.read_row_group(rg, columns=_FILE_COLUMNS[kind],
-                                              use_threads=False)
-                except FileNotFoundError:
-                    raise self._replaced(path) from None
-                self._rowgroup_cache[(path, rg)] = t
-                self._rowgroup_cache_size += t.nbytes
-                while (self._rowgroup_cache_size > self._rowgroup_cache_cap
-                       and len(self._rowgroup_cache) > 1):
-                    _, old = self._rowgroup_cache.popitem(last=False)
-                    self._rowgroup_cache_size -= old.nbytes
-            else:
-                self._rowgroup_cache.move_to_end((path, rg))
-            local = rows[rg_of == rg] - starts[rg]
-            if local[-1] - local[0] + 1 == len(local):
-                parts.append(t.slice(int(local[0]), len(local)))
-            else:
-                parts.append(t.take(pa.array(local)))
-        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+        while first < end:
+            n = min(end, starts[rg + 1]) - first
+            a = first - starts[rg]
+            parts.append(self._rowgroup(path, meta, rg, positions).rows(a, a + n, positions))
+            first += n
+            rg += 1
+        return parts[0] if len(parts) == 1 else _concat_slices(parts, positions)
 
-    def _read_blocks(self, term: str, salt: int) -> pa.Table | None:
-        """All posting-block rows of a (term, salt) run, or None."""
+    def _slice(self, term: str, salt: int, positions: bool = False) -> PostingSlice | None:
+        """The rows of one (term, salt) run, or None when the term has no
+        run in that salt."""
         span = self._span(term, salt)
-        if span is None:
-            return None
-        return self._rows("blocks", self._pkey(term), salt, np.arange(*span))
+        return None if span is None else self._rows(self._pkey(term), salt, *span, positions)
 
-    def _run(
-        self, term: str, salt: int, blocks: np.ndarray | None = None, positions: bool = False
-    ) -> tuple | None:
-        """Decoded ``(docs, tf, dl[, pos_flat])`` of one (term, salt) run —
-        all of its blocks, or the block numbers ``blocks`` (sorted) — or None
-        when the term has no run in that salt.  The positions sidecar is
-        row-aligned with the blocks, so both reads use the same rows."""
-        span = self._span(term, salt)
-        if span is None:
+    def _run(self, term: str, salt: int, positions: bool = False) -> tuple | None:
+        """``(docs, tf, dl[, pos_flat])`` views of one (term, salt) run, or
+        None when the term has no run in that salt; posting i owns the
+        ``tf[i]`` values of ``pos_flat`` from ``cumsum(tf)[i - 1]`` on."""
+        s = self._slice(term, salt, positions)
+        if s is None:
             return None
-        rows = np.arange(*span) if blocks is None else span[0] + blocks
-        pkey = self._pkey(term)
-        d, f, L = decode_blocks_table(self._rows("blocks", pkey, salt, rows))
-        if not positions:
-            return d, f, L
-        pos = decode_positions_stream(self._rows("positions", pkey, salt, rows)["positions"], f)
-        return d, f, L, pos
+        run = decode_blocks_table(s)
+        if positions:
+            run += (s.values[s.offsets[0]:s.offsets[-1]],)
+        return run
+
+    def _positional_runs(self, term: str, lo: int | None = None, hi: int | None = None) -> list:
+        """Per-salt ``(docs, tf, pos values, pos offsets)`` views of a
+        term's runs — posting i's positions are
+        ``values[offsets[i]:offsets[i + 1]]`` — restricted to docs
+        [lo, hi) when given."""
+        runs = []
+        for salt in self._salts(term):
+            s = self._slice(term, salt, positions=True)
+            if s is None:
+                continue
+            d, f, _L = decode_blocks_table(s)
+            if lo is not None:
+                i, j = np.searchsorted(d, (lo, hi)).tolist()
+                if i == j:
+                    continue
+                s = s.rows(i, j, True)
+                d, f = s.doc, s.tf
+            runs.append((d, f, s.values, s.offsets))
+        return runs
 
     def preload_terms(self, terms: list[str]) -> None:
         """Warm the contribution (and postings) caches for a term list."""
@@ -594,64 +631,50 @@ class QueryEngine:
     def load_postings_with_positions(
         self, term: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Full decoded postings of a term WITH positions, doc-sorted:
+        """Full postings of a term WITH positions, doc-sorted:
         ``(doc_ids, tf, dl, pos_flat)`` where posting i's positions are the
-        ``tf[i]`` values of ``pos_flat`` starting at ``cumsum(tf)[i-1]``.
-        LRU-cached per term (phrase workloads hit the same terms)."""
-        cached = self._positions_cache.get(term)
-        if cached is not None:
-            self._positions_cache.move_to_end(term)
-            return cached
+        ``tf[i]`` values of ``pos_flat`` starting at ``cumsum(tf)[i-1]`` —
+        views of the cached columns for a term with one salt run."""
         runs = [r for s in self._salts(term) if (r := self._run(term, s, positions=True)) is not None]
-        result = _merge_runs(runs, 4)
-        self._positions_cache[term] = result
-        self._positions_cache_size += len(result[3]) + len(result[0])
-        while (
-            self._positions_cache_size > self._positions_cache_cap
-            and len(self._positions_cache) > 1
-        ):
-            _, old = self._positions_cache.popitem(last=False)
-            self._positions_cache_size -= len(old[3]) + len(old[0])
-        return result
+        return _merge_runs(runs, 4)
 
     def _positional_for_docs(
         self, term: str, docs_sel: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Positional postings for exactly the SELECTED docs of a term —
-        decodes only the posting blocks containing them (located with the
-        block-max skip metadata), so a phrase query with one hot term never
-        decodes the hot term's full position stream (the positions analogue
-        of WAND's block skipping).  Returns ``(docs, tf, dl, pos_flat)``
-        restricted to ``docs_sel`` (doc-sorted; ``docs ⊆ docs_sel``)."""
+        """Positional postings for exactly the SELECTED docs (sorted, unique)
+        of a term: the rows are found with a searchsorted over each run's
+        doc column, and only their positions are gathered.  Returns
+        ``(docs, tf, dl, pos_flat)`` restricted to ``docs_sel``
+        (doc-sorted; ``docs ⊆ docs_sel``)."""
         runs = []
         for salt in self._salts(term):
-            bm = self._block_meta(term, salt)
-            if bm is None:
+            s = self._slice(term, salt, positions=True)
+            if s is None:
                 continue
-            last = bm[1]
-            bi = np.searchsorted(last, docs_sel)  # first block whose last >= doc
-            need = np.unique(bi[bi < len(last)])
-            if len(need) == 0:
-                continue
-            run = self._run(term, salt, need, positions=True)
-            runs.append(_select(run, _in_sorted(run[0], docs_sel)))
+            d, f, L = decode_blocks_table(s)
+            j = np.minimum(np.searchsorted(d, docs_sel), len(d) - 1)
+            rows = j[d[j] == docs_sel]
+            pos = _segment_gather(s.values, s.offsets[rows], f[rows])
+            runs.append((d[rows], f[rows], L[rows], pos))
         return _merge_runs(runs, 4)
 
     def _block_meta(self, term: str, salt: int):
         """(prev_last, last, max_tfnorm) int64/int64/float64 arrays for one
-        (term, salt) posting stream, block order — the block-max skip
-        structure, read without decoding any posting."""
+        (term, salt) run, one entry per ``block_size`` postings — the
+        block-max skip structure, derived from the run at this engine's
+        avgdl, so every bound is its block's exact maximum tf_norm."""
         key = (term, salt)
         if key in self._blockmeta_cache:
             return self._blockmeta_cache[key]
-        t = self._read_blocks(term, salt)
+        run = self._run(term, salt)
         result = None
-        if t is not None:
-            last = t["last_doc"].to_numpy().astype(np.int64)
-            prev = np.empty_like(last)
-            prev[0] = -1
-            prev[1:] = last[:-1]
-            result = (prev, last, t["max_tfnorm"].to_numpy())
+        if run is not None:
+            d, f, L = run
+            starts = np.arange(0, len(d), self.config.block_size)
+            last = d[np.append(starts[1:], len(d)) - 1]
+            prev = np.concatenate(([-1], last[:-1]))
+            tn = self.scorer.tf_norm(f, L, self.avgdl)
+            result = (prev, last, np.maximum.reduceat(tn, starts))
         self._blockmeta_cache[key] = result
         return result
 
@@ -785,7 +808,7 @@ class QueryEngine:
     def match_wand(self, text: str, k: int = 10, offset: int = 0) -> pa.Table:
         """Q1+Q4 via block-max pruning (the WAND family, north_star): exact
         top-k identical to :meth:`match`, but only posting blocks that can
-        still beat the running k-th score are decoded.
+        still beat the running k-th score are scored.
 
         The doc-id space is cut at every block boundary of every query
         (term, salt) stream into elementary intervals; by construction each
@@ -794,7 +817,7 @@ class QueryEngine:
         score bound for every doc in it (hot terms take the max over salt
         streams — a doc lives in exactly one).  Intervals are scored exactly
         in descending-UB chunks; once the k-th exact score θ exceeds the best
-        remaining UB, no undecoded block can contribute a top-k doc.  Exact
+        remaining UB, no unscored block can contribute a top-k doc.  Exact
         scores accumulate in query-term order (float-identical to match()
         and the oracle); ties at θ are kept (strict < pruning) so the
         (score desc, doc_id asc) tiebreak is preserved."""
@@ -802,6 +825,7 @@ class QueryEngine:
         if not terms:
             return _empty_result()
         k_eff = offset + k  # prune against the page's end, slice at the end
+        B = self.config.block_size
         if self.n_docs > DENSE_ACC_LIMIT:
             # chunk accumulator is dense over the doc-id space; partition-
             # routed serving keeps that bounded.  Out of range → full scoring.
@@ -877,8 +901,8 @@ class QueryEngine:
                 return (pos < len(hi_s)) & (d > lo_s[pos_c])
 
             for term, w, streams in tinfo:  # term order → oracle-identical sums
-                # a block spanning many chunks would be re-decoded per chunk;
-                # once a term is (or becomes) cheaper to hold fully decoded,
+                # a block spanning many chunks would be re-scored per chunk;
+                # once a term is (or becomes) cheaper to score whole,
                 # gather from the cached contribution arrays instead
                 if (
                     term in self._contrib_cache
@@ -900,7 +924,10 @@ class QueryEngine:
                     if len(needed) == 0:
                         continue
                     decoded_blocks[term] = decoded_blocks.get(term, 0) + len(needed)
-                    d, f, L = self._run(term, salt, needed)
+                    d, f, L = self._run(term, salt)
+                    first = needed * B
+                    rows = _segment_index(first, np.minimum(B, len(d) - first))
+                    d, f, L = d[rows], f[rows], L[rows]
                     inside = in_intervals(d)
                     d_in = d[inside]
                     if len(d_in) == 0:
@@ -938,49 +965,55 @@ class QueryEngine:
 
         Fully vectorized: candidate docs = sorted posting-list intersection,
         then per-term occurrence keys ``cand_index·2³² + (pos − i)`` are
-        intersected across the m query positions — an occurrence of the full
-        phrase at position p survives all m intersections."""
-        if not getattr(self.config, "positions", False):
+        intersected across the m query positions (:func:`_phrase_freqs`)."""
+        self._require_positions()
+        terms = self.analyzer.tokenize(text)
+        if not terms:
+            return _empty_result()
+        # candidates from the positions-FREE postings (LRU-shared with
+        # match/bool queries) before any position is read
+        docs, scores = self._phrase_scores(terms, [self.load_postings(t) for t in terms],
+                                           self._alive)
+        if not len(docs):
+            return _empty_result()
+        return self._topk_table(docs, scores, k, offset)
+
+    def _require_positions(self) -> None:
+        if not self.config.positions:
             raise ValueError(
                 f"index at {self.index_dir} was built without positions "
                 f"(IndexConfig.positions=False) — phrase queries need a "
                 f"positional index; rebuild with positions=True"
             )
-        terms = self.analyzer.tokenize(text)
-        if not terms:
-            return _empty_result()
-        # phase 1: candidate docs from the positions-FREE postings (LRU-shared
-        # with match/bool queries) — no position byte is read before the
-        # conjunctive intersection has shrunk the doc set
-        post = [self.load_postings(t) for t in terms]
+
+    def _phrase_scores(self, terms: list[str], post: list[tuple], alive,
+                       lo: int | None = None, hi: int | None = None) -> tuple:
+        """(docs, scores) of the docs that hold the phrase ``terms``, from
+        each query position's doc-sorted ``(docs, tf, dl)`` postings
+        ``post`` — the whole index's, or the doc range [lo, hi)'s share.
+        Candidates are the docs holding every term that ``alive(docs)``
+        keeps; only their positions are read.  The phrase idf sums GLOBAL
+        df per QUERY POSITION, in query order (the oracle chains the
+        additions in the same order, so floats match bitwise)."""
+        z = np.zeros(0, dtype=np.int64)
         cand = post[0][0]
         for docs_t, _tf, _dl in post[1:]:
             cand = _intersect_sorted(cand, docs_t)
-        if len(self._deleted) and len(cand):
-            cand = cand[self._alive(cand)]  # before any position byte is read
+        if len(cand):
+            cand = cand[alive(cand)]
         if len(cand) == 0:
-            return _empty_result()
-        # phase 2: positions, pruned to candidate blocks per term unless the
-        # term's full positions are already cached (or the candidates cover
-        # most of its postings, where pruning buys nothing)
-        loaded = []
-        for term, (docs_t, _tf, _dl) in zip(terms, post):
-            if term in self._positions_cache or 4 * len(cand) >= len(docs_t):
-                loaded.append(self.load_postings_with_positions(term))
-            else:
-                loaded.append(self._positional_for_docs(term, cand))
-        cand, pf, dl_cand = _phrase_stats(loaded)
+            return z, z.astype(np.float64)
+        dl = post[0][2][np.searchsorted(post[0][0], cand)]
+        base = np.cumsum(np.concatenate(([len(terms)], dl + len(terms))))
+        occ = {t: _occurrences(self._positional_runs(t, lo, hi), cand, base)
+               for t in dict.fromkeys(terms)}
+        pf = _phrase_freqs(base, terms, occ)
         hit = pf > 0
-        if not hit.any():
-            return _empty_result()
-        # phrase idf: summed per QUERY POSITION, in query order (the oracle
-        # chains the additions in the same order, so floats match bitwise);
-        # df from the dictionary (global), independent of the pruned loads
+        cand, dl = cand[hit], dl[hit]
         w = 0.0
         for term in terms:
             w += float(self.scorer.idf(self.term_df(term), self.n_docs))
-        scores = w * self.scorer.tf_norm(pf[hit], dl_cand[hit], self.avgdl)
-        return self._topk_table(cand[hit], scores, k, offset)
+        return cand, w * self.scorer.tf_norm(pf[hit], dl, self.avgdl)
 
     def bool_must(
         self,
@@ -1005,9 +1038,9 @@ class QueryEngine:
         queries fall back to OR semantics; ``require_should`` = ES
         minimum_should_match=1, i.e. at least one should term must hit even
         when must/keyword clauses exist).  A must_not-ONLY query is ES
-        match_all minus the exclusions (constant score 1.0).  Uses
-        block-level skipping: after the rarest clause fixes the candidate
-        set, other clauses only decode blocks whose doc range intersects it."""
+        match_all minus the exclusions (constant score 1.0).  A clause's
+        postings are views of the cached columns, so every clause is read
+        whole and masked to the candidate set."""
         if (not content_terms and not keyword_eq and not keyword_prefix
                 and not should_terms and not range_clauses and not keyword_in):
             if not must_not_terms:
@@ -1064,8 +1097,7 @@ class QueryEngine:
         for term, df in sorted(infos, key=lambda x: x[1]):
             if df == 0:
                 return _empty_result()
-            docs, _tfs, _dls = self._postings_for_candidates(term, df, cand_array, n_cand)
-            if shrink(docs) == 0:
+            if shrink(self.load_postings(term)[0]) == 0:
                 return _empty_result()
         kw_docs: list[np.ndarray] = []
         for prefix_flag, clauses in ((False, keyword_eq), (True, keyword_prefix)):
@@ -1123,7 +1155,7 @@ class QueryEngine:
         final = cand_array()
         doc_arrays, score_arrays = [], []
         for term, df in infos:
-            docs, tfs, dls = self._postings_for_candidates(term, df, cand_array, n_cand)
+            docs, tfs, dls = self.load_postings(term)
             mask = cand_flags[docs] if dense else _in_sorted(docs, final)
             w = float(self.scorer.idf(df, self.n_docs))
             contrib = w * self.scorer.tf_norm(tfs[mask], dls[mask], self.avgdl)
@@ -1154,44 +1186,6 @@ class QueryEngine:
         docs, scores = self._accumulate(doc_arrays, score_arrays)
         keep = _in_sorted(docs, final)
         return self._topk_table(docs[keep], scores[keep], k, offset)
-
-    def _postings_for_candidates(
-        self, term: str, df: int, cand_provider, n_cand: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Choose full (LRU-cached) vs block-skipping decode: skipping
-        decodes its blocks again on every call (nothing is cached per term),
-        so it only wins when the candidate set is much smaller than the
-        posting list AND the term isn't already cached.  ``cand_provider`` is
-        a zero-arg callable yielding the sorted candidate ids (only
-        materialized when skipping is chosen)."""
-        if (
-            n_cand < 0
-            or term in self._postings_cache
-            or df <= self.config.block_size
-            or n_cand * 16 >= df
-        ):
-            return self.load_postings(term)
-        return self._load_postings_skipping(term, cand_provider())
-
-    def _load_postings_skipping(
-        self, term: str, candidate: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode only blocks whose [first, last] doc range can intersect the
-        candidate set (skip pointers = per-block last_doc)."""
-        cand = np.sort(candidate)
-        runs = []
-        for salt in self._salts(term):
-            bm = self._block_meta(term, salt)
-            if bm is None:
-                continue
-            # block b covers (prev[b], last[b]] within this salt run
-            prev, last, _maxtf = bm
-            lo_idx = np.searchsorted(cand, prev, side="right")
-            hi_idx = np.searchsorted(cand, last, side="right")
-            wanted = np.nonzero(hi_idx > lo_idx)[0]
-            if len(wanted):
-                runs.append(self._run(term, salt, wanted))
-        return _merge_runs(runs, 3)
 
     def prefix_content(self, prefix: str, k: int = 10, offset: int = 0) -> pa.Table:
         """Q2 on the analyzed field: term-dictionary range scan → OR of
@@ -1528,16 +1522,15 @@ class QueryEngine:
         )
 
     def export_postings(self) -> pa.Table:
-        """Full index scan: decode every posting block back to flat
-        (term, doc_id, tf) rows (used by conformance checks)."""
+        """Full index scan: every posting back to flat (term, doc_id, tf)
+        rows (used by conformance checks)."""
         terms_l, docs_l, tfs_l = [], [], []
         for pkey in range(self.config.num_partitions):
             for salt in range(self.config.num_salts):
                 n_rows = self._span_table(pkey, salt)[1]
                 if not n_rows:
                     continue
-                bt = self._rows("blocks", pkey, salt, np.arange(n_rows))
-                d, f, _L = decode_blocks_table(bt)
+                d, f, _L = decode_blocks_table(self._rows(pkey, salt, 0, n_rows))
                 # the spans tile the file in dictionary order, so posting i
                 # belongs to the dictionary term whose df run covers it
                 dt = self._dict_table(pkey, salt)
@@ -1844,8 +1837,8 @@ def _process_engine(index_dir: str) -> QueryEngine:
 class RangeEngine:
     """Exact query evaluation restricted to the doc-id range [lo, hi).
 
-    A doc lives in exactly one range and all of its postings for a term sit
-    inside the blocks overlapping the range (blocks are doc-sorted), so
+    A doc lives in exactly one range and a term's postings are doc-sorted,
+    so the range's postings are one contiguous row span of each run, and
     per-doc scores computed here equal the global engine's scores exactly —
     local top-k partials merge into the global top-k with no re-scoring.
     Memory is bounded by the range's share of postings, not the corpus.
@@ -1859,7 +1852,7 @@ class RangeEngine:
         # the postings, so a batch of queries decodes each term once.  Only
         # _prefix_docs depends on the tombstones.
         self._contrib: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._postings: dict[tuple[str, bool], tuple] = {}
+        self._postings: dict[str, tuple] = {}
         self._prefix_docs: dict[str, np.ndarray] = {}
         self.sync_deleted()
 
@@ -1871,55 +1864,38 @@ class RangeEngine:
         self._dead_local = (dlt[i:j] - self.lo).astype(np.int64)
         self._prefix_docs.clear()
 
-    def _postings_range(self, term: str, positions: bool = False) -> tuple:
-        """Range-restricted postings ``(docs, tf, dl[, pos_flat])``: only the
-        blocks overlapping [lo, hi) are decoded (a contiguous block span —
-        blocks are doc-sorted), so a range's decode is its share of the
-        postings, not the term's whole list (32 ranges × full decodes would
-        amplify the work by the range count)."""
-        cached = self._postings.get((term, positions))
+    def _postings_range(self, term: str) -> tuple:
+        """Range-restricted postings ``(docs, tf, dl)``: each run's rows in
+        [lo, hi), found with a searchsorted over its doc column (a range's
+        share of the postings, not the term's whole list)."""
+        cached = self._postings.get(term)
         if cached is not None:
             return cached
-        eng = self.eng
-        if positions and not getattr(eng.config, "positions", False):
-            raise ValueError(
-                f"index at {eng.index_dir} was built without positions — "
-                f"phrase queries need IndexConfig(positions=True)"
-            )
         runs = []
-        for salt in eng._salts(term):
-            bm = eng._block_meta(term, salt)
-            if bm is None:
+        for salt in self.eng._salts(term):
+            run = self.eng._run(term, salt)
+            if run is None:
                 continue
-            prev, last, _maxtf = bm
-            wanted = np.nonzero((last >= self.lo) & (prev < self.hi - 1))[0]
-            if len(wanted) == 0:
-                continue
-            run = eng._run(term, salt, wanted, positions)
-            runs.append(_select(run, (run[0] >= self.lo) & (run[0] < self.hi)))
-        result = _merge_runs(runs, 4 if positions else 3)
-        self._postings[(term, positions)] = result
+            i, j = np.searchsorted(run[0], (self.lo, self.hi)).tolist()
+            if i < j:
+                runs.append(tuple(c[i:j] for c in run))
+        result = self._postings[term] = _merge_runs(runs, 3)
         return result
 
     def match_phrase(self, text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Range-local phrase top-k: a doc lives wholly in one range, so
         phrase frequencies computed here are exact; idf uses GLOBAL df, so
         partials merge into the global top-k without re-scoring."""
+        self.eng._require_positions()
         terms = self.eng.analyzer.tokenize(text)
         if not terms:
             return self._EMPTY
-        loaded = [self._postings_range(t, positions=True) for t in terms]
-        cand, pf, dl_cand = _phrase_stats(loaded)
-        hit = pf > 0
-        if len(self._dead_local) and len(cand):
-            hit &= ~_in_sorted(cand - self.lo, self._dead_local)
-        if not hit.any():
+        docs, scores = self.eng._phrase_scores(
+            terms, [self._postings_range(t) for t in terms],
+            lambda c: ~_in_sorted(c - self.lo, self._dead_local), self.lo, self.hi,
+        )
+        if not len(docs):
             return self._EMPTY
-        w = 0.0
-        for term in terms:
-            w += float(self.eng.scorer.idf(self.eng.term_df(term), self.eng.n_docs))
-        scores = w * self.eng.scorer.tf_norm(pf[hit], dl_cand[hit], self.eng.avgdl)
-        docs = cand[hit]
         sel = topk_indices(scores, docs, k)
         return docs[sel], scores[sel]
 

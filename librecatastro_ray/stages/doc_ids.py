@@ -283,6 +283,29 @@ def _apply_ids_write(
     return len(out), int(np.asarray(out["dl"]).sum())
 
 
+def binary_column_payload(col) -> np.ndarray:
+    """Concatenated cell payloads of an Arrow binary/string column as a uint8
+    view — zero copy per chunk.  By the Arrow layout, cell i occupies
+    ``data[offsets[i]:offsets[i+1]]``, so the row-order concatenation of all
+    cells is exactly ``data[offsets[0]:offsets[n]]`` (no per-cell Python
+    objects, unlike ``b"".join(col.to_pylist())``)."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    parts: list[np.ndarray] = []
+    for c in chunks:
+        if len(c) == 0:
+            continue
+        offs = np.frombuffer(c.buffers()[1], dtype=np.int32, count=c.offset + len(c) + 1)
+        data = (
+            np.frombuffer(c.buffers()[2], dtype=np.uint8)
+            if c.buffers()[2] is not None
+            else np.zeros(0, np.uint8)
+        )
+        parts.append(data[offs[c.offset] : offs[c.offset + len(c)]])
+    if not parts:
+        return np.zeros(0, dtype=np.uint8)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 @ray.remote
 def _block_fp(block: pa.Table) -> str:
     """Content fingerprint of one corpus block: md5 over the FULL sha256
@@ -295,8 +318,6 @@ def _block_fp(block: pa.Table) -> str:
 
     if len(block) == 0 or "sha256" not in block.column_names:
         return "empty"
-    from librecatastro_ray.functions.codec import binary_column_payload
-
     # shas are fixed-width (64 hex chars) non-null values, so the packed
     # buffer payload IS the row-order concatenation — one md5, no per-row
     # Python

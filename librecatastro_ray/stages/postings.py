@@ -35,6 +35,9 @@ POSTINGS_SCHEMA = pa.schema(
     ]
 )
 
+# a posting's ascending token positions in its doc (positional builds only)
+POSITIONS_TYPE = pa.list_(pa.int32())
+
 
 def flat_postings(
     batch: pa.Table,
@@ -93,19 +96,6 @@ def _postings_table(
     )
 
 
-def _cut_binary(stream: np.ndarray, bounds: np.ndarray) -> pa.Array:
-    """Zero-copy Arrow BinaryArray whose cell i is
-    ``stream[bounds[i]:bounds[i+1]]`` (shared by the positional emit below and
-    the merge stage's per-block cuts)."""
-    if bounds[-1] >= 2**31:
-        raise ValueError("binary stream exceeds 2 GiB — raise num_partitions")
-    return pa.BinaryArray.from_buffers(
-        pa.binary(),
-        len(bounds) - 1,
-        [None, pa.py_buffer(bounds.astype(np.int32).tobytes()), pa.py_buffer(stream.tobytes())],
-    )
-
-
 def flat_postings_positional(
     batch: pa.Table,
     *,
@@ -115,12 +105,11 @@ def flat_postings_positional(
     analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
     """Positional twin of :func:`flat_postings`: each output posting also
-    carries ``pos``, the term's occurrence positions within the doc,
-    delta+varbyte-encoded ONCE here at emission — the shuffle and the merge
-    then move opaque binary cells and never re-encode (the merge only
-    reorders and concatenates them per block).  Lucene analogue:
+    carries ``pos``, the term's ascending occurrence positions within the
+    doc as a ``list<int32>`` cell — the shuffle and the merge move the list
+    column as it is, and the merge writes it to the posting file unchanged
+    (Parquet's bit-packed deltas are its codec).  Lucene analogue:
     IndexOptions.DOCS_AND_FREQS_AND_POSITIONS."""
-    from librecatastro_ray.functions.codec import varbyte_encode_with_lengths
     from librecatastro_ray.functions.tokenizer import token_positions_from
 
     analyzer = get_analyzer(analyzer_id)
@@ -138,21 +127,15 @@ def flat_postings_positional(
         change[1:] = (rows_s[1:] != rows_s[:-1]) | (codes_s[1:] != codes_s[:-1])
         group_starts = np.nonzero(change)[0]
         tf = np.diff(np.append(group_starts, n_tok)).astype(np.int64)
-        # delta within a group, absolute first position at each group start
-        pgaps = np.empty(n_tok, dtype=np.int64)
-        pgaps[0] = pos_s[0]
-        pgaps[1:] = pos_s[1:] - pos_s[:-1]
-        pgaps[group_starts] = pos_s[group_starts]
-        stream, nbytes = varbyte_encode_with_lengths(pgaps)
-        cum = np.concatenate([[0], np.cumsum(nbytes)])
-        # groups tile [0, n_tok) contiguously, so cell i's byte range is
-        # cum[group_starts[i]] .. cum[next start] — one bounds array
-        bounds = cum[np.append(group_starts, n_tok)]
-        pos_col = _cut_binary(stream, bounds)
+        # groups tile [0, n_tok) contiguously, so the group starts are the
+        # list offsets of the (row, term)-sorted positions
+        pos_col = pa.ListArray.from_arrays(
+            pa.array(np.append(group_starts, n_tok), pa.int32()), pa.array(pos_s, pa.int32())
+        )
         rows, term_codes = rows_s[group_starts], codes_s[group_starts]
     else:
         rows = term_codes = tf = np.zeros(0, dtype=np.int64)
-        pos_col = pa.array([], pa.binary())
+        pos_col = pa.array([], POSITIONS_TYPE)
     return _postings_table(
         enc.dictionary, term_codes, batch["doc_id"].to_numpy()[rows], tf, dl[rows],
         num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,

@@ -16,16 +16,17 @@ Layout of an index directory:
     manifest.json            global: config, N, avgdl, hot terms, partitions
     docs/*.parquet           doc_id, repo, path, commit, lang, content, sha256, dl
     shuffle/skey=*/          phase-1 partitioned flat postings (build scratch)
-    parts/blocks-{p}-{s}.parquet   encoded posting blocks per (partition, salt)
+    parts/blocks-{p}-{s}.parquet   postings per (partition, salt): doc, tf, dl
+                                   [, positions] columns, one row per posting
     parts/dict-{p}-{s}.parquet     term dictionary per (partition, salt)
     checkpoints/part-{skey}.json   per-partition checkpoint
 """
 
 from __future__ import annotations
 
-# bumped whenever the on-disk index layout/schema changes; cached index
-# directories from other versions must be rebuilt, not read
-INDEX_FORMAT_VERSION = 2
+# bumped whenever the on-disk index layout/schema changes; an index of
+# another version is refused (check_version), never misread
+INDEX_FORMAT_VERSION = 3
 
 import json
 import os
@@ -107,6 +108,19 @@ def manifest_path(index_dir: str) -> str:
 
 def load_manifest(index_dir: str) -> dict:
     return read_json(manifest_path(index_dir))
+
+
+def check_version(index_dir: str, manifest: dict) -> dict:
+    """``manifest`` when its format version is this code's, else a
+    ``ValueError`` naming both versions: there is one reader per format, so
+    an index of another version is rebuilt, not read."""
+    version = manifest.get("version")
+    if version != INDEX_FORMAT_VERSION:
+        raise ValueError(
+            f"index at {index_dir} has format version {version}; this code reads "
+            f"version {INDEX_FORMAT_VERSION} only — rebuild the index"
+        )
+    return manifest
 
 
 def save_manifest(index_dir: str, manifest: dict) -> None:

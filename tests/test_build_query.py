@@ -159,8 +159,7 @@ def test_salting_actually_used(engine):
     pkey = engine._pkey(term)
     salted_runs = 0
     for salt in range(engine.config.num_salts):
-        bt = engine._read_blocks(term, salt)
-        if bt is not None:
+        if engine._span(term, salt) is not None:
             salted_runs += 1
     assert salted_runs > 1
 

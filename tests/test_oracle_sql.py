@@ -71,7 +71,7 @@ def test_entry_matches_oracle_sql(oracle_con, name):
 def test_changed_corpus_is_rebuilt_not_served_stale(oracle_con, tmp_path, monkeypatch):
     """The entries' index cache keys on the identity of ``documents.parquet``:
     a corpus cut in place at the same path is rebuilt, not served from the
-    index of the old one."""
+    index of the old one, and the rebuild removes the superseded dir."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -84,3 +84,5 @@ def test_changed_corpus_is_rebuilt_not_served_stale(oracle_con, tmp_path, monkey
     entrymod._ENGINES.clear()
     assert full > 100
     assert entrymod._engine(str(tmp_path)).n_docs == 100
+    prefix = entrymod._md5(f"{os.path.abspath(str(tmp_path))}:flagship")
+    assert len([d for d in os.listdir(entrymod.CACHE_ROOT) if d.startswith(prefix + "-")]) == 1

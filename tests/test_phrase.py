@@ -83,6 +83,26 @@ def test_phrase_rank_identical_to_bruteforce(pos_engine, doc_tokens, phrase):
     assert pairs == sorted(pairs, key=lambda p: (-p[0], p[1]))
 
 
+@pytest.mark.parametrize("coverage", [0, 10**9])
+def test_phrase_occurrence_paths_agree(pos_engine, doc_tokens, coverage, monkeypatch):
+    """Occurrences kept by mask over every posting (coverage 10**9) and
+    gathered per candidate (coverage 0) give the brute-force answer, for
+    phrases of hot and of rare terms."""
+    from librecatastro_ray.pipelines import query as qmod
+
+    monkeypatch.setattr(qmod, "_MASK_COVERAGE", coverage)
+    eng = QueryEngine(pos_engine.index_dir)
+    rare = next(f"{toks[i]} {toks[i + 1]}" for toks, _ in doc_tokens.values()
+                for i in range(len(toks) - 1)
+                if toks[i] not in eng.hot and toks[i + 1] in eng.hot)
+    for phrase in ["return def", "def if def", rare]:
+        expected = _brute_phrase(eng, doc_tokens, phrase)
+        assert expected, phrase
+        got = eng.match_phrase(phrase, k=10**9)
+        assert dict(zip(got["doc_id"].to_pylist(), got["score"].to_pylist())) == pytest.approx(
+            expected, abs=1e-12), phrase
+
+
 def test_positions_roundtrip_hot_and_cold(pos_engine, doc_tokens):
     """Decoded per-posting positions == Python token indices, for a salted
     hot term AND a cold term (both salt-merge paths)."""

@@ -181,3 +181,70 @@ def test_search_after_walk_is_a_partition_of_the_ranking(engine_and_oracle, k):
         walked.extend(r["doc_id"] for r in page)
         cursor = (page[-1]["score"], page[-1]["doc_id"])
     assert walked == full
+
+
+def _check_bounds_and_wand(idx: str, rng: np.random.RandomState) -> None:
+    """Every derived block bound is >= the BM25 contribution of every
+    posting in its block (and its last doc is the block's last), and
+    match_wand answers exactly as match."""
+    from librecatastro_ray.pipelines.query import QueryEngine
+
+    eng = QueryEngine(idx)
+    terms = eng.full_dictionary()["term"].to_pylist()
+    B = eng.config.block_size
+    for term in terms:
+        w = float(eng.scorer.idf(eng.term_df(term), eng.n_docs))
+        for salt in eng._salts(term):
+            bm = eng._block_meta(term, salt)
+            if bm is None:
+                continue
+            prev, last, maxtf = bm
+            d, f, L = eng._run(term, salt)
+            blk = np.arange(len(d)) // B
+            assert len(last) == blk[-1] + 1
+            assert (d > prev[blk]).all() and (d <= last[blk]).all(), term
+            contrib = w * eng.scorer.tf_norm(f, L, eng.avgdl)
+            assert (w * maxtf[blk] >= contrib).all(), (term, salt)
+    for _ in range(6):
+        text = " ".join(rng.choice(terms, size=rng.randint(1, 4)))
+        k = int(rng.randint(1, 12))
+        got, want = eng.match_wand(text, k=k), eng.match(text, k=k)
+        assert got["doc_id"].to_pylist() == want["doc_id"].to_pylist(), text
+        np.testing.assert_allclose(got["score"].to_numpy(), want["score"].to_numpy(),
+                                   rtol=0, atol=1e-6)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_docs=st.integers(20, 90),
+    n_add=st.integers(5, 40),
+    block_size=st.integers(2, 9),
+    mean_tokens=st.sampled_from([5, 30, 120]),
+)
+def test_derived_block_bounds_hold_across_add_and_delete(
+    tmp_path_factory, seed, n_docs, n_add, block_size, mean_tokens
+):
+    """Block-max bounds are derived at each engine's avgdl, so they stay
+    upper bounds (and WAND exact) after an add moves avgdl and after a
+    delete."""
+    from librecatastro_ray.config import IndexConfig
+    from librecatastro_ray.pipelines.build import add_documents, build_index
+    from librecatastro_ray.pipelines.query import QueryEngine
+    from librecatastro_ray.sources.synth import make_corpus
+    from librecatastro_ray.state.manifest import delete_docs
+
+    rng = np.random.RandomState(seed)
+    idx = str(tmp_path_factory.mktemp("bounds") / "idx")
+    cfg = IndexConfig(num_partitions=2, num_salts=2, hot_df_ratio=0.2, block_size=block_size)
+    build_index(make_corpus(n_docs=n_docs, seed=seed, vocab_size=40, mean_tokens=mean_tokens),
+                idx, cfg)
+    avgdl = QueryEngine(idx).avgdl
+    _check_bounds_and_wand(idx, rng)
+    add_documents(make_corpus(n_docs=n_add, seed=seed + 1, vocab_size=40,
+                              mean_tokens=3 * mean_tokens), idx)
+    eng = QueryEngine(idx)
+    assert eng.avgdl != avgdl
+    _check_bounds_and_wand(idx, rng)
+    delete_docs(idx, rng.choice(eng.n_docs, size=eng.n_docs // 3, replace=False))
+    _check_bounds_and_wand(idx, rng)

@@ -1,8 +1,8 @@
-"""The engine's read path: term blocks are row-span slices of posting files
-read once per engine, and prefix/wildcard/fuzzy expand over one sorted
-vocabulary.  Each reader is pinned against a direct filtered
-``pq.read_table`` decode, on every index generation a write can leave, and
-each expansion against a brute-force scan of the dictionary."""
+"""The engine's read path: a term's postings are row-span slices of posting
+files read once per engine, and prefix/wildcard/fuzzy expand over one sorted
+vocabulary.  Each reader is pinned against a direct ``pq.read_table`` of the
+dictionary and posting files, on every index generation a write can leave,
+and each expansion against a brute-force scan of the dictionary."""
 
 import math
 import random
@@ -17,18 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from librecatastro_ray.config import IndexConfig
+from librecatastro_ray.functions import bm25
 from librecatastro_ray.functions.editdist import osa_distance, osa_within
 from librecatastro_ray.pipelines import query as qmod
 from librecatastro_ray.pipelines.build import add_documents, build_index, compact_index
-from librecatastro_ray.pipelines.query import (
-    QueryEngine,
-    decode_blocks_table,
-    decode_positions_stream,
-    wildcard_regex,
-)
+from librecatastro_ray.pipelines.query import QueryEngine, wildcard_regex
 from librecatastro_ray.sources.synth import make_corpus
-from librecatastro_ray.stages.merge import blocks_file, dict_file, positions_file
-from librecatastro_ray.state.manifest import delete_docs
+from librecatastro_ray.stages.merge import blocks_file, dict_file
+from librecatastro_ray.state.manifest import (
+    INDEX_FORMAT_VERSION,
+    delete_docs,
+    load_manifest,
+    save_manifest,
+)
 
 # tiny blocks and row groups: term spans cross row-group boundaries
 CFG = IndexConfig(num_partitions=3, num_salts=2, hot_df_ratio=0.1, block_size=4,
@@ -43,20 +44,28 @@ def _postings(docs, tfs, dls, pos) -> list[tuple]:
 
 def _direct(eng: QueryEngine, term: str) -> tuple[list[tuple], dict]:
     """A term's doc-sorted (doc, tf, dl, positions) postings and per-salt
-    (last_doc, max_tfnorm) block metadata, by filtered parquet reads."""
+    (last_doc, max_tfnorm) block metadata, by whole-file parquet reads of
+    its dictionary (for its row span) and its posting file; the bounds are
+    recomputed from those postings at the engine's avgdl."""
     rows, meta = [], {}
+    B = eng.config.block_size
     for salt in eng._salts(term):
-        f = [("term", "==", term)]
         pk = eng._pkey(term)
-        bt = pq.read_table(blocks_file(eng.index_dir, pk, salt, eng._parts), filters=f)
-        if len(bt) == 0:
+        d = pq.read_table(dict_file(eng.index_dir, pk, salt, eng._parts)).to_pydict()
+        if term not in d["term"]:
             meta[salt] = None
             continue
-        assert bt["block_no"].to_pylist() == list(range(len(bt)))
-        d, tf, dl = decode_blocks_table(bt)
-        pt = pq.read_table(positions_file(eng.index_dir, pk, salt, eng._parts), filters=f)
-        rows += _postings(d, tf, dl, decode_positions_stream(pt["positions"], tf))
-        meta[salt] = (bt["last_doc"].to_pylist(), bt["max_tfnorm"].to_pylist())
+        i = d["term"].index(term)
+        first, n = sum(d["df"][:i]), d["df"][i]
+        bt = pq.read_table(blocks_file(eng.index_dir, pk, salt, eng._parts))
+        assert bt.column_names == ["doc", "tf", "dl", "positions"]
+        p = bt.slice(first, n).to_pydict()
+        rows += [(doc, f, L, tuple(pos))
+                 for doc, f, L, pos in zip(p["doc"], p["tf"], p["dl"], p["positions"])]
+        tn = bm25.tf_norm(np.array(p["tf"]), np.array(p["dl"]), eng.avgdl,
+                          eng.config.k1, eng.config.b)
+        meta[salt] = ([p["doc"][min(s + B, n) - 1] for s in range(0, n, B)],
+                      [float(tn[s:s + B].max()) for s in range(0, n, B)])
     return sorted(rows), meta
 
 
@@ -126,23 +135,49 @@ def test_dictionary_drift_raises_naming_the_file(small_index, tmp_path):
 
 
 def test_positions_drift_raises_naming_the_file(small_index, tmp_path):
+    """A posting whose position list is one shorter than its tf: the doc
+    columns still read, a positional read raises naming the file."""
     idx = str(tmp_path / "idx")
     shutil.copytree(small_index, idx)
     eng = QueryEngine(idx)
-    path = positions_file(idx, 0, 0, eng._parts)
-    pt = pq.read_table(path)
-    pq.write_table(pt.slice(1), path)
+    path = blocks_file(idx, 0, 0, eng._parts)
+    bt = pq.read_table(path)
+    lists = bt["positions"].to_pylist()
+    lists[0] = lists[0][:-1]
+    i = bt.column_names.index("positions")
+    pq.write_table(bt.set_column(i, "positions", pa.array(lists, bt.schema.field(i).type)), path)
     term = pq.read_table(dict_file(idx, 0, 0, eng._parts))["term"][0].as_py()
-    eng.load_postings(term)  # the blocks file still matches its dictionary
+    eng.load_postings(term)  # the posting file still matches its dictionary
     with pytest.raises(ValueError, match=re.escape(path)):
         eng.load_postings_with_positions(term)
+
+
+def test_index_of_another_format_version_is_refused(small_index, tmp_path):
+    """An index whose manifest names another format version is refused by
+    every reader and writer, naming both versions; a build over it
+    rebuilds instead of returning it."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(small_index, idx)
+    m = load_manifest(idx)
+    assert m["version"] == INDEX_FORMAT_VERSION == 3
+    save_manifest(idx, dict(m, version=2))
+    refused = re.escape(f"format version 2; this code reads version {INDEX_FORMAT_VERSION}")
+    with pytest.raises(ValueError, match=refused):
+        QueryEngine(idx)
+    with pytest.raises(ValueError, match=refused):
+        add_documents(make_corpus(n_docs=5, seed=9, vocab_size=60, mean_tokens=20), idx)
+    with pytest.raises(ValueError, match=refused):
+        compact_index(idx, str(tmp_path / "compacted"))
+    r = build_index(make_corpus(n_docs=80, seed=3, vocab_size=60, mean_tokens=20), idx, CFG)
+    assert r["report"]["phases_skipped"] != ["all"]
+    assert load_manifest(idx) == m
 
 
 def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     """An engine opened before an add reads terms it has not read yet after
     the add reclaimed its generation's files: it raises, naming the file and
     its generation, and never answers empty — from a dictionary, a posting
-    file footer, a row group or a positions file."""
+    file footer, a row group or a positions column."""
     idx = str(tmp_path / "idx")
     corpus = make_corpus(n_docs=120, seed=5, vocab_size=80, mean_tokens=20)
     build_index(corpus.slice(0, 100), idx, CFG)
@@ -160,8 +195,9 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     for term in cold:
         with pytest.raises(FileNotFoundError, match=r"dict-.*generation 0 "):
             old.match(term, k=5)
-    # the warm term's dictionary and blocks are cached, its positions are not
-    with pytest.raises(FileNotFoundError, match=r"positions-.*generation 0 "):
+    # the warm term's dictionary and doc columns are cached, its positions
+    # column is not
+    with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
         old.match_phrase(warm, k=5)
     # every dictionary cached, no posting file footer read yet
     for term in terms:
@@ -171,7 +207,7 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     old._rowgroup_cache.clear()
     salt = next(s for s in old._salts(warm) if old._span(warm, s) is not None)
     with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
-        old._rows("blocks", old._pkey(warm), salt, np.arange(*old._span(warm, salt)))
+        old._slice(warm, salt)
 
 
 def test_phrase_on_an_index_without_positions_says_so(tmp_path):
@@ -184,7 +220,7 @@ def test_phrase_on_an_index_without_positions_says_so(tmp_path):
     term = eng.full_dictionary()["term"][0].as_py()
     with pytest.raises(ValueError, match="built without positions"):
         eng.match_phrase(term, k=5)
-    with pytest.raises(ValueError, match="no positions sidecar"):
+    with pytest.raises(ValueError, match="has no positions"):
         eng.load_postings_with_positions(term)
 
 

@@ -105,7 +105,7 @@ def clean_build(tmp_path_factory):
     return corpus, d
 
 
-def _unmerged_copy(clean_dir: str, dst: str) -> tuple[list[int], float]:
+def _unmerged_copy(clean_dir: str, dst: str) -> list[int]:
     """``clean_dir`` as a build that crashed before its merge phase: the
     shuffle spill is complete; no manifest, parts or checkpoint exists."""
     shutil.copytree(clean_dir, dst)
@@ -113,14 +113,11 @@ def _unmerged_copy(clean_dir: str, dst: str) -> tuple[list[int], float]:
     shutil.rmtree(os.path.join(dst, "parts"))
     shutil.rmtree(os.path.join(dst, "checkpoints"))
     with open(os.path.join(dst, "shuffle", "_DONE.json")) as f:
-        skeys = json.load(f)["skeys"]
-    with open(os.path.join(dst, "docs", "_DONE.json")) as f:
-        stats = json.load(f)
-    return skeys, stats["sum_dl"] / stats["n_docs"]
+        return json.load(f)["skeys"]
 
 
-def _merge_kwargs(index_dir, avgdl):
-    return {"index_dir": index_dir, "avgdl": avgdl, "config_json": _cfg().to_json()}
+def _merge_kwargs(index_dir):
+    return {"index_dir": index_dir, "config_json": _cfg().to_json()}
 
 
 def _parts_bytes(index_dir: str) -> dict[str, bytes]:
@@ -138,7 +135,7 @@ def test_grouped_merge_crash_keeps_finished_checkpoints(clean_build, tmp_path, m
 
     corpus, clean_dir = clean_build
     crash_dir = str(tmp_path / "crash")
-    skeys, avgdl = _unmerged_copy(clean_dir, crash_dir)
+    skeys = _unmerged_copy(clean_dir, crash_dir)
     assert len(skeys) > 3
     real = merge.merge_partition
 
@@ -149,7 +146,7 @@ def test_grouped_merge_crash_keeps_finished_checkpoints(clean_build, tmp_path, m
 
     monkeypatch.setattr(merge, "merge_partition", third_raises)
     with pytest.raises(RuntimeError, match="injected"):
-        merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(crash_dir, avgdl))
+        merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(crash_dir))
     monkeypatch.undo()
 
     done = completed_partitions(crash_dir)
@@ -172,11 +169,11 @@ def test_grouped_merge_crash_keeps_finished_checkpoints(clean_build, tmp_path, m
 def test_multi_row_merge_batch_writes_the_bytes_of_one_row_calls(clean_build, tmp_path):
     _corpus, clean_dir = clean_build
     grouped, single = str(tmp_path / "grouped"), str(tmp_path / "single")
-    skeys, avgdl = _unmerged_copy(clean_dir, grouped)
+    skeys = _unmerged_copy(clean_dir, grouped)
     _unmerged_copy(clean_dir, single)
-    merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(grouped, avgdl))
+    merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(grouped))
     for s in skeys:
-        merge.merge_batch(pa.table({"skey": [s]}), **_merge_kwargs(single, avgdl))
+        merge.merge_batch(pa.table({"skey": [s]}), **_merge_kwargs(single))
     got = _parts_bytes(grouped)
     assert got == _parts_bytes(single) == _parts_bytes(clean_dir)
-    assert len(got) == 3 * len(skeys)
+    assert len(got) == 2 * len(skeys)
