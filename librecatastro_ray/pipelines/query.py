@@ -179,7 +179,7 @@ def _in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
 
 def _array(col: pa.ChunkedArray) -> pa.Array:
     """A column read from one row group as one array (zero copy when the
-    reader returns one chunk, as it does below 2 GiB)."""
+    reader returns one chunk)."""
     return col.chunk(0) if col.num_chunks == 1 else pa.concat_arrays(col.chunks)
 
 
@@ -1849,7 +1849,7 @@ class RangeEngine:
         self.lo = int(lo)
         self.hi = int(hi)
         # per-range term caches: the working set is the range's 1/R share of
-        # the postings, so a batch of queries decodes each term once.  Only
+        # the postings, so a batch of queries reads each term once.  Only
         # _prefix_docs depends on the tombstones.
         self._contrib: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._postings: dict[str, tuple] = {}

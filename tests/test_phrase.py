@@ -1,5 +1,5 @@
 """Positional index + match_phrase: positions round-trip the full build
-(emit → shuffle → merge → sidecar decode) and phrase ranking is identical to
+(emit → shuffle → merge → positions column) and phrase ranking is identical to
 a brute-force Python scorer over the doc store.  The phrase surface is the
 ES ``match_phrase`` the reference's search layer exposes
 (reference: src/utils/elasticsearch_utils.py:58-99 — the query DSL layer);
