@@ -227,13 +227,10 @@ def _segment_index(seg_starts: np.ndarray, seg_counts: np.ndarray) -> np.ndarray
     """Indices of the concatenated segments ``[seg_starts[i],
     seg_starts[i] + seg_counts[i])`` — one vectorized build, no
     per-segment Python."""
-    total = int(seg_counts.sum())
-    out_starts = np.cumsum(seg_counts) - seg_counts
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, seg_counts)
-        + np.repeat(seg_starts, seg_counts)
-    )
+    ends = np.cumsum(seg_counts)
+    idx = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    idx += np.repeat(seg_starts - (ends - seg_counts), seg_counts)
+    return idx
 
 
 def _segment_gather(
@@ -248,11 +245,13 @@ def _merge_runs(runs: list[tuple], width: int) -> tuple:
     """One doc-sorted ``(docs, tf, dl[, pos_flat])`` stream from a term's
     per-salt runs: salted runs are disjoint doc subsets, so one stable
     argsort merges the fixed-width arrays and the variable-length position
-    segments are gathered with one vectorized index build."""
+    segments are gathered with one vectorized index build.  The arrays are
+    owned, never views of a cached row group, so a per-term cache holding
+    them keeps alive only the postings it counts."""
     if not runs:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(width))
     if len(runs) == 1:
-        return runs[0]
+        return tuple(c.copy() for c in runs[0])
     cols = [np.concatenate(c) for c in zip(*runs)]
     order = np.argsort(cols[0], kind="stable")
     if width == 4:
@@ -262,35 +261,43 @@ def _merge_runs(runs: list[tuple], width: int) -> tuple:
     return tuple(cols)
 
 
-# a term's occurrences in the phrase candidates are kept by mask over all of
-# its postings when the candidates number at least 1/_MASK_COVERAGE of
-# them (few numpy calls), else gathered per candidate (work proportional
-# to the candidates, not to the term's postings)
-_MASK_COVERAGE = 4
+def _candidate_positions(run: tuple, cand: np.ndarray) -> tuple:
+    """``(hit, rows, pos)`` of one ``(docs, tf, pos values, pos offsets)``
+    run and sorted docs ``cand``: which candidates the run holds, their
+    rows in it, and those rows' positions concatenated — work proportional
+    to the candidates, not to the run's postings."""
+    d, f, values, offs = run
+    j = np.minimum(np.searchsorted(d, cand), len(d) - 1)
+    hit = d[j] == cand
+    rows = j[hit]
+    return hit, rows, values[_segment_index(offs[rows], f[rows])]
 
 
 def _occurrences(runs: list[tuple], cand: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``base[c] + p`` for every occurrence at position ``p`` of a term in
     candidate doc ``cand[c]`` (``cand`` sorted, each doc in one of ``runs``,
     the term's per-salt ``(docs, tf, pos values, pos offsets)`` views)."""
-    if _MASK_COVERAGE * len(cand) >= sum(len(r[0]) for r in runs):
-        if len(runs) == 1:
-            d, f, values, offs = runs[0]
-            pos = values[offs[0]:offs[-1]]
-        else:
-            d, f, pos = (np.concatenate(c) for c in
-                         zip(*((r[0], r[1], r[2][r[3][0]:r[3][-1]]) for r in runs)))
-        j = np.minimum(np.searchsorted(cand, d), len(cand) - 1)
-        tok = np.repeat(base[j], f) + pos
-        m = cand[j] == d
-        return tok if m.all() else tok[np.repeat(m, f)]
     tok = []
-    for d, f, values, offs in runs:
-        j = np.minimum(np.searchsorted(d, cand), len(d) - 1)
-        hit = d[j] == cand
-        rows = j[hit]
-        tok.append(np.repeat(base[:-1][hit], f[rows]) + values[_segment_index(offs[rows], f[rows])])
+    for run in runs:
+        hit, rows, pos = _candidate_positions(run, cand)
+        tok.append(np.repeat(base[:-1][hit], run[1][rows]) + pos)
     return np.concatenate(tok)
+
+
+# phrase candidates are matched in groups of about this many layout slots,
+# so a phrase's bitmap per term (one byte per slot) stays bounded however
+# many tokens its candidates hold
+_PHRASE_SLOTS = 1 << 22
+
+
+def _layout_groups(width: np.ndarray) -> list[tuple[int, int]]:
+    """``[i, j)`` ranges of consecutive candidates, given each candidate's
+    slot ``width``: a group's candidates end within one ``_PHRASE_SLOTS``
+    window of the layout, so it spans at most that plus its first doc."""
+    ends = np.cumsum(width)
+    cuts = np.searchsorted(ends, np.arange(_PHRASE_SLOTS, ends[-1], _PHRASE_SLOTS), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(width)]))).tolist()
+    return list(zip(bounds, bounds[1:]))
 
 
 def _phrase_freqs(base: np.ndarray, terms: list[str], occ: dict[str, np.ndarray]) -> np.ndarray:
@@ -301,7 +308,7 @@ def _phrase_freqs(base: np.ndarray, terms: list[str], occ: dict[str, np.ndarray]
     ``occ[t]`` holds term t's occurrences in that layout
     (:func:`_occurrences`).  The rarest query position's occurrences give the
     candidate starts, and each other position keeps the starts whose token
-    at that offset is marked in its term's bitmap."""
+    at that offset is marked in its term's bitmap of the layout."""
     a = min(range(len(terms)), key=lambda i: len(occ[terms[i]]))
     starts = occ[terms[a]] - a
     marks: dict[str, np.ndarray] = {}
@@ -633,8 +640,7 @@ class QueryEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Full postings of a term WITH positions, doc-sorted:
         ``(doc_ids, tf, dl, pos_flat)`` where posting i's positions are the
-        ``tf[i]`` values of ``pos_flat`` starting at ``cumsum(tf)[i-1]`` —
-        views of the cached columns for a term with one salt run."""
+        ``tf[i]`` values of ``pos_flat`` starting at ``cumsum(tf)[i-1]``."""
         runs = [r for s in self._salts(term) if (r := self._run(term, s, positions=True)) is not None]
         return _merge_runs(runs, 4)
 
@@ -642,8 +648,8 @@ class QueryEngine:
         self, term: str, docs_sel: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Positional postings for exactly the SELECTED docs (sorted, unique)
-        of a term: the rows are found with a searchsorted over each run's
-        doc column, and only their positions are gathered.  Returns
+        of a term: each run's rows and positions come from
+        :func:`_candidate_positions`, as in a phrase read.  Returns
         ``(docs, tf, dl, pos_flat)`` restricted to ``docs_sel``
         (doc-sorted; ``docs ⊆ docs_sel``)."""
         runs = []
@@ -652,9 +658,7 @@ class QueryEngine:
             if s is None:
                 continue
             d, f, L = decode_blocks_table(s)
-            j = np.minimum(np.searchsorted(d, docs_sel), len(d) - 1)
-            rows = j[d[j] == docs_sel]
-            pos = _segment_gather(s.values, s.offsets[rows], f[rows])
+            _hit, rows, pos = _candidate_positions((d, f, s.values, s.offsets), docs_sel)
             runs.append((d[rows], f[rows], L[rows], pos))
         return _merge_runs(runs, 4)
 
@@ -964,8 +968,8 @@ class QueryEngine:
         tiebreak (score desc, doc_id asc) and ES ``from`` pagination.
 
         Fully vectorized: candidate docs = sorted posting-list intersection,
-        then per-term occurrence keys ``cand_index·2³² + (pos − i)`` are
-        intersected across the m query positions (:func:`_phrase_freqs`)."""
+        then each term's occurrences in the candidates, laid end to end, are
+        matched across the m query positions (:func:`_phrase_freqs`)."""
         self._require_positions()
         terms = self.analyzer.tokenize(text)
         if not terms:
@@ -1004,10 +1008,13 @@ class QueryEngine:
         if len(cand) == 0:
             return z, z.astype(np.float64)
         dl = post[0][2][np.searchsorted(post[0][0], cand)]
-        base = np.cumsum(np.concatenate(([len(terms)], dl + len(terms))))
-        occ = {t: _occurrences(self._positional_runs(t, lo, hi), cand, base)
-               for t in dict.fromkeys(terms)}
-        pf = _phrase_freqs(base, terms, occ)
+        runs = {t: self._positional_runs(t, lo, hi) for t in dict.fromkeys(terms)}
+        pf = []
+        for i, j in _layout_groups(dl + len(terms)):
+            base = np.cumsum(np.concatenate(([len(terms)], dl[i:j] + len(terms))))
+            occ = {t: _occurrences(r, cand[i:j], base) for t, r in runs.items()}
+            pf.append(_phrase_freqs(base, terms, occ))
+        pf = np.concatenate(pf)
         hit = pf > 0
         cand, dl = cand[hit], dl[hit]
         w = 0.0
@@ -1841,7 +1848,9 @@ class RangeEngine:
     so the range's postings are one contiguous row span of each run, and
     per-doc scores computed here equal the global engine's scores exactly —
     local top-k partials merge into the global top-k with no re-scoring.
-    Memory is bounded by the range's share of postings, not the corpus.
+    Memory is bounded by the range's share of postings, not the corpus:
+    its per-term caches hold owned copies (:func:`_merge_runs`), never views
+    that would pin the engine's evicted row groups.
     """
 
     def __init__(self, eng: QueryEngine, lo: int, hi: int):

@@ -83,14 +83,17 @@ def test_phrase_rank_identical_to_bruteforce(pos_engine, doc_tokens, phrase):
     assert pairs == sorted(pairs, key=lambda p: (-p[0], p[1]))
 
 
-@pytest.mark.parametrize("coverage", [0, 10**9])
-def test_phrase_occurrence_paths_agree(pos_engine, doc_tokens, coverage, monkeypatch):
-    """Occurrences kept by mask over every posting (coverage 10**9) and
-    gathered per candidate (coverage 0) give the brute-force answer, for
-    phrases of hot and of rare terms."""
+@pytest.mark.parametrize("slots", [1 << 22, 16])
+def test_phrase_of_hot_and_rare_terms_equals_brute_force(pos_engine, doc_tokens, slots,
+                                                         monkeypatch):
+    """Phrases whose candidates are most of a hot term's postings, and a
+    phrase of a rare term whose candidates are a few of them, give the
+    brute-force answer — with every candidate in one layout group, and with
+    groups of 16 slots (a group per doc or two, so phrase bitmaps stay
+    bounded on long documents without changing an answer)."""
     from librecatastro_ray.pipelines import query as qmod
 
-    monkeypatch.setattr(qmod, "_MASK_COVERAGE", coverage)
+    monkeypatch.setattr(qmod, "_PHRASE_SLOTS", slots)
     eng = QueryEngine(pos_engine.index_dir)
     rare = next(f"{toks[i]} {toks[i + 1]}" for toks, _ in doc_tokens.values()
                 for i in range(len(toks) - 1)
@@ -153,9 +156,9 @@ def test_phrase_requires_positional_index(built_index):
 
 
 def test_positional_for_docs_equals_full_load(pos_engine, doc_tokens):
-    """The candidate-block-pruned position read returns exactly the full
-    load restricted to the selection — for a salted hot term and a scattered
-    doc subset (so multiple non-adjacent blocks are hit)."""
+    """The candidate-row position read returns exactly the full load
+    restricted to the selection — for a salted hot term and a scattered
+    doc subset (so multiple non-adjacent rows are hit)."""
     term = sorted(pos_engine.hot)[0]
     docs, tfs, dls, pos = pos_engine.load_postings_with_positions(term)
     assert len(docs) > 8
@@ -178,15 +181,25 @@ def test_positional_for_docs_equals_full_load(pos_engine, doc_tokens):
 
 
 def test_phrase_pruned_and_cached_paths_agree(pos_index):
-    """A fresh engine (pruned candidate-block reads) and a warmed engine
-    (full cached position loads) return identical phrase results."""
+    """A phrase reads the positions of its candidate rows only, from
+    whatever the row-group cache holds: a fresh engine loads each row group
+    with its positions column; an engine warmed by ``match`` holds the row
+    groups without it and adds it in place; an engine whose cache holds one
+    row group re-reads them.  All three return identical results."""
     fresh = QueryEngine(pos_index)
     warmed = QueryEngine(pos_index)
-    for t in ["return", "def"]:
-        warmed.load_postings_with_positions(t)
-    a = fresh.match_phrase("return def", k=10**9)
-    b = warmed.match_phrase("return def", k=10**9)
-    assert a.equals(b)
+    for t in ["return", "def", "if"]:
+        warmed.match(t, k=10)
+    assert warmed._rowgroup_cache
+    assert all(rgs.values is None for rgs, _n in warmed._rowgroup_cache.values())
+    evicting = QueryEngine(pos_index)
+    evicting._rowgroup_cache_cap = 0  # evict on every miss
+    for phrase in ["return def", "def if def"]:
+        a = fresh.match_phrase(phrase, k=10**9)
+        assert a.num_rows, phrase
+        assert warmed.match_phrase(phrase, k=10**9).equals(a), phrase
+        assert evicting.match_phrase(phrase, k=10**9).equals(a), phrase
+    assert all(rgs.values is not None for rgs, _n in warmed._rowgroup_cache.values())
 
 
 def test_phrase_scatter_identical_to_single_engine(pos_engine):

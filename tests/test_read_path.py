@@ -173,6 +173,26 @@ def test_index_of_another_format_version_is_refused(small_index, tmp_path):
     assert load_manifest(idx) == m
 
 
+def test_term_caches_hold_owned_arrays_not_row_group_views(small_index):
+    """The per-term caches of an engine and of a range engine hold owned
+    arrays: a term read is a view of a cached row group, and a cached view
+    would keep its whole row group alive after the byte-bounded row-group
+    LRU evicts it, uncounted by either bound."""
+    eng = QueryEngine(small_index)
+    eng._rowgroup_cache_cap = 0  # evict on every miss
+    rng = qmod.RangeEngine(eng, 0, eng.n_docs // 2)
+    terms = eng.full_dictionary()["term"].to_pylist()
+    assert any(len(eng._salts(t)) == 1 for t in terms), "needs single-run terms"
+    for term in terms:
+        eng._term_contribution(term)
+        rng._contribution_range(term)
+    assert len(eng._rowgroup_cache) == 1
+    for cache in (eng._postings_cache, eng._contrib_cache, rng._postings, rng._contrib):
+        assert len(cache) == len(terms)
+        for term, arrays in cache.items():
+            assert all(a.base is None for a in arrays), term
+
+
 def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     """An engine opened before an add reads terms it has not read yet after
     the add reclaimed its generation's files: it raises, naming the file and
