@@ -433,7 +433,7 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         the manifest flips, so the replaced versions already vanish, and
         ``docs/gen-{n}`` is already visible to ``keyword_docs``, whose ids
         then reach past the committed ``n_docs``.  One commit point for
-        tombstones, doc store and parts is ROADMAP.md direction 1.
+        tombstones, doc store and parts is ROADMAP.md "Make writes atomic".
 
     The partitioning scheme (P, S, HOT TERM LIST) is frozen at build time —
     new postings must land in the same (pkey, salt) files, so the hot list

@@ -24,6 +24,12 @@ up in a deletion-neighbourhood map of it and checks only those.  A hot
 merge by concatenation + one argsort — the logical "second merge stage" of
 the salting scheme, executed lazily at read time.
 
+One evaluator, :class:`RangeEngine`, scores every query kind over a doc-id
+range, reading each term as a slice of the engine's bounded term caches.
+The engine's own query methods run it over consecutive ranges of at most
+``DENSE_ACC_LIMIT`` docs and merge the partials in the pinned (score desc,
+doc_id asc) order; ``batch_search_scatter`` runs it over one range per task.
+
 ``batch_search_scatter`` serves query batches from a pool of long-lived
 zero-CPU range actors, one pool per Ray session: each actor keeps its doc
 ranges' engines warm across rounds — the stateful-actor fix for the
@@ -37,6 +43,7 @@ import bisect
 import operator
 import os
 import re
+import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -82,11 +89,30 @@ def _empty_result() -> pa.Table:
     return _result_table(z, z, z)
 
 
-# dense per-doc accumulators are used while the doc-id space fits comfortably
-# in a worker's heap (8M × 8B = 64 MB); beyond that the sparse unique/bincount
-# path takes over.  At corpus scale query serving is partition-routed, so the
-# relevant bound is docs-per-serving-partition, not global N.
+# the evaluator's per-doc accumulators are dense over its doc range, so the
+# engine's query methods cut the doc-id space into ranges of at most this
+# many docs (8M × 8 B = 64 MB per accumulator); match_wand, whose chunk
+# accumulator spans the whole doc-id space, falls back to match beyond it
 DENSE_ACC_LIMIT = 8 << 20
+
+
+def _check_page(k, offset, query_id=None) -> tuple[int, int]:
+    """(k, offset) of a ranked query as ints, or ``ValueError`` (naming the
+    batch query ``query_id``, if given) when either is negative: a negative
+    page size or ``from`` has no ES meaning, and slicing with one would
+    silently return some other page."""
+    k, offset = int(k), int(offset)
+    if k < 0 or offset < 0:
+        where = "query" if query_id is None else f"query {query_id!r}"
+        raise ValueError(f"{where}: k and from must be non-negative, got k={k}, from={offset}")
+    return k, offset
+
+
+def _constant_top(docs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of a constant-score (1.0) hit set, sorted ascending: the k
+    lowest doc ids win the (score desc, doc_id asc) tiebreak."""
+    docs = docs[:k]
+    return docs, np.ones(len(docs), dtype=np.float64)
 
 
 def _prefix_upper_bound(value: str) -> str | None:
@@ -233,32 +259,18 @@ def _segment_index(seg_starts: np.ndarray, seg_counts: np.ndarray) -> np.ndarray
     return idx
 
 
-def _segment_gather(
-    flat: np.ndarray, seg_starts: np.ndarray, seg_counts: np.ndarray
-) -> np.ndarray:
-    """Concatenate variable-length segments of ``flat`` (segment i =
-    ``flat[seg_starts[i] : seg_starts[i] + seg_counts[i]]``)."""
-    return flat[_segment_index(seg_starts, seg_counts)]
-
-
-def _merge_runs(runs: list[tuple], width: int) -> tuple:
-    """One doc-sorted ``(docs, tf, dl[, pos_flat])`` stream from a term's
-    per-salt runs: salted runs are disjoint doc subsets, so one stable
-    argsort merges the fixed-width arrays and the variable-length position
-    segments are gathered with one vectorized index build.  The arrays are
-    owned, never views of a cached row group, so a per-term cache holding
-    them keeps alive only the postings it counts."""
+def _merge_runs(runs: list[tuple]) -> tuple:
+    """One doc-sorted ``(docs, tf, dl)`` from a term's per-salt runs:
+    salted runs are disjoint doc subsets, so one stable argsort merges
+    them.  The arrays are owned, never views of a cached row group, so a
+    per-term cache holding them keeps alive only the postings it counts."""
     if not runs:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(width))
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     if len(runs) == 1:
         return tuple(c.copy() for c in runs[0])
     cols = [np.concatenate(c) for c in zip(*runs)]
     order = np.argsort(cols[0], kind="stable")
-    if width == 4:
-        tfs = cols[1]
-        cols[3] = _segment_gather(cols[3], (np.cumsum(tfs) - tfs)[order], tfs[order])
-    cols[:3] = [c[order] for c in cols[:3]]
-    return tuple(cols)
+    return tuple(c[order] for c in cols)
 
 
 def _candidate_positions(run: tuple, cand: np.ndarray) -> tuple:
@@ -372,7 +384,7 @@ class QueryEngine:
         # generation-versioned parts dir: an add writes the next generation's
         # parts and flips the manifest last, so the flip is the commit point;
         # the add is not atomic (a crash can leave tombstones and doc store
-        # ahead of the manifest — ROADMAP.md direction 1)
+        # ahead of the manifest — ROADMAP.md "Make writes atomic")
         self._parts: str = self.manifest.get("parts_dir", "parts")
         self.n_docs: int = int(self.manifest["n_docs"])
         self.sum_dl: int = int(self.manifest["sum_dl"])
@@ -419,6 +431,9 @@ class QueryEngine:
         self._keyword_cache: OrderedDict[tuple[str, str, bool], np.ndarray] = OrderedDict()
         self._keyword_cache_size = 0
         self._keyword_cache_cap = 20_000_000  # entries (~160 MB int64)
+        # the evaluator over [0, n_docs) in spans of _range_span docs
+        self._range_engines: list[RangeEngine] = []
+        self._range_span = 0
 
     # ---------------- internals ----------------
 
@@ -581,36 +596,26 @@ class QueryEngine:
         span = self._span(term, salt)
         return None if span is None else self._rows(self._pkey(term), salt, *span, positions)
 
-    def _run(self, term: str, salt: int, positions: bool = False) -> tuple | None:
-        """``(docs, tf, dl[, pos_flat])`` views of one (term, salt) run, or
-        None when the term has no run in that salt; posting i owns the
-        ``tf[i]`` values of ``pos_flat`` from ``cumsum(tf)[i - 1]`` on."""
-        s = self._slice(term, salt, positions)
-        if s is None:
-            return None
-        run = decode_blocks_table(s)
-        if positions:
-            run += (s.values[s.offsets[0]:s.offsets[-1]],)
-        return run
+    def _run(self, term: str, salt: int) -> tuple | None:
+        """``(docs, tf, dl)`` views of one (term, salt) run, or None when
+        the term has no run in that salt."""
+        s = self._slice(term, salt)
+        return None if s is None else decode_blocks_table(s)
 
-    def _positional_runs(self, term: str, lo: int | None = None, hi: int | None = None) -> list:
+    def _positional_runs(self, term: str, bounds: np.ndarray) -> list:
         """Per-salt ``(docs, tf, pos values, pos offsets)`` views of a
-        term's runs — posting i's positions are
-        ``values[offsets[i]:offsets[i + 1]]`` — restricted to docs
-        [lo, hi) when given."""
+        term's runs restricted to docs [lo, hi) = ``bounds`` — posting i's
+        positions are ``values[offsets[i]:offsets[i + 1]]``."""
         runs = []
         for salt in self._salts(term):
             s = self._slice(term, salt, positions=True)
             if s is None:
                 continue
-            d, f, _L = decode_blocks_table(s)
-            if lo is not None:
-                i, j = np.searchsorted(d, (lo, hi)).tolist()
-                if i == j:
-                    continue
+            i, j = decode_blocks_table(s)[0].searchsorted(bounds).tolist()
+            if j - i < s.num_rows:
                 s = s.rows(i, j, True)
-                d, f = s.doc, s.tf
-            runs.append((d, f, s.values, s.offsets))
+            if i < j:
+                runs.append((s.doc, s.tf, s.values, s.offsets))
         return runs
 
     def preload_terms(self, terms: list[str]) -> None:
@@ -627,40 +632,13 @@ class QueryEngine:
             self._postings_cache.move_to_end(term)
             return cached
         runs = [r for s in self._salts(term) if (r := self._run(term, s)) is not None]
-        result = _merge_runs(runs, 3)
+        result = _merge_runs(runs)
         self._postings_cache[term] = result
         self._postings_cache_size += len(result[0])
         while self._postings_cache_size > self._postings_cache_cap and len(self._postings_cache) > 1:
             _, old = self._postings_cache.popitem(last=False)
             self._postings_cache_size -= len(old[0])
         return result
-
-    def load_postings_with_positions(
-        self, term: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Full postings of a term WITH positions, doc-sorted:
-        ``(doc_ids, tf, dl, pos_flat)`` where posting i's positions are the
-        ``tf[i]`` values of ``pos_flat`` starting at ``cumsum(tf)[i-1]``."""
-        runs = [r for s in self._salts(term) if (r := self._run(term, s, positions=True)) is not None]
-        return _merge_runs(runs, 4)
-
-    def _positional_for_docs(
-        self, term: str, docs_sel: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Positional postings for exactly the SELECTED docs (sorted, unique)
-        of a term: each run's rows and positions come from
-        :func:`_candidate_positions`, as in a phrase read.  Returns
-        ``(docs, tf, dl, pos_flat)`` restricted to ``docs_sel``
-        (doc-sorted; ``docs ⊆ docs_sel``)."""
-        runs = []
-        for salt in self._salts(term):
-            s = self._slice(term, salt, positions=True)
-            if s is None:
-                continue
-            d, f, L = decode_blocks_table(s)
-            _hit, rows, pos = _candidate_positions((d, f, s.values, s.offsets), docs_sel)
-            runs.append((d[rows], f[rows], L[rows], pos))
-        return _merge_runs(runs, 4)
 
     def _block_meta(self, term: str, salt: int):
         """(prev_last, last, max_tfnorm) int64/int64/float64 arrays for one
@@ -707,21 +685,6 @@ class QueryEngine:
             self._contrib_cache_size -= len(old[0])
         return result
 
-    @staticmethod
-    def _accumulate(doc_arrays: list[np.ndarray], score_arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Term-at-a-time accumulation: per-doc sums added in term order
-        (the oracle's accumulation order, so float sums match bitwise)."""
-        if not doc_arrays:
-            z = np.zeros(0, dtype=np.int64)
-            return z, np.zeros(0, dtype=np.float64)
-        all_docs = np.concatenate(doc_arrays)
-        all_scores = np.concatenate(score_arrays)
-        uniq, inv = np.unique(all_docs, return_inverse=True)
-        # bincount sums contributions in array order (= term order per doc),
-        # matching the oracle's accumulation order
-        sums = np.bincount(inv, weights=all_scores, minlength=len(uniq))
-        return uniq, sums
-
     def _alive(self, docs: np.ndarray) -> np.ndarray:
         """Boolean mask of docs NOT tombstoned (all-True when no deletes)."""
         if len(self._deleted) == 0:
@@ -731,12 +694,10 @@ class QueryEngine:
     def _topk_table(
         self, docs: np.ndarray, scores: np.ndarray, k: int, offset: int = 0
     ) -> pa.Table:
-        """Top-k with pagination: select the top ``offset + k``, return rows
-        offset+1..offset+k with their GLOBAL rank numbers (ES ``from``/
-        ``size`` semantics, reference: elasticsearch_utils.py:121).
-        Tombstoned docs are dropped BEFORE selection — every ranked path
-        funnels through here, so deletes are enforced centrally (WAND
-        additionally filters before its threshold update)."""
+        """Top-k with pagination over whole-index scores (match_wand and
+        multi_match): select the top ``offset + k`` live docs and return
+        rows offset+1..offset+k with their GLOBAL rank numbers (ES
+        ``from``/``size`` semantics, reference: elasticsearch_utils.py:121)."""
         if len(self._deleted):
             m = self._alive(docs)
             docs, scores = docs[m], scores[m]
@@ -751,40 +712,49 @@ class QueryEngine:
             )
         return self._docstats
 
-    # ---------------- query surface ----------------
+    def _ranges(self) -> list[RangeEngine]:
+        """The evaluator over [0, n_docs): consecutive ranges of at most
+        ``DENSE_ACC_LIMIT`` docs (one for any index that fits), built once
+        per span size.  A range re-slices the tombstones when the engine's
+        set was replaced (:func:`_process_engine` reloads it in place)."""
+        if self._range_span != DENSE_ACC_LIMIT:
+            self._range_span = span = DENSE_ACC_LIMIT
+            # a proxy, so an engine and its ranges form no reference cycle:
+            # a dropped engine frees its caches at once, not at the next
+            # full garbage collection
+            me = weakref.proxy(self)
+            self._range_engines = [RangeEngine(me, lo, min(lo + span, self.n_docs))
+                                   for lo in range(0, self.n_docs, span)]
+        for rng in self._range_engines:
+            if rng._tombstones is not self._deleted:
+                rng.sync_deleted()
+        return self._range_engines
 
-    def _match_scores(self, terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Scored (docs, scores) of an analyzed OR-match — the shared core of
-        :meth:`match` and :meth:`match_search_after`."""
-        if self.n_docs <= DENSE_ACC_LIMIT:
-            # dense scatter-add: O(total postings), no sort; per-doc additions
-            # still happen in term order (the oracle's accumulation order)
-            acc = np.zeros(self.n_docs, dtype=np.float64)
-            any_hit = False
-            for term in terms:
-                d, s = self._term_contribution(term)
-                if len(d):
-                    acc[d] += s
-                    any_hit = True
-            if not any_hit:
-                return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-            docs = np.nonzero(acc)[0].astype(np.int64)
-            return docs, acc[docs]
-        doc_arrays, score_arrays = [], []
-        for term in terms:
-            d, s = self._term_contribution(term)
-            if len(d):
-                doc_arrays.append(d)
-                score_arrays.append(s)
-        return self._accumulate(doc_arrays, score_arrays)
+    def _ranked(self, k: int, offset: int, evaluate) -> pa.Table:
+        """The (rank, doc_id, score) page of ranks offset+1..offset+k:
+        ``evaluate(rng, n)`` gives each range's top n in the pinned (score
+        desc, doc_id asc) order, and the ranges' partials merge by the same
+        selection — exact, since a doc lives in one range and is scored
+        whole there.  ``ValueError`` on a negative k or offset."""
+        k, offset = _check_page(k, offset)
+        parts = [evaluate(rng, offset + k) for rng in self._ranges()]
+        if not parts:
+            return _empty_result()
+        docs, scores = parts[0]
+        if len(parts) > 1:
+            docs, scores = (np.concatenate(c) for c in zip(*parts))
+            sel = topk_indices(scores, docs, offset + k)
+            docs, scores = docs[sel], scores[sel]
+        ranks = np.arange(offset + 1, max(offset, len(docs)) + 1, dtype=np.int64)
+        return _result_table(ranks, docs[offset:], scores[offset:])
+
+    # ---------------- query surface ----------------
 
     def match(self, text: str, k: int = 10, offset: int = 0) -> pa.Table:
         """Q1+Q4: analyzed BM25 match, top-k (rank, doc_id, score); ``offset``
         is ES ``from`` pagination (skip the first ``offset`` ranks)."""
-        docs, scores = self._match_scores(self.analyzer.tokenize(text))
-        if not len(docs):
-            return _empty_result()
-        return self._topk_table(docs, scores, k, offset)
+        terms = self.analyzer.tokenize(text)
+        return self._ranked(k, offset, lambda rng, n: rng.match(terms, n))
 
     def match_search_after(
         self, text: str, k: int = 10, after: tuple[float, int] | None = None
@@ -798,16 +768,8 @@ class QueryEngine:
         behavior (the response carries no global rank).  Beyond the
         reference's surface (elasticsearch_utils.py:111-123 uses only
         match/prefix/bool); included for ES drop-in completeness."""
-        docs, scores = self._match_scores(self.analyzer.tokenize(text))
-        if not len(docs):
-            return _empty_result()
-        if after is not None:
-            s_after, d_after = float(after[0]), int(after[1])
-            keep = (scores < s_after) | ((scores == s_after) & (docs > d_after))
-            docs, scores = docs[keep], scores[keep]
-            if not len(docs):
-                return _empty_result()
-        return self._topk_table(docs, scores, k, 0)
+        terms = self.analyzer.tokenize(text)
+        return self._ranked(k, 0, lambda rng, n: rng.match(terms, n, after=after))
 
     def match_wand(self, text: str, k: int = 10, offset: int = 0) -> pa.Table:
         """Q1+Q4 via block-max pruning (the WAND family, north_star): exact
@@ -825,14 +787,14 @@ class QueryEngine:
         scores accumulate in query-term order (float-identical to match()
         and the oracle); ties at θ are kept (strict < pruning) so the
         (score desc, doc_id asc) tiebreak is preserved."""
+        k, offset = _check_page(k, offset)
         terms = self.analyzer.tokenize(text)
         if not terms:
             return _empty_result()
         k_eff = offset + k  # prune against the page's end, slice at the end
         B = self.config.block_size
         if self.n_docs > DENSE_ACC_LIMIT:
-            # chunk accumulator is dense over the doc-id space; partition-
-            # routed serving keeps that bounded.  Out of range → full scoring.
+            # the chunk accumulator is dense over the whole doc-id space
             return self.match(text, k, offset)
         tinfo = []
         for term in terms:
@@ -965,22 +927,10 @@ class QueryEngine:
         (duplicated terms count twice, as in Lucene's PhraseQuery termStats)
         and ``tf = phrase frequency``, through the index's pinned scorer.
         Requires a positional index (IndexConfig(positions=True)); pinned
-        tiebreak (score desc, doc_id asc) and ES ``from`` pagination.
-
-        Fully vectorized: candidate docs = sorted posting-list intersection,
-        then each term's occurrences in the candidates, laid end to end, are
-        matched across the m query positions (:func:`_phrase_freqs`)."""
+        tiebreak (score desc, doc_id asc) and ES ``from`` pagination."""
         self._require_positions()
         terms = self.analyzer.tokenize(text)
-        if not terms:
-            return _empty_result()
-        # candidates from the positions-FREE postings (LRU-shared with
-        # match/bool queries) before any position is read
-        docs, scores = self._phrase_scores(terms, [self.load_postings(t) for t in terms],
-                                           self._alive)
-        if not len(docs):
-            return _empty_result()
-        return self._topk_table(docs, scores, k, offset)
+        return self._ranked(k, offset, lambda rng, n: rng.match_phrase(terms, n))
 
     def _require_positions(self) -> None:
         if not self.config.positions:
@@ -989,38 +939,6 @@ class QueryEngine:
                 f"(IndexConfig.positions=False) — phrase queries need a "
                 f"positional index; rebuild with positions=True"
             )
-
-    def _phrase_scores(self, terms: list[str], post: list[tuple], alive,
-                       lo: int | None = None, hi: int | None = None) -> tuple:
-        """(docs, scores) of the docs that hold the phrase ``terms``, from
-        each query position's doc-sorted ``(docs, tf, dl)`` postings
-        ``post`` — the whole index's, or the doc range [lo, hi)'s share.
-        Candidates are the docs holding every term that ``alive(docs)``
-        keeps; only their positions are read.  The phrase idf sums GLOBAL
-        df per QUERY POSITION, in query order (the oracle chains the
-        additions in the same order, so floats match bitwise)."""
-        z = np.zeros(0, dtype=np.int64)
-        cand = post[0][0]
-        for docs_t, _tf, _dl in post[1:]:
-            cand = _intersect_sorted(cand, docs_t)
-        if len(cand):
-            cand = cand[alive(cand)]
-        if len(cand) == 0:
-            return z, z.astype(np.float64)
-        dl = post[0][2][np.searchsorted(post[0][0], cand)]
-        runs = {t: self._positional_runs(t, lo, hi) for t in dict.fromkeys(terms)}
-        pf = []
-        for i, j in _layout_groups(dl + len(terms)):
-            base = np.cumsum(np.concatenate(([len(terms)], dl[i:j] + len(terms))))
-            occ = {t: _occurrences(r, cand[i:j], base) for t, r in runs.items()}
-            pf.append(_phrase_freqs(base, terms, occ))
-        pf = np.concatenate(pf)
-        hit = pf > 0
-        cand, dl = cand[hit], dl[hit]
-        w = 0.0
-        for term in terms:
-            w += float(self.scorer.idf(self.term_df(term), self.n_docs))
-        return cand, w * self.scorer.tf_norm(pf[hit], dl, self.avgdl)
 
     def bool_must(
         self,
@@ -1038,172 +956,26 @@ class QueryEngine:
     ) -> pa.Table:
         """Q3: full bool query (reference: elasticsearch_utils.py:111-119 —
         the probe always carries must / should / must_not arrays, the latter
-        two empty).  ``must`` content clauses are BM25-scored conjunctions;
-        keyword clauses are constant-score 1.0 (ES filter-context rewrite);
-        ``must_not`` terms exclude docs (sorted-set difference, no score);
-        ``should`` terms add BM25 score to already-matching docs (pure-should
-        queries fall back to OR semantics; ``require_should`` = ES
-        minimum_should_match=1, i.e. at least one should term must hit even
-        when must/keyword clauses exist).  A must_not-ONLY query is ES
-        match_all minus the exclusions (constant score 1.0).  A clause's
-        postings are views of the cached columns, so every clause is read
-        whole and masked to the candidate set."""
-        if (not content_terms and not keyword_eq and not keyword_prefix
-                and not should_terms and not range_clauses and not keyword_in):
-            if not must_not_terms:
-                return _empty_result()
-            # match_all minus exclusions
-            excluded = self._union_docs(list(must_not_terms))
-            all_docs = np.arange(self.n_docs, dtype=np.int64)
-            if excluded is not None:
-                all_docs = all_docs[~_in_sorted(all_docs, excluded)]
-            return self._topk_table(
-                all_docs, np.ones(len(all_docs), dtype=np.float64), k, offset
-            )
-
-        dense = self.n_docs <= DENSE_ACC_LIMIT
-        candidate: np.ndarray | None = None  # sorted unique ids (sparse path)
-        cand_flags: np.ndarray | None = None  # bool[n_docs] (dense path)
-        n_cand = -1
-
-        def shrink(docs: np.ndarray) -> int:
-            """Intersect the running candidate set with ``docs``; returns the
-            new candidate count."""
-            nonlocal candidate, cand_flags, n_cand
-            if dense:
-                f = np.zeros(self.n_docs, dtype=bool)
-                f[docs] = True
-                cand_flags = f if cand_flags is None else (cand_flags & f)
-                n_cand = int(np.count_nonzero(cand_flags))
-            else:
-                candidate = docs if candidate is None else _intersect_sorted(candidate, docs)
-                n_cand = len(candidate)
-            return n_cand
-
-        def exclude(docs: np.ndarray) -> int:
-            """Remove ``docs`` (sorted) from the candidate set."""
-            nonlocal candidate, cand_flags, n_cand
-            if dense:
-                cand_flags[docs] = False
-                n_cand = int(np.count_nonzero(cand_flags))
-            else:
-                candidate = candidate[~_in_sorted(candidate, docs)]
-                n_cand = len(candidate)
-            return n_cand
-
-        def cand_array() -> np.ndarray:
-            if dense:
-                return np.nonzero(cand_flags)[0].astype(np.int64)
-            return candidate
-
-        # --- phase 1: fix the candidate set (all shrinking before scoring) --
-        # evaluate content terms rarest-first for candidate shrinking, but
-        # ACCUMULATE (later) in clause order for float-sum identity with the
-        # oracle
-        infos = [(term, self.term_df(term)) for term in content_terms]
-        for term, df in sorted(infos, key=lambda x: x[1]):
-            if df == 0:
-                return _empty_result()
-            if shrink(self.load_postings(term)[0]) == 0:
-                return _empty_result()
-        kw_docs: list[np.ndarray] = []
-        for prefix_flag, clauses in ((False, keyword_eq), (True, keyword_prefix)):
-            for field_name, value in clauses or []:
-                d = self.keyword_docs(field_name, value, prefix=prefix_flag)
-                kw_docs.append(d)
-                if shrink(d) == 0:
-                    return _empty_result()
-        for field_name, values in keyword_in or []:
-            # ES ``terms`` query (keyword-OR): docs matching ANY of the
-            # values; ONE filter-context constant score however many values
-            # hit (Lucene's constant_score rewrite of TermInSetQuery)
-            parts = [self.keyword_docs(field_name, v) for v in values]
-            parts = [p for p in parts if len(p)]
-            if not parts:
-                return _empty_result()
-            d = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-            kw_docs.append(d)
-            if shrink(d) == 0:
-                return _empty_result()
-        for field_name, gte, lte in range_clauses or []:
-            # ES range clause: filter-context, constant score 1.0 (same
-            # convention as the keyword clauses)
-            d = self.range_docs(field_name, gte, lte)
-            kw_docs.append(d)
-            if shrink(d) == 0:
-                return _empty_result()
-        msm = max(int(minimum_should_match or 0), 1 if require_should else 0)
-        if n_cand < 0 and should_terms:
-            msm = max(msm, 1)  # pure-should bool: OR semantics (ES default)
-        if msm > 0 and should_terms:
-            uniq_should = list(dict.fromkeys(should_terms))
-            if msm == 1:
-                d = self._union_docs(uniq_should)
-            else:
-                # ES minimum_should_match=N: count DISTINCT matching should
-                # clauses per doc (term presence, not tf) and keep count >= N
-                all_d = np.concatenate(
-                    [self.load_postings(t)[0] for t in uniq_should]
-                )
-                u, cnt = np.unique(all_d, return_counts=True)
-                d = u[cnt >= msm]
-            if d is None or len(d) == 0 or shrink(d) == 0:
-                return _empty_result()
-        elif n_cand < 0:
-            return _empty_result()
-        for term in must_not_terms or []:
-            d, _f, _L = self.load_postings(term)
-            if len(d) and exclude(d) == 0:
-                return _empty_result()
-        if n_cand <= 0:
-            return _empty_result()
-
-        # --- phase 2: score over the final candidate set, clause order -----
-        final = cand_array()
-        doc_arrays, score_arrays = [], []
-        for term, df in infos:
-            docs, tfs, dls = self.load_postings(term)
-            mask = cand_flags[docs] if dense else _in_sorted(docs, final)
-            w = float(self.scorer.idf(df, self.n_docs))
-            contrib = w * self.scorer.tf_norm(tfs[mask], dls[mask], self.avgdl)
-            doc_arrays.append(docs[mask])
-            score_arrays.append(contrib)
-        for d in kw_docs:
-            # mask to the final candidate set: a keyword clause can match a
-            # corpus-scale doc set, and the sparse path's unique/bincount
-            # would otherwise sort it all just to discard it at the end
-            mask = cand_flags[d] if dense else _in_sorted(d, final)
-            dm = d[mask]
-            doc_arrays.append(dm)
-            score_arrays.append(np.ones(len(dm), dtype=np.float64))
-        for term in should_terms or []:
-            d, s = self._term_contribution(term)
-            if len(d) == 0:
-                continue
-            mask = cand_flags[d] if dense else _in_sorted(d, final)
-            doc_arrays.append(d[mask])
-            score_arrays.append(s[mask])
-        if dense:
-            # the candidate set IS the final doc set — dense scatter-add in
-            # clause order, then one gather; no sort/unique round
-            acc = np.zeros(self.n_docs, dtype=np.float64)
-            for d, s in zip(doc_arrays, score_arrays):
-                acc[d] += s
-            return self._topk_table(final, acc[final], k, offset)
-        docs, scores = self._accumulate(doc_arrays, score_arrays)
-        keep = _in_sorted(docs, final)
-        return self._topk_table(docs[keep], scores[keep], k, offset)
+        two empty), evaluated by :meth:`RangeEngine.bool_must`."""
+        clauses = dict(
+            keyword_eq=keyword_eq, keyword_prefix=keyword_prefix,
+            must_not_terms=must_not_terms, should_terms=should_terms,
+            require_should=require_should, range_clauses=range_clauses,
+            keyword_in=keyword_in, minimum_should_match=minimum_should_match,
+        )
+        return self._ranked(k, offset, lambda rng, n: rng.bool_must(content_terms, n, **clauses))
 
     def prefix_content(self, prefix: str, k: int = 10, offset: int = 0) -> pa.Table:
         """Q2 on the analyzed field: term-dictionary range scan → OR of
         postings, constant score 1.0 (Lucene CONSTANT_SCORE_REWRITE)."""
-        return self._constant_score_union(self.expand_prefix(prefix), k, offset)
+        return self._ranked(k, offset, lambda rng, n: _constant_top(rng.prefix_union(prefix), n))
 
     def wildcard_content(self, pattern: str, k: int = 10, offset: int = 0) -> pa.Table:
         """ES ``wildcard`` query on the analyzed field: ``*`` = any token-char
         run, ``?`` = one token char; dictionary regex scan → constant-score
         OR (the ES/Lucene default multi-term rewrite)."""
-        return self._constant_score_union(self.expand_wildcard(pattern), k, offset)
+        terms = self.expand_wildcard(pattern)
+        return self._ranked(k, offset, lambda rng, n: _constant_top(rng.union(terms), n))
 
     def fuzzy_content(
         self,
@@ -1218,37 +990,8 @@ class QueryEngine:
         ``term`` (OSA when ``transpositions``, Lucene's default; plain
         Levenshtein otherwise — the SQL-oracle-replayable flavor), optional
         exact-prefix requirement, constant-score OR rewrite."""
-        return self._constant_score_union(
-            self.expand_fuzzy(term, max_edits, prefix_length, transpositions), k, offset
-        )
-
-    def _constant_score_union(self, terms: list[str], k: int, offset: int) -> pa.Table:
-        """OR of the expanded terms' postings, constant score 1.0."""
-        docs = self._union_docs(terms)
-        if docs is None:
-            return _empty_result()
-        return self._topk_table(docs, np.ones(len(docs), dtype=np.float64), k, offset)
-
-    def _union_docs(self, terms: list[str]) -> np.ndarray | None:
-        """Sorted unique union of the terms' doc ids (dense-flag path when
-        the id space fits; sparse otherwise)."""
-        if self.n_docs <= DENSE_ACC_LIMIT:
-            flags = np.zeros(self.n_docs, dtype=bool)
-            hit = False
-            for term in terms:
-                d, _, _ = self.load_postings(term)
-                if len(d):
-                    flags[d] = True
-                    hit = True
-            if not hit:
-                return None
-            docs = np.nonzero(flags)[0].astype(np.int64)
-            return docs[self._alive(docs)] if len(self._deleted) else docs
-        doc_sets = [d for term in terms for d, _, _ in [self.load_postings(term)] if len(d)]
-        if not doc_sets:
-            return None
-        docs = np.unique(np.concatenate(doc_sets))
-        return docs[self._alive(docs)] if len(self._deleted) else docs
+        terms = self.expand_fuzzy(term, max_edits, prefix_length, transpositions)
+        return self._ranked(k, offset, lambda rng, n: _constant_top(rng.union(terms), n))
 
     def _vocabulary(self) -> tuple[pa.Array, np.ndarray]:
         """The sorted, deduplicated vocabulary of every (partition, salt)
@@ -1360,7 +1103,7 @@ class QueryEngine:
         """ES ``terms`` aggregation: value counts of a keyword field over a
         query's FULL hit set (ES aggs see every matching doc, not the top-k
         page).  ``hits`` is the sorted doc-id array of the query (from
-        ``_union_docs`` / a bool evaluation — already tombstone-filtered).
+        :meth:`match_hits` — already tombstone-filtered).
 
         Streams the doc store in Arrow batches, masks membership with a
         searchsorted against the sorted hit set, and value-counts per batch
@@ -1392,9 +1135,10 @@ class QueryEngine:
 
     def match_hits(self, text: str) -> np.ndarray:
         """ALL doc ids matching a match query (OR union, tombstone-filtered,
-        unranked) — the hit set ES aggregations run over."""
-        docs = self._union_docs(self.analyzer.tokenize(text))
-        return np.zeros(0, dtype=np.int64) if docs is None else docs
+        unranked, sorted) — the hit set ES aggregations run over."""
+        terms = self.analyzer.tokenize(text)
+        parts = [rng.union(terms) for rng in self._ranges()]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def stats_agg(self, field: str, hits: np.ndarray) -> pa.Table:
         """ES ``stats`` metric aggregation over an integer doc-store field:
@@ -1448,6 +1192,7 @@ class QueryEngine:
         hit-scale (doc_id, value) pairs.  Beyond the reference's surface
         (elasticsearch_utils.py:111-123 sorts only by _score); included for
         ES drop-in completeness."""
+        k, offset = _check_page(k, offset)
         hits = self.match_hits(text)
         empty = pa.table(
             {"rank": pa.array([], pa.int64()), "doc_id": pa.array([], pa.int64()),
@@ -1499,8 +1244,8 @@ class QueryEngine:
 
     def count(self, text: str) -> int:
         """Q5: exact hits.total of a match query."""
-        docs = self._union_docs(self.analyzer.tokenize(text))
-        return 0 if docs is None else int(len(docs))
+        terms = self.analyzer.tokenize(text)
+        return sum(len(rng.union(terms)) for rng in self._ranges())
 
     def exists(self, text: str) -> bool:
         """The reference's from_elasticsearch existence probe
@@ -1774,16 +1519,10 @@ def multi_match_best_fields(
     per-field postings), top-k pinned (score desc, doc_id asc).  Beyond the
     reference's surface (elasticsearch_utils.py:111-123 queries one field);
     included for ES drop-in completeness."""
-    doc_l, score_l = [], []
-    for eng in field_engines:
-        d, s = eng._match_scores(eng.analyzer.tokenize(text))
-        if len(d):
-            doc_l.append(d)
-            score_l.append(s)
-    if not doc_l:
-        return _empty_result()
-    docs = np.concatenate(doc_l)
-    scores = np.concatenate(score_l)
+    k, offset = _check_page(k, offset)
+    hits = [eng.match(text, k=eng.n_docs) for eng in field_engines]
+    docs = np.concatenate([h["doc_id"].to_numpy() for h in hits])
+    scores = np.concatenate([h["score"].to_numpy() for h in hits])
     uniq, inv = np.unique(docs, return_inverse=True)
     total = np.bincount(inv, weights=scores, minlength=len(uniq))
     best = np.zeros(len(uniq), dtype=np.float64)
@@ -1841,120 +1580,70 @@ def _process_engine(index_dir: str) -> QueryEngine:
     return eng
 
 
+# a range caches the live docs of each prefix it expands until the cached
+# unions hold this many doc ids (8 MB)
+_PREFIX_CACHE_DOCS = 1 << 20
+
+
 class RangeEngine:
-    """Exact query evaluation restricted to the doc-id range [lo, hi).
+    """The query evaluator: exact evaluation of every query kind restricted
+    to the doc-id range [lo, hi), from analyzed terms.
 
     A doc lives in exactly one range and a term's postings are doc-sorted,
-    so the range's postings are one contiguous row span of each run, and
-    per-doc scores computed here equal the global engine's scores exactly —
-    local top-k partials merge into the global top-k with no re-scoring.
-    Memory is bounded by the range's share of postings, not the corpus:
-    its per-term caches hold owned copies (:func:`_merge_runs`), never views
-    that would pin the engine's evicted row groups.
+    so a range reads each term as a searchsorted slice of the engine's
+    bounded term caches, and its per-doc scores (GLOBAL df, N and avgdl)
+    equal the whole index's exactly: range-local top-k partials merge into
+    the global top-k with no re-scoring.  Accumulators are dense over the
+    range.  A range holds no term data, only its bounds, its slice of the
+    tombstones and a bounded cache of prefix unions.
     """
+
+    _EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
 
     def __init__(self, eng: QueryEngine, lo: int, hi: int):
         self.eng = eng
         self.lo = int(lo)
         self.hi = int(hi)
-        # per-range term caches: the working set is the range's 1/R share of
-        # the postings, so a batch of queries reads each term once.  Only
-        # _prefix_docs depends on the tombstones.
-        self._contrib: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._postings: dict[str, tuple] = {}
+        self._bounds = np.array([self.lo, self.hi], dtype=np.int64)
         self._prefix_docs: dict[str, np.ndarray] = {}
         self.sync_deleted()
 
     def sync_deleted(self) -> None:
         """Take this range's slice of the engine's current tombstone set
-        (range-local indices) and drop the tombstone-filtered caches."""
+        (range-local indices) and drop the tombstone-filtered prefix
+        cache."""
         dlt = self._tombstones = self.eng._deleted
-        i, j = np.searchsorted(dlt, (self.lo, self.hi))
+        i, j = dlt.searchsorted(self._bounds).tolist()
         self._dead_local = (dlt[i:j] - self.lo).astype(np.int64)
         self._prefix_docs.clear()
+        self._prefix_size = 0
+
+    def _in_range(self, cols: tuple) -> tuple:
+        """The rows of the columns ``cols`` whose doc (``cols[0]``, sorted)
+        lies in [lo, hi): ``cols`` itself when every row does, else views."""
+        i, j = cols[0].searchsorted(self._bounds).tolist()
+        return cols if j - i == len(cols[0]) else tuple(c[i:j] for c in cols)
+
+    def _docs_in_range(self, docs: np.ndarray) -> np.ndarray:
+        """The sorted ``docs`` that lie in [lo, hi)."""
+        return self._in_range((docs,))[0]
 
     def _postings_range(self, term: str) -> tuple:
-        """Range-restricted postings ``(docs, tf, dl)``: each run's rows in
-        [lo, hi), found with a searchsorted over its doc column (a range's
-        share of the postings, not the term's whole list)."""
-        cached = self._postings.get(term)
-        if cached is not None:
-            return cached
-        runs = []
-        for salt in self.eng._salts(term):
-            run = self.eng._run(term, salt)
-            if run is None:
-                continue
-            i, j = np.searchsorted(run[0], (self.lo, self.hi)).tolist()
-            if i < j:
-                runs.append(tuple(c[i:j] for c in run))
-        result = self._postings[term] = _merge_runs(runs, 3)
-        return result
+        """The range's ``(docs, tf, dl)`` of a term."""
+        return self._in_range(self.eng.load_postings(term))
 
-    def match_phrase(self, text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Range-local phrase top-k: a doc lives wholly in one range, so
-        phrase frequencies computed here are exact; idf uses GLOBAL df, so
-        partials merge into the global top-k without re-scoring."""
-        self.eng._require_positions()
-        terms = self.eng.analyzer.tokenize(text)
-        if not terms:
-            return self._EMPTY
-        docs, scores = self.eng._phrase_scores(
-            terms, [self._postings_range(t) for t in terms],
-            lambda c: ~_in_sorted(c - self.lo, self._dead_local), self.lo, self.hi,
-        )
-        if not len(docs):
-            return self._EMPTY
-        sel = topk_indices(scores, docs, k)
-        return docs[sel], scores[sel]
+    def _contribution_range(self, term: str) -> tuple:
+        """The range's ``(docs, bm25 contribution)`` of a term."""
+        return self._in_range(self.eng._term_contribution(term))
 
-    def _contribution_range(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._contrib.get(term)
-        if cached is not None:
-            return cached
-        docs, tfs, dls = self._postings_range(term)
-        if len(docs) == 0:
-            result = (docs, np.zeros(0, dtype=np.float64))
-        else:
-            df = self.eng.term_df(term)  # GLOBAL df → exact idf
-            w = float(self.eng.scorer.idf(df, self.eng.n_docs))
-            contrib = w * self.eng.scorer.tf_norm(tfs, dls, self.eng.avgdl)
-            result = (docs, contrib)
-        self._contrib[term] = result
-        return result
-
-    def _acc(self) -> np.ndarray:
-        return np.zeros(self.hi - self.lo, dtype=np.float64)
-
-    _EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-
-    def match(
-        self,
-        text: str,
-        k: int,
-        after: tuple[float, int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """→ (doc_ids, scores) of the range-local top-k (plain numpy — one
-        Arrow table per query per range would dominate batch evaluation).
-        ``after`` is the ES search_after cursor (score, doc_id): candidates
-        at-or-above it are dropped BEFORE the top-k selection — a doc lives
-        wholly in one range, so per-range cursor filtering + the unchanged
-        global merge reproduces the single-engine page exactly (filtering a
-        range's top-k after selection would be wrong: a range whose entire
-        top-k sits above the cursor still owes its NEXT k docs)."""
-        acc = self._acc()
-        hit = False
-        for term in self.eng.analyzer.tokenize(text):
-            d, s = self._contribution_range(term)
-            if len(d):
-                acc[d - self.lo] += s
-                hit = True
-        if not hit:
-            return self._EMPTY
+    def _top(self, acc: np.ndarray, ok: np.ndarray, k: int, after=None) -> tuple:
+        """``(doc_ids, scores)`` of the top k range docs where ``ok`` is
+        non-zero and that are not tombstoned, scored ``acc``; with
+        ``after``, only those strictly after that (score, doc_id) cursor."""
         if len(self._dead_local):
-            acc[self._dead_local] = 0.0  # tombstoned docs never rank
-        docs = np.nonzero(acc)[0].astype(np.int64) + self.lo
-        scores = acc[docs - self.lo]
+            ok[self._dead_local] = False
+        cand = np.nonzero(ok)[0]
+        docs, scores = cand + self.lo, acc[cand]
         if after is not None:
             s_a, d_a = float(after[0]), int(after[1])
             keep = (scores < s_a) | ((scores == s_a) & (docs > d_a))
@@ -1962,124 +1651,163 @@ class RangeEngine:
         sel = topk_indices(scores, docs, k)
         return docs[sel], scores[sel]
 
-    def _keyword_range(self, field_name: str, value: str, prefix: bool) -> np.ndarray:
-        """Keyword clause docs restricted to [lo, hi) — the global answer is
-        computed (and cached) ONCE per process by the shared engine;
-        each range slices its span with two searchsorteds instead of
-        re-reading docstats per range."""
-        d = self.eng.keyword_docs(field_name, value, prefix=prefix)
-        i, j = np.searchsorted(d, (self.lo, self.hi))
-        return d[i:j]
+    def match(self, terms: list[str], k: int, after: tuple[float, int] | None = None) -> tuple:
+        """→ (doc_ids, scores) of the range-local top-k of an OR-match
+        (plain numpy — one Arrow table per query per range would dominate
+        batch evaluation); per-doc sums add in query-term order, the
+        oracle's order, so floats match bitwise.  ``after`` is the ES
+        search_after cursor (score, doc_id): candidates at-or-above it are
+        dropped BEFORE the top-k selection, so a range whose whole top-k
+        sits above the cursor still returns its next k docs."""
+        acc = np.zeros(self.hi - self.lo, dtype=np.float64)
+        hit = False
+        for term in terms:
+            d, s = self._contribution_range(term)
+            if len(d):
+                acc[d - self.lo] += s
+                hit = True
+        if not hit:
+            return self._EMPTY
+        return self._top(acc, acc, k, after)  # a doc matches where it scores
+
+    def match_phrase(self, terms: list[str], k: int) -> tuple:
+        """Range-local phrase top-k (ES ``match_phrase``, slop 0): the
+        candidates are the live range docs holding every term, and only
+        their positions are read; each term's occurrences in them, laid end
+        to end, are matched across the query positions
+        (:func:`_phrase_freqs`).  A doc lives wholly in one range, so
+        phrase frequencies here are exact; the phrase idf sums GLOBAL df per
+        query position, in query order (as the oracle chains it)."""
+        eng = self.eng
+        eng._require_positions()
+        if not terms:
+            return self._EMPTY
+        post = [self._postings_range(t) for t in terms]
+        cand = post[0][0]
+        for docs_t, _tf, _dl in post[1:]:
+            cand = _intersect_sorted(cand, docs_t)
+        if len(cand) and len(self._dead_local):
+            cand = cand[~_in_sorted(cand - self.lo, self._dead_local)]
+        if len(cand) == 0:
+            return self._EMPTY
+        dl = post[0][2][np.searchsorted(post[0][0], cand)]
+        runs = {t: eng._positional_runs(t, self._bounds) for t in dict.fromkeys(terms)}
+        pf = []
+        for i, j in _layout_groups(dl + len(terms)):
+            base = np.cumsum(np.concatenate(([len(terms)], dl[i:j] + len(terms))))
+            occ = {t: _occurrences(r, cand[i:j], base) for t, r in runs.items()}
+            pf.append(_phrase_freqs(base, terms, occ))
+        pf = np.concatenate(pf)
+        hit = pf > 0
+        cand, dl = cand[hit], dl[hit]
+        w = 0.0
+        for term in terms:
+            w += float(eng.scorer.idf(eng.term_df(term), eng.n_docs))
+        scores = w * eng.scorer.tf_norm(pf[hit], dl, eng.avgdl)
+        sel = topk_indices(scores, cand, k)
+        return cand[sel], scores[sel]
+
+    def _must(self, content_terms, keyword_eq, keyword_prefix, keyword_in, range_clauses):
+        """``(docs, score)`` of each must clause, in clause order, read
+        lazily: BM25 contributions of the content terms, then constant 1.0
+        for keyword, keyword-OR and range filters (ES filter context)."""
+        eng = self.eng
+        for term in content_terms:
+            yield self._contribution_range(term)
+        for prefix, clauses in ((False, keyword_eq), (True, keyword_prefix)):
+            for field_name, value in clauses or []:
+                yield self._docs_in_range(eng.keyword_docs(field_name, value, prefix=prefix)), 1.0
+        for field_name, values in keyword_in or []:
+            # ES terms query: docs matching ANY value, one constant score
+            parts = [self._docs_in_range(eng.keyword_docs(field_name, v)) for v in values]
+            yield np.unique(np.concatenate(parts or [self._EMPTY[0]])), 1.0
+        for field_name, gte, lte in range_clauses or []:
+            yield self._docs_in_range(eng.range_docs(field_name, gte, lte)), 1.0
 
     def bool_must(
         self,
-        terms: list[str],
+        content_terms: list[str],
         k: int,
         keyword_eq: list[tuple[str, str]] | None = None,
         keyword_prefix: list[tuple[str, str]] | None = None,
         must_not_terms: list[str] | None = None,
         should_terms: list[str] | None = None,
         require_should: bool = False,
+        range_clauses: list[tuple] | None = None,
         keyword_in: list[tuple[str, list[str]]] | None = None,
         minimum_should_match: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Full bool query over the range: per-doc scores equal the global
-        engine's exactly (contributions use GLOBAL df/avgdl), so partials
-        merge into the global top-k without re-scoring."""
-        acc = self._acc()
-        nt = np.zeros(self.hi - self.lo, dtype=np.int32)
+    ) -> tuple:
+        """Range-local top-k of a full bool query.  Every must clause
+        (:meth:`_must`) must match; ``must_not`` terms exclude docs;
+        ``should`` terms add BM25 score to matching docs — a pure-should
+        query is an OR (ES default), ``require_should`` is ES
+        minimum_should_match=1 and ``minimum_should_match=N`` keeps docs
+        holding N distinct should terms.  A must_not-only query is ES
+        match_all minus the exclusions (constant score 1.0).  Scores add per
+        doc in clause order, as the oracle's do."""
+        n = self.hi - self.lo
+        acc = np.zeros(n, dtype=np.float64)
+        nt = np.zeros(n, dtype=np.int32)
         n_clauses = 0
-        for term in terms:
-            d, s = self._contribution_range(term)
+        for d, s in self._must(content_terms, keyword_eq, keyword_prefix, keyword_in,
+                               range_clauses):
             if len(d) == 0:
                 return self._EMPTY
             acc[d - self.lo] += s
             nt[d - self.lo] += 1
             n_clauses += 1
-        for prefix_flag, clauses in ((False, keyword_eq), (True, keyword_prefix)):
-            for field_name, value in clauses or []:
-                d = self._keyword_range(field_name, value, prefix_flag)
-                if len(d) == 0:
-                    return self._EMPTY
-                acc[d - self.lo] += 1.0
-                nt[d - self.lo] += 1
-                n_clauses += 1
-        for field_name, values in keyword_in or []:
-            # ES terms query: keyword-OR, ONE constant score for the set
-            parts = [self._keyword_range(field_name, v, False) for v in values]
-            parts = [p for p in parts if len(p)]
-            if not parts:
-                return self._EMPTY
-            d = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-            acc[d - self.lo] += 1.0
-            nt[d - self.lo] += 1
-            n_clauses += 1
-        msm = max(
-            int(minimum_should_match or 0), 1 if require_should else 0
-        )
+        msm = max(int(minimum_should_match or 0), 1 if require_should else 0)
         should_cnt = None
         if should_terms:
-            # score EVERY occurrence (clause order, like the direct engine),
-            # count each DISTINCT term once for the msm threshold
-            should_cnt = np.zeros(self.hi - self.lo, dtype=np.int32)
-            seen: set[str] = set()
-            for term in should_terms:
+            # score EVERY occurrence, count each DISTINCT term once for msm
+            should_cnt = np.zeros(n, dtype=np.int32)
+            for i, term in enumerate(should_terms):
                 d, s = self._contribution_range(term)
-                if len(d):
-                    acc[d - self.lo] += s
-                    if term not in seen:
-                        should_cnt[d - self.lo] += 1
-                seen.add(term)
+                acc[d - self.lo] += s
+                if term not in should_terms[:i]:
+                    should_cnt[d - self.lo] += 1
         if n_clauses > 0:
             ok = nt == n_clauses
             if msm > 0 and should_cnt is not None:
-                ok = ok & (should_cnt >= msm)  # minimum_should_match=N
+                ok &= should_cnt >= msm
         elif should_cnt is not None:
-            # pure-should: OR semantics (ES default msm=1), or explicit N
             ok = should_cnt >= max(msm, 1)
         elif must_not_terms:
-            # match_all minus exclusions (constant score 1.0)
-            ok = np.ones(self.hi - self.lo, dtype=bool)
+            ok = np.ones(n, dtype=bool)
             acc[:] = 1.0
         else:
             return self._EMPTY
         for term in must_not_terms or []:
-            d, _f, _L = self._postings_range(term)
-            if len(d):
-                ok[d - self.lo] = False
-        if len(self._dead_local):
-            ok[self._dead_local] = False
-        cand = np.nonzero(ok)[0]
-        if len(cand) == 0:
-            return self._EMPTY
-        docs = cand.astype(np.int64) + self.lo
-        sel = topk_indices(acc[cand], docs, k)
-        return docs[sel], acc[cand][sel]
+            ok[self._postings_range(term)[0] - self.lo] = False
+        return self._top(acc, ok, k)
 
     def union(self, terms: list[str]) -> np.ndarray:
-        """Live range docs holding any of ``terms``: count queries and the
-        constant-score rewrite of prefix/wildcard/fuzzy expansions."""
+        """Sorted live range docs holding any of ``terms``: counts, hit sets
+        and the constant-score rewrite of prefix/wildcard/fuzzy
+        expansions."""
         flags = np.zeros(self.hi - self.lo, dtype=bool)
-        for term in terms:
-            d = self._postings_range(term)[0]
-            flags[d - self.lo] = True
+        if terms:
+            flags[np.concatenate([self._postings_range(t)[0] for t in terms]) - self.lo] = True
         if len(self._dead_local):
             flags[self._dead_local] = False
-        return np.nonzero(flags)[0].astype(np.int64) + self.lo
+        return np.nonzero(flags)[0] + self.lo
 
     def prefix_union(self, prefix: str) -> np.ndarray:
         """:meth:`union` of the terms starting with ``prefix``, cached per
-        prefix."""
-        cached = self._prefix_docs.get(prefix)
-        if cached is None:
-            cached = self._prefix_docs[prefix] = self.union(self.eng.expand_prefix(prefix))
-        return cached
+        prefix while the cache holds fewer than ``_PREFIX_CACHE_DOCS`` ids."""
+        docs = self._prefix_docs.get(prefix)
+        if docs is None:
+            docs = self.union(self.eng.expand_prefix(prefix))
+            if self._prefix_size + len(docs) <= _PREFIX_CACHE_DOCS:
+                self._prefix_docs[prefix] = docs
+                self._prefix_size += len(docs)
+        return docs
 
 
 _PROCESS_RANGE_ENGINES: "OrderedDict[tuple[str, int, int], RangeEngine]" = OrderedDict()
 # a pool actor serves many ranges over a session; each cached RangeEngine
-# pins its range-share of decoded postings, so bound the set (LRU) to keep
-# per-process memory at a few range-shares, not all of them
+# holds a prefix-union cache of up to _PREFIX_CACHE_DOCS ids, so bound the
+# set (LRU)
 _PROCESS_RANGE_ENGINES_CAP = 8
 # this process's range-engine LRU events; range_cache_stats() sums them over
 # the pool actors
@@ -2087,10 +1815,10 @@ _RANGE_CACHE_LOCAL = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _process_range_engine(index_dir: str, lo: int, hi: int) -> "RangeEngine":
-    """One RangeEngine per (index_dir, range) per process (LRU-capped): a
-    pool actor's later calls for the same range reuse the decoded range-share
-    postings.  It lives as long as its process engine: a manifest change
-    drops it, a tombstone change re-slices its tombstones in place."""
+    """One RangeEngine per (index_dir, range) per process (LRU-capped) over
+    the process engine, whose term caches every range of the process reads.
+    It lives as long as its process engine: a manifest change drops it, a
+    tombstone change re-slices its tombstones in place."""
     eng = _process_engine(index_dir)
     key = (index_dir, lo, hi)
     rng = _PROCESS_RANGE_ENGINES.get(key)
@@ -2126,19 +1854,17 @@ def _eval_range_batch(
     qid_l, doc_l, score_l, kind_l, k_l, frm_l = [], [], [], [], [], []
     for lo, hi in ranges:
         rng = _process_range_engine(index_dir, lo, hi)
+        eng = rng.eng
         for q in queries:
             qid, kind = q["query_id"], q["kind"]
-            q_k = int(q.get("k") or 10)
-            q_frm = int(q.get("from") or 0)
+            q_k, q_frm = _page(q)
             # ranges return the top (from + k); the merge slices the offset
             k = q_k + q_frm
             if kind == "match":
-                after = q.get("after")
-                docs, scores = rng.match(
-                    q.get("text") or "", k, after=tuple(after) if after is not None else None
-                )
+                docs, scores = rng.match(eng.analyzer.tokenize(q.get("text") or ""), k,
+                                         after=q.get("after"))
             elif kind == "match_phrase":
-                docs, scores = rng.match_phrase(q.get("text") or "", k)
+                docs, scores = rng.match_phrase(eng.analyzer.tokenize(q.get("text") or ""), k)
             elif kind == "bool_must":
                 docs, scores = rng.bool_must(
                     list(q.get("must_terms") or []),
@@ -2154,26 +1880,23 @@ def _eval_range_batch(
                     minimum_should_match=q.get("minimum_should_match"),
                 )
             elif kind == "prefix_content":
-                # constant score → lowest ids win
-                docs = rng.prefix_union(q.get("prefix") or "")[:k]
-                scores = np.ones(len(docs), dtype=np.float64)
+                docs, scores = _constant_top(rng.prefix_union(q.get("prefix") or ""), k)
             elif kind in ("wildcard", "fuzzy"):
                 # expansion from the PROCESS-cached dictionaries (same on
                 # every range of a process; the per-pattern result is LRU'd
                 # in the engine's expansion cache)
                 if kind == "wildcard":
-                    terms_x = rng.eng.expand_wildcard(q.get("pattern") or "")
+                    terms_x = eng.expand_wildcard(q.get("pattern") or "")
                 else:
-                    terms_x = rng.eng.expand_fuzzy(
+                    terms_x = eng.expand_fuzzy(
                         q.get("term") or "",
                         q.get("max_edits", 1),
                         q.get("prefix_length") or 0,
                         bool(q.get("transpositions", True)),
                     )
-                docs = rng.union(terms_x)[:k]
-                scores = np.ones(len(docs), dtype=np.float64)
+                docs, scores = _constant_top(rng.union(terms_x), k)
             else:  # count (the driver checked every kind)
-                n = len(rng.union(rng.eng.analyzer.tokenize(q.get("text") or "")))
+                n = len(rng.union(eng.analyzer.tokenize(q.get("text") or "")))
                 docs = np.array([-1], dtype=np.int64)
                 scores = np.array([float(n)], dtype=np.float64)
             if len(docs):
@@ -2252,11 +1975,20 @@ _QUERY_KEYS = {
 _COMMON_QUERY_KEYS = {"query_id", "kind", "k", "from"}
 
 
+def _page(q: dict) -> tuple[int, int]:
+    """(k, from) of a batch query: a missing or None ``k`` is 10 and a
+    missing or None ``from`` is 0 (so ``k=0`` asks for no hits, as on the
+    engine); a negative one raises :func:`_check_page`'s ``ValueError``."""
+    k, frm = q.get("k"), q.get("from")
+    return _check_page(10 if k is None else k, 0 if frm is None else frm, q.get("query_id"))
+
+
 def _check_queries(queries: list[dict]) -> None:
     """Reject a query dict the evaluator would misread: a missing
     ``query_id``, an unknown kind, a key its kind does not take (a typo or
-    a clause of another kind would otherwise be silently ignored), or fuzzy
-    parameters the engine cannot serve."""
+    a clause of another kind would otherwise be silently ignored), a
+    negative ``k`` or ``from``, or fuzzy parameters the engine cannot
+    serve."""
     for q in queries:
         qid, kind = q.get("query_id"), q.get("kind")
         if qid is None:
@@ -2268,6 +2000,7 @@ def _check_queries(queries: list[dict]) -> None:
         unknown = sorted(set(q) - _COMMON_QUERY_KEYS - _QUERY_KEYS[kind])
         if unknown:
             raise ValueError(f"query {qid!r} ({kind}) has keys {kind} does not take: {unknown}")
+        _page(q)
         if kind == "fuzzy":
             _check_fuzzy_params(q.get("max_edits", 1), q.get("prefix_length") or 0,
                                where=f"query {qid!r} (fuzzy)")

@@ -16,7 +16,27 @@ from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions import bm25
 from librecatastro_ray.functions.tokenizer import tokenize
 from librecatastro_ray.pipelines.build import build_index
-from librecatastro_ray.pipelines.query import QueryEngine
+from librecatastro_ray.pipelines.query import QueryEngine, _candidate_positions
+
+
+def _positional(eng, term, sel=None):
+    """A term's doc-sorted ``(docs, tf, dl, pos_flat)`` postings with
+    positions (posting i's are the ``tf[i]`` values of ``pos_flat`` from
+    ``cumsum(tf)[i - 1]`` on), restricted to the sorted docs ``sel`` when
+    given: each salt run's rows and positions are read as a phrase reads
+    its candidates."""
+    rows = []
+    for salt in eng._salts(term):
+        s = eng._slice(term, salt, positions=True)
+        if s is None:
+            continue
+        _hit, r, pos = _candidate_positions((s.doc, s.tf, s.values, s.offsets),
+                                            s.doc if sel is None else sel)
+        ends = np.cumsum(s.tf[r])
+        rows += [(d, f, L, pos[e - f:e]) for d, f, L, e in zip(s.doc[r], s.tf[r], s.dl[r], ends)]
+    rows.sort(key=lambda row: row[0])
+    docs, tfs, dls = (np.array([row[i] for row in rows], dtype=np.int64) for i in range(3))
+    return docs, tfs, dls, np.concatenate([row[3] for row in rows] or [np.zeros(0, np.int64)])
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +138,7 @@ def test_positions_roundtrip_hot_and_cold(pos_engine, doc_tokens):
         if t not in pos_engine.hot
     )
     for term in [hot[0], cold]:
-        docs, tfs, _dls, pos = pos_engine.load_postings_with_positions(term)
+        docs, tfs, _dls, pos = _positional(pos_engine, term)
         assert len(pos) == int(tfs.sum())
         bounds = np.concatenate(([0], np.cumsum(tfs)))
         for i, d in enumerate(docs.tolist()):
@@ -160,10 +180,10 @@ def test_positional_for_docs_equals_full_load(pos_engine, doc_tokens):
     restricted to the selection — for a salted hot term and a scattered
     doc subset (so multiple non-adjacent rows are hit)."""
     term = sorted(pos_engine.hot)[0]
-    docs, tfs, dls, pos = pos_engine.load_postings_with_positions(term)
+    docs, tfs, dls, pos = _positional(pos_engine, term)
     assert len(docs) > 8
     sel = docs[:: max(1, len(docs) // 7)]  # scattered subset
-    d2, f2, l2, p2 = pos_engine._positional_for_docs(term, sel)
+    d2, f2, l2, p2 = _positional(pos_engine, term, sel)
     assert d2.tolist() == sel.tolist()
     keep = np.isin(docs, sel)
     assert f2.tolist() == tfs[keep].tolist()
@@ -174,8 +194,8 @@ def test_positional_for_docs_equals_full_load(pos_engine, doc_tokens):
     )
     assert p2.tolist() == want_pos.tolist()
     # and docs absent from the term's postings are simply not returned
-    d3, f3, _l3, _p3 = pos_engine._positional_for_docs(
-        term, np.array([docs[0], 10**9], dtype=np.int64)
+    d3, f3, _l3, _p3 = _positional(
+        pos_engine, term, np.array([docs[0], 10**9], dtype=np.int64)
     )
     assert d3.tolist() == [int(docs[0])]
 

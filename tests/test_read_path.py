@@ -42,6 +42,22 @@ def _postings(docs, tfs, dls, pos) -> list[tuple]:
             for d, f, L, e in zip(docs, tfs, dls, ends)]
 
 
+def _positional(eng: QueryEngine, term: str, sel: np.ndarray | None = None) -> list[tuple]:
+    """A term's doc-sorted (doc, tf, dl, positions) postings through the
+    engine's positional reads, restricted to the sorted docs ``sel`` when
+    given: each salt run's rows and positions are read as a phrase reads
+    its candidates (``_candidate_positions``)."""
+    out = []
+    for salt in eng._salts(term):
+        s = eng._slice(term, salt, positions=True)
+        if s is None:
+            continue
+        cand = s.doc if sel is None else sel
+        _hit, rows, pos = qmod._candidate_positions((s.doc, s.tf, s.values, s.offsets), cand)
+        out += _postings(s.doc[rows], s.tf[rows], s.dl[rows], pos)
+    return sorted(out)
+
+
 def _direct(eng: QueryEngine, term: str) -> tuple[list[tuple], dict]:
     """A term's doc-sorted (doc, tf, dl, positions) postings and per-salt
     (last_doc, max_tfnorm) block metadata, by whole-file parquet reads of
@@ -84,8 +100,8 @@ def _check_readers(index_dir: str) -> None:
         for eng in engines:
             d, f, L = eng.load_postings(term)
             assert list(zip(d.tolist(), f.tolist(), L.tolist())) == [p[:3] for p in want], term
-            assert _postings(*eng.load_postings_with_positions(term)) == want, term
-            assert _postings(*eng._positional_for_docs(term, sel)) == [
+            assert _positional(eng, term) == want, term
+            assert _positional(eng, term, sel) == [
                 p for p in want if p[0] in set(sel.tolist())
             ], term
             for salt, m in meta.items():
@@ -149,7 +165,7 @@ def test_positions_drift_raises_naming_the_file(small_index, tmp_path):
     term = pq.read_table(dict_file(idx, 0, 0, eng._parts))["term"][0].as_py()
     eng.load_postings(term)  # the posting file still matches its dictionary
     with pytest.raises(ValueError, match=re.escape(path)):
-        eng.load_postings_with_positions(term)
+        _positional(eng, term)
 
 
 def test_index_of_another_format_version_is_refused(small_index, tmp_path):
@@ -174,10 +190,11 @@ def test_index_of_another_format_version_is_refused(small_index, tmp_path):
 
 
 def test_term_caches_hold_owned_arrays_not_row_group_views(small_index):
-    """The per-term caches of an engine and of a range engine hold owned
-    arrays: a term read is a view of a cached row group, and a cached view
-    would keep its whole row group alive after the byte-bounded row-group
-    LRU evicts it, uncounted by either bound."""
+    """The engine's per-term caches hold owned arrays: a term read is a
+    view of a cached row group, and a cached view would keep its whole row
+    group alive after the byte-bounded row-group LRU evicts it, uncounted
+    by either bound.  A range engine caches no term: its term reads are
+    views of the engine's cached arrays."""
     eng = QueryEngine(small_index)
     eng._rowgroup_cache_cap = 0  # evict on every miss
     rng = qmod.RangeEngine(eng, 0, eng.n_docs // 2)
@@ -185,12 +202,16 @@ def test_term_caches_hold_owned_arrays_not_row_group_views(small_index):
     assert any(len(eng._salts(t)) == 1 for t in terms), "needs single-run terms"
     for term in terms:
         eng._term_contribution(term)
-        rng._contribution_range(term)
+        for got, cached in ((rng._contribution_range(term), eng._contrib_cache[term]),
+                            (rng._postings_range(term), eng._postings_cache[term])):
+            assert all(a is c or a.base is c for a, c in zip(got, cached)), term
     assert len(eng._rowgroup_cache) == 1
-    for cache in (eng._postings_cache, eng._contrib_cache, rng._postings, rng._contrib):
+    for cache in (eng._postings_cache, eng._contrib_cache):
         assert len(cache) == len(terms)
         for term, arrays in cache.items():
             assert all(a.base is None for a in arrays), term
+    assert set(vars(rng)) == {"eng", "lo", "hi", "_bounds", "_tombstones", "_dead_local",
+                              "_prefix_docs", "_prefix_size"}
 
 
 def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
@@ -241,7 +262,7 @@ def test_phrase_on_an_index_without_positions_says_so(tmp_path):
     with pytest.raises(ValueError, match="built without positions"):
         eng.match_phrase(term, k=5)
     with pytest.raises(ValueError, match="has no positions"):
-        eng.load_postings_with_positions(term)
+        _positional(eng, term)
 
 
 def test_unlisted_partition_is_empty(tmp_path):
