@@ -3,7 +3,7 @@
 
 Prints ONE JSON line:
   {"metric": ..., "value": total_sec, "unit": "sec",
-   "queries": {"build": s, "query": s, "phrase": s, ...}, "sf": ...,
+   "queries": {"build": s, "query": s, "phrase": s}, "sf": ...,
    "num_cpus": N, "n_docs": ..., "docs_per_sec": ..., "qps": ...,
    "phrase_qps": ..., "range_engine_cache": {hits, misses, evictions,
    hit_rate}}
@@ -177,7 +177,6 @@ def run_bench() -> dict:
 
     from librecatastro_ray.config import IndexConfig
     from librecatastro_ray.pipelines.build import build_index
-    from librecatastro_ray.pipelines.training import ann_topk
     from librecatastro_ray.state.manifest import drop_index
 
     sf_tag = os.path.basename(os.path.normpath(SF_DIR))
@@ -230,21 +229,16 @@ def run_bench() -> dict:
     # thrashes and every call re-decodes its ranges' postings)
     cache_stats = range_cache_stats()
 
-    t0 = time.monotonic()
-    ann_topk(SF_DIR, n_queries=5, k=10)
-    ann_sec = time.monotonic() - t0
-
     ray.shutdown()
-    total = build_sec + query_sec + phrase_sec + ann_sec
+    total = build_sec + query_sec + phrase_sec
     return {
-        "metric": "index build + BM25 batch query + phrase + ann wall time",
+        "metric": "index build + BM25 batch query + phrase wall time",
         "value": round(total, 3),
         "unit": "sec",
         "queries": {
             "build": round(build_sec, 3),
             "query": round(query_sec, 3),
             "phrase": round(phrase_sec, 3),
-            "ann": round(ann_sec, 3),
         },
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,

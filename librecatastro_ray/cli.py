@@ -101,14 +101,6 @@ def main(argv: list[str] | None = None) -> int:
     cu.add_argument("--max-stop-ratio", type=float, default=0.9)
     cu.add_argument("--max-punct-ratio", type=float, default=0.3)
 
-    iva = sub.add_parser("ivf-assign", help="IVF cell assignment → parquet "
-                         "partitioned by cell (streaming projection of the "
-                         "built index's per-cell partitions)")
-    iva.add_argument("--sf-dir", required=True,
-                     help="directory holding embeddings.parquet")
-    iva.add_argument("--out", required=True, help="output parquet dir")
-    iva.add_argument("--cells", type=int, default=8)
-
     d = sub.add_parser("drop", help="delete an index (idempotent)")
     d.add_argument("--index", required=True)
 
@@ -260,17 +252,6 @@ def main(argv: list[str] | None = None) -> int:
             max_stop_ratio=args.max_stop_ratio,
             max_punct_ratio=args.max_punct_ratio,
         )
-        print(json.dumps(rep))
-        import ray
-
-        ray.shutdown()
-        return 0
-
-    if args.cmd == "ivf-assign":
-        _init_ray()
-        from librecatastro_ray.pipelines.training import ivf_cell_assign_to_parquet
-
-        rep = ivf_cell_assign_to_parquet(args.sf_dir, args.out, n_cells=args.cells)
         print(json.dumps(rep))
         import ray
 

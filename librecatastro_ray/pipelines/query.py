@@ -45,7 +45,7 @@ import os
 import re
 import weakref
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -1094,6 +1094,18 @@ class QueryEngine:
 
         return self._expand(("fuzzy", term, max_edits, prefix_length, transpositions), compute)
 
+    def _hit_rows(self, field: str, hits: np.ndarray) -> Iterator[tuple[np.ndarray, pa.Array]]:
+        """``(doc_ids, field values)`` of the doc-store rows whose doc is in
+        the sorted hit set, one pair per Arrow batch holding any: a streamed
+        (doc_id, ``field``) scan masked by sorted membership, so rows of
+        non-hits never materialize."""
+        hits = np.asarray(hits, dtype=np.int64)
+        for batch in self._docstats_ds().scanner(columns=["doc_id", field]).to_batches():
+            d = batch.column(0).to_numpy()
+            m = _in_sorted(d, hits)
+            if m.any():
+                yield d[m], batch.column(1).filter(pa.array(m))
+
     def terms_agg(
         self,
         field: str,
@@ -1105,24 +1117,12 @@ class QueryEngine:
         page).  ``hits`` is the sorted doc-id array of the query (from
         :meth:`match_hits` — already tombstone-filtered).
 
-        Streams the doc store in Arrow batches, masks membership with a
-        searchsorted against the sorted hit set, and value-counts per batch
-        (never materializes (doc, value) rows for non-hits) — the same
-        shape a corpus-scale agg needs.  Output pinned by
-        (count desc, key asc), ES's ordering."""
-        hits = np.asarray(hits, dtype=np.int64)
+        Value-counts each batch of :meth:`_hit_rows` (never materializes
+        (doc, value) rows for non-hits) — the same shape a corpus-scale agg
+        needs.  Output pinned by (count desc, key asc), ES's ordering."""
         counts: dict[str, int] = {}
-        scanner = self._docstats_ds().scanner(columns=["doc_id", field])
-        for batch in scanner.to_batches():
-            if len(batch) == 0:
-                continue
-            d = batch.column(0).to_numpy()
-            m = _in_sorted(d, hits)
-            if not m.any():
-                continue
-            vals = batch.column(1).filter(pa.array(m))
-            vc = vals.value_counts()
-            for kv in vc:
+        for _ids, vals in self._hit_rows(field, hits):
+            for kv in vals.value_counts():
                 key = kv["values"].as_py()
                 counts[key] = counts.get(key, 0) + int(kv["counts"].as_py())
         order = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size]
@@ -1142,27 +1142,19 @@ class QueryEngine:
 
     def stats_agg(self, field: str, hits: np.ndarray) -> pa.Table:
         """ES ``stats`` metric aggregation over an integer doc-store field:
-        count / sum / min / max across a query's FULL hit set, via the same
-        streamed sorted-membership doc-store scan as :meth:`terms_agg`
-        (per-batch numpy reductions; hit values never materialize).  avg is
-        sum/count, left to the caller so the output stays integer-exact.
+        count / sum / min / max across a query's FULL hit set, by per-batch
+        numpy reductions over :meth:`_hit_rows` (hit values never
+        materialize).  avg is sum/count, left to the caller so the output
+        stays integer-exact.
         On an empty hit set min and max are null, as in Elasticsearch.
         Beyond the reference's surface (it only reads hits.total); included
         for ES drop-in completeness."""
-        hits = np.asarray(hits, dtype=np.int64)
         n = 0
         total = 0
         mn: int | None = None
         mx: int | None = None
-        scanner = self._docstats_ds().scanner(columns=["doc_id", field])
-        for batch in scanner.to_batches():
-            if len(batch) == 0:
-                continue
-            d = batch.column(0).to_numpy()
-            m = _in_sorted(d, hits)
-            if not m.any():
-                continue
-            v = batch.column(1).to_numpy()[m]
+        for _ids, vals in self._hit_rows(field, hits):
+            v = vals.to_numpy()
             n += len(v)
             total += int(v.sum())
             bmn, bmx = int(v.min()), int(v.max())
@@ -1186,9 +1178,8 @@ class QueryEngine:
         """ES ``sort`` by an arbitrary doc-store field: the match's FULL hit
         set ordered by the field instead of relevance (ES leaves ``_score``
         null when sorting — no score column here), ties pinned by doc_id
-        asc.  Streams the doc store in Arrow batches and keeps only hit rows
-        (hit-scale memory, corpus-scale streaming — the same shape as
-        :meth:`terms_agg`); the final ordering is one Arrow sort over the
+        asc.  Keeps only the hit rows of :meth:`_hit_rows` (hit-scale memory,
+        corpus-scale streaming); the final ordering is one Arrow sort over the
         hit-scale (doc_id, value) pairs.  Beyond the reference's surface
         (elasticsearch_utils.py:111-123 sorts only by _score); included for
         ES drop-in completeness."""
@@ -1200,19 +1191,10 @@ class QueryEngine:
         )
         if not len(hits):
             return empty
-        ids_l: list[np.ndarray] = []
-        vals_l: list[pa.Array] = []
-        scanner = self._docstats_ds().scanner(columns=["doc_id", field])
-        for batch in scanner.to_batches():
-            if len(batch) == 0:
-                continue
-            d = batch.column(0).to_numpy()
-            m = _in_sorted(d, hits)
-            if m.any():
-                ids_l.append(d[m])
-                vals_l.append(batch.column(1).filter(pa.array(m)))
-        if not ids_l:
+        rows = list(self._hit_rows(field, hits))
+        if not rows:
             return empty
+        ids_l, vals_l = zip(*rows)
         t = pa.table(
             {
                 "doc_id": pa.array(np.concatenate(ids_l), pa.int64()),
@@ -1469,36 +1451,25 @@ class QueryEngine:
 
 def delete_by_query(index_dir: str, query: dict) -> int:
     """ES ``_delete_by_query``: evaluate the query against a fresh engine
-    and tombstone every hit.  ``query`` is the batch-query dict shape
-    ({"kind": "match"|"bool_must"|"match_phrase"|"prefix_content", ...});
-    k is ignored — ALL hits are deleted.  Returns how many NEW docs were
+    and tombstone every hit.  ``query`` is a batch-query dict of any kind
+    but count (a missing kind is match), checked as
+    :func:`batch_search_scatter` checks it, so a key its kind does not take
+    raises ``ValueError`` before anything is tombstoned; k and from are
+    ignored — ALL hits are deleted.  Returns how many NEW docs were
     tombstoned.  Scale note: results here are hit-scale; a corpus-scale
     predicate delete (e.g. by keyword) should use
     ``delete_docs(index_dir, engine.keyword_docs(...))`` which never ranks."""
     from librecatastro_ray.state.manifest import delete_docs, load_deleted
 
+    q = {**query, "kind": query.get("kind") or "match"}
+    if q["kind"] == "count":
+        raise ValueError("delete_by_query needs a query that selects docs, not a count")
+    _check_query(q)
     eng = QueryEngine(index_dir)
-    kind = query.get("kind") or "match"
-    k = 1 << 62
-    if kind == "match":
-        hits = eng.match(query.get("text") or "", k=k)
-    elif kind == "match_phrase":
-        hits = eng.match_phrase(query.get("text") or "", k=k)
-    elif kind == "bool_must":
-        hits = eng.bool_must(
-            list(query.get("must_terms") or []),
-            k=k,
-            keyword_eq=[tuple(p) for p in query.get("keyword_eq") or []],
-            keyword_prefix=[tuple(p) for p in query.get("keyword_prefix") or []],
-            must_not_terms=list(query.get("must_not_terms") or []),
-            should_terms=list(query.get("should_terms") or []),
-        )
-    elif kind == "prefix_content":
-        hits = eng.prefix_content(query.get("prefix") or "", k=k)
-    else:
-        raise ValueError(kind)
+    parts = [_eval_query(rng, q, rng.hi - rng.lo)[0] for rng in eng._ranges()]
+    hits = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     before = len(load_deleted(index_dir))
-    after = delete_docs(index_dir, hits["doc_id"].to_numpy())
+    after = delete_docs(index_dir, hits)
     return after - before
 
 
@@ -1845,6 +1816,44 @@ _PARTIAL_SCHEMA = pa.schema(
 _SCATTER_SCHEMA = pa.schema([pa.field("query_id", pa.int64()), *RESULT_SCHEMA])
 
 
+def _eval_query(rng: RangeEngine, q: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(doc_ids, scores)`` of a checked batch-query dict's top ``n`` in the
+    range ``rng``; a count-kind query gives doc -1 with its range hit count
+    as the score."""
+    eng, kind = rng.eng, q["kind"]
+    if kind == "match":
+        return rng.match(eng.analyzer.tokenize(q.get("text") or ""), n, after=q.get("after"))
+    if kind == "match_phrase":
+        return rng.match_phrase(eng.analyzer.tokenize(q.get("text") or ""), n)
+    if kind == "bool_must":
+        return rng.bool_must(
+            list(q.get("must_terms") or []),
+            n,
+            keyword_eq=[tuple(p) for p in q.get("keyword_eq") or []],
+            keyword_prefix=[tuple(p) for p in q.get("keyword_prefix") or []],
+            must_not_terms=list(q.get("must_not_terms") or []),
+            should_terms=list(q.get("should_terms") or []),
+            require_should=bool(q.get("require_should") or False),
+            keyword_in=[(p[0], list(p[1])) for p in q.get("keyword_in") or []],
+            minimum_should_match=q.get("minimum_should_match"),
+        )
+    if kind == "prefix_content":
+        return _constant_top(rng.prefix_union(q.get("prefix") or ""), n)
+    # expansions come from the PROCESS-cached dictionaries (same on every
+    # range of a process; the per-pattern result is LRU'd in the engine's
+    # expansion cache)
+    if kind == "wildcard":
+        return _constant_top(rng.union(eng.expand_wildcard(q.get("pattern") or "")), n)
+    if kind == "fuzzy":
+        terms = eng.expand_fuzzy(q.get("term") or "", q.get("max_edits", 1),
+                                 q.get("prefix_length") or 0,
+                                 bool(q.get("transpositions", True)))
+        return _constant_top(rng.union(terms), n)
+    # count (the caller checked every kind)
+    hits = len(rng.union(eng.analyzer.tokenize(q.get("text") or "")))
+    return np.array([-1], dtype=np.int64), np.array([float(hits)], dtype=np.float64)
+
+
 def _eval_range_batch(
     queries: list[dict], *, index_dir: str, ranges: list[tuple[int, int]]
 ) -> pa.Table:
@@ -1854,56 +1863,15 @@ def _eval_range_batch(
     qid_l, doc_l, score_l, kind_l, k_l, frm_l = [], [], [], [], [], []
     for lo, hi in ranges:
         rng = _process_range_engine(index_dir, lo, hi)
-        eng = rng.eng
         for q in queries:
-            qid, kind = q["query_id"], q["kind"]
             q_k, q_frm = _page(q)
             # ranges return the top (from + k); the merge slices the offset
-            k = q_k + q_frm
-            if kind == "match":
-                docs, scores = rng.match(eng.analyzer.tokenize(q.get("text") or ""), k,
-                                         after=q.get("after"))
-            elif kind == "match_phrase":
-                docs, scores = rng.match_phrase(eng.analyzer.tokenize(q.get("text") or ""), k)
-            elif kind == "bool_must":
-                docs, scores = rng.bool_must(
-                    list(q.get("must_terms") or []),
-                    k,
-                    keyword_eq=[tuple(p) for p in q.get("keyword_eq") or []],
-                    keyword_prefix=[tuple(p) for p in q.get("keyword_prefix") or []],
-                    must_not_terms=list(q.get("must_not_terms") or []),
-                    should_terms=list(q.get("should_terms") or []),
-                    require_should=bool(q.get("require_should") or False),
-                    keyword_in=[
-                        (p[0], list(p[1])) for p in q.get("keyword_in") or []
-                    ],
-                    minimum_should_match=q.get("minimum_should_match"),
-                )
-            elif kind == "prefix_content":
-                docs, scores = _constant_top(rng.prefix_union(q.get("prefix") or ""), k)
-            elif kind in ("wildcard", "fuzzy"):
-                # expansion from the PROCESS-cached dictionaries (same on
-                # every range of a process; the per-pattern result is LRU'd
-                # in the engine's expansion cache)
-                if kind == "wildcard":
-                    terms_x = eng.expand_wildcard(q.get("pattern") or "")
-                else:
-                    terms_x = eng.expand_fuzzy(
-                        q.get("term") or "",
-                        q.get("max_edits", 1),
-                        q.get("prefix_length") or 0,
-                        bool(q.get("transpositions", True)),
-                    )
-                docs, scores = _constant_top(rng.union(terms_x), k)
-            else:  # count (the driver checked every kind)
-                n = len(rng.union(eng.analyzer.tokenize(q.get("text") or "")))
-                docs = np.array([-1], dtype=np.int64)
-                scores = np.array([float(n)], dtype=np.float64)
+            docs, scores = _eval_query(rng, q, q_k + q_frm)
             if len(docs):
-                qid_l.append(np.full(len(docs), qid, dtype=np.int64))
+                qid_l.append(np.full(len(docs), q["query_id"], dtype=np.int64))
                 doc_l.append(docs)
                 score_l.append(scores)
-                kind_l.extend([kind] * len(docs))
+                kind_l.extend([q["kind"]] * len(docs))
                 k_l.append(np.full(len(docs), q_k, dtype=np.int64))
                 frm_l.append(np.full(len(docs), q_frm, dtype=np.int64))
     if not qid_l:
@@ -1983,27 +1951,32 @@ def _page(q: dict) -> tuple[int, int]:
     return _check_page(10 if k is None else k, 0 if frm is None else frm, q.get("query_id"))
 
 
+def _check_query(q: dict) -> None:
+    """Reject a query dict the evaluator would misread: an unknown kind, a
+    key its kind does not take (a typo or a clause of another kind would
+    otherwise be silently ignored), a negative ``k`` or ``from``, or fuzzy
+    parameters the engine cannot serve."""
+    qid, kind = q.get("query_id"), q.get("kind")
+    if kind not in _QUERY_KEYS:
+        raise ValueError(
+            f"query {qid!r} has unknown kind {kind!r}; kinds: {sorted(_QUERY_KEYS)}"
+        )
+    unknown = sorted(set(q) - _COMMON_QUERY_KEYS - _QUERY_KEYS[kind])
+    if unknown:
+        raise ValueError(f"query {qid!r} ({kind}) has keys {kind} does not take: {unknown}")
+    _page(q)
+    if kind == "fuzzy":
+        _check_fuzzy_params(q.get("max_edits", 1), q.get("prefix_length") or 0,
+                           where=f"query {qid!r} (fuzzy)")
+
+
 def _check_queries(queries: list[dict]) -> None:
-    """Reject a query dict the evaluator would misread: a missing
-    ``query_id``, an unknown kind, a key its kind does not take (a typo or
-    a clause of another kind would otherwise be silently ignored), a
-    negative ``k`` or ``from``, or fuzzy parameters the engine cannot
-    serve."""
+    """:func:`_check_query` every batch query, and reject a missing
+    ``query_id``."""
     for q in queries:
-        qid, kind = q.get("query_id"), q.get("kind")
-        if qid is None:
+        if q.get("query_id") is None:
             raise ValueError(f"query {q!r} has no query_id")
-        if kind not in _QUERY_KEYS:
-            raise ValueError(
-                f"query {qid!r} has unknown kind {kind!r}; kinds: {sorted(_QUERY_KEYS)}"
-            )
-        unknown = sorted(set(q) - _COMMON_QUERY_KEYS - _QUERY_KEYS[kind])
-        if unknown:
-            raise ValueError(f"query {qid!r} ({kind}) has keys {kind} does not take: {unknown}")
-        _page(q)
-        if kind == "fuzzy":
-            _check_fuzzy_params(q.get("max_edits", 1), q.get("prefix_length") or 0,
-                               where=f"query {qid!r} (fuzzy)")
+        _check_query(q)
 
 
 def batch_search_scatter(

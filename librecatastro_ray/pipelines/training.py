@@ -1,5 +1,5 @@
-"""Training-data pipeline operators over the ``documents`` / ``embeddings``
-tables: text analysis, deduplication, similarity search, multimodal stubs.
+"""Training-data pipeline operators over the ``documents`` table: text
+analysis, deduplication, decontamination, sampling and redaction.
 
 These are the large-scale-corpus operations a 100 TB training-data pipeline
 needs, expressed Ray-Data-first: vectorized map_batches for per-doc scoring,
@@ -36,14 +36,6 @@ def _docs_ds(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
     from librecatastro_ray.sources.readers import read_parquet_clean
 
     return read_parquet_clean(os.path.join(sf_dir, "documents.parquet"), columns=columns)
-
-
-def _embeddings_ds(sf_dir: str) -> ray.data.Dataset:
-    from librecatastro_ray.sources.readers import read_parquet_clean
-
-    return read_parquet_clean(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
 
 
 def _alt(words: list[str]) -> str:
@@ -1947,582 +1939,6 @@ def decontaminate(
     )
 
 
-# ---------------------------------------------------------------------------
-# similarity search over embeddings
-# ---------------------------------------------------------------------------
-
-
-def _load_queries(sf_dir: str, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    vid = t["vec_id"].to_numpy()
-    mask = vid < n_queries
-    qids = vid[mask]
-    Q = np.array(t.filter(pa.array(mask))["embedding"].to_pylist(), dtype=np.float64)
-    order = np.argsort(qids)
-    return qids[order], Q[order]
-
-
-class AnnScorer:
-    """Brute-force cosine scorer: the (small) query matrix is broadcast once
-    via ray.put and fetched in __init__; each batch emits only its partial
-    top-k per query (numpy matmul, no Python loops over rows)."""
-
-    def __init__(self, queries_ref, k: int):
-        self.qids, Q = ray.get(queries_ref)
-        qn = np.linalg.norm(Q, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        self.Q = Q / qn
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vids = batch["vec_id"].to_numpy()
-        E = np.array(batch["embedding"].to_pylist(), dtype=np.float64)
-        en = np.linalg.norm(E, axis=1, keepdims=True)
-        en[en == 0] = 1.0
-        En = E / en
-        C = self.Q @ En.T  # queries x batch
-        out_q, out_v, out_c = [], [], []
-        for qi, qid in enumerate(self.qids):
-            row = C[qi]
-            valid = vids != qid
-            idx = np.nonzero(valid)[0]
-            if len(idx) == 0:
-                continue
-            # partial-select on the ROUNDED cosine with the vec_id-asc
-            # tiebreak — the final (and oracle) ordering — so a vector that
-            # rounds into a tie with the k-th score at a batch boundary is
-            # never cut by unrounded noise
-            row6 = np.round(row[idx], 6)
-            take = idx[np.lexsort((vids[idx], -row6))[: self.k]]
-            out_q.extend([int(qid)] * len(take))
-            out_v.extend(vids[take].tolist())
-            out_c.extend(row[take].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos": pa.array(out_c, pa.float64()),
-            }
-        )
-
-
-def ann_topk(sf_dir: str, n_queries: int = 5, k: int = 10) -> pa.Table:
-    """Exact cosine top-k per query vector: per-batch partial top-k, final
-    merge + deterministic (round(cos,6) desc, vec_id asc) ranking."""
-    queries_ref = ray.put(_load_queries(sf_dir, n_queries))
-    ds = _embeddings_ds(sf_dir)
-    partials = ds.map_batches(
-        AnnScorer,
-        fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 4),
-        max_restarts=0,  # ObjectRef constructor arg (ray#53727): rerun, don't restart
-    ).to_pandas()
-    rows = []
-    for qid, g in partials.groupby("query_id", sort=True):
-        cos6 = np.round(g["cos"].to_numpy(), 6)
-        vids = g["vec_id"].to_numpy()
-        order = np.lexsort((vids, -cos6))[:k]
-        for rank, i in enumerate(order, 1):
-            rows.append((int(qid), rank, int(vids[i]), float(cos6[i])))
-    out = pd.DataFrame(rows, columns=["query_id", "rank", "vec_id", "cos"]).astype(
-        {"query_id": "int64", "rank": "int64", "vec_id": "int64", "cos": "float64"}
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-def _load_norm_row_group(path: str, group: int) -> tuple[np.ndarray, np.ndarray]:
-    """(vec_ids, L2-normalized matrix) of ONE parquet row group — the unit of
-    the block-pair self-join.  Each task touches two row groups, never the
-    whole table."""
-    import pyarrow.parquet as pq
-
-    t = pq.ParquetFile(path).read_row_group(group, columns=["vec_id", "embedding"])
-    vids = t["vec_id"].to_numpy()
-    E = np.array(t["embedding"].to_pylist(), dtype=np.float64)
-    return vids, _normalize_rows(E)
-
-
-def _block_pair_cosine(batch: pa.Table, *, path: str, threshold: float) -> pa.Table:
-    """One (row-group i, row-group j) tile of the exact all-pairs cosine
-    self-join: emit pairs (min_id, max_id, cos) with round(cos,6) >=
-    threshold.  i == j tiles use the strict upper triangle."""
-    va_l, vb_l, c_l = [], [], []
-    for gi, gj in zip(batch["gi"].to_pylist(), batch["gj"].to_pylist()):
-        vids_a, Ea = _load_norm_row_group(path, gi)
-        if gi == gj:
-            vids_b, Eb = vids_a, Ea
-        else:
-            vids_b, Eb = _load_norm_row_group(path, gj)
-        C = Ea @ Eb.T
-        a_idx, b_idx = np.nonzero(np.round(C, 6) >= threshold)
-        va = vids_a[a_idx]
-        vb = vids_b[b_idx]
-        keep = va < vb if gi == gj else va != vb
-        lo = np.minimum(va[keep], vb[keep])
-        hi = np.maximum(va[keep], vb[keep])
-        va_l.append(lo)
-        vb_l.append(hi)
-        c_l.append(np.round(C[a_idx, b_idx][keep], 6))
-    if not va_l:
-        return pa.table({"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64()),
-                         "cos": pa.array([], pa.float64())})
-    return pa.table(
-        {
-            "vec_a": pa.array(np.concatenate(va_l), pa.int64()),
-            "vec_b": pa.array(np.concatenate(vb_l), pa.int64()),
-            "cos": pa.array(np.concatenate(c_l), pa.float64()),
-        }
-    )
-
-
-def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4) -> pa.Table:
-    """Embedding-cosine near-dup pairs (vec_a < vec_b, cos >= threshold) —
-    EXACT all-pairs as a distributed block-pair self-join: work items are
-    (row-group i, row-group j) tiles, each task reads its two row groups only
-    (nothing corpus-sized on the driver, no full-matrix broadcast).  Compute
-    is inherently O(N²/tiles) per task; the sub-quadratic scale path for
-    high thresholds is the IVF-bucketed variant (embedding_dup_pairs_ivf)."""
-    import pyarrow.parquet as pq
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    n_groups = pq.ParquetFile(path).num_row_groups
-    tiles = [{"gi": i, "gj": j} for i in range(n_groups) for j in range(i, n_groups)]
-    out = (
-        ray.data.from_items(tiles, override_num_blocks=len(tiles))
-        .map_batches(
-            _block_pair_cosine,
-            fn_kwargs={"path": path, "threshold": threshold},
-            batch_format="pyarrow",
-            batch_size=1,
-        )
-        .to_pandas()  # matched pairs: output-scale
-    )
-    return pa.Table.from_pandas(
-        out.sort_values(["vec_a", "vec_b"], ignore_index=True), preserve_index=False
-    )
-
-
-_IVF_CACHE_ROOT = os.environ.get("LCRAY_IVF_CACHE", "/tmp/lcray_ivf")
-
-
-def _normalize_rows(E: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(E, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return E / n
-
-
-def _seed_keys(vids: np.ndarray) -> np.ndarray:
-    """Deterministic pseudo-random seed ordering key: md5 hex of the decimal
-    vec_id.  Hashing destroys any adversarial vec_id layout, and the SAME
-    ordering is expressible in SQL (``ORDER BY md5(CAST(vec_id AS
-    VARCHAR)), vec_id``) so the cell-assignment oracle can recompute it."""
-    return np.array([hashlib.md5(str(int(v)).encode()).hexdigest() for v in vids])
-
-
-def _ivf_centroids(path: str, n_cells: int) -> np.ndarray:
-    """Distributed spherical-k-means(1-round) coarse centroids.
-
-    Seeds = the ``n_cells`` vectors smallest by ``(md5(vec_id), vec_id)`` —
-    a deterministic pseudo-random sample robust to adversarial vec_id
-    orderings (the round-2 first-``n_cells``-by-id centroids were
-    layout-dependent).  Selection is a per-batch partial top-k (each batch
-    ships at most ``n_cells`` candidate rows to the driver).  Then ONE Lloyd
-    round, also distributed: seeds broadcast via ray.put, per-batch argmax
-    assignment on round(cos, 6) with smallest-cell tiebreak, per-cell
-    (count, vector-sum) partials combined on the driver (≤ cells rows per
-    batch), mean renormalized, empty cells keep their seed.  Bit-compatible
-    with the ``ivf_cell_assign`` DuckDB oracle in ``__ray_entry__``."""
-    from librecatastro_ray.sources.readers import read_parquet_clean
-
-    def seed_partial(batch: pa.Table) -> pa.Table:
-        vids = batch["vec_id"].to_numpy()
-        keys = _seed_keys(vids)
-        order = np.lexsort((vids, keys))[:n_cells]
-        return pa.table(
-            {
-                "key": pa.array(keys[order], pa.string()),
-                "vec_id": pa.array(vids[order], pa.int64()),
-                "embedding": batch["embedding"].combine_chunks().take(
-                    pa.array(order, pa.int64())
-                ),
-            }
-        )
-
-    cand = (
-        read_parquet_clean(path, columns=["vec_id", "embedding"])
-        .map_batches(seed_partial, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()  # ≤ n_cells × n_batches rows — seed-candidate scale
-    )
-    order = np.lexsort((cand["vec_id"].to_numpy(), cand["key"].to_numpy()))[:n_cells]
-    seeds = _normalize_rows(
-        np.array(cand["embedding"].iloc[order].tolist(), dtype=np.float64)
-    )
-    k, dims = seeds.shape
-    seeds_ref = ray.put(seeds)
-
-    def lloyd_partial(batch: pa.Table) -> pa.Table:
-        s = ray.get(seeds_ref)
-        En = _normalize_rows(np.array(batch["embedding"].to_pylist(), dtype=np.float64))
-        a0 = np.argmax(np.round(En @ s.T, 6), axis=1)  # first max = smallest cell
-        counts = np.bincount(a0, minlength=len(s))
-        sums = np.zeros_like(s)
-        np.add.at(sums, a0, En)
-        live = np.nonzero(counts)[0]
-        return pa.table(
-            {
-                "cell": pa.array(live, pa.int64()),
-                "n": pa.array(counts[live], pa.int64()),
-                "vsum": pa.array(sums[live].tolist(), pa.list_(pa.float64())),
-            }
-        )
-
-    parts = (
-        read_parquet_clean(path, columns=["embedding"])
-        .map_batches(lloyd_partial, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()  # ≤ n_cells rows per batch — cell scale
-    )
-    cents = seeds.copy()
-    for cell, g in parts.groupby("cell"):
-        total = np.sum(np.array(g["vsum"].tolist(), dtype=np.float64), axis=0)
-        mean = total / g["n"].sum()
-        cents[int(cell)] = _normalize_rows(mean[None, :])[0]
-    return cents
-
-
-class _CellAssigner:
-    """map_batches actor stage: centroids fetched once per actor."""
-
-    def __init__(self, cent_ref):
-        self.cents = ray.get(cent_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        En = _normalize_rows(np.array(batch["embedding"].to_pylist(), dtype=np.float64))
-        # round-6 argmax with first-max (= smallest cell) tiebreak — the
-        # exact rule the ivf_cell_assign SQL oracle replays
-        cell = np.argmax(np.round(En @ self.cents.T, 6), axis=1).astype(np.int64)
-        return batch.append_column("cell", pa.array(cell, pa.int64()))
-
-
-def ivf_build(sf_dir: str, n_cells: int = 8, index_dir: str | None = None) -> str:
-    """DISTRIBUTED IVF build (the ANN scale path): centroids = seeded
-    pseudo-random sample + one Lloyd round (:func:`_ivf_centroids`,
-    broadcast once with ray.put);
-    cell assignment runs in map_batches over the streaming read; vectors
-    land in per-cell parquet partitions (``cells/cell=N/``) so a query
-    probes ``nprobe`` cell directories instead of the whole table.  Nothing
-    corpus-sized ever lives in one process."""
-    import json
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    st = os.stat(path)
-    src_fp = f"{st.st_size}:{st.st_mtime_ns}"
-    if index_dir is None:
-        key = hashlib.md5(
-            f"{os.path.abspath(sf_dir)}:{n_cells}:v3".encode()
-        ).hexdigest()[:12]
-        index_dir = os.path.join(_IVF_CACHE_ROOT, key)
-    marker = os.path.join(index_dir, "_DONE.json")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            meta = json.load(f)
-        if meta.get("src_fp") == src_fp:
-            return index_dir
-        # embeddings changed under the cached index — rebuild, never serve stale
-    import shutil
-
-    shutil.rmtree(index_dir, ignore_errors=True)
-    os.makedirs(index_dir, exist_ok=True)
-    centroids = _ivf_centroids(path, n_cells)
-    cent_ref = ray.put(centroids)
-    from librecatastro_ray.sources.readers import read_parquet_clean
-
-    ds = read_parquet_clean(path, columns=["vec_id", "embedding"]).map_batches(
-        _CellAssigner,
-        fn_constructor_kwargs={"cent_ref": cent_ref},
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 4),
-        max_restarts=0,  # ObjectRef constructor arg (ray#53727): rerun, don't restart
-    )
-    ds.write_parquet(os.path.join(index_dir, "cells"), partition_cols=["cell"])
-    np.save(os.path.join(index_dir, "centroids.npy"), centroids)
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(
-            {"n_cells": int(len(centroids)), "source": os.path.abspath(path),
-             "src_fp": src_fp},
-            f,
-        )
-    os.replace(tmp, marker)
-    return index_dir
-
-
-def _ivf_cells_ds(index_dir: str, cells: list[int]) -> ray.data.Dataset | None:
-    """Dataset over ONLY the probed cell partitions, with the cell id
-    re-attached as a column (partition-directory reads — the nprobe IO
-    bound is the whole point of IVF)."""
-    parts = []
-    for c in cells:
-        d = os.path.join(index_dir, "cells", f"cell={c}")
-        if not os.path.isdir(d):
-            continue
-        from librecatastro_ray.sources.readers import read_parquet_clean
-
-        sub = read_parquet_clean(d, columns=["vec_id", "embedding"]).map_batches(
-            lambda t, cc=c: t.append_column(
-                "cell", pa.array(np.full(len(t), cc, dtype=np.int64), pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-        parts.append(sub)
-    if not parts:
-        if not os.path.isdir(os.path.join(index_dir, "cells")):
-            raise FileNotFoundError(f"no IVF index under {index_dir}")
-        return None  # every probed cell is empty (a centroid attracted 0 vectors)
-    return parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-
-
-class _IvfScorer:
-    """Partial top-k per batch, restricted per query to ITS probed cells."""
-
-    def __init__(self, queries_ref, k: int):
-        self.qids, self.Qn, self.cells = ray.get(queries_ref)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vids = batch["vec_id"].to_numpy()
-        cell = batch["cell"].to_numpy()
-        En = _normalize_rows(np.array(batch["embedding"].to_pylist(), dtype=np.float64))
-        C = self.Qn @ En.T
-        out_q, out_v, out_c = [], [], []
-        for qi, qid in enumerate(self.qids):
-            mask = np.isin(cell, self.cells[qi])
-            idx = np.nonzero(mask)[0]
-            if len(idx) == 0:
-                continue
-            row6 = np.round(C[qi][idx], 6)
-            take = idx[np.lexsort((vids[idx], -row6))[: self.k]]
-            out_q.extend([int(qid)] * len(take))
-            out_v.extend(vids[take].tolist())
-            out_c.extend(np.round(C[qi][take], 6).tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos": pa.array(out_c, pa.float64()),
-            }
-        )
-
-
-def ivf_search_batch(
-    index_dir: str, qids: np.ndarray, Q: np.ndarray, k: int = 10, nprobe: int = 2
-) -> dict[int, list[tuple[int, float]]]:
-    """Batch IVF search: per query, probe the ``nprobe`` nearest cells;
-    read ONLY those cell partitions (as a streaming Dataset), partial top-k
-    per batch, tiny driver merge.  Ranking is (round(cos,6) desc, vec_id
-    asc) — identical to the exact searcher restricted to the probed cells."""
-    centroids = np.load(os.path.join(index_dir, "centroids.npy"))
-    Qn = _normalize_rows(np.asarray(Q, dtype=np.float64))
-    # probe ranking on ROUNDED cosine with cell-asc tiebreak — the same
-    # deterministic rule the ivf_topk SQL oracle replays
-    cell_ids = np.arange(len(centroids))
-    cells = [
-        cell_ids[np.lexsort((cell_ids, -np.round(centroids @ q, 6)))][:nprobe]
-        for q in Qn
-    ]
-    needed = sorted({int(c) for cc in cells for c in cc})
-    queries_ref = ray.put((np.asarray(qids), Qn, cells))
-    cells_ds = _ivf_cells_ds(index_dir, needed)
-    if cells_ds is None:
-        return {int(q): [] for q in qids}
-    partials = (
-        cells_ds
-        .map_batches(
-            _IvfScorer,
-            fn_constructor_kwargs={"queries_ref": queries_ref, "k": k},
-            batch_format="pyarrow",
-            batch_size=2048,
-            concurrency=(1, 4),
-            max_restarts=0,  # ObjectRef constructor arg (ray#53727)
-        )
-        .to_pandas()  # ≤ queries × k × batches — result-scale
-    )
-    out: dict[int, list[tuple[int, float]]] = {int(q): [] for q in qids}
-    for qid, g in partials.groupby("query_id", sort=True):
-        cos6 = np.round(g["cos"].to_numpy(), 6)
-        vids = g["vec_id"].to_numpy()
-        order = np.lexsort((vids, -cos6))[:k]
-        out[int(qid)] = [(int(vids[i]), float(cos6[i])) for i in order]
-    return out
-
-
-def ivf_topk(
-    sf_dir: str, n_queries: int = 5, k: int = 10, nprobe: int = 2, n_cells: int = 8
-) -> dict[int, list[tuple[int, float]]]:
-    """Build (cached) + batch-search the distributed IVF index."""
-    index_dir = ivf_build(sf_dir, n_cells=n_cells)
-    qids, Q = _load_queries(sf_dir, n_queries)
-    return ivf_search_batch(index_dir, qids, Q, k=k, nprobe=nprobe)
-
-
-def ivf_cell_assign(sf_dir: str, n_cells: int = 8) -> pa.Table:
-    """(vec_id, cell) assignment table of the distributed IVF index — read
-    back from the per-cell parquet PARTITIONS the build wrote (so the oracle
-    checks the on-disk index content, not a recomputation).  Exact-argmax
-    SQL-expressible: seeds by md5 order, one Lloyd round, round-6 cosine
-    argmax — the DuckDB oracle in ``__ray_entry__`` replays all three.
-    Correctness-gate entry: the full table is returned (corpus-scale;
-    at 100 TB the consumer is the partitioned parquet itself)."""
-    index_dir = ivf_build(sf_dir, n_cells=n_cells)
-    cells_ds = _ivf_cells_ds(index_dir, list(range(n_cells)))
-    if cells_ds is None:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "cell": pa.array([], pa.int64())})
-    out = cells_ds.select_columns(["vec_id", "cell"]).to_pandas()
-    return pa.Table.from_pandas(
-        out.sort_values("vec_id", ignore_index=True), preserve_index=False
-    )
-
-
-def ivf_cell_assign_to_parquet(
-    sf_dir: str, out_dir: str, n_cells: int = 8
-) -> dict:
-    """PRODUCTION consumer of the IVF assignment (the round-5
-    production-path ask): stream (vec_id, cell) from the built index's
-    per-cell partitions straight to parquet partitioned by cell — no
-    driver pandas anywhere (the gate-shaped :func:`ivf_cell_assign` exists
-    only for the oracle compare; the at-scale source of truth is the
-    index's own ``cells/cell=N/`` layout, of which this is a columns-only
-    projection).  Returns a small report dict (per-cell row counts from
-    parquet metadata, output dir)."""
-    import pyarrow.dataset as pads
-
-    index_dir = ivf_build(sf_dir, n_cells=n_cells)
-    cells_ds = _ivf_cells_ds(index_dir, list(range(n_cells)))
-    os.makedirs(out_dir, exist_ok=True)
-    if cells_ds is not None:
-        cells_ds.select_columns(["vec_id", "cell"]).write_parquet(
-            out_dir, partition_cols=["cell"]
-        )
-    rows_by_cell = {
-        int(d.split("=", 1)[1]): pads.dataset(
-            os.path.join(out_dir, d), format="parquet"
-        ).count_rows()
-        for d in sorted(os.listdir(out_dir)) if d.startswith("cell=")
-    }
-    return {
-        "out_dir": out_dir,
-        "rows_by_cell": rows_by_cell,
-        "n_rows": sum(rows_by_cell.values()),
-    }
-
-
-def embedding_dup_pairs_ivf(
-    sf_dir: str, threshold: float = 0.9, n_cells: int = 8
-) -> pa.Table:
-    """Sub-quadratic near-dup pairs for HIGH thresholds: reuse the IVF cell
-    assignment, compute pairs only WITHIN a cell (near-identical vectors
-    agree on their argmax centroid with overwhelming probability).
-    Approximate — recall vs the exact block-pair join is unit-tested."""
-    index_dir = ivf_build(sf_dir, n_cells=n_cells)
-
-    def per_cell(batch: pa.Table) -> pa.Table:
-        va_l, vb_l, c_l = [], [], []
-        for c in batch["cell"].to_pylist():
-            d = os.path.join(index_dir, "cells", f"cell={c}")
-            if not os.path.isdir(d):
-                continue
-            import pyarrow.dataset as pads
-
-            t = pads.dataset(d, format="parquet").to_table(columns=["vec_id", "embedding"])
-            vids = t["vec_id"].to_numpy()
-            En = _normalize_rows(np.array(t["embedding"].to_pylist(), dtype=np.float64))
-            C = En @ En.T
-            a_idx, b_idx = np.nonzero(np.round(C, 6) >= threshold)
-            keep = vids[a_idx] < vids[b_idx]
-            va_l.append(vids[a_idx][keep])
-            vb_l.append(vids[b_idx][keep])
-            c_l.append(np.round(C[a_idx, b_idx][keep], 6))
-        if not va_l:
-            return pa.table({"vec_a": pa.array([], pa.int64()),
-                             "vec_b": pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        return pa.table({"vec_a": pa.array(np.concatenate(va_l), pa.int64()),
-                         "vec_b": pa.array(np.concatenate(vb_l), pa.int64()),
-                         "cos": pa.array(np.concatenate(c_l), pa.float64())})
-
-    cells_root = os.path.join(index_dir, "cells")
-    cells = sorted(
-        int(n.split("=")[1]) for n in os.listdir(cells_root) if n.startswith("cell=")
-    )
-    out = (
-        ray.data.from_items([{"cell": c} for c in cells], override_num_blocks=max(len(cells), 1))
-        .map_batches(per_cell, batch_format="pyarrow", batch_size=1)
-        .to_pandas()
-    )
-    return pa.Table.from_pandas(
-        out.sort_values(["vec_a", "vec_b"], ignore_index=True), preserve_index=False
-    )
-
-
-# ---------------------------------------------------------------------------
-# multimodal stub
-# ---------------------------------------------------------------------------
-
-
-class DecodeStub:
-    """Multimodal decode stage with REAL Ray plumbing and a STUBBED decoder.
-
-    Treats the payload as an opaque binary column; the actual decode would
-    live in ``_decode``.  The gate now covers ONLY inter-frame video codecs
-    (H.264-class temporal prediction) — PPM/WAV
-    (multimodal.decode_ppm/decode_wav), PNG (multimodal.decode_png: zlib +
-    numpy unfiltering), baseline JPEG (multimodal.decode_jpeg: full Huffman
-    entropy decode + IDCT), GIF (decode_gif: variable-width LZW) and
-    MJPEG-in-AVI video (decode_avi_mjpeg: RIFF container walk + per-frame
-    JPEG decode) all have REAL decoders.  The deterministic fake derives
-    metadata from the raw bytes so the schema, batch sizing and actor-pool
-    shape are exercised end-to-end.
-    """
-
-    def __init__(self, real_decoder: bool = False):
-        if real_decoder:
-            raise NotImplementedError(
-                "inter-frame video codecs (H.264) not available in this "
-                "environment (PPM/WAV/PNG/JPEG/GIF and MJPEG-AVI video "
-                "decode natively: librecatastro_ray.pipelines.multimodal."
-                "decode_ppm/decode_wav/decode_png/decode_jpeg/decode_gif/"
-                "decode_avi_mjpeg)"
-            )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = [(_s or "") for _s in batch["text"].to_pylist()]
-        n_bytes = np.array([len(s.encode("utf-8")) for s in texts], dtype=np.int64)
-        # first 8 CHARACTERS (not bytes), to match SQL substr(text, 1, 8)
-        head_hex = [s[:8].encode("utf-8").hex().upper() for s in texts]
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_bytes": pa.array(n_bytes, pa.int64()),
-                "head_hex": pa.array(head_hex, pa.string()),
-                "fake_width": pa.array(n_bytes % 640, pa.int64()),
-                "fake_height": pa.array((n_bytes * 7) % 480, pa.int64()),
-            }
-        )
-
-
-def multimodal_decode_stub(sf_dir: str) -> ray.data.Dataset:
-    return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        DecodeStub, batch_format="pyarrow", batch_size=256, concurrency=(1, 4)
-    )
-
-
 # BPE-ish pre-tokenizer (GPT-2-style word/number/punct split, RE2-safe — no
 # lookahead, so pyarrow's and DuckDB's RE2 count the same matches)
 BPE_SPLIT_RE = r" ?[a-z]+| ?[0-9]+| ?[^a-z0-9\s]+"
@@ -2545,60 +1961,6 @@ def token_counts_bpe(sf_dir: str) -> ray.data.Dataset:
 
     return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
         fn, batch_format="pyarrow", batch_size=4096
-    )
-
-
-class FrameSampler:
-    """Multimodal frame-sample + per-frame feature stage (actor pool, REAL
-    plumbing / deterministic fake features like DecodeStub): the payload is
-    cut into fixed-stride frames (every 256 CHARACTERS, capped at 8 — the
-    video frame-sample analogue) and each frame gets an md5 feature.  A real
-    decoder would replace ``_frame_feature`` (codec libs absent here)."""
-
-    FRAME_CHARS = 256
-    MAX_FRAMES = 8
-
-    def __init__(self, real_decoder: bool = False):
-        # same honest-stub policy as DecodeStub: the real codec path is
-        # gated, the Ray plumbing is real
-        if real_decoder:
-            raise NotImplementedError(
-                "inter-frame video codecs (H.264) not available in this "
-                "environment; the REAL-decoder frame samplers are "
-                "multimodal.AudioFrameSampler (WAV) and "
-                "multimodal.VideoFeatures (MJPEG-in-AVI)"
-            )
-
-    @staticmethod
-    def _frame_feature(frame: str) -> str:
-        return hashlib.md5(frame.encode("utf-8")).hexdigest()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = [(s or "") for s in batch["text"].to_pylist()]
-        n_frames, first, last = [], [], []
-        for t in texts:
-            n = min((len(t) + self.FRAME_CHARS - 1) // self.FRAME_CHARS, self.MAX_FRAMES)
-            n_frames.append(n)
-            if n == 0:
-                first.append(None)
-                last.append(None)
-            else:
-                first.append(self._frame_feature(t[: self.FRAME_CHARS]))
-                lo = (n - 1) * self.FRAME_CHARS
-                last.append(self._frame_feature(t[lo : lo + self.FRAME_CHARS]))
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_frames": pa.array(n_frames, pa.int64()),
-                "first_frame_md5": pa.array(first, pa.string()),
-                "last_frame_md5": pa.array(last, pa.string()),
-            }
-        )
-
-
-def multimodal_frames(sf_dir: str) -> ray.data.Dataset:
-    return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        FrameSampler, batch_format="pyarrow", batch_size=512, concurrency=(1, 4)
     )
 
 

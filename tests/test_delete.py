@@ -132,3 +132,41 @@ def test_rebuild_clears_tombstones(tmp_path, corpus_small):
     build_index(corpus_small, index_dir, cfg)
     assert len(load_deleted(index_dir)) == 0
     assert QueryEngine(index_dir).hydrate([0]).num_rows == 1
+
+
+def test_delete_by_query_tombstones_exactly_the_hits(tmp_path, corpus_small):
+    """Every clause of the query selects what is deleted: the newly
+    tombstoned set equals the query's hits, and a key the kind does not take
+    raises before anything is tombstoned."""
+    index_dir = str(tmp_path / "idx")
+    build_index(corpus_small, index_dir, IndexConfig(num_partitions=2, num_salts=1))
+    cases = [
+        ({"text": "needle_0001 class"},  # a missing kind is match
+         lambda e: e.match("needle_0001 class", k=10**9)),
+        ({"kind": "bool_must", "must_terms": ["def"],
+          "keyword_in": [("lang", ["py", "go"])]},
+         lambda e: e.bool_must(["def"], k=10**9, keyword_in=[("lang", ["py", "go"])])),
+        ({"kind": "bool_must", "should_terms": ["return", "self"],
+          "minimum_should_match": 2},
+         lambda e: e.bool_must([], k=10**9, should_terms=["return", "self"],
+                               minimum_should_match=2)),
+        ({"kind": "wildcard", "pattern": "id_000*"},
+         lambda e: e.wildcard_content("id_000*", k=10**9)),
+    ]
+    for query, expected in cases:
+        hits = set(expected(QueryEngine(index_dir))["doc_id"].to_pylist())
+        assert hits, query
+        before = set(load_deleted(index_dir).tolist())
+        n_new = delete_by_query(index_dir, query)
+        new = set(load_deleted(index_dir).tolist()) - before
+        assert new == hits, query
+        assert n_new == len(hits)
+    before = load_deleted(index_dir).tolist()
+    for bad in ({"kind": "match", "txt": "def"},
+                {"kind": "bool_must", "must_terms": ["def"], "text": "def"},
+                {"kind": "wildcard", "prefix": "id_"},
+                {"kind": "count", "text": "def"},
+                {"kind": "knn", "text": "def"}):
+        with pytest.raises(ValueError):
+            delete_by_query(index_dir, bad)
+    assert load_deleted(index_dir).tolist() == before

@@ -335,154 +335,6 @@ def test_scatter_many_queries_stress(built_index):
         assert got["doc_id"].tolist() == exp["doc_id"].to_pylist(), i
 
 
-# ---------------------------------------------------------------------------
-# JPEG (real baseline codec)
-# ---------------------------------------------------------------------------
-
-
-def _jpeg_expected_gray(img):
-    """Independent expected reconstruction: quantize → dequant → IDCT →
-    half-up round → clamp → crop (what a correct decoder must emit)."""
-    from librecatastro_ray.pipelines.multimodal import (
-        _DCT_M, _JPEG_QTAB, _ZIGZAG, _fdct_quant,
-    )
-
-    h, w = img.shape
-    bh, bw = -(-h // 8), -(-w // 8)
-    zz = _fdct_quant(img)
-    blk = np.zeros_like(zz, dtype=np.float64)
-    blk[:, _ZIGZAG] = zz
-    blk = blk.reshape(-1, 8, 8) * _JPEG_QTAB.reshape(8, 8)
-    pix = np.einsum("xu,buv,vz->bxz", _DCT_M.T, blk, _DCT_M) + 128.0
-    pix = np.clip(np.floor(pix + 0.5), 0, 255)
-    full = pix.reshape(bh, bw, 8, 8).transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-    return full[:h, :w].astype(np.uint8)
-
-
-def test_jpeg_zigzag_is_the_standard_order():
-    from librecatastro_ray.pipelines.multimodal import _ZIGZAG
-
-    assert list(_ZIGZAG[:10]) == [0, 1, 8, 16, 9, 2, 3, 10, 17, 24]
-    assert sorted(_ZIGZAG.tolist()) == list(range(64))
-    assert list(_ZIGZAG[-4:]) == [61, 54, 47, 55] or _ZIGZAG[-1] == 63
-
-
-def test_jpeg_even_constant_blocks_lossless():
-    """The oracle's foundation: even-valued constant 8x8 blocks survive the
-    Annex-K quant round-trip bit-exactly."""
-    from librecatastro_ray.pipelines.multimodal import decode_jpeg, encode_jpeg
-
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        nby, nbx = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        vals = (2 * rng.integers(0, 128, size=(nby, nbx))).astype(np.uint8)
-        img = np.kron(vals, np.ones((8, 8), np.uint8))
-        w, h, c, out = decode_jpeg(encode_jpeg(img))
-        assert (w, h, c) == (nbx * 8, nby * 8, 1)
-        assert np.array_equal(out, img)
-
-
-def test_jpeg_gray_roundtrip_arbitrary_content():
-    """Decoder output equals the independent expected reconstruction on
-    random-content images of awkward (non multiple-of-8) sizes — exercises
-    padding, DC chains, ZRL, EOB and every Huffman path the data hits."""
-    from librecatastro_ray.pipelines.multimodal import decode_jpeg, encode_jpeg
-
-    rng = np.random.default_rng(13)
-    for _ in range(6):
-        h, w = int(rng.integers(3, 45)), int(rng.integers(3, 45))
-        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
-        dw, dh, c, out = decode_jpeg(encode_jpeg(img))
-        assert (dw, dh, c) == (w, h, 1)
-        assert np.array_equal(out, _jpeg_expected_gray(img))
-
-
-def test_jpeg_color_roundtrip_matches_plane_reconstruction():
-    from librecatastro_ray.pipelines.multimodal import decode_jpeg, encode_jpeg
-
-    rng = np.random.default_rng(17)
-    img = rng.integers(0, 256, size=(19, 23, 3)).astype(np.uint8)
-    # expected: encoder's YCbCr planes, each through the gray pipeline,
-    # then the decoder's YCbCr->RGB formula
-    r, g, b = (img[:, :, i].astype(np.float64) for i in range(3))
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = 128.0 - 0.168735892 * r - 0.331264108 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418687589 * g - 0.081312411 * b
-    planes = [np.clip(np.floor(p + 0.5), 0, 255).astype(np.uint8)
-              for p in (y, cb, cr)]
-    dec = [_jpeg_expected_gray(p).astype(np.float64) for p in planes]
-    ry = dec[0] + 1.402 * (dec[2] - 128.0)
-    gy = dec[0] - 0.344136286 * (dec[1] - 128.0) - 0.714136286 * (dec[2] - 128.0)
-    by = dec[0] + 1.772 * (dec[1] - 128.0)
-    exp = np.stack([np.clip(np.floor(p + 0.5), 0, 255) for p in (ry, gy, by)],
-                   axis=2).astype(np.uint8)
-    w, h, c, out = decode_jpeg(encode_jpeg(img))
-    assert (w, h, c) == (23, 19, 3)
-    assert np.array_equal(out, exp)
-
-
-def test_jpeg_guards():
-    import struct
-
-    import pytest
-
-    from librecatastro_ray.pipelines.multimodal import decode_jpeg, encode_jpeg
-
-    img = (np.ones((8, 8)) * 100).astype(np.uint8)
-    buf = bytearray(encode_jpeg(img))
-    with pytest.raises(ValueError, match="SOI"):
-        decode_jpeg(b"\x00\x01" + bytes(buf[2:]))
-    # progressive (SOF2) rejected: rewrite the SOF0 marker byte
-    sof = bytes(buf).find(b"\xff\xc0")
-    prog = bytearray(buf)
-    prog[sof + 1] = 0xC2
-    with pytest.raises(ValueError, match="baseline"):
-        decode_jpeg(bytes(prog))
-    # subsampling rejected: component sampling factor 0x22
-    sub = bytearray(buf)
-    sub[sof + 2 + 2 + 6 + 1] = 0x22  # len(2) + prec/h/w/nc(6) + cid
-    with pytest.raises(ValueError, match="subsampl"):
-        decode_jpeg(bytes(sub))
-    # truncated entropy stream
-    with pytest.raises(ValueError):
-        decode_jpeg(bytes(buf[:-6]))
-    # restart interval rejected (inject DRI before SOS)
-    sos = bytes(buf).find(b"\xff\xda")
-    dri = b"\xff\xdd" + struct.pack(">H", 4) + struct.pack(">H", 8)
-    with pytest.raises(ValueError, match="restart"):
-        decode_jpeg(bytes(buf[:sos]) + dri + bytes(buf[sos:]))
-    # encoder input validation
-    with pytest.raises(ValueError):
-        encode_jpeg(img.astype(np.int32))
-
-
-def test_jpeg_feature_stage_matches_rule(ray_session, tmp_path):
-    """JpegFeatures over synthesized payloads == the generation rule
-    (the in-process version of the mm_image_features jpeg leg oracle)."""
-    import pyarrow.parquet as pq
-
-    from librecatastro_ray.pipelines.multimodal import jpeg_features
-
-    ids = [0, 1, 2, 3, 4, 5, 96, 97, 127, 128, 500]
-    pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64())}),
-                   str(tmp_path / "documents.parquet"))
-    got = {r["doc_id"]: r for r in jpeg_features(str(tmp_path)).take_all()}
-    for d in ids:
-        nbx, nby = 2 + d % 3, 2 + d % 2
-        w, h = nbx * 8, nby * 8
-        v = lambda bi: 2 * ((d * 37 + bi * 41) % 128)
-        sum_y = 64 * sum(v(bi) for bi in range(nbx * nby))
-        r = got[d]
-        assert (r["width"], r["height"], r["channels"]) == (w, h, 1)
-        assert r["sum_r"] == r["sum_g"] == r["sum_b"] == sum_y
-        assert r["sum_a"] == 0
-        small = [v(((((j * h) // 8) // 8) * nbx + (((i * w) // 8) // 8)))
-                 for j in range(8) for i in range(8)]
-        tot = sum(small)
-        ahash = sum((1 << k) for k in range(64) if 64 * small[k] > tot) % (1 << 63)
-        assert r["ahash"] == ahash
-
-
 def test_audio_suite_equals_features_join_frames():
     """AudioSuite (one decode pass) emits exactly the union of the
     AudioFeatures and AudioFrameSampler columns, value-identical."""
@@ -496,169 +348,3 @@ def test_audio_suite_equals_features_join_frames():
         assert suite[col].to_pylist() == feats[col].to_pylist()
     for col in ("n_frames", "max_frame_energy", "peak_frame"):
         assert suite[col].to_pylist() == frames[col].to_pylist()
-
-
-def test_gif_lzw_roundtrip_and_overflow():
-    from librecatastro_ray.pipelines.multimodal import _lzw_compress, _lzw_decompress
-
-    rng = np.random.default_rng(3)
-    for mcs in (2, 4, 8):
-        for n in (1, 7, 300, 20000):  # 20000 forces a 4096-table CLEAR reset
-            idx = rng.integers(0, 1 << mcs, n).astype(np.int64)
-            back = _lzw_decompress(_lzw_compress(idx, mcs), mcs)
-            assert (back == idx).all(), (mcs, n)
-    # KwKwK stress: immediate repeats hit the code == len(table) branch
-    idx = np.array([1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1] * 64, dtype=np.int64)
-    assert (_lzw_decompress(_lzw_compress(idx, 2), 2) == idx).all()
-
-
-def test_gif_handbuilt_bytes_decode():
-    """A GIF built BY HAND (independent of encode_gif) decodes to known
-    pixels — guards against a symmetric encoder/decoder co-bug."""
-    import struct
-
-    from librecatastro_ray.pipelines.multimodal import decode_gif
-
-    bits = "".join(format(code, "03b")[::-1] for code in (4, 1, 2, 1, 5))
-    data = bytes(
-        int(bits[i : i + 8].ljust(8, "0")[::-1], 2) for i in range(0, len(bits), 8)
-    )
-    pal = bytes([10, 20, 30, 40, 50, 60, 70, 80, 90, 11, 22, 33])
-    gif = (b"GIF89a" + struct.pack("<HHBBB", 3, 1, 0x80 | (1 << 4) | 1, 0, 0) + pal
-           + b"\x2c" + struct.pack("<HHHHB", 0, 0, 3, 1, 0)
-           + bytes([2, len(data)]) + data + b"\x00\x3b")
-    w, h, rgb = decode_gif(gif)
-    assert (w, h) == (3, 1)
-    assert rgb.tolist() == [[[40, 50, 60], [70, 80, 90], [40, 50, 60]]]
-
-
-def test_gif_roundtrip_matches_generation_rule():
-    from librecatastro_ray.pipelines.multimodal import _synth_gif, decode_gif
-
-    for d in (0, 5, 123, 999, 4444):
-        w, h, rgb = decode_gif(_synth_gif(d))
-        assert (w, h) == (8 + d % 9, 6 + d % 5)
-        x = np.arange(w)[None, :]
-        y = np.arange(h)[:, None]
-        idx = (d * 7 + x // 3 + y) % 16
-        i = np.arange(16)
-        palette = np.stack([17 * i, (29 * i) % 256, (53 * i) % 256], axis=1)
-        assert (rgb == palette[idx]).all(), d
-
-
-def test_gif_guards():
-    from librecatastro_ray.pipelines.multimodal import (_synth_gif, decode_gif,
-                                                        encode_gif)
-
-    with pytest.raises(ValueError, match="not a GIF"):
-        decode_gif(b"NOTAGIF" + b"\x00" * 20)
-    buf = _synth_gif(7)
-    with pytest.raises(ValueError):  # torn sub-blocks / truncated LZW
-        decode_gif(buf[:-8])
-    # pixel underrun: an encoded 2x2 image presented as 4x2
-    small = encode_gif(np.zeros((2, 2), dtype=np.int64),
-                       np.zeros((4, 3), dtype=np.uint8))
-    grown = bytearray(small)
-    import struct as _s
-    grown[6:8] = _s.pack("<H", 4)  # screen width
-    ix = small.index(b"\x2c")
-    grown[ix + 5 : ix + 7] = _s.pack("<H", 4)  # image width
-    with pytest.raises(ValueError, match="underrun"):
-        decode_gif(bytes(grown))
-
-
-# ---------------------------------------------------------------------------
-# MJPEG-in-AVI video (round-5: the video gate-closer)
-# ---------------------------------------------------------------------------
-
-
-def test_avi_handbuilt_bytes_decode():
-    """An AVI built BY HAND (independent of encode_avi_mjpeg) walks to the
-    declared dims and frame payloads — guards a symmetric encoder/decoder
-    co-bug.  Frame payloads are sentinels (the container walk is under test,
-    not the JPEG codec); one is odd-length to exercise RIFF even padding."""
-    import struct
-
-    from librecatastro_ray.pipelines.multimodal import decode_avi_mjpeg
-
-    def chunk(fourcc, payload):
-        pad = b"\x00" if len(payload) % 2 else b""
-        return fourcc + struct.pack("<I", len(payload)) + payload + pad
-
-    f1, f2 = b"JPGDATA", b"JPGDATA2"  # 7 (odd) and 8 bytes
-    avih = struct.pack("<14I", 100000, 0, 0, 0x10, 2, 0, 1, 0, 16, 8,
-                       0, 0, 0, 0)
-    hdrl = chunk(b"LIST", b"hdrl" + chunk(b"avih", avih))
-    movi = chunk(b"LIST", b"movi" + chunk(b"00dc", f1) + chunk(b"00dc", f2))
-    body = b"AVI " + hdrl + movi
-    buf = b"RIFF" + struct.pack("<I", len(body)) + body
-    w, h, nf, frames = decode_avi_mjpeg(buf)
-    assert (w, h, nf) == (16, 8, 2)
-    assert frames == [f1, f2]
-
-
-def test_avi_roundtrip_matches_generation_rule():
-    """Full engine path: container walk + per-frame entropy decode equals
-    the even-constant-block generation rule bit-exactly (the lossless
-    Annex-K round-trip argument, per frame)."""
-    from librecatastro_ray.pipelines.multimodal import (
-        _synth_avi, decode_avi_mjpeg, decode_jpeg,
-    )
-
-    for d in (0, 1, 5, 11, 123, 998):
-        w, h, nf, frames = decode_avi_mjpeg(_synth_avi(d))
-        nbx, nby = 2 + d % 3, 2 + d % 2
-        assert (w, h, nf) == (nbx * 8, nby * 8, 2 + d % 4)
-        bi = np.arange(nby * nbx, dtype=np.int64)
-        for f_i, fr in enumerate(frames):
-            fw, fh, c, img = decode_jpeg(fr)
-            assert (fw, fh, c) == (w, h, 1)
-            vals = (2 * ((d * 37 + f_i * 53 + bi * 41) % 128)).reshape(nby, nbx)
-            assert (img == np.kron(vals, np.ones((8, 8), int))).all(), (d, f_i)
-
-
-def test_avi_guards():
-    import struct
-
-    from librecatastro_ray.pipelines.multimodal import (
-        _synth_avi, decode_avi_mjpeg,
-    )
-
-    with pytest.raises(ValueError, match="not a RIFF"):
-        decode_avi_mjpeg(b"JUNKJUNKJUNK")
-    with pytest.raises(ValueError, match="not a RIFF"):
-        decode_avi_mjpeg(b"RIFF" + struct.pack("<I", 4) + b"WAVE")
-    buf = _synth_avi(7)
-    with pytest.raises(ValueError, match="truncated"):
-        decode_avi_mjpeg(buf[:-10])
-    # frame-count lie: avih says one more frame than movi carries
-    lying = bytearray(buf)
-    ix = buf.index(b"avih")
-    n = struct.unpack("<I", buf[ix + 8 + 16:ix + 8 + 20])[0]
-    lying[ix + 8 + 16:ix + 8 + 20] = struct.pack("<I", n + 1)
-    with pytest.raises(ValueError, match="declares"):
-        decode_avi_mjpeg(bytes(lying))
-
-
-def test_video_features_known_values(tmp_path):
-    """VideoFeatures over a tiny corpus: per-video integer features equal
-    the generation-rule replay (sum over frames of 64 * block values)."""
-    import pyarrow.parquet as pq
-
-    from librecatastro_ray.pipelines.multimodal import video_features
-
-    pq.write_table(
-        pa.table({"doc_id": pa.array([0, 3, 10], pa.int64())}),
-        str(tmp_path / "documents.parquet"),
-    )
-    out = video_features(str(tmp_path)).to_pandas().set_index("doc_id")
-    for d in (0, 3, 10):
-        nbx, nby, nf = 2 + d % 3, 2 + d % 2, 2 + d % 4
-        bi = np.arange(nby * nbx, dtype=np.int64)
-        fsums = [int(64 * (2 * ((d * 37 + f * 53 + bi * 41) % 128)).sum())
-                 for f in range(nf)]
-        r = out.loc[d]
-        assert (r["n_frames"], r["width"], r["height"]) == (nf, nbx * 8, nby * 8)
-        assert r["sum_first"] == fsums[0]
-        assert r["sum_last"] == fsums[-1]
-        assert r["sum_all"] == sum(fsums)

@@ -261,42 +261,6 @@ def test_scatter_must_not_only_and_require_should(built_index, engine):
         ], qid
 
 
-def test_ivf_cache_invalidated_on_changed_embeddings(tmp_path):
-    import json
-    import shutil
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from librecatastro_ray.pipelines.training import ivf_build
-
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    rng = np.random.RandomState(1)
-    def write(seed):
-        r = np.random.RandomState(seed)
-        pq.write_table(
-            pa.table({
-                "vec_id": pa.array(range(64), pa.int64()),
-                "embedding": pa.array([r.randn(8).tolist() for _ in range(64)],
-                                      pa.list_(pa.float32())),
-            }),
-            str(sf / "embeddings.parquet"),
-        )
-    write(1)
-    idx = str(tmp_path / "ivf")
-    ivf_build(str(sf), n_cells=4, index_dir=idx)
-    cents1 = np.load(idx + "/centroids.npy")
-    fp1 = json.load(open(idx + "/_DONE.json"))["src_fp"]
-    write(2)  # same path, new content
-    ivf_build(str(sf), n_cells=4, index_dir=idx)
-    fp2 = json.load(open(idx + "/_DONE.json"))["src_fp"]
-    cents2 = np.load(idx + "/centroids.npy")
-    assert fp1 != fp2, "stale IVF cache served after embeddings changed"
-    assert not np.allclose(cents1, cents2)
-
-
 def test_scatter_all_zero_hit_queries(built_index):
     """Every query zero-hit (or paged past its results): typed empty result,
     no ArrowInvalid from the schema-less empty Dataset."""

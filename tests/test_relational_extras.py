@@ -1,13 +1,11 @@
 """Hermetic tests for the round-2 custom operators that remain: BPE-ish token
-counts, multimodal frame sampling, and two search-layer edge cases (an empty
-scatter sink, prefix_content paging)."""
+counts, and two search-layer edge cases (an empty scatter sink,
+prefix_content paging)."""
 
-import hashlib
 import re
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 
 def test_token_counts_bpe_matches_python_re(tmp_path):
@@ -26,32 +24,6 @@ def test_token_counts_bpe_matches_python_re(tmp_path):
     pat = re.compile(BPE_SPLIT_RE)
     for i, t in enumerate(texts):
         assert got[i] == len(pat.findall((t or "").lower())), (i, t)
-
-
-def test_multimodal_frames(tmp_path):
-    from librecatastro_ray.pipelines.training import multimodal_frames
-
-    texts = ["x" * 600, "", "short", "y" * (256 * 10)]  # 3 frames, 0, 1, capped 8
-    pq.write_table(
-        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                  "text": pa.array(texts, pa.string())}),
-        str(tmp_path / "documents.parquet"),
-    )
-    got = {r["doc_id"]: r for r in multimodal_frames(str(tmp_path)).take_all()}
-    assert got[0]["n_frames"] == 3
-    assert got[0]["first_frame_md5"] == hashlib.md5(("x" * 256).encode()).hexdigest()
-    assert got[0]["last_frame_md5"] == hashlib.md5(("x" * 88).encode()).hexdigest()
-    assert got[1]["n_frames"] == 0 and got[1]["first_frame_md5"] is None
-    assert got[2]["n_frames"] == 1
-    assert got[2]["first_frame_md5"] == got[2]["last_frame_md5"]
-    assert got[3]["n_frames"] == 8  # frame cap
-
-
-def test_frame_sampler_gates_real_decoder():
-    from librecatastro_ray.pipelines.training import FrameSampler
-
-    with pytest.raises(NotImplementedError):
-        FrameSampler(real_decoder=True)
 
 
 def test_scatter_sink_empty_queries(built_index, tmp_path):

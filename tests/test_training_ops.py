@@ -1,7 +1,8 @@
 """Unit tests for the training-data ops: vectorized hash identity (simhash /
 fingerprints vs the scalar reference recurrences), minhash recall, the
-distributed LSH verify, distributed IVF recall, and the IVF-bucketed
-near-dup's subset property."""
+distributed LSH and n-gram verifies, near-dup clustering, the dedup,
+decontamination, LM and sampling operators, and the curation pipeline's
+partitioned-parquet output."""
 
 import numpy as np
 import pandas as pd
@@ -169,71 +170,6 @@ def test_fingerprint_vectorized_identical_to_scalar():
     assert got[0] != got[1]  # order matters
     assert got[0] == got[2]  # whitespace-insensitive
     assert got[3] == 0
-
-
-def test_ivf_distributed_recall_vs_brute_force(tmp_path):
-    """Distributed IVF (pushdown centroids → map_batches assignment →
-    per-cell partitions → nprobe-partition reads) must recover most of the
-    exact top-10 at nprobe=2 and ALL of it at nprobe=n_cells."""
-    import pyarrow.parquet as pq
-
-    from librecatastro_ray.pipelines.training import (
-        _load_queries,
-        _normalize_rows,
-        ivf_build,
-        ivf_search_batch,
-    )
-
-    sf = "/root/testdata/sf0.01"
-    index_dir = ivf_build(sf, n_cells=8, index_dir=str(tmp_path / "ivf"))
-    t = pq.read_table(sf + "/embeddings.parquet", columns=["vec_id", "embedding"])
-    vids = t["vec_id"].to_numpy()
-    En = _normalize_rows(np.array(t["embedding"].to_pylist(), dtype=np.float64))
-    qids, Q = _load_queries(sf, 5)
-    res2 = ivf_search_batch(index_dir, qids, Q, k=11, nprobe=2)
-    recalls = []
-    for qid, q in zip(qids, Q):
-        qpos = int(np.nonzero(vids == qid)[0][0])
-        exact_cos = En @ En[qpos]
-        exact_cos[qpos] = -np.inf
-        exact_top = set(vids[np.argsort(-exact_cos)[:10]].tolist())
-        approx = {v for v, _ in res2[int(qid)] if v != qid}
-        recalls.append(len(exact_top & approx) / 10)
-    assert np.mean(recalls) >= 0.3  # nprobe=2/8 cells on near-random vectors
-    # full probe = exact
-    res_full = ivf_search_batch(index_dir, qids[:2], Q[:2], k=6, nprobe=8)
-    for qid, q in zip(qids[:2], Q[:2]):
-        qpos = int(np.nonzero(vids == qid)[0][0])
-        exact_cos = np.round(En @ En[qpos], 6)
-        exact_cos[qpos] = -np.inf
-        order = np.lexsort((vids, -exact_cos))[:5]
-        exact = [int(vids[i]) for i in order]
-        approx = [v for v, _ in res_full[int(qid)] if v != qid][:5]
-        assert approx == exact
-
-
-def test_embedding_ivf_pairs_subset_of_exact():
-    """Cell-bucketed near-dup pairs are a SUBSET of the exact block-pair
-    join with identical cos values (it can only miss cross-cell pairs)."""
-    from librecatastro_ray.pipelines.training import (
-        embedding_dup_pairs,
-        embedding_dup_pairs_ivf,
-    )
-
-    sf = "/root/testdata/sf0.01"
-    exact = {(r["vec_a"], r["vec_b"]): r["cos"] for r in embedding_dup_pairs(sf, 0.4).to_pylist()}
-    approx = {(r["vec_a"], r["vec_b"]): r["cos"] for r in embedding_dup_pairs_ivf(sf, 0.4).to_pylist()}
-    assert set(approx) <= set(exact)
-    assert len(approx) > 0
-    for k, v in approx.items():
-        assert v == exact[k]
-
-
-def test_decode_stub_gates_real_decoder():
-    from librecatastro_ray.pipelines.training import DecodeStub
-
-    with pytest.raises(NotImplementedError):
-        DecodeStub(real_decoder=True)
 
 
 def test_near_dup_clusters_transitive(tmp_path):
@@ -1207,30 +1143,5 @@ def test_curate_corpus_to_parquet_matches_gate(tmp_path):
         .to_table().to_pandas()
         .astype({"lang_pred": str})[gate.columns.tolist()]
         .sort_values("doc_id", ignore_index=True)
-    )
-    pd.testing.assert_frame_equal(got, gate)
-
-
-def test_ivf_cell_assign_to_parquet_matches_gate(tmp_path):
-    """The IVF production path: per-cell partitioned (vec_id, cell) files
-    equal the gate-shaped assignment table."""
-    import pyarrow.dataset as pads
-
-    from librecatastro_ray.pipelines.training import (
-        ivf_cell_assign, ivf_cell_assign_to_parquet,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    gate = ivf_cell_assign(sf, n_cells=8).to_pandas()
-    rep = ivf_cell_assign_to_parquet(sf, str(tmp_path / "cells"), n_cells=8)
-    parts = sorted(p.name for p in (tmp_path / "cells").iterdir())
-    assert parts and all(p.startswith("cell=") for p in parts)
-    assert rep["n_rows"] == len(gate)
-    got = (
-        pads.dataset(str(tmp_path / "cells"), format="parquet",
-                     partitioning="hive")
-        .to_table().to_pandas()
-        .astype({"cell": "int64"})[["vec_id", "cell"]]
-        .sort_values("vec_id", ignore_index=True)
     )
     pd.testing.assert_frame_equal(got, gate)
