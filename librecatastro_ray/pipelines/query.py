@@ -203,6 +203,22 @@ def _in_sorted(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == values
 
 
+def _lru_put(cache: OrderedDict, key, value, size: int, cap: int) -> int:
+    """Insert ``value`` as the most recent entry of ``cache`` and evict the
+    least recent entries while the total weight exceeds ``cap`` (the newest
+    entry always stays); returns the new total.  An entry weighs its doc-id
+    count: the length of a tuple entry's first array, or of an array entry."""
+    def weight(v) -> int:
+        return len(v[0]) if isinstance(v, tuple) else len(v)
+
+    cache[key] = value
+    size += weight(value)
+    while size > cap and len(cache) > 1:
+        _, old = cache.popitem(last=False)
+        size -= weight(old)
+    return size
+
+
 def _array(col: pa.ChunkedArray) -> pa.Array:
     """A column read from one row group as one array (zero copy when the
     reader returns one chunk)."""
@@ -633,11 +649,9 @@ class QueryEngine:
             return cached
         runs = [r for s in self._salts(term) if (r := self._run(term, s)) is not None]
         result = _merge_runs(runs)
-        self._postings_cache[term] = result
-        self._postings_cache_size += len(result[0])
-        while self._postings_cache_size > self._postings_cache_cap and len(self._postings_cache) > 1:
-            _, old = self._postings_cache.popitem(last=False)
-            self._postings_cache_size -= len(old[0])
+        self._postings_cache_size = _lru_put(
+            self._postings_cache, term, result, self._postings_cache_size,
+            self._postings_cache_cap)
         return result
 
     def _block_meta(self, term: str, salt: int):
@@ -678,11 +692,9 @@ class QueryEngine:
             w = float(self.scorer.idf(df, self.n_docs))
             contrib = w * self.scorer.tf_norm(tfs, dls, self.avgdl)
             result = (docs, contrib)
-        self._contrib_cache[term] = result
-        self._contrib_cache_size += len(result[0])
-        while self._contrib_cache_size > self._contrib_cache_cap and len(self._contrib_cache) > 1:
-            _, old = self._contrib_cache.popitem(last=False)
-            self._contrib_cache_size -= len(old[0])
+        self._contrib_cache_size = _lru_put(
+            self._contrib_cache, term, result, self._contrib_cache_size,
+            self._contrib_cache_cap)
         return result
 
     def _alive(self, docs: np.ndarray) -> np.ndarray:
@@ -1119,13 +1131,21 @@ class QueryEngine:
 
         Value-counts each batch of :meth:`_hit_rows` (never materializes
         (doc, value) rows for non-hits) — the same shape a corpus-scale agg
-        needs.  Output pinned by (count desc, key asc), ES's ordering."""
+        needs.  Output pinned by (count desc, key asc), ES's ordering.
+        ``size`` must be a positive integer, as ES requires; anything else
+        raises ``ValueError``."""
+        try:
+            top = operator.index(size)
+        except TypeError:
+            top = 0
+        if top < 1:
+            raise ValueError(f"terms_agg size must be a positive integer, got {size!r}")
         counts: dict[str, int] = {}
         for _ids, vals in self._hit_rows(field, hits):
             for kv in vals.value_counts():
                 key = kv["values"].as_py()
                 counts[key] = counts.get(key, 0) + int(kv["counts"].as_py())
-        order = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size]
+        order = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
         return pa.table(
             {
                 "key": pa.array([k for k, _ in order], pa.string()),
@@ -1308,11 +1328,9 @@ class QueryEngine:
         else:
             t = ds.to_table(columns=["doc_id"], filter=pads.field(field_name) == value)
         out = np.sort(t["doc_id"].to_numpy())
-        self._keyword_cache[ck] = out
-        self._keyword_cache_size += len(out)
-        while self._keyword_cache_size > self._keyword_cache_cap and len(self._keyword_cache) > 1:
-            _, old_arr = self._keyword_cache.popitem(last=False)
-            self._keyword_cache_size -= len(old_arr)
+        self._keyword_cache_size = _lru_put(
+            self._keyword_cache, ck, out, self._keyword_cache_size,
+            self._keyword_cache_cap)
         return out
 
     def range_docs(
@@ -1340,11 +1358,9 @@ class QueryEngine:
             raise ValueError("range_docs needs gte and/or lte")
         t = self._docstats_ds().to_table(columns=["doc_id"], filter=f)
         out = np.sort(t["doc_id"].to_numpy())
-        self._keyword_cache[ck] = out
-        self._keyword_cache_size += len(out)
-        while self._keyword_cache_size > self._keyword_cache_cap and len(self._keyword_cache) > 1:
-            _, old_arr = self._keyword_cache.popitem(last=False)
-            self._keyword_cache_size -= len(old_arr)
+        self._keyword_cache_size = _lru_put(
+            self._keyword_cache, ck, out, self._keyword_cache_size,
+            self._keyword_cache_cap)
         return out
 
     def hydrate(self, doc_ids: np.ndarray | list[int]) -> pa.Table:

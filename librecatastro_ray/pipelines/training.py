@@ -1,11 +1,11 @@
 """Training-data pipeline operators over the ``documents`` table: text
-analysis, deduplication, decontamination, sampling and redaction.
+analysis, splitting, sequence packing, deduplication and curation.
 
 These are the large-scale-corpus operations a 100 TB training-data pipeline
 needs, expressed Ray-Data-first: vectorized map_batches for per-doc scoring,
 bucketed groupby for pairwise work (never an unbucketed cross join), broadcast
 (ray.put) for small query sides, partial top-k per batch before the final
-merge.  Every SQL-expressible op has a DuckDB oracle in __ray_entry__.
+merge.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-# shared token/char semantics (mirrored in oracle SQL)
+# shared token/char semantics
 STOPWORDS = ["a", "and", "in", "is", "it", "of", "the", "to"]
 LANG_MARKERS = {
     "de": ["das", "der", "die", "ist", "und"],
@@ -335,10 +335,10 @@ def train_val_split(
     ``test_frac``, val the next ``val_frac``, train the rest.  Stateless and
     embarrassingly parallel — membership is a pure function of doc_id, so
     the split is stable under re-runs, resharding and corpus growth
-    (existing docs never migrate between splits).  Exact SQL replay via the
-    same md5 integer rule the term-hash oracle uses (computed directly —
+    (existing docs never migrate between splits; checked by
+    ``test_train_val_split_stability``).  The md5 is computed directly —
     split keys are one-shot, so going through the term-hash LRU would fill
-    it with never-reused entries and evict real term caching)."""
+    it with never-reused entries and evict real term caching."""
     lo = 1.0 - val_frac - test_frac
     hi = 1.0 - test_frac
     scale = float(1 << 63)
@@ -382,7 +382,8 @@ def concat_chunks(sf_dir: str, chunk_tokens: int = 512) -> ray.data.Dataset:
     each block from its broadcast base offsets (vectorized segmented
     cumsum).  Raw Ray tasks carry rounds 1–2 because the Dataset API has
     no order-aware per-block index; the partitioning assumption is only
-    that the SORT is correct.  Exact SQL replay via a window cumsum."""
+    that the SORT is correct.  ``test_concat_chunks_multiblock_prefix_sum``
+    checks the offsets against a per-source cumsum across sorted blocks."""
 
     def counts(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -547,8 +548,8 @@ def ngram_jaccard_pairs(
     ds = _docs_ds(sf_dir, ["doc_id", "source", "text"])
     keys = ds.map_batches(
         # NULL-source docs are DROPPED from pairing — SQL join-key semantics
-        # (the oracle's `a.source = b.source` never matches NULL), and it
-        # keeps an unknown-provenance-heavy corpus from collapsing into one
+        # (`a.source = b.source` never matches NULL), and it keeps an
+        # unknown-provenance-heavy corpus from collapsing into one
         # degenerate mega-bucket
         lambda t: t.select(["doc_id", "source"]).filter(
             pa.compute.is_valid(t["source"].combine_chunks())),
@@ -958,7 +959,9 @@ def _sketch_prefilter(t: pa.Table, threshold: float, k: int = _SKETCH_K) -> pa.T
     Only pairs that could still clear ``threshold`` keep their (doc_a,
     doc_b, tlen) columns for the full-text exact verify; a borderline-true
     pair is dropped only with probability ≲1e-9, and the sketches are
-    deterministic, so a green oracle run stays green."""
+    deterministic, so the outcome is the same on every run
+    (``test_sketch_prefilter_large_docs_identity_and_savings`` checks it
+    equals the direct text-attach path's)."""
     if len(t) == 0:
         return pa.table({"doc_a": pa.array([], pa.int64()),
                          "doc_b": pa.array([], pa.int64()),
@@ -1237,10 +1240,10 @@ def minhash_lsh_candidates(
     nothing candidate- or corpus-scale on the driver: the text semi-join runs
     as a native distributed hash join against the distinct candidate ids.
 
-    Oracle-matched: at 16 bands × 4 rows, a pair at the 0.6 verify threshold
-    is caught with p ≈ 0.89 and a real near-dup (jaccard ≥ 0.9, which is all
-    the test corpora contain) with p ≈ 1-1e-7, so verified output equals the
-    exact all-pairs SQL."""
+    At 16 bands × 4 rows, a pair at the 0.6 verify threshold is caught with
+    p ≈ 0.89 and a real near-dup (jaccard ≥ 0.9, which is all the test
+    corpora contain) with p ≈ 1-1e-7, so verified output equals the exact
+    all-pairs Jaccard (``test_minhash_lsh_distributed_verify``)."""
     from ray.data.aggregate import Count
 
     ds = _docs_ds(sf_dir, ["doc_id", "text"])
@@ -1419,7 +1422,8 @@ def dedup_simhash(
     ``return_stats=True`` returns ``(pairs, {overcap_buckets,
     dropped_pairs_bound})`` so the truncation is COUNTED, never silent (the
     test corpora sit far below the cap, so capped and uncapped agree there
-    and the SQL oracle's all-pairs replay stays exact).
+    and ``test_dedup_simhash_matches_brute_force``'s all-pairs popcount
+    stays exact).
 
     Scale path is the pigeonhole banding of Manku et al. (WWW'07 simhash
     dedup): split the signature into ``radius+1`` contiguous bit bands — a
@@ -1605,237 +1609,8 @@ def top_terms_per_lang(sf_dir: str, k: int = 10) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# bigram-LM perplexity scoring (CCNet/KenLM-style model-based quality filter)
+# token n-gram hashes (shared by repetition_scores and dedup_substring)
 # ---------------------------------------------------------------------------
-
-_LM_BOS = "<s>"  # not producible by the [a-z0-9_]+ tokenizer → collision-free
-
-
-def _lm_pair_hash(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """63-bit bigram identity hash (FNV-style multiply-xor + splitmix64
-    finalize, masked into int64 so Arrow/pandas round-trips stay native);
-    equal hash ⟺ equal (prev, cur) token-string pair w.h.p. — the SQL
-    oracle compares the strings exactly."""
-    h = _splitmix64(prev.astype(np.uint64) * np.uint64(0x100000001B3)
-                    ^ cur.astype(np.uint64))
-    return (h & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
-
-
-def _lm_token_stream(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokenize a batch and return ``(prev_hash, cur_hash, dl)`` over the
-    concatenated token stream, with a BOS hash prepended per doc (so every
-    token occurrence is the ``cur`` of exactly one bigram)."""
-    from librecatastro_ray.functions.hashing import term_hash, term_hashes
-    from librecatastro_ray.functions.tokenizer import tokenize_batch
-
-    _parent_idx, terms, dl = tokenize_batch(texts)
-    if len(terms) == 0:
-        e = np.empty(0, np.int64)
-        return e, e, dl
-    cur = term_hashes(terms)  # 63-bit positive int64
-    prev = np.empty(len(cur), np.int64)
-    prev[1:] = cur[:-1]
-    off = np.cumsum(dl)
-    starts = (off - dl)[dl > 0]  # token offset of each non-empty doc
-    prev[starts] = term_hash(_LM_BOS)
-    return prev, cur, dl
-
-
-def lm_bigram_model(
-    sf_dir: str, min_count: int = 2, stats_out: dict | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Train an add-one-smoothed bigram LM over the corpus (pass 1 of the
-    CCNet/KenLM-style model-based quality filter).
-
-    Distributed shape: per-batch PARTIAL bigram counts (vectorized
-    tokenize → pair-hash → ``np.unique`` fold — token-scale rows never
-    enter the shuffle) → one ``groupby(pair).sum`` over the already-folded
-    partials → the deduped model lands on the driver, which is inherent to
-    broadcasting it.  At 100 TB the model side is bounded the standard way
-    (KenLM): ``min_count`` prunes the hapax tail — counts are exact
-    before pruning, so the knob only drops rows, never re-counts.  The
-    DEFAULT is 2 (drop singletons): under Zipf, hapax bigrams are the
-    majority of DISTINCT pairs, so the default alone cuts the broadcast
-    model by ~2× and — unlike ``min_count=1`` — keeps its growth sublinear
-    in corpus size.  ``stats_out`` receives ``{"n_bigrams_total",
-    "n_bigrams_kept", "model_bytes", "min_count", "vocab"}`` for the build
-    report; :func:`lm_perplexity` additionally ENFORCES a byte cap before
-    ``ray.put``.
-
-    Returns ``(pairs_sorted, c2, prevs_sorted, c1, V)`` where ``c1`` is the
-    per-context total derived from the bigram table (every token occurrence
-    is a ``cur`` thanks to BOS) and ``V`` = distinct ``cur`` hashes (the
-    Laplace vocabulary size).
-    """
-    schema = pa.schema(
-        [("pair", pa.int64()), ("prev", pa.int64()),
-         ("cur", pa.int64()), ("c", pa.int64())]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        texts = pa.compute.fill_null(batch["text"].combine_chunks(), "")
-        prev, cur, _dl = _lm_token_stream(texts)
-        if len(cur) == 0:
-            return schema.empty_table()
-        pair = _lm_pair_hash(prev, cur)
-        uniq, idx, cnt = np.unique(pair, return_index=True, return_counts=True)
-        return pa.table(
-            {
-                "pair": pa.array(uniq, pa.int64()),
-                "prev": pa.array(prev[idx], pa.int64()),
-                "cur": pa.array(cur[idx], pa.int64()),
-                "c": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    model = (
-        _docs_ds(sf_dir, ["doc_id", "text"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=4096)
-        .groupby("pair")
-        .aggregate(
-            ray.data.aggregate.Sum("c", alias_name="c"),
-            # prev/cur are constant per pair hash — Max is just "pick it"
-            ray.data.aggregate.Max("prev", alias_name="prev"),
-            ray.data.aggregate.Max("cur", alias_name="cur"),
-        )
-        .to_pandas()  # model-scale (deduped bigrams), NOT corpus-scale
-    )
-    pairs = model["pair"].to_numpy().astype(np.int64)
-    c2 = model["c"].to_numpy().astype(np.int64)
-    prev = model["prev"].to_numpy().astype(np.int64)
-    V = int(pd.unique(model["cur"]).shape[0])
-    # context totals c1(prev) = Σ_cur c2(prev, cur) and V come from the
-    # UNPRUNED table (pruning only trims bigram lookup rows; the Laplace
-    # denominators stay exact corpus statistics)
-    po = np.argsort(prev, kind="stable")
-    ps = prev[po]
-    if len(ps):
-        boundaries = np.flatnonzero(np.concatenate([[True], ps[1:] != ps[:-1]]))
-        prevs_sorted = ps[boundaries]
-        c1 = np.add.reduceat(c2[po], boundaries).astype(np.int64)
-    else:
-        prevs_sorted, c1 = ps, np.empty(0, np.int64)
-    n_total = len(pairs)
-    if min_count > 1:
-        keep = c2 >= min_count
-        pairs, c2 = pairs[keep], c2[keep]
-    order = np.argsort(pairs, kind="stable")
-    pairs, c2 = pairs[order], c2[order]
-    if stats_out is not None:
-        stats_out.update(
-            n_bigrams_total=n_total,
-            n_bigrams_kept=len(pairs),
-            model_bytes=int(
-                pairs.nbytes + c2.nbytes + prevs_sorted.nbytes + c1.nbytes
-            ),
-            min_count=min_count,
-            vocab=V,
-        )
-    return pairs, c2, prevs_sorted, c1, V
-
-
-class _LMScorer:
-    """Actor-pool scoring pass: the sorted model arrays are broadcast once
-    via ``ray.put`` and fetched in ``__init__``; each batch is one
-    vectorized tokenize → pair-hash → two searchsorted lookups → segmented
-    (reduceat) per-doc fold.  No Python over rows or tokens."""
-
-    def __init__(self, model_ref):
-        self.pairs, self.c2, self.prevs, self.c1, self.V = ray.get(model_ref)
-
-    @staticmethod
-    def _lookup(sorted_keys, values, keys):
-        out = np.zeros(len(keys), dtype=np.int64)
-        if len(sorted_keys) and len(keys):
-            pos = np.searchsorted(sorted_keys, keys)
-            pos[pos == len(sorted_keys)] = len(sorted_keys) - 1
-            hit = sorted_keys[pos] == keys
-            out[hit] = values[pos[hit]]
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = pa.compute.fill_null(batch["text"].combine_chunks(), "")
-        prev, cur, dl = _lm_token_stream(texts)
-        n_rows = len(batch)
-        hits = np.zeros(n_rows, dtype=np.int64)
-        avg_nll = np.zeros(n_rows, dtype=np.float64)
-        if len(cur):
-            cb = self._lookup(self.pairs, self.c2, _lm_pair_hash(prev, cur))
-            cp = self._lookup(self.prevs, self.c1, prev)
-            # Laplace: -ln((cb+1)/(cp+V)), written as ln(cp+V)-ln(cb+1) —
-            # the oracle uses the SAME form so FP agrees to the last ulp
-            nll = np.log(cp + float(self.V)) - np.log(cb + 1.0)
-            nz = dl > 0
-            doc_off = np.concatenate([[0], np.cumsum(dl)[:-1]])
-            sums = np.add.reduceat(nll, doc_off[nz]) if nz.any() else np.empty(0)
-            hsum = np.add.reduceat(cb, doc_off[nz]) if nz.any() else np.empty(0)
-            avg_nll[nz] = np.round(sums / dl[nz], 6)
-            hits[nz] = hsum.astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_tokens": pa.array(dl.astype(np.int64), pa.int64()),
-                "bigram_hits": pa.array(hits, pa.int64()),
-                "avg_nll": pa.array(avg_nll, pa.float64()),
-            }
-        )
-
-
-def lm_perplexity(
-    sf_dir: str, min_count: int = 2,
-    max_model_bytes: int = 2 << 30, stats_out: dict | None = None,
-) -> ray.data.Dataset:
-    """Model-based quality scoring (the CCNet recipe with an in-corpus
-    model): train an add-one-smoothed bigram LM over the corpus, then score
-    every doc's average negative log-likelihood under it.  Low ``avg_nll``
-    = fluent/common text, high = rare or noisy — the standard
-    perplexity-bucket curation signal.
-
-    Two passes, both streaming: pass 1 folds token-scale bigrams to
-    partial counts INSIDE map_batches before the (model-scale) shuffle;
-    pass 2 broadcasts the sorted model arrays once (``ray.put``) and scans
-    the corpus in an actor pool.  Output: ``(doc_id, n_tokens,
-    bigram_hits, avg_nll)`` where ``bigram_hits`` (Σ pruned-model
-    train-count along the doc's bigram path; pruned pairs score as unseen,
-    exactly the KenLM convention) is an exact-integer anchor for the
-    oracle.
-
-    The broadcast model is BOUNDED two ways: ``min_count=2`` (default)
-    prunes the hapax tail, and ``max_model_bytes`` (default 2 GiB — a
-    comfortable fraction of a worker heap) is ASSERTED before ``ray.put``,
-    so a corpus whose pruned model still exceeds the cap fails loudly with
-    the knob to raise instead of silently pinning every actor's memory.
-
-    Reference analogue: the scoring-side enrichment of
-    ``elasticsearch_utils.py`` — a corpus-derived statistic (there: DF/BM25
-    stats; here: bigram counts) broadcast to a stateless scoring scan.
-    """
-    mstats: dict = {}
-    model = lm_bigram_model(sf_dir, min_count=min_count, stats_out=mstats)
-    if stats_out is not None:
-        stats_out.update(mstats)
-    if mstats["model_bytes"] > max_model_bytes:
-        raise ValueError(
-            f"bigram model is {mstats['model_bytes']:,} B "
-            f"({mstats['n_bigrams_kept']:,} bigrams at min_count="
-            f"{min_count}) > max_model_bytes={max_model_bytes:,}; raise "
-            "min_count (KenLM-style pruning) or max_model_bytes"
-        )
-    model_ref = ray.put(model)
-    return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        _LMScorer,
-        fn_constructor_kwargs={"model_ref": model_ref},
-        batch_format="pyarrow", batch_size=4096, concurrency=(1, 4),
-        max_restarts=0,  # ray#53727: ctor ref in the object store
-    )
-
-
-# ---------------------------------------------------------------------------
-# decontamination (train-vs-eval n-gram overlap)
-# ---------------------------------------------------------------------------
-
-_DECON_N = 8  # the customary pretraining decontamination window (8 tokens)
-_DECON_MOD = 97  # deterministic stand-in eval set: doc_id % 97 == 0
 
 
 def _gram_hashes_from_tokens(
@@ -1844,8 +1619,7 @@ def _gram_hashes_from_tokens(
     """Rolling n-token gram hashes from an already-tokenized batch:
     md5-based per-unique-token hashes, then a polynomial fold over each
     n-token window.  Returns ``(gram_hashes, windows_per_doc)`` — equal
-    hash ⟺ equal token sequence (w.h.p.; the SQL oracles compare the
-    space-joined token strings exactly)."""
+    hash ⟺ equal token sequence (w.h.p.)."""
     from librecatastro_ray.functions.hashing import term_hashes
 
     n_win = np.maximum(dl - (n - 1), 0)
@@ -1870,77 +1644,8 @@ def _token_gram_hashes(texts, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gram_hashes_from_tokens(terms, dl, n)
 
 
-class Decontaminator:
-    """Actor-pool corpus scan: the (small) eval-set gram-hash array is
-    broadcast once via ray.put and fetched in __init__; each batch does one
-    vectorized tokenize + rolling-hash pass and a sorted-array searchsorted
-    membership test — no Python over rows or grams."""
-
-    def __init__(self, bench_ref, n: int, mod: int):
-        self.bench = ray.get(bench_ref)  # sorted uint64 gram hashes
-        self.n, self.mod = int(n), int(mod)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = pa.compute.fill_null(batch["text"].combine_chunks(), "")
-        g, n_win = _token_gram_hashes(texts, self.n)
-        hit = np.zeros(len(g), dtype=bool)
-        if len(g) and len(self.bench):
-            pos = np.searchsorted(self.bench, g)
-            pos[pos == len(self.bench)] = len(self.bench) - 1
-            hit = self.bench[pos] == g
-        doc_idx = np.repeat(np.arange(len(texts), dtype=np.int64), n_win)
-        n_cont = np.bincount(doc_idx[hit], minlength=len(texts)).astype(np.int64)
-        did = batch["doc_id"].to_numpy()
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "n_grams": pa.array(n_win, pa.int64()),
-            "n_contaminated": pa.array(n_cont, pa.int64()),
-            "contaminated": pa.array((n_cont > 0).astype(np.int64), pa.int64()),
-            "is_benchmark": pa.array((did % self.mod == 0).astype(np.int64), pa.int64()),
-        })
-
-
-def decontaminate(
-    sf_dir: str, n: int = _DECON_N, benchmark_mod: int = _DECON_MOD
-) -> ray.data.Dataset:
-    """Training-data DECONTAMINATION: flag every corpus document sharing at
-    least one ``n``-token gram with the eval/benchmark set (the standard
-    pretraining train-test-overlap pass; the deterministic stand-in eval
-    set is ``doc_id % benchmark_mod == 0`` — the testdata carries no
-    separate eval table).
-
-    Shape (the 100 TB design): the eval set is TINY relative to the corpus
-    (the documented assumption — eval suites are ~10⁵ grams, a sub-MB
-    broadcast), so its distinct gram hashes are collected once, sorted, and
-    broadcast with ``ray.put``; the corpus side is ONE streaming map_batches
-    scan (vectorized tokenize → rolling hash → searchsorted) with no
-    shuffle at all.  Reference analogue: the anti-join skip filter
-    (elasticsearch_utils.py:100-136) — membership of derived keys against a
-    small authoritative set, inverted to flag rather than skip."""
-
-    def bench_grams(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.array(t["doc_id"].to_numpy() % benchmark_mod == 0))
-        texts = pa.compute.fill_null(t["text"].combine_chunks(), "")
-        g, _ = _token_gram_hashes(texts, n)
-        return pa.table({"g": pa.array(np.unique(g), pa.uint64())})
-
-    bench_tbl = (
-        _docs_ds(sf_dir, ["doc_id", "text"])
-        .map_batches(bench_grams, batch_format="pyarrow", batch_size=1024)
-        .to_pandas()  # eval-set-scale (small by assumption), NOT corpus-scale
-    )
-    bench = np.unique(bench_tbl["g"].to_numpy().astype(np.uint64))
-    bench_ref = ray.put(bench)
-    return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        Decontaminator,
-        fn_constructor_kwargs={"bench_ref": bench_ref, "n": n, "mod": benchmark_mod},
-        batch_format="pyarrow", batch_size=2048, concurrency=(1, 4),
-        max_restarts=0,  # ray#53727: ctor ref in the object store
-    )
-
-
 # BPE-ish pre-tokenizer (GPT-2-style word/number/punct split, RE2-safe — no
-# lookahead, so pyarrow's and DuckDB's RE2 count the same matches)
+# lookahead, which pyarrow's RE2 kernels reject)
 BPE_SPLIT_RE = r" ?[a-z]+| ?[0-9]+| ?[^a-z0-9\s]+"
 
 
@@ -2021,7 +1726,7 @@ def curate_corpus_ds(
     a recognized language.  Output Dataset: (doc_id, lang_pred, n_tokens).
     Everything distributed; nothing corpus-sized on the driver — consume
     with :func:`curate_corpus_to_parquet` (the 100 TB production path) or
-    :func:`curate_corpus` (the driver-table oracle-gate shape)."""
+    :func:`curate_corpus` (the driver-table shape tests compare)."""
     import pyarrow.compute as pc
 
     from ray.data.aggregate import Min
@@ -2095,8 +1800,9 @@ def curate_corpus(
     max_punct_ratio: float = 0.3,
     num_partitions: int | None = None,
 ) -> pa.Table:
-    """Oracle-gate shape of :func:`curate_corpus_ds`: the curated set as
-    one driver-side sorted table (the correctness driver compares tables).
+    """Driver-table shape of :func:`curate_corpus_ds`: the curated set as
+    one sorted table (``test_curate_corpus_to_parquet_matches_gate``
+    compares the parquet output to it).
     Do NOT copy this shape into a production pipeline — at 100 TB the
     consumer is :func:`curate_corpus_to_parquet`."""
     out = curate_corpus_ds(
@@ -2119,7 +1825,7 @@ def curate_corpus_to_parquet(
     set straight to parquet partitioned by predicted language — blocks go
     from the keep() filter to files, so NOTHING corpus-scale ever touches
     the driver (the round-5 production-path ask: the gate-shaped
-    :func:`curate_corpus` exists only for the oracle compare).  Partitioned
+    :func:`curate_corpus` exists only for the test compare).  Partitioned
     layout doubles as resumable output: a re-run overwrites per-partition
     files, never one giant object.  Returns a small report dict (row count
     per language from parquet metadata, output dir)."""
@@ -2141,115 +1847,9 @@ def curate_corpus_to_parquet(
         "n_rows": sum(rows_by_lang.values()),
     }
 
-
 # ---------------------------------------------------------------------------
-# round-4 corpus ops: stratified sampling, exact length quantiles,
-# substring-level dedup (ExactSubstr-lite), regex redaction (PII shape)
+# substring-level dedup (ExactSubstr-lite)
 # ---------------------------------------------------------------------------
-
-STRATIFIED_RATES = {"en": 0.5, "es": 0.35, "fr": 0.35, "de": 0.35, "zh": 0.2}
-STRATIFIED_DEFAULT_RATE = 0.25
-
-
-def stratified_sample(
-    sf_dir: str, rates: dict[str, float] | None = None,
-    default_rate: float = STRATIFIED_DEFAULT_RATE,
-) -> ray.data.Dataset:
-    """Deterministic per-language stratified sampling (the standard
-    language-rebalancing downsample a multilingual pretraining mix needs):
-    doc kept iff ``u < rate(lang)`` where ``u`` is the 63-bit md5 hash of
-    ``'sample:<doc_id>'`` scaled to [0, 1).  Stateless, embarrassingly
-    parallel, stable under re-runs and corpus growth (same guarantees as
-    :func:`train_val_split` — membership is a pure function of doc_id), and
-    the per-stratum rate needs no groupby: the hash IS the uniform draw, so
-    no shuffle at any scale.  Exact SQL replay via the md5 integer rule."""
-    rates = STRATIFIED_RATES if rates is None else rates
-    scale = float(1 << 63)
-
-    def md5_63(key: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(key.encode()).digest()[:8], "little"
-        ) & 0x7FFFFFFFFFFFFFFF
-
-    def pick(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy()
-        langs = pa.compute.fill_null(t["lang"].combine_chunks(), "und").to_pylist()
-        u = np.fromiter(
-            (md5_63(f"sample:{int(d)}") for d in ids),
-            dtype=np.int64, count=len(ids),
-        ) / scale
-        r = np.fromiter(
-            (rates.get(l, default_rate) for l in langs),
-            dtype=np.float64, count=len(langs),
-        )
-        keep = u < r
-        mask = pa.array(keep)
-        return pa.table({
-            "doc_id": pa.array(ids[keep], pa.int64()),
-            "lang": pa.compute.fill_null(
-                t["lang"].combine_chunks(), "und").filter(mask),
-            "u": pa.array(np.round(u[keep], 6), pa.float64()),
-        })
-
-    return _docs_ds(sf_dir, ["doc_id", "lang"]).map_batches(
-        pick, batch_format="pyarrow", batch_size=8192
-    )
-
-
-LENGTH_QUANTILES_PERMILLE = (250, 500, 750, 950, 1000)
-
-
-def length_quantiles(
-    sf_dir: str, permille: tuple[int, ...] = LENGTH_QUANTILES_PERMILLE
-) -> pa.Table:
-    """EXACT per-language token-length quantiles WITHOUT a distributed sort:
-    doc lengths are integers from a bounded domain, so per-batch partial
-    (lang, n_tokens) counts collapse the corpus into a histogram whose size
-    is langs × distinct-lengths (independent of corpus row count); one
-    small groupby merges the partials and the driver walks each language's
-    cumsum.  Quantile rule is INTEGER-ONLY (no float boundary flakiness):
-    q-permille value = min v with cumcount(v) ≥ ceil(q·n/1000), computed as
-    ``(q·n + 999) // 1000`` on both sides of the oracle."""
-    import pyarrow.compute as pc
-
-    from librecatastro_ray.functions.tokenizer import tokenize_batch
-
-    def partial(t: pa.Table) -> pa.Table:
-        texts = pc.fill_null(t["text"].combine_chunks(), "")
-        _idx, _terms, dl = tokenize_batch(texts)
-        g = pa.table({
-            "lang": pc.fill_null(t["lang"].combine_chunks(), "und"),
-            "v": pa.array(dl.astype(np.int64), pa.int64()),
-        }).group_by(["lang", "v"], use_threads=False).aggregate([([], "count_all")])
-        return pa.table({"lang": g["lang"], "v": g["v"],
-                         "n": g["count_all"].cast(pa.int64())})
-
-    hist = (
-        _docs_ds(sf_dir, ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=4096)
-        .groupby(["lang", "v"])
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n"))
-        .to_pandas()  # histogram-scale: langs × distinct lengths, tiny
-        .sort_values(["lang", "v"], ignore_index=True)
-    )
-    out = {"lang": [], "q_permille": [], "v": [], "n_docs": []}
-    for lang, grp in hist.groupby("lang", sort=True):
-        v = grp["v"].to_numpy()
-        cum = grp["n"].to_numpy().cumsum()
-        tot = int(cum[-1])
-        for qp in permille:
-            thresh = (qp * tot + 999) // 1000
-            out["lang"].append(lang)
-            out["q_permille"].append(qp)
-            out["v"].append(int(v[np.searchsorted(cum, thresh)]))
-            out["n_docs"].append(tot)
-    return pa.table({
-        "lang": pa.array(out["lang"], pa.string()),
-        "q_permille": pa.array(out["q_permille"], pa.int64()),
-        "v": pa.array(out["v"], pa.int64()),
-        "n_docs": pa.array(out["n_docs"], pa.int64()),
-    })
-
 
 _SUBSTR_SCRATCH_ROOT = os.environ.get("LCRAY_SUBSTR_SCRATCH", "/tmp/lcray_substr")
 
@@ -2262,10 +1862,10 @@ def dedup_substring(
     al. 2021 "Deduplicating Training Data Makes Language Models Better"):
     for every document, how many of its ``k``-token windows occur more than
     once in the WHOLE corpus (suffix-array-free formulation: window
-    identity via the same rolling gram hashes as :func:`decontaminate`;
-    hash equality ⟺ token-sequence equality w.h.p. — the SQL oracle
-    compares the space-joined token strings exactly, so a collision or a
-    hashing bug breaks the gate).
+    identity via the rolling gram hashes of :func:`_token_gram_hashes`;
+    hash equality ⟺ token-sequence equality w.h.p. —
+    ``test_dedup_substring_known_values`` checks hand-counted windows, so a
+    hashing bug breaks it).
 
     Distributed shape (the 100 TB design): token-scale windows never leave
     their batch raw — stage 1 emits per-batch-distinct ``(g, doc_id, c)``
@@ -2412,47 +2012,4 @@ def dedup_substring(
             ray.data.aggregate.Sum("n_windows", alias_name="n_windows"),
             ray.data.aggregate.Sum("n_dup_windows", alias_name="n_dup_windows"),
         )
-    )
-
-
-# default redaction patterns: the PII set every training-data pipeline
-# ships (RE2 semantics on BOTH sides: Arrow's replace_substring_regex and
-# DuckDB's regexp_* are RE2) — applied IN ORDER, counts taken on the text
-# state each pattern actually sees
-PII_PATTERNS: tuple[tuple[str, str, str], ...] = (
-    ("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
-    ("ipv4", r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b", "<IP>"),
-    ("phone", r"\+\d{7,15}\b", "<PHONE>"),
-)
-
-
-def regex_redact(
-    sf_dir: str, patterns: tuple[tuple[str, str, str], ...] = PII_PATTERNS
-) -> ray.data.Dataset:
-    """Sequential regex redaction with per-pattern match counts (the PII
-    scrubbing pass of a training-data pipeline): for each ``(name, regex,
-    replacement)`` — in order — count non-overlapping matches in the
-    CURRENT text state, then replace them, so later patterns see earlier
-    redactions (both sides of the oracle chain identically).  All counting
-    and replacement is Arrow RE2 kernels; the only per-row Python is the
-    md5 of the final redacted text (no Arrow digest kernel exists — same
-    accepted cost class as sha256_batch).  Embarrassingly parallel, no
-    shuffle."""
-    import pyarrow.compute as pc
-
-    def redact(t: pa.Table) -> pa.Table:
-        cur = pc.fill_null(t["text"].combine_chunks(), "")
-        cols: dict[str, pa.Array] = {"doc_id": t["doc_id"]}
-        for name, pat, rep in patterns:
-            cols[f"n_{name}"] = pc.count_substring_regex(cur, pat).cast(pa.int64())
-            cur = pc.replace_substring_regex(cur, pat, rep)
-        cols["redacted_len"] = pc.utf8_length(cur).cast(pa.int64())
-        cols["redacted_md5"] = pa.array(
-            [hashlib.md5(s.encode()).hexdigest() for s in cur.to_pylist()],
-            pa.string(),
-        )
-        return pa.table(cols)
-
-    return _docs_ds(sf_dir, ["doc_id", "text"]).map_batches(
-        redact, batch_format="pyarrow", batch_size=4096
     )

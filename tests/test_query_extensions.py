@@ -310,6 +310,17 @@ def test_terms_agg_matches_bruteforce(engine):
         assert list(zip(got["key"].to_pylist(), got["count"].to_pylist())) == expect
 
 
+def test_terms_agg_rejects_size_below_one_or_non_integer(engine):
+    """A terms ``size`` below 1 or not an integer raises, as in ES; size 1
+    is the top bucket."""
+    hits = engine.match_hits("def")
+    for bad in (-1, 0, 1.5):
+        with pytest.raises(ValueError, match="size"):
+            engine.terms_agg("lang", hits, size=bad)
+    top = engine.terms_agg("lang", hits, size=1)
+    assert top.to_pylist() == engine.terms_agg("lang", hits, size=10).slice(0, 1).to_pylist()
+
+
 def test_terms_agg_excludes_tombstones(tmp_path, corpus_small):
     from librecatastro_ray.config import IndexConfig
     from librecatastro_ray.pipelines.build import build_index
