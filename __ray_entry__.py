@@ -87,7 +87,7 @@ def _build_once(sf_dir: str, idx_dir: str, batch_fn=None, **config) -> None:
         if batch_fn is not None:
             corpus = corpus.map_batches(batch_fn, batch_format="pyarrow")
         build_index(corpus, idx_dir,
-                    IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.05, **config))
+                    IndexConfig(num_partitions=4, num_salts=2, **config))
 
 
 def _engine(sf_dir: str):

@@ -189,7 +189,7 @@ def run_bench() -> dict:
     drop_index(index_dir)
     cfg = IndexConfig(
         num_partitions=int(os.environ.get("LCRAY_BENCH_PARTITIONS", "16")),
-        num_salts=4, hot_df_ratio=0.02,
+        num_salts=4,
         # positions in the headline build: the phrase queries below
         # need it, and its build cost is inside host noise (BASELINE.md's
         # interleaved plain-vs-positional measurement)

@@ -42,7 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--index", required=True)
     b.add_argument("--partitions", type=int, default=8)
     b.add_argument("--salts", type=int, default=4)
-    b.add_argument("--hot-df-ratio", type=float, default=0.05)
     b.add_argument("--no-resume", action="store_true")
     b.add_argument("--positions", action="store_true",
                    help="positional index (enables phrase queries)")
@@ -122,7 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = IndexConfig(
             num_partitions=args.partitions,
             num_salts=args.salts,
-            hot_df_ratio=args.hot_df_ratio,
             positions=bool(args.positions),
         )
         res = build_index(args.corpus, args.index, cfg, resume=not args.no_resume)

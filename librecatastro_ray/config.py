@@ -32,12 +32,13 @@ class IndexConfig:
     # partitioned by *term* so a query term routes to exactly one partition).
     num_partitions: int = 8
 
-    # Skew handling: terms whose (estimated) document frequency exceeds
-    # ``hot_df_ratio * N`` are salted into ``num_salts`` sub-partitions keyed
-    # by ``doc_id % num_salts`` so no single merge task receives the full
-    # posting list of a hot term (``def``, ``return``-class keywords).
+    # Skew handling: a term whose (estimated) document frequency exceeds
+    # ``hot_postings_budget`` (one posting row group) is salted into
+    # ``num_salts`` sub-partitions, each a contiguous doc-id range of the
+    # build, so no single merge task receives the full posting list of a hot
+    # term (``def``, ``return``-class keywords).  Below the budget every term
+    # is one run; an index of at most that many docs salts nothing.
     num_salts: int = 4
-    hot_df_ratio: float = 0.05
     # Deterministic sample used to estimate df for hot-term detection:
     # docs with ``doc_id % hot_sample_mod == 0``.  Auto-tuned so the sample
     # is ~``hot_sample_target`` docs.
@@ -68,6 +69,12 @@ class IndexConfig:
     # Tokenize/doc-stats batch size (rows per map_batches call). content can
     # be 100KB+ per row, so keep batches modest.
     batch_size: int = 512
+
+    @property
+    def hot_postings_budget(self) -> int:
+        """Postings a term may have before it is salted: one posting row
+        group."""
+        return self.blocks_row_group_size * self.block_size
 
     def to_json(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

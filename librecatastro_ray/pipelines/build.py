@@ -43,7 +43,11 @@ import ray.data
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.stages.doc_ids import dedup_assign_write
 from librecatastro_ray.stages.merge import merge_batch
-from librecatastro_ray.stages.postings import flat_postings, flat_postings_positional
+from librecatastro_ray.stages.postings import (
+    flat_postings,
+    flat_postings_positional,
+    salt_range_width,
+)
 from librecatastro_ray.state.manifest import (
     INDEX_FORMAT_VERSION,
     atomic_write_json,
@@ -162,9 +166,13 @@ def _sample_term_counts(
 
 
 def estimate_hot_terms(docs_ds: ray.data.Dataset, n_docs: int, config: IndexConfig) -> list[str]:
-    """Terms whose estimated df ratio exceeds config.hot_df_ratio, from a
-    deterministic doc sample.  Returns a sorted list (small: keyword-class
-    terms only)."""
+    """Terms whose estimated df exceeds ``config.hot_postings_budget`` (one
+    posting row group), from a deterministic doc sample.  No term of an
+    index of at most that many docs can exceed it, so then no sample is
+    tokenized.  Returns a sorted list (small: keyword-class terms only)."""
+    budget = config.hot_postings_budget
+    if n_docs <= budget:
+        return []
     mod = max(1, n_docs // max(1, config.hot_sample_target))
     parts = docs_ds.map_batches(
         _sample_term_counts,
@@ -179,8 +187,41 @@ def estimate_hot_terms(docs_ds: ray.data.Dataset, n_docs: int, config: IndexConf
         return []
     parts = parts[parts["term"] != "\x00__sampled__"]
     df = parts.groupby("term", sort=True)["df"].sum()
-    hot = df[df >= config.hot_df_ratio * n_sampled]
+    # estimated df = sampled df × n_docs / n_sampled
+    hot = df[df * n_docs > budget * n_sampled]
     return sorted(hot.index.tolist())
+
+
+def _spill(docs_ds: ray.data.Dataset, spill_dir: str, config: IndexConfig,
+           hot_terms: list[str], width: int) -> list[int]:
+    """Tokenize ``docs_ds`` into flat postings written partitioned by skey
+    under ``spill_dir``; returns the skeys the spill holds, sorted."""
+    docs_ds.map_batches(
+        flat_postings_positional if config.positions else flat_postings,
+        fn_kwargs={
+            "num_partitions": config.num_partitions,
+            "num_salts": config.num_salts,
+            "hot_terms": hot_terms,
+            "salt_width": width,
+            "analyzer_id": config.analyzer,
+        },
+        batch_format="pyarrow",
+        batch_size=config.batch_size,
+    ).write_parquet(spill_dir, partition_cols=["skey"])
+    return sorted(
+        int(name.split("=")[1]) for name in os.listdir(spill_dir) if name.startswith("skey=")
+    )
+
+
+def _partition_entry(ck: dict) -> dict:
+    """A partition's manifest entry from its merge checkpoint."""
+    return {
+        "pkey": ck["pkey"],
+        "salt": ck["salt"],
+        "n_terms": ck["metrics"]["n_terms"],
+        "n_postings": ck["metrics"]["n_postings"],
+        "output_sha256": ck["output_sha256"],
+    }
 
 
 def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig, **dirs: str) -> None:
@@ -325,7 +366,6 @@ def build_index(
     shuffle_meta = read_json(_marker(shuffle_dir)) if _phase_done(shuffle_dir) else None
     if shuffle_meta is not None and shuffle_meta.get("version") == INDEX_FORMAT_VERSION:
         report["phases_skipped"].append("shuffle")
-        hot_terms = shuffle_meta["hot_terms"]
     else:
         import shutil
 
@@ -335,26 +375,12 @@ def build_index(
                   os.path.join(index_dir, "parts")):
             shutil.rmtree(d, ignore_errors=True)
         hot_terms = estimate_hot_terms(mat_docs, n_docs, config)
-        ds_postings = mat_docs.map_batches(
-            flat_postings_positional if config.positions else flat_postings,
-            fn_kwargs={
-                "num_partitions": config.num_partitions,
-                "num_salts": config.num_salts,
-                "hot_terms": hot_terms,
-                "analyzer_id": config.analyzer,
-            },
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-        )
-        ds_postings.write_parquet(shuffle_dir, partition_cols=["skey"])
-        skeys_present = sorted(
-            int(name.split("=")[1])
-            for name in os.listdir(shuffle_dir)
-            if name.startswith("skey=")
-        )
+        width = salt_range_width(n_docs, config.num_salts)
+        skeys_present = _spill(mat_docs, shuffle_dir, config, hot_terms, width)
         atomic_write_json(
             _marker(shuffle_dir),
-            {"hot_terms": hot_terms, "skeys": skeys_present, "version": INDEX_FORMAT_VERSION},
+            {"hot_terms": hot_terms, "salt_width": width, "skeys": skeys_present,
+             "version": INDEX_FORMAT_VERSION},
         )
     report["phase_seconds"]["shuffle"] = round(_t() - _t0, 3)
     _t0 = _t()
@@ -375,22 +401,14 @@ def build_index(
         raise RuntimeError(f"merge incomplete: partitions {missing} missing checkpoints")
 
     # ---- finalize: manifest (deterministic content — no wall clock) -------
-    partitions = {
-        str(skey): {
-            "pkey": ck["pkey"],
-            "salt": ck["salt"],
-            "n_terms": ck["metrics"]["n_terms"],
-            "n_postings": ck["metrics"]["n_postings"],
-            "output_sha256": ck["output_sha256"],
-        }
-        for skey, ck in sorted(done.items())
-    }
+    partitions = {str(skey): _partition_entry(ck) for skey, ck in sorted(done.items())}
     manifest = {
         "version": INDEX_FORMAT_VERSION,
         "config": config.to_json(),
         "n_docs": n_docs,
         "sum_dl": sum_dl,
-        "hot_terms": hot_terms,
+        "hot_terms": shuffle_meta["hot_terms"],
+        "salt_width": shuffle_meta["salt_width"],
         "partitions": partitions,
         "lineage": {
             "source": corpus if isinstance(corpus, str) else "<dataset>",
@@ -421,10 +439,11 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
       - global stats move to the new totals (N += batch, sum_dl += batch;
         tombstoned old versions keep counting until a full rebuild, the
         documented delete semantics);
-      - every partition re-merges its old postings, read back as they are,
-        with the new spill — content is never re-tokenized, so add cost
-        scales with INDEX size + batch size, not corpus text size (a Lucene
-        big-merge, not a rebuild);
+      - every partition the manifest lists or the new spill holds re-merges
+        its old postings, read back as they are, with the new spill —
+        content is never re-tokenized, so add cost scales with INDEX size +
+        batch size, not corpus text size (a Lucene big-merge, not a
+        rebuild);
       - the re-merge writes a NEW generation parts dir (``parts-g{n}``)
         and the manifest flips LAST, so the old postings stay intact until
         the flip and rerunning a crashed add redoes it.  The add is NOT
@@ -435,14 +454,15 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         then reach past the committed ``n_docs``.  One commit point for
         tombstones, doc store and parts is ROADMAP.md "Make writes atomic".
 
-    The partitioning scheme (P, S, HOT TERM LIST) is frozen at build time —
-    new postings must land in the same (pkey, salt) files, so the hot list
-    is not re-estimated (document-frequency drift only affects salt spread,
-    never correctness).
+    The partitioning scheme (P, S, hot term list, salt width) is frozen at
+    build time — new postings must land in the same (pkey, salt) files, so
+    the hot list is not re-estimated and a hot term's new postings, whose
+    ids lie past the build's ``n_docs``, go to its last salt range
+    (document-frequency drift only affects salt spread, never
+    correctness).
     """
     import shutil
 
-    from librecatastro_ray.pipelines.query import QueryEngine
     from librecatastro_ray.state.manifest import delete_docs
 
     manifest = check_version(index_dir, load_manifest(index_dir))
@@ -513,43 +533,26 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         n_upserts = int(len(collisions))
     report["n_upserts"] = n_upserts
 
-    # ---- new postings spill (frozen P/S/hot list) -------------------------
-    new_docs_ds = _read_sized(gen_docs, ["doc_id", "content"])
-    hot_terms = manifest["hot_terms"]
-    ds_postings = new_docs_ds.map_batches(
-        flat_postings_positional if config.positions else flat_postings,
-        fn_kwargs={
-            "num_partitions": config.num_partitions,
-            "num_salts": config.num_salts,
-            "hot_terms": hot_terms,
-            "analyzer_id": config.analyzer,
-        },
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-    )
+    # ---- new postings spill (frozen P/S/hot list/salt width) --------------
     spill_path = os.path.join(index_dir, spill_dir_name)
-    ds_postings.write_parquet(spill_path, partition_cols=["skey"])
+    spilled = _spill(_read_sized(gen_docs, ["doc_id", "content"]), spill_path, config,
+                     manifest["hot_terms"], int(manifest["salt_width"]))
 
-    # ---- re-merge EVERY partition into the next generation ---------------
+    # ---- re-merge the listed and the spilled partitions ------------------
     n_docs = id_base + int(n_new)
     sum_dl = int(manifest["sum_dl"]) + int(sum_dl_new)
-    all_skeys = list(range(config.num_partitions * config.num_salts))
+    skeys = sorted({int(s) for s in manifest["partitions"]} | set(spilled))
     _merge_partitions(
-        all_skeys, index_dir, config, parts_dir=new_parts,
+        skeys, index_dir, config, parts_dir=new_parts,
         spill_dir=spill_dir_name, ckpt_name=ckpt_name, old_parts=old_parts,
     )
 
     # ---- finalize: manifest flips last (MVCC commit point) ----------------
-    partitions = {}
-    for skey in all_skeys:
-        ck = read_json(os.path.join(index_dir, ckpt_name, f"part-{skey}.json"))
-        partitions[str(skey)] = {
-            "pkey": ck["pkey"],
-            "salt": ck["salt"],
-            "n_terms": ck["metrics"]["n_terms"],
-            "n_postings": ck["metrics"]["n_postings"],
-            "output_sha256": ck["output_sha256"],
-        }
+    partitions = {
+        str(skey): _partition_entry(
+            read_json(os.path.join(index_dir, ckpt_name, f"part-{skey}.json")))
+        for skey in skeys
+    }
     manifest = dict(manifest)
     manifest["n_docs"] = n_docs
     manifest["sum_dl"] = sum_dl

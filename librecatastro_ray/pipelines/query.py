@@ -19,10 +19,12 @@ positions only for phrase reads); a term read is a zero-copy slice of it,
 with no per-query decode.  Block-max bounds are derived from the slice at
 the engine's own avgdl.  Prefix, wildcard and fuzzy
 expansions run over one sorted engine vocabulary; fuzzy looks its candidates
-up in a deletion-neighbourhood map of it and checks only those.  A hot
-(salted) term's per-salt runs are disjoint doc subsets (doc_id % S), so they
-merge by concatenation + one argsort — the logical "second merge stage" of
-the salting scheme, executed lazily at read time.
+up in a deletion-neighbourhood map of it and checks only those.  A term
+under the hot postings budget is one run; a hot (salted) term's per-salt
+runs are consecutive doc-id ranges, so they merge by concatenation in salt
+order — the logical "second merge stage" of the salting scheme, executed
+lazily at read time — and a phrase read over a doc range skips the runs
+outside it.
 
 One evaluator, :class:`RangeEngine`, scores every query kind over a doc-id
 range, reading each term as a slice of the engine's bounded term caches.
@@ -59,6 +61,7 @@ from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import topk_indices
 from librecatastro_ray.functions.hashing import term_hash
 from librecatastro_ray.stages.merge import blocks_file, dict_file
+from librecatastro_ray.stages.postings import salt_docs
 from librecatastro_ray.state.manifest import check_version, load_manifest
 
 # the columns every term read uses; phrase reads add "positions"
@@ -276,17 +279,15 @@ def _segment_index(seg_starts: np.ndarray, seg_counts: np.ndarray) -> np.ndarray
 
 
 def _merge_runs(runs: list[tuple]) -> tuple:
-    """One doc-sorted ``(docs, tf, dl)`` from a term's per-salt runs:
-    salted runs are disjoint doc subsets, so one stable argsort merges
-    them.  The arrays are owned, never views of a cached row group, so a
-    per-term cache holding them keeps alive only the postings it counts."""
+    """One doc-sorted ``(docs, tf, dl)`` from a term's runs in salt order:
+    a salted term's runs are consecutive doc ranges, so they concatenate.
+    The arrays are owned, never views of a cached row group, so a per-term
+    cache holding them keeps alive only the postings it counts."""
     if not runs:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     if len(runs) == 1:
         return tuple(c.copy() for c in runs[0])
-    cols = [np.concatenate(c) for c in zip(*runs)]
-    order = np.argsort(cols[0], kind="stable")
-    return tuple(c[order] for c in cols)
+    return tuple(np.concatenate(c) for c in zip(*runs))
 
 
 def _candidate_positions(run: tuple, cand: np.ndarray) -> tuple:
@@ -304,11 +305,14 @@ def _candidate_positions(run: tuple, cand: np.ndarray) -> tuple:
 def _occurrences(runs: list[tuple], cand: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``base[c] + p`` for every occurrence at position ``p`` of a term in
     candidate doc ``cand[c]`` (``cand`` sorted, each doc in one of ``runs``,
-    the term's per-salt ``(docs, tf, pos values, pos offsets)`` views)."""
+    the term's non-empty per-salt ``(docs, tf, pos values, pos offsets)``
+    views in salt order).  The runs hold consecutive doc ranges, so each
+    looks up only the candidates between its first and last doc."""
     tok = []
     for run in runs:
-        hit, rows, pos = _candidate_positions(run, cand)
-        tok.append(np.repeat(base[:-1][hit], run[1][rows]) + pos)
+        i, j = cand.searchsorted(run[0][0]), cand.searchsorted(run[0][-1], side="right")
+        hit, rows, pos = _candidate_positions(run, cand[i:j])
+        tok.append(np.repeat(base[i:j][hit], run[1][rows]) + pos)
     return np.concatenate(tok)
 
 
@@ -406,6 +410,11 @@ class QueryEngine:
         self.sum_dl: int = int(self.manifest["sum_dl"])
         self.avgdl: float = (float(self.sum_dl) / float(self.n_docs)) if self.n_docs else 1.0
         self.hot: set[str] = set(self.manifest["hot_terms"])
+        # the doc-id width of a hot term's salt runs (``salt_docs``)
+        self._salt_width: int = int(self.manifest["salt_width"])
+        # the (partition, salt) pairs that hold postings
+        self._listed: list[tuple[int, int]] = sorted(
+            (p["pkey"], p["salt"]) for p in self.manifest["partitions"].values())
         self._dict_cache: dict[tuple[int, int], pa.Table] = {}
         # per-(partition, salt) {term: (first_row, end_row, df)} and the
         # file row count the spans tile
@@ -620,10 +629,17 @@ class QueryEngine:
 
     def _positional_runs(self, term: str, bounds: np.ndarray) -> list:
         """Per-salt ``(docs, tf, pos values, pos offsets)`` views of a
-        term's runs restricted to docs [lo, hi) = ``bounds`` — posting i's
-        positions are ``values[offsets[i]:offsets[i + 1]]``."""
+        term's runs restricted to docs [lo, hi) = ``bounds``, in salt order
+        — posting i's positions are ``values[offsets[i]:offsets[i + 1]]``.
+        A salted term's runs whose doc range misses [lo, hi) are not
+        read."""
         runs = []
-        for salt in self._salts(term):
+        lo, hi = bounds.tolist()
+        salts = self._salts(term)
+        for salt in salts:
+            first, end = salt_docs(salt, self._salt_width, self.config.num_salts)
+            if len(salts) > 1 and (first >= hi or end <= lo):
+                continue
             s = self._slice(term, salt, positions=True)
             if s is None:
                 continue
@@ -1006,15 +1022,11 @@ class QueryEngine:
         return self._ranked(k, offset, lambda rng, n: _constant_top(rng.union(terms), n))
 
     def _vocabulary(self) -> tuple[pa.Array, np.ndarray]:
-        """The sorted, deduplicated vocabulary of every (partition, salt)
-        dictionary as Arrow and numpy arrays, built once per engine (sorted
-        by code point, the order ``_prefix_upper_bound`` assumes)."""
+        """The sorted, deduplicated vocabulary of every listed (partition,
+        salt) dictionary as Arrow and numpy arrays, built once per engine
+        (sorted by code point, the order ``_prefix_upper_bound`` assumes)."""
         if self._vocab is None:
-            cols = [
-                self._dict_table(pkey, salt)["term"]
-                for pkey in range(self.config.num_partitions)
-                for salt in range(self.config.num_salts)
-            ]
+            cols = [self._dict_table(pkey, salt)["term"] for pkey, salt in self._listed]
             v = pc.unique(pa.chunked_array(cols, pa.string()))
             v = v.take(pc.sort_indices(v))
             self._vocab = (v, v.to_numpy(zero_copy_only=False))
@@ -1255,15 +1267,11 @@ class QueryEngine:
         return self.count(text) > 0
 
     def full_dictionary(self) -> pa.Table:
-        """Global (term, df, cf): per-(partition, salt) dictionaries with the
-        per-salt runs of hot terms summed — the E3 'per-term document
-        frequency' statistic the reference delegates to Lucene."""
-        tables = []
-        for pkey in range(self.config.num_partitions):
-            for salt in range(self.config.num_salts):
-                t = self._dict_table(pkey, salt)
-                if len(t):
-                    tables.append(t)
+        """Global (term, df, cf): the listed per-(partition, salt)
+        dictionaries with the per-salt runs of hot terms summed — the E3
+        'per-term document frequency' statistic the reference delegates to
+        Lucene."""
+        tables = [t for pkey, salt in self._listed if len(t := self._dict_table(pkey, salt))]
         if not tables:
             return pa.table({"term": pa.array([], pa.string()),
                              "df": pa.array([], pa.int64()),
@@ -1279,18 +1287,17 @@ class QueryEngine:
         """Full index scan: every posting back to flat (term, doc_id, tf)
         rows (used by conformance checks)."""
         terms_l, docs_l, tfs_l = [], [], []
-        for pkey in range(self.config.num_partitions):
-            for salt in range(self.config.num_salts):
-                n_rows = self._span_table(pkey, salt)[1]
-                if not n_rows:
-                    continue
-                d, f, _L = decode_blocks_table(self._rows(pkey, salt, 0, n_rows))
-                # the spans tile the file in dictionary order, so posting i
-                # belongs to the dictionary term whose df run covers it
-                dt = self._dict_table(pkey, salt)
-                terms_l.append(np.repeat(dt["term"].to_numpy(zero_copy_only=False), dt["df"].to_numpy()))
-                docs_l.append(d)
-                tfs_l.append(f)
+        for pkey, salt in self._listed:
+            n_rows = self._span_table(pkey, salt)[1]
+            if not n_rows:
+                continue
+            d, f, _L = decode_blocks_table(self._rows(pkey, salt, 0, n_rows))
+            # the spans tile the file in dictionary order, so posting i
+            # belongs to the dictionary term whose df run covers it
+            dt = self._dict_table(pkey, salt)
+            terms_l.append(np.repeat(dt["term"].to_numpy(zero_copy_only=False), dt["df"].to_numpy()))
+            docs_l.append(d)
+            tfs_l.append(f)
         if not docs_l:
             return pa.table({"term": pa.array([], pa.string()),
                              "doc_id": pa.array([], pa.int64()),

@@ -6,7 +6,9 @@ independent units, each checkpointed as soon as it is merged, so resume is
 per partition (reference analogue: the per-street anti-join skip that makes
 crawls resumable, reference: src/utils/elasticsearch_utils.py:100-136).
 
-Output per skey = (pkey, salt):
+Output per skey = (pkey, salt) — salt 0 for every term under the hot
+postings budget; a hot term's salt s holds its postings in the build's doc
+range s, so its runs in salt order are doc order:
     parts/blocks-{pkey}-{salt}.parquet
         one row per posting, term-major and doc-sorted within a term:
         doc, tf, dl (int64) and, for positional builds, positions

@@ -7,10 +7,16 @@ turns doc batches into flat postings ``(term, doc_id, tf, dl, skey)`` where
                                                 of the reference's 5 shards,
                                                 reference: elasticsearch_utils.py:27-30,
                                                 but term- not doc-partitioned)
-    salt = doc_id % S   if term is hot else 0  (skew: hot code terms like
-                                                ``def``/``return`` are spread
-                                                over S sub-partitions)
+    salt = min(doc_id // W, S - 1)             (skew: a hot term — df over one
+           if term is hot else 0                posting row group — is split
+                                                into S contiguous doc-id
+                                                ranges of the build's width W;
+                                                ids past the build go to the
+                                                last range)
     skey = pkey * S + salt
+
+A hot term's salt runs are doc ranges in salt order, so a reader merges
+them by concatenation and skips the runs outside the docs it evaluates.
 
 Postings carry dl so the per-partition merge can compute exact BM25 block-max
 bounds locally without a doc-stats join.
@@ -39,12 +45,26 @@ POSTINGS_SCHEMA = pa.schema(
 POSITIONS_TYPE = pa.list_(pa.int32())
 
 
+def salt_range_width(n_docs: int, num_salts: int) -> int:
+    """Doc ids per salt range of a build of ``n_docs`` docs.  The last range
+    also takes the rest, so (for at least ``num_salts`` docs) every id an
+    add appends."""
+    return max(1, n_docs // num_salts)
+
+
+def salt_docs(salt: int, width: int, num_salts: int) -> tuple[int, int]:
+    """[lo, hi) of the doc ids a hot term's ``salt`` run holds."""
+    hi = (salt + 1) * width if salt < num_salts - 1 else np.iinfo(np.int64).max
+    return salt * width, hi
+
+
 def flat_postings(
     batch: pa.Table,
     *,
     num_partitions: int,
     num_salts: int,
     hot_terms: list[str],
+    salt_width: int,
     analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
     """map_batches (stateless task, ``fn_kwargs``): tokenize + emit flat
@@ -61,6 +81,7 @@ def flat_postings(
         enc.dictionary, enc.indices.to_numpy(), batch["doc_id"].to_numpy()[rows],
         tf_table["tf"].to_numpy(), dl[rows],
         num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,
+        salt_width=salt_width,
     )
 
 
@@ -74,6 +95,7 @@ def _postings_table(
     num_partitions: int,
     num_salts: int,
     hot_terms: list[str],
+    salt_width: int,
     **extra: pa.Array,
 ) -> pa.Table:
     """The flat postings both emitters return, posting i being term
@@ -83,7 +105,8 @@ def _postings_table(
     S = num_salts
     pkey = term_hashes(dictionary) % num_partitions
     hot = pc.is_in(dictionary, value_set=pa.array(hot_terms, pa.string()))
-    salt = np.where(hot.to_numpy(zero_copy_only=False)[codes], doc_ids % S, 0)
+    salt = np.where(hot.to_numpy(zero_copy_only=False)[codes],
+                    np.minimum(doc_ids // salt_width, S - 1), 0)
     return pa.table(
         {
             "term": dictionary.take(codes),
@@ -102,6 +125,7 @@ def flat_postings_positional(
     num_partitions: int,
     num_salts: int,
     hot_terms: list[str],
+    salt_width: int,
     analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
     """Positional twin of :func:`flat_postings`: each output posting also
@@ -139,7 +163,7 @@ def flat_postings_positional(
     return _postings_table(
         enc.dictionary, term_codes, batch["doc_id"].to_numpy()[rows], tf, dl[rows],
         num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,
-        pos=pos_col,
+        salt_width=salt_width, pos=pos_col,
     )
 
 

@@ -13,11 +13,16 @@ cadaster_entry.py:53; src/utils/elasticsearch_utils.py:100-136) — as:
 - resume = anti-join of the partition work list against completed checkpoints.
 
 Layout of an index directory:
-    manifest.json            global: config, N, avgdl, hot terms, partitions
+    manifest.json            global: config, N, avgdl, hot terms, salt
+                             width, the (partition, salt) pairs that hold
+                             postings
     docs/*.parquet           doc_id, repo, path, commit, lang, content, sha256, dl
     shuffle/skey=*/          phase-1 partitioned flat postings (build scratch)
     parts/blocks-{p}-{s}.parquet   postings per (partition, salt): doc, tf, dl
-                                   [, positions] columns, one row per posting
+                                   [, positions] columns, one row per posting;
+                                   a hot term's salt s holds its docs in
+                                   [s × width, (s + 1) × width), the last salt
+                                   also every later id
     parts/dict-{p}-{s}.parquet     term dictionary per (partition, salt)
     checkpoints/part-{skey}.json   per-partition checkpoint
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 # bumped whenever the on-disk index layout/schema changes; an index of
 # another version is refused (check_version), never misread
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
 import json
 import os

@@ -33,7 +33,7 @@ def built_index(tmp_path_factory, corpus_small):
     from librecatastro_ray.pipelines.build import build_index
 
     index_dir = str(tmp_path_factory.mktemp("index") / "idx")
-    cfg = IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16)
+    cfg = IndexConfig(num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=5)
     result = build_index(corpus_small, index_dir, cfg)
     return index_dir, result
 

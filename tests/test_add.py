@@ -2,8 +2,8 @@
 the reference crawler relies on (one batch at a time here; reference:
 src/utils/elasticsearch_utils.py:100-136 + cadaster_entry.py:46-77),
 Lucene-style — new ids append, colliding keys tombstone-then-add, every
-partition re-merges decoded old postings with the new spill (content never
-re-tokenized), the manifest flips last (MVCC)."""
+listed or spilled partition re-merges decoded old postings with the new
+spill (content never re-tokenized), the manifest flips last (MVCC)."""
 
 import os
 
@@ -38,7 +38,7 @@ def _dictionary(index_dir: str) -> list[tuple]:
     return sorted((t, d, c) for t, (d, c) in agg.items())
 
 
-CFG = IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.1, block_size=16,
+CFG = IndexConfig(num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=2,
                   positions=True)
 
 

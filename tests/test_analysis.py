@@ -63,7 +63,7 @@ def ws_index(tmp_path_factory, corpus_small):
 
     index_dir = str(tmp_path_factory.mktemp("ws_index") / "idx")
     cfg = IndexConfig(
-        num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16,
+        num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=5,
         analyzer="whitespace_v1",
     )
     build_index(corpus_small, index_dir, cfg)
@@ -149,7 +149,7 @@ def test_tfidf_scorer_end_to_end(tmp_path_factory, corpus_small):
 
     index_dir = str(tmp_path_factory.mktemp("tfidf_index") / "idx")
     cfg = IndexConfig(
-        num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16,
+        num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=5,
         scorer="tfidf_v1",
     )
     build_index(corpus_small, index_dir, cfg)
@@ -233,7 +233,7 @@ def test_resume_invalidates_on_analyzer_change(tmp_path, corpus_small):
     corpus_dir = str(tmp_path / "corpus")
     pq.write_table(corpus_small, corpus_dir + ".parquet")
     idx = str(tmp_path / "idx")
-    cfg = dict(num_partitions=2, num_salts=2, hot_df_ratio=0.2, block_size=16)
+    cfg = dict(num_partitions=2, num_salts=2, block_size=16, blocks_row_group_size=5)
     out1 = build_index(corpus_dir + ".parquet", idx, IndexConfig(**cfg))
     assert out1["report"]["phases_skipped"] == []
     # same analyzer resumes clean
@@ -266,7 +266,7 @@ def test_legacy_marker_resumed_with_changed_params_invalidates(tmp_path, corpus_
     corpus = str(tmp_path / "c.parquet")
     pq.write_table(corpus_small, corpus)
     idx = str(tmp_path / "idx")
-    cfg = dict(num_partitions=2, num_salts=2, hot_df_ratio=0.2, block_size=16)
+    cfg = dict(num_partitions=2, num_salts=2, block_size=16, blocks_row_group_size=5)
     build_index(corpus, idx, IndexConfig(**cfg))
     # simulate a CRASHED legacy build: docs phase done, marker without
     # analysis_fp, no manifest
@@ -302,7 +302,7 @@ def test_complete_index_strategy_change_is_crash_safe(tmp_path, corpus_small):
     corpus = str(tmp_path / "c.parquet")
     pq.write_table(corpus_small, corpus)
     idx = str(tmp_path / "idx")
-    cfg = dict(num_partitions=2, num_salts=2, hot_df_ratio=0.2, block_size=16)
+    cfg = dict(num_partitions=2, num_salts=2, block_size=16, blocks_row_group_size=5)
     build_index(corpus, idx, IndexConfig(**cfg))
     assert os.path.exists(manifest_path(idx))
     # crash immediately after the fast-path falls through (before any phase)

@@ -202,9 +202,9 @@ def test_salted_equals_unsalted(tmp_path, corpus_small):
     salted_dir = str(tmp_path / "salted")
     plain_dir = str(tmp_path / "plain")
     build_index(corpus_small, salted_dir,
-                IndexConfig(num_partitions=4, num_salts=3, hot_df_ratio=0.05, block_size=16))
+                IndexConfig(num_partitions=4, num_salts=3, block_size=16, blocks_row_group_size=1))
     build_index(corpus_small, plain_dir,
-                IndexConfig(num_partitions=4, num_salts=1, hot_df_ratio=1.1, block_size=16))
+                IndexConfig(num_partitions=4, num_salts=1, block_size=16))
     a, b = QueryEngine(salted_dir), QueryEngine(plain_dir)
     assert len(a.hot) > 0 and len(b.hot) == 0
     for q in reference_query_set():
@@ -234,8 +234,8 @@ def test_wide_rows_build_and_query(tmp_path):
         })
     corpus = pa.Table.from_pylist(rows)
     idx = str(tmp_path / "wide")
-    build_index(corpus, idx, IndexConfig(num_partitions=2, num_salts=2, block_size=64,
-                                         batch_size=4, hot_df_ratio=0.5))
+    build_index(corpus, idx, IndexConfig(num_partitions=2, num_salts=2, block_size=16,
+                                         blocks_row_group_size=1, batch_size=4))
     eng = QueryEngine(idx)
     assert eng.n_docs == 24
     r = eng.match("needle_0007", k=5)
@@ -291,7 +291,7 @@ def test_nested_columns_survive_build(tmp_path):
     idx = str(tmp_path / "idx")
     build_index(
         ray.data.from_arrow(corpus).repartition(3), idx,
-        IndexConfig(num_partitions=2, num_salts=1, hot_df_ratio=1.1, block_size=16),
+        IndexConfig(num_partitions=2, num_salts=1, block_size=16),
     )
     docs = pads.dataset(os.path.join(idx, "docs"), format="parquet").to_table()
     assert "address" in docs.column_names and "constructions" in docs.column_names

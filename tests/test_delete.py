@@ -22,7 +22,8 @@ def del_index(tmp_path_factory, corpus_small):
     """A dedicated positional index this module may mutate."""
     index_dir = str(tmp_path_factory.mktemp("delidx") / "idx")
     cfg = IndexConfig(
-        num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16, positions=True
+        num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=5,
+        positions=True
     )
     build_index(corpus_small, index_dir, cfg)
     return index_dir

@@ -42,11 +42,12 @@ def _positional(eng, term, sel=None):
 @pytest.fixture(scope="module")
 def pos_index(tmp_path_factory, corpus_small):
     """Positional index: small blocks (multi-block position streams) and a
-    low hot threshold (hot terms salted → the salt-run position merge path
-    is exercised)."""
+    small hot postings budget (hot terms salted → the salt-run position
+    merge path is exercised)."""
     index_dir = str(tmp_path_factory.mktemp("posidx") / "idx")
     cfg = IndexConfig(
-        num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16, positions=True
+        num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=5,
+        positions=True
     )
     build_index(corpus_small, index_dir, cfg)
     return index_dir

@@ -207,7 +207,8 @@ def test_derived_block_bounds_hold_across_add_and_delete(
 
     rng = np.random.RandomState(seed)
     idx = str(tmp_path_factory.mktemp("bounds") / "idx")
-    cfg = IndexConfig(num_partitions=2, num_salts=2, hot_df_ratio=0.2, block_size=block_size)
+    cfg = IndexConfig(num_partitions=2, num_salts=2, block_size=block_size,
+                      blocks_row_group_size=2)
     build_index(make_corpus(n_docs=n_docs, seed=seed, vocab_size=40, mean_tokens=mean_tokens),
                 idx, cfg)
     avgdl = QueryEngine(idx).avgdl

@@ -31,8 +31,8 @@ def spans(tmp_path_factory, corpus_small, oracle_small):
     tokens) for a positional index of the oracle's corpus with every 11th
     doc deleted."""
     idx = str(tmp_path_factory.mktemp("spans") / "idx")
-    build_index(corpus_small, idx, IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.2,
-                                               block_size=16, positions=True))
+    build_index(corpus_small, idx, IndexConfig(num_partitions=4, num_salts=2, block_size=16,
+                                               blocks_row_group_size=5, positions=True))
     dead = np.arange(3, oracle_small.n_docs, 11)
     delete_docs(idx, dead)
     t = pads.dataset(os.path.join(idx, "docs")).to_table(columns=["doc_id", "content"])

@@ -31,9 +31,10 @@ from librecatastro_ray.state.manifest import (
     save_manifest,
 )
 
-# tiny blocks and row groups: term spans cross row-group boundaries
-CFG = IndexConfig(num_partitions=3, num_salts=2, hot_df_ratio=0.1, block_size=4,
-                  blocks_row_group_size=7, positions=True)
+# tiny blocks and row groups: term spans cross row-group boundaries, and
+# terms of more than one row group's postings (28) are salted
+CFG = IndexConfig(num_partitions=3, num_salts=2, block_size=4, blocks_row_group_size=7,
+                  positions=True)
 
 
 def _postings(docs, tfs, dls, pos) -> list[tuple]:
@@ -175,9 +176,9 @@ def test_index_of_another_format_version_is_refused(small_index, tmp_path):
     idx = str(tmp_path / "idx")
     shutil.copytree(small_index, idx)
     m = load_manifest(idx)
-    assert m["version"] == INDEX_FORMAT_VERSION == 3
-    save_manifest(idx, dict(m, version=2))
-    refused = re.escape(f"format version 2; this code reads version {INDEX_FORMAT_VERSION}")
+    assert m["version"] == INDEX_FORMAT_VERSION == 4
+    save_manifest(idx, dict(m, version=3))
+    refused = re.escape(f"format version 3; this code reads version {INDEX_FORMAT_VERSION}")
     with pytest.raises(ValueError, match=refused):
         QueryEngine(idx)
     with pytest.raises(ValueError, match=refused):
@@ -296,8 +297,8 @@ def unicode_engine(tmp_path_factory):
         "content": pa.array(docs, pa.string()),
     })
     idx = str(tmp_path_factory.mktemp("unicode") / "idx")
-    build_index(corpus, idx, IndexConfig(num_partitions=3, num_salts=2, hot_df_ratio=0.5,
-                                         block_size=4, analyzer="whitespace_v1"))
+    build_index(corpus, idx, IndexConfig(num_partitions=3, num_salts=2, block_size=4,
+                                         analyzer="whitespace_v1"))
     eng = QueryEngine(idx)
     terms = eng.full_dictionary()["term"].to_pylist()
     assert "\U0010ffff" in "".join(terms) and "\ud7ff" in "".join(terms)
@@ -417,8 +418,8 @@ def test_fuzzy_map_rows_are_bounded_for_long_terms(tmp_path):
         "content": pa.array(docs, pa.string()),
     })
     idx = str(tmp_path / "idx")
-    build_index(corpus, idx, IndexConfig(num_partitions=2, num_salts=1, hot_df_ratio=0.5,
-                                         block_size=4, analyzer="whitespace_v1"))
+    build_index(corpus, idx, IndexConfig(num_partitions=2, num_salts=1, block_size=4,
+                                         analyzer="whitespace_v1"))
     eng = QueryEngine(idx)
     terms = np.array(sorted(eng.full_dictionary()["term"].to_pylist()), dtype=object)
     assert set(terms) == vocab

@@ -15,7 +15,7 @@ from librecatastro_ray.state.manifest import drop_index, load_manifest
 
 
 def _cfg():
-    return IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16)
+    return IndexConfig(num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=2)
 
 
 def test_resume_after_partial_merge(tmp_path):

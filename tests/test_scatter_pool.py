@@ -19,7 +19,8 @@ from librecatastro_ray.pipelines.build import build_index
 from librecatastro_ray.pipelines.query import QueryEngine, batch_search_scatter
 from librecatastro_ray.sources.synth import make_corpus
 
-CFG = IndexConfig(num_partitions=3, num_salts=2, hot_df_ratio=0.2, block_size=8, positions=True)
+CFG = IndexConfig(num_partitions=3, num_salts=2, block_size=8, blocks_row_group_size=4,
+                  positions=True)
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,8 @@ from librecatastro_ray.pipelines.query import (
 )
 from librecatastro_ray.state.manifest import delete_docs, deleted_path, drop_index, load_manifest
 
-CFG = IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16, positions=True)
+CFG = IndexConfig(num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=5,
+                  positions=True)
 N_RANGES = 3
 
 QUERIES = [

@@ -1,7 +1,8 @@
 """Write-path kernels and the grouped merge.
 
 - The posting emitters route every posting to
-  ``skey = (term_hash(t) % P) * S + (doc_id % S if t is hot else 0)``, and
+  ``skey = (term_hash(t) % P) * S + (min(doc_id // W, S - 1) if t is hot
+  else 0)`` for the build's salt width W, and
   ``term_hashes`` equals the scalar ``term_hash`` (partition routing depends
   on both being exact).  No Ray.
 - A merge task over a run of partitions checkpoints each partition as it
@@ -37,12 +38,13 @@ _content = st.one_of(st.none(), st.text(alphabet=st.sampled_from(ALPHABET), max_
     first_id=st.integers(0, 10_000),
     P=st.integers(1, 9),
     S=st.integers(1, 5),
+    W=st.integers(1, 40),
     analyzer_id=st.sampled_from(["code_standard_v1", "whitespace_v1"]),
     hot_mode=st.sampled_from(["none", "all", "alternate", "some"]),
     data=st.data(),
 )
 def test_emitters_route_every_posting_by_its_term_and_doc(
-    contents, first_id, P, S, analyzer_id, hot_mode, data
+    contents, first_id, P, S, W, analyzer_id, hot_mode, data
 ):
     batch = pa.table(
         {
@@ -60,7 +62,8 @@ def test_emitters_route_every_posting_by_its_term_and_doc(
     else:
         hot = data.draw(st.lists(st.sampled_from(vocab), unique=True)) if vocab else []
     hot_set = set(hot)
-    kw = {"num_partitions": P, "num_salts": S, "hot_terms": hot, "analyzer_id": analyzer_id}
+    kw = {"num_partitions": P, "num_salts": S, "hot_terms": hot, "salt_width": W,
+          "analyzer_id": analyzer_id}
     cols = ["term", "doc_id", "tf", "dl", "skey"]
     plain = flat_postings(batch, **kw)
     positional = flat_postings_positional(batch, **kw)
@@ -69,7 +72,8 @@ def test_emitters_route_every_posting_by_its_term_and_doc(
         assert {r["term"] for r in rows} == set(vocab)
         for r in rows:
             t, d = r["term"], r["doc_id"]
-            assert r["skey"] == (term_hash(t) % P) * S + (d % S if t in hot_set else 0), r
+            salt = min(d // W, S - 1) if t in hot_set else 0
+            assert r["skey"] == (term_hash(t) % P) * S + salt, r
     key = lambda r: (r["doc_id"], r["term"])  # noqa: E731
     assert sorted(plain.to_pylist(), key=key) == sorted(
         positional.select(cols).to_pylist(), key=key
@@ -90,7 +94,7 @@ def test_term_hashes_equals_scalar_term_hash(terms):
 
 
 def _cfg():
-    return IndexConfig(num_partitions=4, num_salts=2, hot_df_ratio=0.2, block_size=16,
+    return IndexConfig(num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=3,
                        positions=True)
 
 
