@@ -23,8 +23,7 @@ up in a deletion-neighbourhood map of it and checks only those.  A term
 under the hot postings budget is one run; a hot (salted) term's per-salt
 runs are consecutive doc-id ranges, so they merge by concatenation in salt
 order — the logical "second merge stage" of the salting scheme, executed
-lazily at read time — and a phrase read over a doc range skips the runs
-outside it.
+lazily at read time.
 
 One evaluator, :class:`RangeEngine`, scores every query kind over a doc-id
 range, reading each term as a slice of the engine's bounded term caches.
@@ -61,7 +60,6 @@ from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import topk_indices
 from librecatastro_ray.functions.hashing import term_hash
 from librecatastro_ray.stages.merge import blocks_file, dict_file
-from librecatastro_ray.stages.postings import salt_docs
 from librecatastro_ray.state.manifest import check_version, load_manifest
 
 # the columns every term read uses; phrase reads add "positions"
@@ -305,14 +303,11 @@ def _candidate_positions(run: tuple, cand: np.ndarray) -> tuple:
 def _occurrences(runs: list[tuple], cand: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``base[c] + p`` for every occurrence at position ``p`` of a term in
     candidate doc ``cand[c]`` (``cand`` sorted, each doc in one of ``runs``,
-    the term's non-empty per-salt ``(docs, tf, pos values, pos offsets)``
-    views in salt order).  The runs hold consecutive doc ranges, so each
-    looks up only the candidates between its first and last doc."""
+    the term's per-salt ``(docs, tf, pos values, pos offsets)`` views)."""
     tok = []
     for run in runs:
-        i, j = cand.searchsorted(run[0][0]), cand.searchsorted(run[0][-1], side="right")
-        hit, rows, pos = _candidate_positions(run, cand[i:j])
-        tok.append(np.repeat(base[i:j][hit], run[1][rows]) + pos)
+        hit, rows, pos = _candidate_positions(run, cand)
+        tok.append(np.repeat(base[:-1][hit], run[1][rows]) + pos)
     return np.concatenate(tok)
 
 
@@ -410,8 +405,6 @@ class QueryEngine:
         self.sum_dl: int = int(self.manifest["sum_dl"])
         self.avgdl: float = (float(self.sum_dl) / float(self.n_docs)) if self.n_docs else 1.0
         self.hot: set[str] = set(self.manifest["hot_terms"])
-        # the doc-id width of a hot term's salt runs (``salt_docs``)
-        self._salt_width: int = int(self.manifest["salt_width"])
         # the (partition, salt) pairs that hold postings
         self._listed: list[tuple[int, int]] = sorted(
             (p["pkey"], p["salt"]) for p in self.manifest["partitions"].values())
@@ -629,17 +622,10 @@ class QueryEngine:
 
     def _positional_runs(self, term: str, bounds: np.ndarray) -> list:
         """Per-salt ``(docs, tf, pos values, pos offsets)`` views of a
-        term's runs restricted to docs [lo, hi) = ``bounds``, in salt order
-        — posting i's positions are ``values[offsets[i]:offsets[i + 1]]``.
-        A salted term's runs whose doc range misses [lo, hi) are not
-        read."""
+        term's runs restricted to docs [lo, hi) = ``bounds`` — posting i's
+        positions are ``values[offsets[i]:offsets[i + 1]]``."""
         runs = []
-        lo, hi = bounds.tolist()
-        salts = self._salts(term)
-        for salt in salts:
-            first, end = salt_docs(salt, self._salt_width, self.config.num_salts)
-            if len(salts) > 1 and (first >= hi or end <= lo):
-                continue
+        for salt in self._salts(term):
             s = self._slice(term, salt, positions=True)
             if s is None:
                 continue

@@ -16,7 +16,7 @@ turns doc batches into flat postings ``(term, doc_id, tf, dl, skey)`` where
     skey = pkey * S + salt
 
 A hot term's salt runs are doc ranges in salt order, so a reader merges
-them by concatenation and skips the runs outside the docs it evaluates.
+them by concatenation.
 
 Postings carry dl so the per-partition merge can compute exact BM25 block-max
 bounds locally without a doc-stats join.
@@ -50,12 +50,6 @@ def salt_range_width(n_docs: int, num_salts: int) -> int:
     also takes the rest, so (for at least ``num_salts`` docs) every id an
     add appends."""
     return max(1, n_docs // num_salts)
-
-
-def salt_docs(salt: int, width: int, num_salts: int) -> tuple[int, int]:
-    """[lo, hi) of the doc ids a hot term's ``salt`` run holds."""
-    hi = (salt + 1) * width if salt < num_salts - 1 else np.iinfo(np.int64).max
-    return salt * width, hi
 
 
 def flat_postings(

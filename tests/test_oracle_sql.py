@@ -86,3 +86,14 @@ def test_changed_corpus_is_rebuilt_not_served_stale(oracle_con, tmp_path, monkey
     assert entrymod._engine(str(tmp_path)).n_docs == 100
     prefix = entrymod._md5(f"{os.path.abspath(str(tmp_path))}:flagship")
     assert len([d for d in os.listdir(entrymod.CACHE_ROOT) if d.startswith(prefix + "-")]) == 1
+
+
+def test_entry_indexes_salt_hot_terms(oracle_con):
+    """The entries' indexes hold range-salted hot terms, so the oracle
+    comparisons above cover reads that merge a term's salt runs."""
+    for make in (entrymod._engine, entrymod._engine_del, entrymod._engine_add,
+                 entrymod._engine_pos, entrymod._engine_pathfield):
+        eng = make(SF_DIR)
+        assert eng.hot, make.__name__
+        assert any(sum(eng._span(t, s) is not None for s in eng._salts(t)) > 1
+                   for t in eng.hot), make.__name__

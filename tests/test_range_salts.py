@@ -54,7 +54,7 @@ def _check_runs(eng: QueryEngine, build_n: int) -> None:
     """Every run is strictly doc-sorted; a hot term's salt s run lies in its
     doc range; some hot term has several runs; postings of ids past the
     build's ``build_n`` are in the last salt."""
-    W, S = eng._salt_width, eng.config.num_salts
+    W, S = eng.manifest["salt_width"], eng.config.num_salts
     assert W == build_n // S
     multi = 0
     for term in eng.full_dictionary()["term"].to_pylist():
@@ -115,36 +115,14 @@ def _check_answers(eng: QueryEngine, oracle: OracleIndex, tokens: dict,
         _assert_page(eng.prefix_content(prefix, k=1000), oracle.prefix_content(prefix, k=1000))
 
 
-def _check_skips_runs_outside_the_range(eng: QueryEngine) -> None:
-    """A phrase read over the first salt range reads a hot term's first run
-    only; over the docs past it, never that run."""
-    W = eng._salt_width
-    term = next(t for t in sorted(eng.hot) if eng._span(t, 0) is not None)
-    read = []
-    slice_ = eng._slice
-
-    def spy(t, salt, positions=False):
-        read.append(salt)
-        return slice_(t, salt, positions)
-
-    eng._slice = spy
-    eng._positional_runs(term, np.array([0, W], dtype=np.int64))
-    assert read == [0]
-    read.clear()
-    eng._positional_runs(term, np.array([W, eng.n_docs], dtype=np.int64))
-    assert read and 0 not in read
-    del eng._slice
-
-
 def _check(idx: str, corpus: pa.Table, build_n: int, rng: np.random.RandomState) -> None:
     oracle, tokens = _oracle(corpus)
     eng = QueryEngine(idx)
     assert eng.n_docs == oracle.n_docs and not len(eng._deleted)
     _check_runs(eng, build_n)
     _check_answers(eng, oracle, tokens, rng)
-    _check_skips_runs_outside_the_range(eng)
-    # the evaluator over ranges of a few docs, each reading only the salt
-    # runs its range overlaps
+    # the evaluator over ranges of a few docs, each range slicing the
+    # concatenated salt runs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qmod, "DENSE_ACC_LIMIT", 5)
         _check_answers(QueryEngine(idx), oracle, tokens, rng)

@@ -297,9 +297,12 @@ def unicode_engine(tmp_path_factory):
         "content": pa.array(docs, pa.string()),
     })
     idx = str(tmp_path_factory.mktemp("unicode") / "idx")
+    # a hot postings budget of 4: terms in more than 4 docs are salted, so
+    # the vocabulary dedupes a term listed in both salts' dictionaries
     build_index(corpus, idx, IndexConfig(num_partitions=3, num_salts=2, block_size=4,
-                                         analyzer="whitespace_v1"))
+                                         blocks_row_group_size=1, analyzer="whitespace_v1"))
     eng = QueryEngine(idx)
+    assert eng.hot
     terms = eng.full_dictionary()["term"].to_pylist()
     assert "\U0010ffff" in "".join(terms) and "\ud7ff" in "".join(terms)
     return eng, terms
