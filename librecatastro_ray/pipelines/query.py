@@ -1106,10 +1106,10 @@ class QueryEngine:
 
     def _hit_rows(self, field: str, hits: np.ndarray) -> Iterator[tuple[np.ndarray, pa.Array]]:
         """``(doc_ids, field values)`` of the doc-store rows whose doc is in
-        the sorted hit set, one pair per Arrow batch holding any: a streamed
-        (doc_id, ``field``) scan masked by sorted membership, so rows of
-        non-hits never materialize."""
-        hits = np.asarray(hits, dtype=np.int64)
+        the hit set (any order, e.g. a ranked page), one pair per Arrow batch
+        holding any: a streamed (doc_id, ``field``) scan masked by sorted
+        membership, so rows of non-hits never materialize."""
+        hits = np.unique(np.asarray(hits, dtype=np.int64))
         for batch in self._docstats_ds().scanner(columns=["doc_id", field]).to_batches():
             d = batch.column(0).to_numpy()
             m = _in_sorted(d, hits)
@@ -1124,7 +1124,7 @@ class QueryEngine:
     ) -> pa.Table:
         """ES ``terms`` aggregation: value counts of a keyword field over a
         query's FULL hit set (ES aggs see every matching doc, not the top-k
-        page).  ``hits`` is the sorted doc-id array of the query (from
+        page).  ``hits`` is the query's doc ids in any order (from
         :meth:`match_hits` — already tombstone-filtered).
 
         Value-counts each batch of :meth:`_hit_rows` (never materializes

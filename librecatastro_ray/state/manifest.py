@@ -157,12 +157,23 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     (N, avgdl, per-term df) keep counting them until a rebuild — exactly
     Lucene's behavior for deletes before a segment merge.  Idempotent and
     accumulative; atomic tmp+rename write.  Returns the total tombstone
-    count after the merge."""
+    count after the merge.
+
+    Raises ``ValueError``, writing nothing, for an id outside ``[0, n_docs)``
+    of the committed manifest: ids are dense and an add appends from
+    ``n_docs`` on, so such a tombstone would hide a future document."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
+    n_docs = int(load_manifest(index_dir)["n_docs"])
+    bad = ids[(ids < 0) | (ids >= n_docs)]
+    if len(bad):
+        raise ValueError(
+            f"{len(bad)} doc id(s) outside [0, {n_docs}) of {index_dir}: "
+            f"{bad[:10].tolist()}"
+        )
     merged = np.union1d(load_deleted(index_dir), ids)
     path = deleted_path(index_dir)
     os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -101,11 +101,39 @@ def test_delete_filters_all_query_paths(del_index):
 
 
 def test_delete_accumulates_and_is_idempotent(del_index):
-    n0 = len(load_deleted(del_index))
-    assert n0 >= 3  # from the previous test
-    n1 = delete_docs(del_index, [10**7])  # unknown id: tombstoned harmlessly
-    assert n1 == n0 + 1
-    assert delete_docs(del_index, [10**7]) == n1  # idempotent
+    before = load_deleted(del_index)
+    assert len(before) >= 3  # from the previous test
+    # an id the index never assigned is refused and nothing is written
+    with pytest.raises(ValueError, match=str(10**7)):
+        delete_docs(del_index, [10**7])
+    np.testing.assert_array_equal(load_deleted(del_index), before)
+    live = next(d for d in range(QueryEngine(del_index).n_docs) if d not in set(before))
+    n1 = delete_docs(del_index, [live])
+    assert n1 == len(before) + 1
+    assert delete_docs(del_index, [live]) == n1  # idempotent
+
+
+def test_unassigned_id_cannot_hide_a_future_add(tmp_path, corpus_small):
+    """Ids are dense and an add appends from n_docs on, so a tombstone on id
+    n_docs would silently hide the next added doc: the delete must refuse
+    it (and a negative id), leaving the add to serve."""
+    import pyarrow as pa
+
+    from librecatastro_ray.pipelines.build import add_documents
+
+    index_dir = str(tmp_path / "idx")
+    build_index(corpus_small.slice(0, 100), index_dir,
+                IndexConfig(num_partitions=2, num_salts=1))
+    n_docs = QueryEngine(index_dir).n_docs
+    with pytest.raises(ValueError, match=r"outside \[0, "):
+        delete_docs(index_dir, [n_docs, n_docs + 1, -5])
+    assert len(load_deleted(index_dir)) == 0
+    row = corpus_small.slice(0, 1).to_pylist()[0]
+    row.update(path="src/zebra/new_doc.py", content="zebraword")
+    add_documents(pa.Table.from_pylist([row], schema=corpus_small.schema), index_dir)
+    eng = QueryEngine(index_dir)
+    assert eng.match("zebraword", k=5)["doc_id"].to_pylist() == [n_docs]
+    assert eng.count("zebraword") == 1
 
 
 def test_delete_by_query(del_index):

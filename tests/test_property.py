@@ -1,7 +1,8 @@
-"""Property-based and randomized-conformance tests: the search and training
-layers' vectorized kernels vs their obviously-correct scalar counterparts, a
-randomized query sweep and search_after walk against the pure-Python oracle,
-and block-max bounds (WAND exactness) across add and delete."""
+"""Property-based and randomized-conformance tests: vectorized kernels
+(top-k selection, the training layer's document fingerprint, the prefix
+upper bound) vs their obviously-correct scalar counterparts, a randomized
+query sweep and search_after walk against the pure-Python oracle, and
+block-max bounds (WAND exactness) across add and delete."""
 
 import numpy as np
 import pytest
@@ -22,19 +23,6 @@ def test_topk_indices_matches_naive_lexsort(scores, k):
     got = topk_indices(scores, doc_ids, k)
     order = np.lexsort((doc_ids, -scores))[: min(k, len(scores))]
     assert list(got) == list(order)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.text(max_size=60), st.text(max_size=60))
-def test_gram_set_np_matches_char_ngrams(a, b):
-    from librecatastro_ray.pipelines.training import _char_ngrams, _gram_set_np
-
-    for n in (3, 4):
-        sa_np, sb_np = _gram_set_np(a, n), _gram_set_np(b, n)
-        sa, sb = _char_ngrams(a, n), _char_ngrams(b, n)
-        assert len(sa_np) == len(sa)
-        inter = np.intersect1d(sa_np, sb_np, assume_unique=True).size
-        assert inter == len(sa & sb), (a, b, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,41 +85,6 @@ def engine_and_oracle(built_index, oracle_small):
 
     index_dir, _ = built_index
     return QueryEngine(index_dir), oracle_small
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=0, max_size=64))
-def test_popcount64_matches_int_bit_count(xs):
-    from librecatastro_ray.pipelines.training import _popcount64
-
-    arr = np.array(xs, dtype=np.uint64)
-    got = _popcount64(arr)
-    assert got.tolist() == [int(x).bit_count() for x in xs]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**62),
-    st.integers(min_value=1, max_value=6),
-    st.sets(st.integers(min_value=0, max_value=62), max_size=6),
-)
-def test_simhash_banding_pigeonhole_property(sig, radius, flips):
-    """Any signature pair within Hamming distance `radius` shares >=1 band;
-    beyond radius the property is allowed (not required) to fail."""
-    import pyarrow as pa
-
-    from librecatastro_ray.pipelines.training import _simhash_bands
-
-    mate = sig
-    for f in flips:
-        mate ^= 1 << f
-    t = pa.table({"doc_id": pa.array([0, 1], pa.int64()),
-                  "simhash": pa.array([sig, mate], pa.int64())})
-    b = _simhash_bands(t, radius).to_pandas()
-    shared = set(map(tuple, b[b.doc_id == 0][["band", "bucket"]].values)) & \
-        set(map(tuple, b[b.doc_id == 1][["band", "bucket"]].values))
-    if len(flips) <= radius:
-        assert shared, (sig, radius, flips)
 
 
 @settings(max_examples=12, deadline=None)

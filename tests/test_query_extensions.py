@@ -543,6 +543,20 @@ def test_stats_agg_empty_hits(engine):
     assert got == {"count": 0, "sum": 0, "min": None, "max": None}
 
 
+def test_aggs_accept_hits_in_rank_order(engine):
+    """A ranked page's doc ids, unsorted, aggregate exactly as the same ids
+    sorted: every hit counts once whatever the order."""
+    ranked = engine.match("def return", k=50)["doc_id"].to_numpy()
+    assert len(ranked) == 50 and (np.diff(ranked) < 0).any()
+    srt = np.sort(ranked)
+    terms = engine.terms_agg("lang", ranked, size=100)
+    assert terms.to_pylist() == engine.terms_agg("lang", srt, size=100).to_pylist()
+    assert sum(terms["count"].to_pylist()) == 50
+    stats = engine.stats_agg("dl", ranked)
+    assert stats.to_pylist() == engine.stats_agg("dl", srt).to_pylist()
+    assert stats["count"][0].as_py() == 50
+
+
 def test_keyword_in_is_or_of_eq(engine, oracle_small):
     """ES terms query (keyword_in): docs matching ANY value, ONE constant
     score — equal to the union of per-value keyword_eq hits."""
