@@ -160,8 +160,10 @@ def _engine_pathfield(sf_dir: str):
 def _docstats_table(sf_dir: str) -> pa.Table:
     import pyarrow.dataset as pads
 
+    from librecatastro_ray.state.manifest import doc_files
+
     eng = _engine(sf_dir)
-    return pads.dataset(os.path.join(eng.index_dir, "docs"), format="parquet").to_table(
+    return pads.dataset(doc_files(eng.index_dir, eng.manifest), format="parquet").to_table(
         columns=["doc_id", "repo", "path", "lang", "sha256", "dl"]
     )
 

@@ -128,8 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({
             "n_docs": m["n_docs"],
             "n_postings": m["lineage"]["n_postings"],
-            "partitions": len(m["partitions"]),
-            "hot_terms": len(m["hot_terms"]),
+            "partitions": len(m["segments"][0]["partitions"]),
+            "hot_terms": len(m["segments"][0]["hot_terms"]),
             "report": res["report"],
         }))
         import ray
@@ -259,9 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "list":
         import pyarrow.dataset as pads
 
-        t = pads.dataset(os.path.join(args.index, "docs"), format="parquet").to_table(
-            columns=[args.field]
-        )
+        from librecatastro_ray.state.manifest import doc_files, load_manifest
+
+        t = pads.dataset(doc_files(args.index, load_manifest(args.index)),
+                         format="parquet").to_table(columns=[args.field])
         for v in sorted(set(t[args.field].to_pylist())):
             print(v)
         return 0
@@ -281,9 +282,10 @@ def main(argv: list[str] | None = None) -> int:
             "n_docs": m["n_docs"],
             "avgdl": round(m["sum_dl"] / max(m["n_docs"], 1), 3),
             "config": m["config"],
-            "n_partitions": len(m["partitions"]),
+            "n_segments": len(m["segments"]),
+            "n_partitions": sum(len(seg["partitions"]) for seg in m["segments"]),
             "n_postings": m["lineage"]["n_postings"],
-            "hot_terms": m["hot_terms"][:20],
+            "hot_terms": sorted({t for seg in m["segments"] for t in seg["hot_terms"]})[:20],
         }))
         return 0
 

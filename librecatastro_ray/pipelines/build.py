@@ -21,17 +21,23 @@
       → merge_batch tasks over runs of partitions
         → parts/ + checkpoints/                        (≤ 2 × CPUs tasks; one
                                                         checkpoint per partition)
-      → finalize manifest.json
+      → finalize manifest.json                         (segment 0)
 
 Every phase is gated by a completion marker; the merge phase is resumable at
 per-partition granularity via the checkpoint anti-join (the reference's
 resume mechanisms re-expressed: upsert idempotence + skip-already-scraped,
 reference: cadaster_entry.py:53, elasticsearch_utils.py:100-136).
+
+``add_documents`` runs the same doc-id, spill and merge phases over its
+batch alone into one more segment, and ``compact_index`` rebuilds the live
+docs of every segment as one.
 """
 
 from __future__ import annotations
 
+import glob
 import os
+import shutil
 import time
 from typing import Any
 
@@ -53,13 +59,21 @@ from librecatastro_ray.state.manifest import (
     atomic_write_json,
     check_version,
     completed_partitions,
+    doc_files,
+    load_deleted,
     load_manifest,
     manifest_path,
     read_json,
     save_manifest,
+    write_ids,
 )
 
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+
+
+def _remove(paths: list[str]) -> None:
+    for p in paths:
+        shutil.rmtree(p, ignore_errors=True)
 
 
 def _marker(path: str) -> str:
@@ -101,17 +115,19 @@ def _cluster_cpus() -> int:
     return max(2, int(ray.cluster_resources().get("CPU", 4)))
 
 
-def _read_sized(path: str, columns: list[str]) -> ray.data.Dataset:
-    """Size-aware parquet read: Ray's default read split (min 200 blocks)
-    fragments small inputs into KB-scale blocks, multiplying per-block task
-    overhead and — worse — the partitioned shuffle-spill file count
-    (map_blocks × skeys).  Target ~TARGET_BLOCK_BYTES per block with a floor
-    of 2 tasks per CPU for parallelism."""
-    total = 0
-    for root, _dirs, files in os.walk(path):
-        for f in files:
-            if f.endswith(".parquet"):
-                total += os.path.getsize(os.path.join(root, f))
+def _read_sized(path: str | list[str], columns: list[str]) -> ray.data.Dataset:
+    """Size-aware parquet read of a file, a directory or a list of files:
+    Ray's default read split (min 200 blocks) fragments small inputs into
+    KB-scale blocks, multiplying per-block task overhead and — worse — the
+    partitioned shuffle-spill file count (map_blocks × skeys).  Target
+    ~TARGET_BLOCK_BYTES per block with a floor of 2 tasks per CPU for
+    parallelism."""
+    if isinstance(path, str) and os.path.isdir(path):
+        files = [os.path.join(r, f) for r, _d, fs in os.walk(path)
+                 for f in fs if f.endswith(".parquet")]
+    else:
+        files = [path] if isinstance(path, str) else path
+    total = sum(os.path.getsize(f) for f in files)
     n_blocks = max(2 * _cluster_cpus(), total // TARGET_BLOCK_BYTES or 1)
     from librecatastro_ray.sources.readers import read_parquet_clean
 
@@ -193,9 +209,10 @@ def estimate_hot_terms(docs_ds: ray.data.Dataset, n_docs: int, config: IndexConf
 
 
 def _spill(docs_ds: ray.data.Dataset, spill_dir: str, config: IndexConfig,
-           hot_terms: list[str], width: int) -> list[int]:
-    """Tokenize ``docs_ds`` into flat postings written partitioned by skey
-    under ``spill_dir``; returns the skeys the spill holds, sorted."""
+           hot_terms: list[str], width: int, base: int = 0) -> list[int]:
+    """Tokenize ``docs_ds``, the docs of the segment that starts at doc id
+    ``base``, into flat postings written partitioned by skey under
+    ``spill_dir``; returns the skeys the spill holds, sorted."""
     docs_ds.map_batches(
         flat_postings_positional if config.positions else flat_postings,
         fn_kwargs={
@@ -203,6 +220,7 @@ def _spill(docs_ds: ray.data.Dataset, spill_dir: str, config: IndexConfig,
             "num_salts": config.num_salts,
             "hot_terms": hot_terms,
             "salt_width": width,
+            "salt_base": base,
             "analyzer_id": config.analyzer,
         },
         batch_format="pyarrow",
@@ -222,6 +240,39 @@ def _partition_entry(ck: dict) -> dict:
         "n_postings": ck["metrics"]["n_postings"],
         "output_sha256": ck["output_sha256"],
     }
+
+
+def _segment_docs(index_dir: str, docs_dir: str) -> list[str]:
+    """The doc-store files (relative to ``index_dir``) a finished doc-id
+    phase wrote to ``docs_dir``, sorted."""
+    return sorted(os.path.join(docs_dir, f) for f in os.listdir(os.path.join(index_dir, docs_dir))
+                  if f.startswith("part-") and f.endswith(".parquet"))
+
+
+def _segment_entry(base: int, n_docs: int, sum_dl: int, docs: list[str], parts: str,
+                   hot_terms: list[str], width: int, done: dict[int, dict],
+                   upserted: str | None = None) -> dict:
+    """A segment's manifest entry: its doc range [base, base + n_docs),
+    doc-store files, parts dir, salt layout, the partitions its merge
+    checkpoints ``done`` list, and the tombstone file of the ids it
+    upserted away (None when there are none)."""
+    return {
+        "base": base,
+        "n_docs": n_docs,
+        "sum_dl": sum_dl,
+        "docs": docs,
+        "parts": parts,
+        "hot_terms": hot_terms,
+        "salt_width": width,
+        "partitions": {str(skey): _partition_entry(ck) for skey, ck in sorted(done.items())},
+        "upserted": upserted,
+    }
+
+
+def _lineage(segments: list[dict]) -> dict:
+    parts = [p for seg in segments for p in seg["partitions"].values()]
+    return {"n_postings": sum(p["n_postings"] for p in parts),
+            "n_terms_with_salt_dups": sum(p["n_terms"] for p in parts)}
 
 
 def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig, **dirs: str) -> None:
@@ -306,6 +357,10 @@ def build_index(
     os.makedirs(index_dir, exist_ok=True)
     docs_dir = os.path.join(index_dir, "docs")
     shuffle_dir = os.path.join(index_dir, "shuffle")
+    # a build writes segment 0 only: the added segments of an index it
+    # replaces are stale
+    _remove(glob.glob(os.path.join(index_dir, "seg-*"))
+            + glob.glob(os.path.join(docs_dir, "seg-*")))
 
     # ---- phase A: dedup + doc ids + dl → canonical doc store --------------
     # one key-only sort, one tokenize, one fused write: docs/ is forward
@@ -336,11 +391,7 @@ def build_index(
             # crash-resume against a CHANGED corpus or analysis strategy:
             # the finished docs phase (and everything derived from it) is
             # stale — invalidate all of it rather than mixing old and new
-            import shutil
-
-            shutil.rmtree(docs_dir, ignore_errors=True)
-            shutil.rmtree(shuffle_dir, ignore_errors=True)
-            shutil.rmtree(os.path.join(index_dir, "checkpoints"), ignore_errors=True)
+            _remove([docs_dir, shuffle_dir, os.path.join(index_dir, "checkpoints")])
             report["phases_invalidated"] = ["docs", "shuffle", "merge"]
             stats = None
     if stats is not None:
@@ -357,7 +408,8 @@ def build_index(
     report["phase_seconds"]["docs"] = round(_t() - _t0, 3)
     _t0 = _t()
 
-    mat_docs = _read_sized(docs_dir, ["doc_id", "content"])
+    docs = _segment_docs(index_dir, "docs")
+    mat_docs = _read_sized([os.path.join(index_dir, f) for f in docs], ["doc_id", "content"])
 
     n_docs = int(stats["n_docs"])
     sum_dl = int(stats["sum_dl"])
@@ -367,13 +419,10 @@ def build_index(
     if shuffle_meta is not None and shuffle_meta.get("version") == INDEX_FORMAT_VERSION:
         report["phases_skipped"].append("shuffle")
     else:
-        import shutil
-
         # a spill of another index format: it and every partition merged
         # from it are stale
-        for d in (shuffle_dir, os.path.join(index_dir, "checkpoints"),
-                  os.path.join(index_dir, "parts")):
-            shutil.rmtree(d, ignore_errors=True)
+        _remove([shuffle_dir, os.path.join(index_dir, "checkpoints"),
+                 os.path.join(index_dir, "parts")])
         hot_terms = estimate_hot_terms(mat_docs, n_docs, config)
         width = salt_range_width(n_docs, config.num_salts)
         skeys_present = _spill(mat_docs, shuffle_dir, config, hot_terms, width)
@@ -401,27 +450,38 @@ def build_index(
         raise RuntimeError(f"merge incomplete: partitions {missing} missing checkpoints")
 
     # ---- finalize: manifest (deterministic content — no wall clock) -------
-    partitions = {str(skey): _partition_entry(ck) for skey, ck in sorted(done.items())}
+    segment = _segment_entry(0, n_docs, sum_dl, docs, "parts", shuffle_meta["hot_terms"],
+                             shuffle_meta["salt_width"], done)
     manifest = {
         "version": INDEX_FORMAT_VERSION,
         "config": config.to_json(),
         "n_docs": n_docs,
         "sum_dl": sum_dl,
-        "hot_terms": shuffle_meta["hot_terms"],
-        "salt_width": shuffle_meta["salt_width"],
-        "partitions": partitions,
-        "lineage": {
-            "source": corpus if isinstance(corpus, str) else "<dataset>",
-            "n_postings": sum(p["n_postings"] for p in partitions.values()),
-            "n_terms_with_salt_dups": sum(p["n_terms"] for p in partitions.values()),
-        },
+        "generation": 0,
+        "segments": [segment],
+        "lineage": {"source": corpus if isinstance(corpus, str) else "<dataset>",
+                    **_lineage([segment])},
     }
     save_manifest(index_dir, manifest)
     if cleanup_shuffle:
-        import shutil
-
-        shutil.rmtree(shuffle_dir, ignore_errors=True)
+        _remove([shuffle_dir])
     return {"manifest": manifest, "report": report}
+
+
+def _upserted_ids(index_dir: str, manifest: dict, new_docs: list[str]) -> np.ndarray:
+    """Sorted ids of the live committed docs whose (repo, path) the new
+    doc-store files ``new_docs`` hold again: a pyarrow scan in the driver of
+    the committed segments' key columns, pruned to the new paths."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    new = pads.dataset([os.path.join(index_dir, f) for f in new_docs], format="parquet")
+    new = new.to_table(columns=["repo", "path"])
+    old = pads.dataset(doc_files(index_dir, manifest), format="parquet").to_table(
+        columns=["doc_id", "repo", "path"], filter=pads.field("path").isin(new["path"]))
+    hit = pc.is_in(pc.binary_join_element_wise(old["repo"], old["path"], "\x00"),
+                   value_set=pc.binary_join_element_wise(new["repo"], new["path"], "\x00"))
+    return np.setdiff1d(old["doc_id"].filter(hit).to_numpy(), load_deleted(index_dir, manifest))
 
 
 def add_documents(corpus: Any, index_dir: str) -> dict:
@@ -430,146 +490,88 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     time, reference: src/utils/elasticsearch_utils.py:100-136 +
     cadaster_entry.py:46-77 — here one BATCH at a time, Ray-Data-shaped).
 
-    Semantics (Lucene segment model, without the segment read path):
-      - new docs get ids AFTER the current ``n_docs`` (dense, sorted by
-        (repo, path) within the batch; existing ids never change);
-      - an incoming (repo, path) that already exists UPSERTS: the old doc id
-        is tombstoned (``delete_docs``) and the new doc serves — exactly
-        Lucene's delete-then-add update;
+    Semantics (the Lucene segment model):
+      - the batch becomes one new SEGMENT over the doc-id range
+        [n_docs, n_docs + n_new): ids are dense, sorted by (repo, path)
+        within the batch, and existing ids never change;
+      - the segment is written by the build's own doc-id, spill and merge
+        phases over the batch alone — its own doc store
+        (``docs/seg-{g}/``), parts, checkpoints, hot-term list and salt
+        width (``seg-{g}/``) — so an add costs what its batch costs and no
+        older posting is read or rewritten;
+      - an incoming (repo, path) that already exists UPSERTS: the old doc
+        id is tombstoned and the new doc serves — exactly Lucene's
+        delete-then-add update.  The upserted-away ids go to
+        ``seg-{g}/upserted.parquet``, which the segment's manifest entry
+        names;
       - global stats move to the new totals (N += batch, sum_dl += batch;
-        tombstoned old versions keep counting until a full rebuild, the
-        documented delete semantics);
-      - every partition the manifest lists or the new spill holds re-merges
-        its old postings, read back as they are, with the new spill —
-        content is never re-tokenized, so add cost scales with INDEX size +
-        batch size, not corpus text size (a Lucene big-merge, not a
-        rebuild);
-      - the re-merge writes a NEW generation parts dir (``parts-g{n}``)
-        and the manifest flips LAST, so the old postings stay intact until
-        the flip and rerunning a crashed add redoes it.  The add is NOT
-        atomic, though: a crash mid-add does not leave the old index fully
-        readable.  The upsert tombstones go through ``delete_docs`` before
-        the manifest flips, so the replaced versions already vanish, and
-        ``docs/gen-{n}`` is already visible to ``keyword_docs``, whose ids
-        then reach past the committed ``n_docs``.  One commit point for
-        tombstones, doc store and parts is ROADMAP.md "Make writes atomic".
+        tombstoned old versions keep counting until a compaction, the
+        documented delete semantics), so a query sums df over segments and
+        scores exactly as over one segment.
 
-    The partitioning scheme (P, S, hot term list, salt width) is frozen at
-    build time — new postings must land in the same (pkey, salt) files, so
-    the hot list is not re-estimated and a hot term's new postings, whose
-    ids lie past the build's ``n_docs``, go to its last salt range
-    (document-frequency drift only affects salt spread, never
-    correctness).
+    The manifest ``os.replace`` is the one commit point: before it no
+    reader sees any of the segment's docs, postings or tombstones, so an
+    add that fails part-way leaves the last committed index as it was, and
+    rerunning it redoes it.  The add deletes nothing a reader of an earlier
+    manifest can open (only its own spill, after the commit).  Segments
+    accumulate until ``compact_index`` rebuilds the live docs as one.
     """
-    import shutil
-
-    from librecatastro_ray.state.manifest import delete_docs
-
     manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
-    gen = int(manifest.get("generation", 0)) + 1
-    old_parts = manifest.get("parts_dir", "parts")
-    new_parts = f"parts-g{gen}"
-    spill_dir_name = f"shuffle-g{gen}"
-    ckpt_name = f"checkpoints-g{gen}"
-    docs_dir = os.path.join(index_dir, "docs")
-    gen_docs = os.path.join(docs_dir, f"gen-{gen}")
-    # a rerun after a crash redoes the whole add: wipe this generation's
-    # scratch (the OLD generation's files are never touched)
-    for d in (gen_docs, os.path.join(index_dir, spill_dir_name),
-              os.path.join(index_dir, ckpt_name),
-              os.path.join(index_dir, new_parts)):
-        shutil.rmtree(d, ignore_errors=True)
+    gen = int(manifest["generation"]) + 1
+    seg = f"seg-{gen:04d}"
+    docs_dir = os.path.join("docs", seg)
+    dirs = {"parts_dir": f"{seg}/parts", "spill_dir": f"{seg}/shuffle",
+            "ckpt_name": f"{seg}/checkpoints"}
+    # a rerun after a crash redoes the whole add: wipe this segment's
+    # uncommitted files (no committed file is touched)
+    uncommitted = [os.path.join(index_dir, d) for d in (docs_dir, seg)]
+    _remove(uncommitted)
 
     # ---- new docs: dedup within batch, ids offset past the current space --
-    ds = _as_dataset(corpus)
-    id_base = int(manifest["n_docs"])
+    base = int(manifest["n_docs"])
     n_new, sum_dl_new = dedup_assign_write(
-        ds, gen_docs, analyzer_id=config.analyzer, id_base=id_base
+        _as_dataset(corpus), os.path.join(index_dir, docs_dir), analyzer_id=config.analyzer,
+        id_base=base,
     )
     report: dict[str, Any] = {"n_added": int(n_new), "generation": gen}
     if n_new == 0:
+        _remove(uncommitted)
         return {"manifest": manifest, "report": report}
+    docs = _segment_docs(index_dir, docs_dir)
 
-    # ---- upsert: tombstone old ids whose (repo, path) reappears ----------
-    import pyarrow.dataset as pads
+    # ---- upsert: the committed ids whose (repo, path) reappears ----------
+    upserted = _upserted_ids(index_dir, manifest, docs)
+    report["n_upserts"] = int(len(upserted))
+    upserted_file = None
+    if len(upserted):
+        upserted_file = f"{seg}/upserted.parquet"
+        write_ids(os.path.join(index_dir, upserted_file), upserted)
 
-    new_keys_t = pads.dataset(gen_docs, format="parquet").to_table(
-        columns=["repo", "path"]
-    )
-    key_arr = pa.compute.binary_join_element_wise(
-        new_keys_t["repo"], new_keys_t["path"], "\x00"
-    )
-    new_key_set = np.sort(key_arr.to_numpy(zero_copy_only=False))
-    key_ref = ray.put(new_key_set)
+    # ---- the segment's postings: its own hot terms and salt width ---------
+    docs_ds = _read_sized([os.path.join(index_dir, f) for f in docs], ["doc_id", "content"])
+    hot_terms = estimate_hot_terms(docs_ds, n_new, config)
+    width = salt_range_width(n_new, config.num_salts)
+    skeys = _spill(docs_ds, os.path.join(index_dir, dirs["spill_dir"]), config, hot_terms,
+                   width, base)
+    _merge_partitions(skeys, index_dir, config, **dirs)
+    done = completed_partitions(index_dir, dirs["ckpt_name"])
 
-    def _collide(batch: pa.Table, *, keys_ref=key_ref) -> pa.Table:
-        keys = ray.get(keys_ref) if not isinstance(keys_ref, np.ndarray) else keys_ref
-        k = pa.compute.binary_join_element_wise(
-            batch["repo"], batch["path"], "\x00"
-        ).to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(keys, k)
-        idx[idx == len(keys)] = len(keys) - 1
-        hit = keys[idx] == k
-        return pa.table({"doc_id": batch["doc_id"].to_numpy()[hit]})
-
-    # scan only the PRE-EXISTING generations' key columns (broadcast probe)
-    old_doc_files = [
-        os.path.join(r, f)
-        for r, _d, fs in os.walk(docs_dir)
-        for f in fs
-        if f.endswith(".parquet") and not r.startswith(gen_docs)
-    ]
-    from librecatastro_ray.sources.readers import read_parquet_clean
-
-    collisions = (
-        read_parquet_clean(old_doc_files, columns=["doc_id", "repo", "path"])
-        .map_batches(_collide, batch_format="pyarrow", batch_size=8192)
-        .to_pandas()
-    )
-    n_upserts = 0
-    if len(collisions):
-        delete_docs(index_dir, collisions["doc_id"].to_numpy())
-        n_upserts = int(len(collisions))
-    report["n_upserts"] = n_upserts
-
-    # ---- new postings spill (frozen P/S/hot list/salt width) --------------
-    spill_path = os.path.join(index_dir, spill_dir_name)
-    spilled = _spill(_read_sized(gen_docs, ["doc_id", "content"]), spill_path, config,
-                     manifest["hot_terms"], int(manifest["salt_width"]))
-
-    # ---- re-merge the listed and the spilled partitions ------------------
-    n_docs = id_base + int(n_new)
-    sum_dl = int(manifest["sum_dl"]) + int(sum_dl_new)
-    skeys = sorted({int(s) for s in manifest["partitions"]} | set(spilled))
-    _merge_partitions(
-        skeys, index_dir, config, parts_dir=new_parts,
-        spill_dir=spill_dir_name, ckpt_name=ckpt_name, old_parts=old_parts,
-    )
-
-    # ---- finalize: manifest flips last (MVCC commit point) ----------------
-    partitions = {
-        str(skey): _partition_entry(
-            read_json(os.path.join(index_dir, ckpt_name, f"part-{skey}.json")))
-        for skey in skeys
-    }
-    manifest = dict(manifest)
-    manifest["n_docs"] = n_docs
-    manifest["sum_dl"] = sum_dl
-    manifest["parts_dir"] = new_parts
-    manifest["generation"] = gen
-    manifest["partitions"] = partitions
-    manifest["lineage"] = dict(
-        manifest.get("lineage") or {},
-        n_postings=sum(p["n_postings"] for p in partitions.values()),
+    # ---- commit: one manifest replace -------------------------------------
+    segment = _segment_entry(base, int(n_new), int(sum_dl_new), docs, dirs["parts_dir"],
+                             hot_terms, width, done, upserted_file)
+    segments = [*manifest["segments"], segment]
+    manifest = dict(
+        manifest,
+        n_docs=base + int(n_new),
+        sum_dl=int(manifest["sum_dl"]) + int(sum_dl_new),
+        generation=gen,
+        segments=segments,
+        lineage=dict(manifest["lineage"], **_lineage(segments)),
     )
     save_manifest(index_dir, manifest)
-    # the old generation is now unreferenced; reclaim it (crash before this
-    # point never reaches here, so the flip stays atomic)
-    if old_parts != new_parts:
-        shutil.rmtree(os.path.join(index_dir, old_parts), ignore_errors=True)
-    shutil.rmtree(spill_path, ignore_errors=True)
-    report["n_docs"] = n_docs
+    _remove([os.path.join(index_dir, dirs["spill_dir"])])
+    report["n_docs"] = manifest["n_docs"]
     return {"manifest": manifest, "report": report}
 
 
@@ -581,21 +583,19 @@ def compact_index(index_dir: str, target_dir: str) -> dict:
     (repo, path) order, and the result is BIT-IDENTICAL to a fresh
     ``build_index`` over the live corpus (pinned by test).
 
-    Reads the doc store's live rows as the corpus (content is already
-    deduped and carried in ``docs/``), so compaction cost equals one build
-    over the live corpus minus crawling/derivation.  ``target_dir`` must not
+    Reads the live rows of the committed segments' doc stores as the
+    corpus (content is already deduped and carried there; the files of an
+    add that never committed are not read), so compaction cost equals one
+    build over the live corpus minus crawling/derivation — the merge policy
+    that folds the segments adds accumulate back into one.  ``target_dir`` must not
     be the source (the source stays readable throughout — the caller swaps
     directories, or just points new engines at the target)."""
-    import numpy as np
-
-    from librecatastro_ray.state.manifest import load_deleted
-
     if os.path.abspath(target_dir) == os.path.abspath(index_dir):
         raise ValueError("compact_index needs a distinct target_dir "
                          "(the source stays readable during compaction)")
     manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
-    dead = load_deleted(index_dir)
+    dead = load_deleted(index_dir, manifest)
     dead_ref = ray.put(dead)
 
     def _live(batch: pa.Table) -> pa.Table:
@@ -609,6 +609,6 @@ def compact_index(index_dir: str, target_dir: str) -> dict:
         return batch.filter(pa.array(alive)).select(CORPUS_COLUMNS)
 
     live_ds = _read_sized(
-        os.path.join(index_dir, "docs"), ["doc_id"] + CORPUS_COLUMNS
+        doc_files(index_dir, manifest), ["doc_id"] + CORPUS_COLUMNS
     ).map_batches(_live, batch_format="pyarrow", batch_size=1024)
     return build_index(live_ds, target_dir, config, resume=False)

@@ -9,10 +9,12 @@ over the on-disk term-partitioned index (SURVEY.md §2.Q):
     Q4 top-k          score desc, doc_id asc, from=0    (elasticsearch_utils.py:120-122)
     Q5 hits.total     exact count                       (cadaster_entry.py:68-71)
 
-Design: a ``QueryEngine`` is cheap, stateful, file-backed — term dictionaries
-are cached per (partition, salt) and double as the term → row-span table of
-the posting files: the merge writes one row per posting, each term's ``df``
-rows contiguously in dictionary order, so a term's span is ``cumsum(df)``.
+Design: a ``QueryEngine`` is cheap, stateful, file-backed — it reads the
+segments its manifest lists (ascending doc-id ranges, one per build or add)
+and nothing else.  Term dictionaries are cached per (segment, partition,
+salt) and double as the term → row-span table of the posting files: the
+merge writes one row per posting, each term's ``df`` rows contiguously in
+dictionary order, so a term's span is ``cumsum(df)``.
 Each posting file is read at most once per engine, a row group at a time,
 into a byte-bounded LRU of DECODED Parquet columns (doc, tf, dl, and
 positions only for phrase reads); a term read is a zero-copy slice of it,
@@ -20,10 +22,12 @@ with no per-query decode.  Block-max bounds are derived from the slice at
 the engine's own avgdl.  Prefix, wildcard and fuzzy
 expansions run over one sorted engine vocabulary; fuzzy looks its candidates
 up in a deletion-neighbourhood map of it and checks only those.  A term
-under the hot postings budget is one run; a hot (salted) term's per-salt
-runs are consecutive doc-id ranges, so they merge by concatenation in salt
-order — the logical "second merge stage" of the salting scheme, executed
-lazily at read time.
+has one run per segment, or, in a segment where it is hot (salted), one per
+salt; the runs are consecutive doc-id ranges in (segment, salt) order, so
+they merge by concatenation — the logical "second merge stage" of the
+salting and segment schemes, executed lazily at read time.  df sums over
+the runs, and N and avgdl are the manifest's totals, so a query scores as
+over one segment.
 
 One evaluator, :class:`RangeEngine`, scores every query kind over a doc-id
 range, reading each term as a slice of the engine's bounded term caches.
@@ -60,7 +64,7 @@ from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import topk_indices
 from librecatastro_ray.functions.hashing import term_hash
 from librecatastro_ray.stages.merge import blocks_file, dict_file
-from librecatastro_ray.state.manifest import check_version, load_manifest
+from librecatastro_ray.state.manifest import check_version, doc_files, load_manifest
 
 # the columns every term read uses; phrase reads add "positions"
 _POSTING_COLUMNS = ["doc", "tf", "dl"]
@@ -277,8 +281,8 @@ def _segment_index(seg_starts: np.ndarray, seg_counts: np.ndarray) -> np.ndarray
 
 
 def _merge_runs(runs: list[tuple]) -> tuple:
-    """One doc-sorted ``(docs, tf, dl)`` from a term's runs in salt order:
-    a salted term's runs are consecutive doc ranges, so they concatenate.
+    """One doc-sorted ``(docs, tf, dl)`` from a term's runs in (segment,
+    salt) order: the runs are consecutive doc ranges, so they concatenate.
     The arrays are owned, never views of a cached row group, so a per-term
     cache holding them keeps alive only the postings it counts."""
     if not runs:
@@ -303,7 +307,7 @@ def _candidate_positions(run: tuple, cand: np.ndarray) -> tuple:
 def _occurrences(runs: list[tuple], cand: np.ndarray, base: np.ndarray) -> np.ndarray:
     """``base[c] + p`` for every occurrence at position ``p`` of a term in
     candidate doc ``cand[c]`` (``cand`` sorted, each doc in one of ``runs``,
-    the term's per-salt ``(docs, tf, pos values, pos offsets)`` views)."""
+    the term's per-run ``(docs, tf, pos values, pos offsets)`` views)."""
     tok = []
     for run in runs:
         hit, rows, pos = _candidate_positions(run, cand)
@@ -395,25 +399,34 @@ class QueryEngine:
         # every result, but N/avgdl/df keep counting them until rebuild)
         from librecatastro_ray.state.manifest import load_deleted
 
-        self._deleted: np.ndarray = load_deleted(index_dir)
-        # generation-versioned parts dir: an add writes the next generation's
-        # parts and flips the manifest last, so the flip is the commit point;
-        # the add is not atomic (a crash can leave tombstones and doc store
-        # ahead of the manifest — ROADMAP.md "Make writes atomic")
-        self._parts: str = self.manifest.get("parts_dir", "parts")
+        # the committed segments of this manifest, in doc order: an add
+        # writes a new segment and replaces the manifest last, so the
+        # replace is its one commit point, and this engine reads only the
+        # files (parts, doc store, tombstones) its manifest names
+        self._deleted: np.ndarray = load_deleted(index_dir, self.manifest)
+        segments = self.manifest["segments"]
+        self._seg_parts: list[str] = [seg["parts"] for seg in segments]
+        self._seg_hot: list[frozenset[str]] = [frozenset(seg["hot_terms"]) for seg in segments]
+        self._seg_partitions: list[dict] = [seg["partitions"] for seg in segments]
+        self._all_salts = tuple(range(self.config.num_salts))
+        # the runs of a term hot in no segment: salt 0 of each segment
+        self._unsalted_runs = [(i, 0) for i in range(len(segments))]
         self.n_docs: int = int(self.manifest["n_docs"])
         self.sum_dl: int = int(self.manifest["sum_dl"])
         self.avgdl: float = (float(self.sum_dl) / float(self.n_docs)) if self.n_docs else 1.0
-        self.hot: set[str] = set(self.manifest["hot_terms"])
-        # the (partition, salt) pairs that hold postings
-        self._listed: list[tuple[int, int]] = sorted(
-            (p["pkey"], p["salt"]) for p in self.manifest["partitions"].values())
-        self._dict_cache: dict[tuple[int, int], pa.Table] = {}
-        # per-(partition, salt) {term: (first_row, end_row, df)} and the
-        # file row count the spans tile
-        self._span_maps: dict[tuple[int, int], tuple[dict[str, tuple[int, int, int]], int]] = {}
+        # terms hot in any segment
+        self.hot: set[str] = set().union(*self._seg_hot)
+        # the (segment, partition, salt) triples that hold postings
+        self._listed: list[tuple[int, int, int]] = sorted(
+            (i, p["pkey"], p["salt"]) for i, parts in enumerate(self._seg_partitions)
+            for p in parts.values())
+        self._dict_cache: dict[tuple[int, int, int], pa.Table] = {}
+        # per-(segment, partition, salt) {term: (first_row, end_row, df)}
+        # and the file row count the spans tile
+        self._span_maps: dict[tuple[int, int, int],
+                              tuple[dict[str, tuple[int, int, int]], int]] = {}
         # per-file (path, footer, row-group start rows), parsed once
-        self._footers: dict[tuple[int, int], tuple] = {}
+        self._footers: dict[tuple[int, int, int], tuple] = {}
         # decoded row groups of the posting files, BYTE-bounded LRU: at
         # serving scale each file is read once and every term read after
         # that is a zero-copy slice of memory
@@ -439,9 +452,10 @@ class QueryEngine:
         self._contrib_cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._contrib_cache_size = 0
         self._contrib_cache_cap = 20_000_000
-        # per-(term, salt) block metadata (prev_last, last, max_tfnorm) —
-        # the block-max skip structure, derived at this engine's avgdl
-        self._blockmeta_cache: dict[tuple[str, int], tuple | None] = {}
+        # per-(term, (segment, salt)) block metadata (prev_last, last,
+        # max_tfnorm) — the block-max skip structure, derived at this
+        # engine's avgdl
+        self._blockmeta_cache: dict[tuple[str, tuple[int, int]], tuple | None] = {}
         self._expansion_cache: dict[tuple, list[str]] = {}
         # keyword-clause results LRU, BYTE-bounded: one entry can be
         # O(n_docs) ids (e.g. lang=en over half the corpus), so an
@@ -455,36 +469,41 @@ class QueryEngine:
 
     # ---------------- internals ----------------
 
-    def _salts(self, term: str) -> list[int]:
-        return list(range(self.config.num_salts)) if term in self.hot else [0]
+    def _salts(self, term: str) -> list[tuple[int, int]]:
+        """The (segment, salt) runs a term can have, in doc order: one per
+        segment, or one per salt in a segment where the term is hot."""
+        if term not in self.hot:
+            return self._unsalted_runs
+        return [(i, salt) for i, hot in enumerate(self._seg_hot)
+                for salt in (self._all_salts if term in hot else (0,))]
 
     def _pkey(self, term: str) -> int:
         return term_hash(term) % self.config.num_partitions
 
     def _replaced(self, path: str) -> FileNotFoundError:
         """The error for a file of a partition the manifest lists that is no
-        longer on disk: a later write replaced this engine's generation, and
-        answering empty (or from another generation) would be silently
-        wrong."""
+        longer on disk: no add or delete removes one, so the index was
+        dropped or rebuilt under this engine, and answering empty (or from
+        another index) would be silently wrong."""
         return FileNotFoundError(
-            f"{path} is gone: generation {self.manifest.get('generation', 0)} of "
-            f"the index at {self.index_dir} was replaced by a later write — "
-            f"open a new QueryEngine"
+            f"{path} is gone: generation {self.manifest['generation']} of the "
+            f"index at {self.index_dir} was dropped or rebuilt — open a new QueryEngine"
         )
 
-    def _dict_table(self, pkey: int, salt: int) -> pa.Table:
-        """Term dictionary of one (partition, salt).  A partition the
-        manifest does not list (no posting hashed to it) is empty; a listed
-        one whose file is gone raises :meth:`_replaced`'s error."""
-        key = (pkey, salt)
+    def _dict_table(self, seg: int, pkey: int, salt: int) -> pa.Table:
+        """Term dictionary of one (segment, partition, salt).  A partition
+        the segment's manifest entry does not list (no posting hashed to
+        it) is empty; a listed one whose file is gone raises
+        :meth:`_replaced`'s error."""
+        key = (seg, pkey, salt)
         t = self._dict_cache.get(key)
         if t is None:
-            path = dict_file(self.index_dir, pkey, salt, self._parts)
+            path = dict_file(self.index_dir, pkey, salt, self._seg_parts[seg])
             if os.path.exists(path):
                 # read on the calling thread, like the posting files (_rows)
                 with pq.ParquetFile(path) as pf:
                     t = pf.read(use_threads=False)
-            elif str(pkey * self.config.num_salts + salt) in self.manifest["partitions"]:
+            elif str(pkey * self.config.num_salts + salt) in self._seg_partitions[seg]:
                 raise self._replaced(path)
             else:
                 t = pa.table({"term": pa.array([], pa.string()),
@@ -493,15 +512,17 @@ class QueryEngine:
             self._dict_cache[key] = t
         return t
 
-    def _span_table(self, pkey: int, salt: int) -> tuple[dict[str, tuple[int, int, int]], int]:
-        """({term: (first_row, end_row, df)}, row count) for one (partition,
-        salt): the merge writes each term's ``df`` postings contiguously in
-        dictionary order, so the spans are a cumsum over the dictionary (and
-        also O(1) df lookups for workloads that probe many terms)."""
-        key = (pkey, salt)
+    def _span_table(self, seg: int, pkey: int,
+                    salt: int) -> tuple[dict[str, tuple[int, int, int]], int]:
+        """({term: (first_row, end_row, df)}, row count) for one (segment,
+        partition, salt): the merge writes each term's ``df`` postings
+        contiguously in dictionary order, so the spans are a cumsum over the
+        dictionary (and also O(1) df lookups for workloads that probe many
+        terms)."""
+        key = (seg, pkey, salt)
         entry = self._span_maps.get(key)
         if entry is None:
-            d = self._dict_table(pkey, salt)
+            d = self._dict_table(seg, pkey, salt)
             df = d["df"].to_numpy()
             ends = np.cumsum(df)
             spans = zip((ends - df).tolist(), ends.tolist(), df.tolist())
@@ -509,19 +530,21 @@ class QueryEngine:
             self._span_maps[key] = entry
         return entry
 
-    def _span(self, term: str, salt: int) -> tuple[int, int] | None:
-        """Row span [first, end) of a (term, salt) run in its posting file."""
-        s = self._span_table(self._pkey(term), salt)[0].get(term)
+    def _span(self, term: str, run: tuple[int, int]) -> tuple[int, int] | None:
+        """Row span [first, end) of a term's (segment, salt) run in its
+        posting file."""
+        s = self._span_table(run[0], self._pkey(term), run[1])[0].get(term)
         return None if s is None else (s[0], s[1])
 
     def term_df(self, term: str) -> int:
-        """Total document frequency (summed over salt runs for hot terms)."""
+        """Total document frequency (summed over the term's runs)."""
         pkey = self._pkey(term)
         return sum(
-            self._span_table(pkey, salt)[0].get(term, (0, 0, 0))[2] for salt in self._salts(term)
+            self._span_table(seg, pkey, salt)[0].get(term, (0, 0, 0))[2]
+            for seg, salt in self._salts(term)
         )
 
-    def _file(self, pkey: int, salt: int) -> tuple:
+    def _file(self, seg: int, pkey: int, salt: int) -> tuple:
         """(path, footer, row-group start rows) of a posting file, the footer
         parsed once per engine.  The file must hold exactly the dictionary's
         df sum of rows: any other count means the file drifted from the
@@ -529,10 +552,10 @@ class QueryEngine:
         silently wrong.  A posting file is only read for a term its
         partition's dictionary lists, so a missing one was reclaimed by a
         later write (:meth:`_replaced`)."""
-        f = self._footers.get((pkey, salt))
+        f = self._footers.get((seg, pkey, salt))
         if f is None:
-            path = blocks_file(self.index_dir, pkey, salt, self._parts)
-            want = self._span_table(pkey, salt)[1]
+            path = blocks_file(self.index_dir, pkey, salt, self._seg_parts[seg])
+            want = self._span_table(seg, pkey, salt)[1]
             try:
                 meta = pq.read_metadata(path)
             except FileNotFoundError:
@@ -543,7 +566,7 @@ class QueryEngine:
                     f"{want} — the posting file does not match the term dictionary"
                 )
             sizes = [meta.row_group(i).num_rows for i in range(meta.num_row_groups)]
-            f = self._footers[(pkey, salt)] = (path, meta, np.cumsum([0] + sizes).tolist())
+            f = self._footers[(seg, pkey, salt)] = (path, meta, np.cumsum([0] + sizes).tolist())
         return f
 
     def _rowgroup(self, path: str, meta, rg: int, positions: bool) -> PostingSlice:
@@ -587,7 +610,7 @@ class QueryEngine:
             self._rowgroup_cache_size -= n
         return rgs
 
-    def _rows(self, pkey: int, salt: int, first: int, end: int,
+    def _rows(self, seg: int, pkey: int, salt: int, first: int, end: int,
               positions: bool = False) -> PostingSlice:
         """Rows [first, end) (non-empty) of one posting file: a zero-copy
         slice of its cached row group, or of each row group the span
@@ -597,7 +620,7 @@ class QueryEngine:
                 f"index at {self.index_dir} has no positions — build with "
                 f"IndexConfig(positions=True) to serve phrase queries"
             )
-        path, meta, starts = self._file(pkey, salt)
+        path, meta, starts = self._file(seg, pkey, salt)
         rg = bisect.bisect_right(starts, first) - 1
         parts = []
         while first < end:
@@ -608,25 +631,27 @@ class QueryEngine:
             rg += 1
         return parts[0] if len(parts) == 1 else _concat_slices(parts, positions)
 
-    def _slice(self, term: str, salt: int, positions: bool = False) -> PostingSlice | None:
-        """The rows of one (term, salt) run, or None when the term has no
-        run in that salt."""
-        span = self._span(term, salt)
-        return None if span is None else self._rows(self._pkey(term), salt, *span, positions)
+    def _slice(self, term: str, run: tuple[int, int],
+               positions: bool = False) -> PostingSlice | None:
+        """The rows of a term's (segment, salt) run, or None when the term
+        has no postings there."""
+        span = self._span(term, run)
+        return None if span is None else self._rows(run[0], self._pkey(term), run[1], *span,
+                                                    positions)
 
-    def _run(self, term: str, salt: int) -> tuple | None:
-        """``(docs, tf, dl)`` views of one (term, salt) run, or None when
-        the term has no run in that salt."""
-        s = self._slice(term, salt)
+    def _run(self, term: str, run: tuple[int, int]) -> tuple | None:
+        """``(docs, tf, dl)`` views of a term's (segment, salt) run, or None
+        when the term has no postings there."""
+        s = self._slice(term, run)
         return None if s is None else decode_blocks_table(s)
 
     def _positional_runs(self, term: str, bounds: np.ndarray) -> list:
-        """Per-salt ``(docs, tf, pos values, pos offsets)`` views of a
+        """Per-run ``(docs, tf, pos values, pos offsets)`` views of a
         term's runs restricted to docs [lo, hi) = ``bounds`` — posting i's
         positions are ``values[offsets[i]:offsets[i + 1]]``."""
         runs = []
-        for salt in self._salts(term):
-            s = self._slice(term, salt, positions=True)
+        for run in self._salts(term):
+            s = self._slice(term, run, positions=True)
             if s is None:
                 continue
             i, j = decode_blocks_table(s)[0].searchsorted(bounds).tolist()
@@ -656,18 +681,18 @@ class QueryEngine:
             self._postings_cache_cap)
         return result
 
-    def _block_meta(self, term: str, salt: int):
-        """(prev_last, last, max_tfnorm) int64/int64/float64 arrays for one
-        (term, salt) run, one entry per ``block_size`` postings — the
-        block-max skip structure, derived from the run at this engine's
+    def _block_meta(self, term: str, run: tuple[int, int]):
+        """(prev_last, last, max_tfnorm) int64/int64/float64 arrays for a
+        term's (segment, salt) run, one entry per ``block_size`` postings —
+        the block-max skip structure, derived from the run at this engine's
         avgdl, so every bound is its block's exact maximum tf_norm."""
-        key = (term, salt)
+        key = (term, run)
         if key in self._blockmeta_cache:
             return self._blockmeta_cache[key]
-        run = self._run(term, salt)
+        cols = self._run(term, run)
         result = None
-        if run is not None:
-            d, f, L = run
+        if cols is not None:
+            d, f, L = cols
             starts = np.arange(0, len(d), self.config.block_size)
             last = d[np.append(starts[1:], len(d)) - 1]
             prev = np.concatenate(([-1], last[:-1]))
@@ -720,10 +745,11 @@ class QueryEngine:
         return _result_table(ranks, docs[sel], scores[sel])
 
     def _docstats_ds(self) -> pads.Dataset:
+        """The doc store of the manifest's segments, as one dataset of their
+        files (never a scan of ``docs/``)."""
         if self._docstats is None:
-            self._docstats = pads.dataset(
-                os.path.join(self.index_dir, "docs"), format="parquet"
-            )
+            self._docstats = pads.dataset(doc_files(self.index_dir, self.manifest),
+                                          format="parquet")
         return self._docstats
 
     def _ranges(self) -> list[RangeEngine]:
@@ -791,11 +817,11 @@ class QueryEngine:
         still beat the running k-th score are scored.
 
         The doc-id space is cut at every block boundary of every query
-        (term, salt) stream into elementary intervals; by construction each
-        interval lies entirely inside (or outside) one block per stream, so
-        ``UB(interval) = Σ_terms idf·max_tfnorm(covering block)`` is a valid
-        score bound for every doc in it (hot terms take the max over salt
-        streams — a doc lives in exactly one).  Intervals are scored exactly
+        term's (segment, salt) run into elementary intervals; by
+        construction each interval lies entirely inside (or outside) one
+        block per run, so ``UB(interval) = Σ_terms idf·max_tfnorm(covering
+        block)`` is a valid score bound for every doc in it (a term takes
+        the max over its runs — a doc lives in exactly one).  Intervals are scored exactly
         in descending-UB chunks; once the k-th exact score θ exceeds the best
         remaining UB, no unscored block can contribute a top-k doc.  Exact
         scores accumulate in query-term order (float-identical to match()
@@ -817,10 +843,10 @@ class QueryEngine:
                 continue
             w = float(self.scorer.idf(df, self.n_docs))
             streams = []
-            for salt in self._salts(term):
-                bm = self._block_meta(term, salt)
+            for run in self._salts(term):
+                bm = self._block_meta(term, run)
                 if bm is not None:
-                    streams.append((salt, bm))
+                    streams.append((run, bm))
             if streams:
                 tinfo.append((term, w, streams))
         if not tinfo:
@@ -838,7 +864,7 @@ class QueryEngine:
         ub = np.zeros(len(edges), dtype=np.float64)
         for _term, w, streams in tinfo:
             term_ub = np.zeros(len(edges), dtype=np.float64)
-            for _salt, (prev, last, maxtf) in streams:
+            for _run, (prev, last, maxtf) in streams:
                 j = np.searchsorted(last, hi)
                 valid = j < len(last)
                 jj = np.clip(j, 0, len(last) - 1)
@@ -896,7 +922,7 @@ class QueryEngine:
                         acc[d_in] += contrib_all[inside]
                         touched[d_in] = True
                     continue
-                for salt, (prev, last, maxtf) in streams:
+                for run, (prev, last, maxtf) in streams:
                     j = np.searchsorted(last, hi_s)
                     valid = (j < len(last))
                     jj = np.clip(j, 0, len(last) - 1)
@@ -904,7 +930,7 @@ class QueryEngine:
                     if len(needed) == 0:
                         continue
                     decoded_blocks[term] = decoded_blocks.get(term, 0) + len(needed)
-                    d, f, L = self._run(term, salt)
+                    d, f, L = self._run(term, run)
                     first = needed * B
                     rows = _segment_index(first, np.minimum(B, len(d) - first))
                     d, f, L = d[rows], f[rows], L[rows]
@@ -1008,11 +1034,12 @@ class QueryEngine:
         return self._ranked(k, offset, lambda rng, n: _constant_top(rng.union(terms), n))
 
     def _vocabulary(self) -> tuple[pa.Array, np.ndarray]:
-        """The sorted, deduplicated vocabulary of every listed (partition,
-        salt) dictionary as Arrow and numpy arrays, built once per engine
-        (sorted by code point, the order ``_prefix_upper_bound`` assumes)."""
+        """The sorted, deduplicated vocabulary of every listed (segment,
+        partition, salt) dictionary as Arrow and numpy arrays, built once
+        per engine (sorted by code point, the order ``_prefix_upper_bound``
+        assumes)."""
         if self._vocab is None:
-            cols = [self._dict_table(pkey, salt)["term"] for pkey, salt in self._listed]
+            cols = [self._dict_table(*key)["term"] for key in self._listed]
             v = pc.unique(pa.chunked_array(cols, pa.string()))
             v = v.take(pc.sort_indices(v))
             self._vocab = (v, v.to_numpy(zero_copy_only=False))
@@ -1253,11 +1280,10 @@ class QueryEngine:
         return self.count(text) > 0
 
     def full_dictionary(self) -> pa.Table:
-        """Global (term, df, cf): the listed per-(partition, salt)
-        dictionaries with the per-salt runs of hot terms summed — the E3
-        'per-term document frequency' statistic the reference delegates to
-        Lucene."""
-        tables = [t for pkey, salt in self._listed if len(t := self._dict_table(pkey, salt))]
+        """Global (term, df, cf): the listed per-(segment, partition, salt)
+        dictionaries with each term's runs summed — the E3 'per-term
+        document frequency' statistic the reference delegates to Lucene."""
+        tables = [t for key in self._listed if len(t := self._dict_table(*key))]
         if not tables:
             return pa.table({"term": pa.array([], pa.string()),
                              "df": pa.array([], pa.int64()),
@@ -1273,14 +1299,14 @@ class QueryEngine:
         """Full index scan: every posting back to flat (term, doc_id, tf)
         rows (used by conformance checks)."""
         terms_l, docs_l, tfs_l = [], [], []
-        for pkey, salt in self._listed:
-            n_rows = self._span_table(pkey, salt)[1]
+        for key in self._listed:
+            n_rows = self._span_table(*key)[1]
             if not n_rows:
                 continue
-            d, f, _L = decode_blocks_table(self._rows(pkey, salt, 0, n_rows))
+            d, f, _L = decode_blocks_table(self._rows(*key, 0, n_rows))
             # the spans tile the file in dictionary order, so posting i
             # belongs to the dictionary term whose df run covers it
-            dt = self._dict_table(pkey, salt)
+            dt = self._dict_table(*key)
             terms_l.append(np.repeat(dt["term"].to_numpy(zero_copy_only=False), dt["df"].to_numpy()))
             docs_l.append(d)
             tfs_l.append(f)
@@ -1555,7 +1581,7 @@ def _process_engine(index_dir: str) -> QueryEngine:
     else:
         eng, seen = cached
         if seen != tombstones:
-            eng._deleted = load_deleted(index_dir)
+            eng._deleted = load_deleted(index_dir, eng.manifest)
     _PROCESS_ENGINES[key] = (eng, tombstones)
     return eng
 

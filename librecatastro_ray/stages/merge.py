@@ -6,9 +6,10 @@ independent units, each checkpointed as soon as it is merged, so resume is
 per partition (reference analogue: the per-street anti-join skip that makes
 crawls resumable, reference: src/utils/elasticsearch_utils.py:100-136).
 
-Output per skey = (pkey, salt) — salt 0 for every term under the hot
-postings budget; a hot term's salt s holds its postings in the build's doc
-range s, so its runs in salt order are doc order:
+Output per skey = (pkey, salt) of one segment (the build's or an add's;
+shown here for the build's dirs) — salt 0 for every term under the hot
+postings budget; a hot term's salt s holds its postings in the segment's
+doc range s, so its runs in salt order are doc order:
     parts/blocks-{pkey}-{salt}.parquet
         one row per posting, term-major and doc-sorted within a term:
         doc, tf, dl (int64) and, for positional builds, positions
@@ -73,24 +74,6 @@ def _empty_flat(with_pos: bool) -> pa.Table:
     return flat.empty_table()
 
 
-def read_partition_flat(
-    index_dir: str, pkey: int, salt: int, parts: str, with_pos: bool
-) -> pa.Table:
-    """One partition's posting file back to FLAT postings
-    ``(term, doc_id, tf, dl[, pos])`` — the incremental-add path re-merges
-    the old postings with the new spill, never re-tokenizing content.  The
-    columns are read as they are; the term column is the dictionary's terms
-    repeated by df."""
-    bpath = blocks_file(index_dir, pkey, salt, parts)
-    if not os.path.exists(bpath):
-        return _empty_flat(with_pos)
-    bt = pq.read_table(bpath)
-    d = pq.read_table(dict_file(index_dir, pkey, salt, parts))
-    terms = np.repeat(d["term"].to_numpy(zero_copy_only=False), d["df"].to_numpy())
-    return pa.table([pa.array(terms, pa.string())] + bt.columns,
-                    names=["term"] + [_FLAT_NAMES[n] for n in bt.column_names])
-
-
 def merge_partition(
     index_dir: str,
     skey: int,
@@ -99,17 +82,14 @@ def merge_partition(
     parts_dir: str = "parts",
     spill_dir: str = "shuffle",
     ckpt_name: str = "checkpoints",
-    old_parts: str | None = None,
 ) -> dict:
     """Merge one shuffle partition of flat postings into its posting and
-    dictionary files.
+    dictionary files under ``parts_dir``.
 
     Reads ``{index_dir}/{spill_dir}/skey={skey}/`` (written by the phase-1
-    partitioned spill), returns the checkpoint entry it wrote.  With
-    ``old_parts``, the existing partition is read back and merged in (the
-    incremental-add path): output goes to ``parts_dir`` (a new generation
-    directory — the old generation stays readable until the manifest
-    flips)."""
+    partitioned spill), returns the checkpoint entry it wrote to
+    ``ckpt_name``.  The build and every add (one segment each) merge only
+    their own spill."""
     t0 = time.monotonic()
     # this task IS the unit of parallelism (num_cpus=1); Arrow's default
     # machine-wide thread pools would oversubscribe the node 32× when many
@@ -130,11 +110,6 @@ def merge_partition(
         t = dset.to_table(columns=cols)
     else:
         t = _empty_flat(with_pos)
-    if old_parts is not None:
-        old = read_partition_flat(index_dir, pkey, salt, old_parts, with_pos)
-        if len(old):
-            lineage_files.insert(0, f"{old_parts}/blocks-{pkey:04d}-{salt:02d}.parquet")
-            t = pa.concat_tables([old, t.select(cols)]) if len(t) else old
 
     # sort by (term, doc_id) — identical order to a direct string sort, but
     # via dictionary-encode + lex-ranked integer codes + int lexsort, which
@@ -184,7 +159,7 @@ def merge_partition(
         "pkey": pkey,
         "salt": salt,
         "lineage": {
-            "input_dir": f"shuffle/skey={skey}",
+            "input_dir": f"{spill_dir}/skey={skey}",
             "input_files": lineage_files,
             "input_rows": int(N),
         },
@@ -197,9 +172,7 @@ def merge_partition(
         "outputs": outputs,
         "output_sha256": out_sha,
     }
-    ckpt = (checkpoint_path(index_dir, skey) if ckpt_name == "checkpoints"
-            else os.path.join(index_dir, ckpt_name, f"part-{skey}.json"))
-    atomic_write_json(ckpt, entry)
+    atomic_write_json(checkpoint_path(index_dir, skey, ckpt_name), entry)
     return entry
 
 
@@ -211,7 +184,6 @@ def merge_batch(
     parts_dir: str = "parts",
     spill_dir: str = "shuffle",
     ckpt_name: str = "checkpoints",
-    old_parts: str | None = None,
 ) -> pa.Table:
     """map_batches (task, ``fn_kwargs``): merge the partitions named in the
     batch, one after another (one row per skey; a batch is a whole block of
@@ -227,7 +199,6 @@ def merge_batch(
         entry = merge_partition(
             index_dir, int(skey), config,
             parts_dir=parts_dir, spill_dir=spill_dir, ckpt_name=ckpt_name,
-            old_parts=old_parts,
         )
         entries.append(json.dumps(entry, sort_keys=True))
     return pa.table({"checkpoint": pa.array(entries, pa.string())})

@@ -7,12 +7,12 @@ turns doc batches into flat postings ``(term, doc_id, tf, dl, skey)`` where
                                                 of the reference's 5 shards,
                                                 reference: elasticsearch_utils.py:27-30,
                                                 but term- not doc-partitioned)
-    salt = min(doc_id // W, S - 1)             (skew: a hot term — df over one
+    salt = min((doc_id - base) // W, S - 1)    (skew: a hot term — df over one
            if term is hot else 0                posting row group — is split
                                                 into S contiguous doc-id
-                                                ranges of the build's width W;
-                                                ids past the build go to the
-                                                last range)
+                                                ranges of width W of its
+                                                segment, which starts at
+                                                doc id ``base``)
     skey = pkey * S + salt
 
 A hot term's salt runs are doc ranges in salt order, so a reader merges
@@ -46,9 +46,8 @@ POSITIONS_TYPE = pa.list_(pa.int32())
 
 
 def salt_range_width(n_docs: int, num_salts: int) -> int:
-    """Doc ids per salt range of a build of ``n_docs`` docs.  The last range
-    also takes the rest, so (for at least ``num_salts`` docs) every id an
-    add appends."""
+    """Doc ids per salt range of a segment of ``n_docs`` docs.  The last
+    range also takes the rest."""
     return max(1, n_docs // num_salts)
 
 
@@ -59,6 +58,7 @@ def flat_postings(
     num_salts: int,
     hot_terms: list[str],
     salt_width: int,
+    salt_base: int = 0,
     analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
     """map_batches (stateless task, ``fn_kwargs``): tokenize + emit flat
@@ -75,7 +75,7 @@ def flat_postings(
         enc.dictionary, enc.indices.to_numpy(), batch["doc_id"].to_numpy()[rows],
         tf_table["tf"].to_numpy(), dl[rows],
         num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,
-        salt_width=salt_width,
+        salt_width=salt_width, salt_base=salt_base,
     )
 
 
@@ -90,6 +90,7 @@ def _postings_table(
     num_salts: int,
     hot_terms: list[str],
     salt_width: int,
+    salt_base: int,
     **extra: pa.Array,
 ) -> pa.Table:
     """The flat postings both emitters return, posting i being term
@@ -100,7 +101,7 @@ def _postings_table(
     pkey = term_hashes(dictionary) % num_partitions
     hot = pc.is_in(dictionary, value_set=pa.array(hot_terms, pa.string()))
     salt = np.where(hot.to_numpy(zero_copy_only=False)[codes],
-                    np.minimum(doc_ids // salt_width, S - 1), 0)
+                    np.minimum((doc_ids - salt_base) // salt_width, S - 1), 0)
     return pa.table(
         {
             "term": dictionary.take(codes),
@@ -120,6 +121,7 @@ def flat_postings_positional(
     num_salts: int,
     hot_terms: list[str],
     salt_width: int,
+    salt_base: int = 0,
     analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
     """Positional twin of :func:`flat_postings`: each output posting also
@@ -157,7 +159,7 @@ def flat_postings_positional(
     return _postings_table(
         enc.dictionary, term_codes, batch["doc_id"].to_numpy()[rows], tf, dl[rows],
         num_partitions=num_partitions, num_salts=num_salts, hot_terms=hot_terms,
-        salt_width=salt_width, pos=pos_col,
+        salt_width=salt_width, salt_base=salt_base, pos=pos_col,
     )
 
 

@@ -13,25 +13,39 @@ cadaster_entry.py:53; src/utils/elasticsearch_utils.py:100-136) — as:
 - resume = anti-join of the partition work list against completed checkpoints.
 
 Layout of an index directory:
-    manifest.json            global: config, N, avgdl, hot terms, salt
-                             width, the (partition, salt) pairs that hold
-                             postings
-    docs/*.parquet           doc_id, repo, path, commit, lang, content, sha256, dl
-    shuffle/skey=*/          phase-1 partitioned flat postings (build scratch)
-    parts/blocks-{p}-{s}.parquet   postings per (partition, salt): doc, tf, dl
-                                   [, positions] columns, one row per posting;
-                                   a hot term's salt s holds its docs in
-                                   [s × width, (s + 1) × width), the last salt
-                                   also every later id
+    manifest.json            the commit point: config, N, sum_dl, the
+                             generation and the segments, in doc order
+    docs/part-*.parquet      segment 0's doc store: doc_id, repo, path,
+                             commit, lang, content, sha256, dl
+    docs/seg-{g}/part-*.parquet    the doc store of segment g >= 1
+    parts/blocks-{p}-{s}.parquet   segment 0's postings per (partition,
+                                   salt): doc, tf, dl [, positions] columns,
+                                   one row per posting; a hot term's salt s
+                                   holds the segment's docs in
+                                   [base + s × width, base + (s + 1) × width),
+                                   the last salt also the rest
     parts/dict-{p}-{s}.parquet     term dictionary per (partition, salt)
-    checkpoints/part-{skey}.json   per-partition checkpoint
+    checkpoints/part-{skey}.json   per-partition merge checkpoint
+    shuffle/skey=*/                phase-1 partitioned flat postings (scratch)
+    seg-{g}/parts/, seg-{g}/checkpoints/, seg-{g}/shuffle/
+                             the same for segment g >= 1
+    seg-{g}/upserted.parquet the ids segment g upserted away
+    deleted/deleted.parquet  tombstones written by ``delete_docs``
+
+A segment covers the doc-id range [base, base + n_docs) and has its own doc
+store, parts, hot-term list and salt width; its manifest entry lists its
+doc-store files, its parts dir and the (partition, salt) pairs that hold
+postings.  The build writes segment 0 and every ``add_documents`` one more
+segment; segments accumulate until ``compact_index`` rebuilds the live docs
+as one.  A reader opens only the files the manifest names, so files of a
+write that has not replaced the manifest are never read.
 """
 
 from __future__ import annotations
 
 # bumped whenever the on-disk index layout/schema changes; an index of
 # another version is refused (check_version), never misread
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 
 import json
 import os
@@ -72,12 +86,12 @@ def read_json(path: str) -> Any:
         return json.load(f)
 
 
-def checkpoint_path(index_dir: str, skey: int) -> str:
-    return os.path.join(index_dir, "checkpoints", f"part-{skey:06d}.json")
+def checkpoint_path(index_dir: str, skey: int, ckpt_dir: str = "checkpoints") -> str:
+    return os.path.join(index_dir, ckpt_dir, f"part-{skey:06d}.json")
 
 
-def load_checkpoint(index_dir: str, skey: int) -> dict | None:
-    p = checkpoint_path(index_dir, skey)
+def load_checkpoint(index_dir: str, skey: int, ckpt_dir: str = "checkpoints") -> dict | None:
+    p = checkpoint_path(index_dir, skey, ckpt_dir)
     if not os.path.exists(p):
         return None
     try:
@@ -86,10 +100,10 @@ def load_checkpoint(index_dir: str, skey: int) -> dict | None:
         return None
 
 
-def completed_partitions(index_dir: str) -> dict[int, dict]:
-    """All valid per-partition checkpoints (the 'done' set for the resume
-    anti-join)."""
-    ckdir = os.path.join(index_dir, "checkpoints")
+def completed_partitions(index_dir: str, ckpt_dir: str = "checkpoints") -> dict[int, dict]:
+    """All valid per-partition checkpoints under ``ckpt_dir`` (the 'done'
+    set for the resume anti-join)."""
+    ckdir = os.path.join(index_dir, ckpt_dir)
     out: dict[int, dict] = {}
     if not os.path.isdir(ckdir):
         return out
@@ -97,7 +111,7 @@ def completed_partitions(index_dir: str) -> dict[int, dict]:
         if not (name.startswith("part-") and name.endswith(".json")):
             continue
         skey = int(name[len("part-") : -len(".json")])
-        ck = load_checkpoint(index_dir, skey)
+        ck = load_checkpoint(index_dir, skey, ckpt_dir)
         if ck is None:
             continue
         # a checkpoint is valid only if its declared outputs exist
@@ -132,20 +146,51 @@ def save_manifest(index_dir: str, manifest: dict) -> None:
     atomic_write_json(manifest_path(index_dir), manifest)
 
 
+def doc_files(index_dir: str, manifest: dict) -> list[str]:
+    """Paths of the doc-store files of ``manifest``'s segments, in segment
+    order: every doc-store read opens these and nothing else, so the doc
+    store of an add that has not committed is never read."""
+    return [os.path.join(index_dir, f) for seg in manifest["segments"] for f in seg["docs"]]
+
+
 def deleted_path(index_dir: str) -> str:
     return os.path.join(index_dir, "deleted", "deleted.parquet")
 
 
-def load_deleted(index_dir: str):
-    """Sorted unique int64 array of tombstoned doc ids (empty if none)."""
+def read_ids(path: str):
+    """The sorted int64 ``doc_id`` column of a tombstone file (empty when
+    the file does not exist)."""
     import numpy as np
 
-    path = deleted_path(index_dir)
     if not os.path.exists(path):
         return np.zeros(0, dtype=np.int64)
     import pyarrow.parquet as pq
 
     return pq.read_table(path)["doc_id"].to_numpy().astype(np.int64)
+
+
+def write_ids(path: str, ids) -> None:
+    """Write sorted doc ids as a one-column tombstone file (tmp + rename)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    pq.write_table(pa.table({"doc_id": pa.array(ids, pa.int64())}), tmp)
+    os.replace(tmp, path)
+
+
+def load_deleted(index_dir: str, manifest: dict | None = None):
+    """Sorted unique int64 array of tombstoned doc ids (empty if none): the
+    ``delete_docs`` tombstones and the ids each segment of ``manifest``
+    (default: the committed one) upserted away."""
+    import numpy as np
+
+    manifest = manifest or load_manifest(index_dir)
+    parts = [read_ids(deleted_path(index_dir))] + [
+        read_ids(os.path.join(index_dir, seg["upserted"]))
+        for seg in manifest["segments"] if seg["upserted"]]
+    return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
 
 
 def delete_docs(index_dir: str, doc_ids) -> int:
@@ -163,23 +208,18 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     of the committed manifest: ids are dense and an add appends from
     ``n_docs`` on, so such a tombstone would hide a future document."""
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
 
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
-    n_docs = int(load_manifest(index_dir)["n_docs"])
+    manifest = load_manifest(index_dir)
+    n_docs = int(manifest["n_docs"])
     bad = ids[(ids < 0) | (ids >= n_docs)]
     if len(bad):
         raise ValueError(
             f"{len(bad)} doc id(s) outside [0, {n_docs}) of {index_dir}: "
             f"{bad[:10].tolist()}"
         )
-    merged = np.union1d(load_deleted(index_dir), ids)
-    path = deleted_path(index_dir)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    pq.write_table(pa.table({"doc_id": pa.array(merged, pa.int64())}), tmp)
-    os.replace(tmp, path)
+    merged = np.union1d(load_deleted(index_dir, manifest), ids)
+    write_ids(deleted_path(index_dir), merged)
     return int(len(merged))
 
 

@@ -1,9 +1,9 @@
 """Incremental indexing (`add_documents`): the ES continuous-upsert behavior
 the reference crawler relies on (one batch at a time here; reference:
 src/utils/elasticsearch_utils.py:100-136 + cadaster_entry.py:46-77),
-Lucene-style — new ids append, colliding keys tombstone-then-add, every
-listed or spilled partition re-merges decoded old postings with the new
-spill (content never re-tokenized), the manifest flips last (MVCC)."""
+Lucene-style — new ids append, colliding keys tombstone-then-add, the batch
+becomes one new segment (its own doc store and parts; no older posting is
+read or rewritten), and the manifest replace is the one commit point."""
 
 import os
 
@@ -21,16 +21,18 @@ from librecatastro_ray.stages.merge import dict_file
 
 
 def _dictionary(index_dir: str) -> list[tuple]:
-    """(term, df, cf) over all partitions — doc-id-INVARIANT index content."""
+    """(term, df, cf) over all partitions of all segments — doc-id-INVARIANT
+    index content."""
     eng = QueryEngine(index_dir)
     rows = []
-    for pkey in range(eng.config.num_partitions):
-        for salt in range(eng.config.num_salts):
-            p = dict_file(index_dir, pkey, salt, eng._parts)
-            if os.path.exists(p):
-                t = pq.read_table(p)
-                rows += list(zip(t["term"].to_pylist(), t["df"].to_pylist(),
-                                 t["cf"].to_pylist()))
+    for seg in eng.manifest["segments"]:
+        for pkey in range(eng.config.num_partitions):
+            for salt in range(eng.config.num_salts):
+                p = dict_file(index_dir, pkey, salt, seg["parts"])
+                if os.path.exists(p):
+                    t = pq.read_table(p)
+                    rows += list(zip(t["term"].to_pylist(), t["df"].to_pylist(),
+                                     t["cf"].to_pylist()))
     agg = {}
     for term, df, cf in rows:
         d, c = agg.get(term, (0, 0))
@@ -105,15 +107,24 @@ def test_add_upsert_replaces_and_tombstones(tmp_path, corpus_small):
 
 
 def test_add_generations_stack_and_old_parts_reclaimed(tmp_path, corpus_small):
+    """Each add stacks one segment over the next doc range and rewrites no
+    older segment's files; only its own spill is reclaimed."""
     idx = str(tmp_path / "idx")
     base = corpus_small.slice(0, 200)
     build_index(base, idx, CFG)
+    base_parts = {f: os.stat(os.path.join(idx, "parts", f)).st_ino
+                  for f in os.listdir(os.path.join(idx, "parts"))}
     add_documents(corpus_small.slice(200, 100), idx)
     add_documents(corpus_small.slice(300, 100), idx)
     eng = QueryEngine(idx)
-    assert eng._parts == "parts-g2"
-    assert not os.path.isdir(os.path.join(idx, "parts"))
-    assert not os.path.isdir(os.path.join(idx, "parts-g1"))
+    segs = eng.manifest["segments"]
+    assert [s["parts"] for s in segs] == ["parts", "seg-0001/parts", "seg-0002/parts"]
+    assert [s["base"] for s in segs] == [0, segs[0]["n_docs"],
+                                         segs[0]["n_docs"] + segs[1]["n_docs"]]
+    assert {f: os.stat(os.path.join(idx, "parts", f)).st_ino
+            for f in os.listdir(os.path.join(idx, "parts"))} == base_parts
+    assert not os.path.isdir(os.path.join(idx, "seg-0001", "shuffle"))
+    assert not os.path.isdir(os.path.join(idx, "seg-0002", "shuffle"))
     # phrase + wand still rank-identical after two generations
     w = eng.match_wand("def return", k=20)
     m = eng.match("def return", k=20)
@@ -179,6 +190,8 @@ def test_compact_reclaims_tombstones_bit_identical(tmp_path, corpus_small):
     assert m_ref.equals(m_cmp)  # bitwise: ids, raw scores, ranks
     from librecatastro_ray.state.manifest import load_manifest
 
-    pa_ref = {k: v["output_sha256"] for k, v in load_manifest(ref)["partitions"].items()}
-    pa_cmp = {k: v["output_sha256"] for k, v in load_manifest(tgt)["partitions"].items()}
+    pa_ref = {k: v["output_sha256"]
+              for k, v in load_manifest(ref)["segments"][0]["partitions"].items()}
+    pa_cmp = {k: v["output_sha256"]
+              for k, v in load_manifest(tgt)["segments"][0]["partitions"].items()}
     assert pa_ref == pa_cmp

@@ -28,7 +28,7 @@ def test_build_artifacts_exist(built_index):
     m = result["manifest"]
     assert m["n_docs"] > 0
     assert m["lineage"]["n_postings"] > 0
-    assert len(m["partitions"]) > 0
+    assert len(m["segments"][0]["partitions"]) > 0
 
 
 def test_doc_ids_match_oracle(engine, oracle_small):
@@ -159,7 +159,7 @@ def test_salting_actually_used(engine):
     pkey = engine._pkey(term)
     salted_runs = 0
     for salt in range(engine.config.num_salts):
-        if engine._span(term, salt) is not None:
+        if engine._span(term, (0, salt)) is not None:
             salted_runs += 1
     assert salted_runs > 1
 

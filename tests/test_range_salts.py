@@ -1,11 +1,12 @@
 """Hot terms are salted by an absolute postings budget, one posting row
 group (``blocks_row_group_size × block_size``), into contiguous doc-id
-ranges of the build: salt s of a hot term holds docs [s × W, (s + 1) × W),
-its last salt every later id, so its runs in salt order are doc order.
-With a tiny budget, range-salted runs exist, every run is doc-sorted and
-inside its range, and every query kind answers as the pure-Python oracle,
-before and after an add whose ids land in the last range.  Below the budget
-nothing is salted and the hot-term sample is never tokenized."""
+ranges of their segment: salt s of a hot term in a segment of base b holds
+docs [b + s × W, b + (s + 1) × W), its last salt the rest, so its runs in
+(segment, salt) order are doc order.  With a tiny budget, range-salted runs
+exist, every run is doc-sorted and inside its range, and every query kind
+answers as the pure-Python oracle, before and after an add, which writes a
+segment with its own hot terms and salt width.  Below the budget nothing is
+salted and the hot-term sample is never tokenized."""
 
 import os
 from collections import Counter
@@ -51,27 +52,30 @@ def _oracle(corpus: pa.Table) -> tuple[OracleIndex, dict[int, list[str]]]:
 
 
 def _check_runs(eng: QueryEngine, build_n: int) -> None:
-    """Every run is strictly doc-sorted; a hot term's salt s run lies in its
-    doc range; some hot term has several runs; postings of ids past the
-    build's ``build_n`` are in the last salt."""
-    W, S = eng.manifest["salt_width"], eng.config.num_salts
-    assert W == build_n // S
+    """Every run is strictly doc-sorted and inside its segment; a hot term's
+    salt s run lies in its segment's doc range s; some hot term has several
+    runs in the build's segment, whose salt width is the build's."""
+    S = eng.config.num_salts
+    segs = eng.manifest["segments"]
+    assert segs[0]["salt_width"] == build_n // S and segs[0]["n_docs"] == build_n
     multi = 0
     for term in eng.full_dictionary()["term"].to_pylist():
         salts = eng._salts(term)
-        assert salts == (list(range(S)) if term in eng.hot else [0])
+        assert salts == [(i, s) for i, seg in enumerate(segs)
+                         for s in (range(S) if term in seg["hot_terms"] else [0])]
         runs = 0
-        for salt in salts:
-            run = eng._run(term, salt)
+        for i, salt in salts:
+            run = eng._run(term, (i, salt))
             if run is None:
                 continue
             d = run[0]
-            runs += 1
+            base, W, n = segs[i]["base"], segs[i]["salt_width"], segs[i]["n_docs"]
+            runs += i == 0
             assert (np.diff(d) > 0).all(), (term, salt)
-            if len(salts) > 1:
-                assert d[0] >= salt * W, (term, salt)
-                assert salt == S - 1 or d[-1] < (salt + 1) * W, (term, salt)
-                assert salt == S - 1 or d[-1] < build_n, (term, salt)
+            assert base <= d[0] and d[-1] < base + n, (term, i, salt)
+            if term in segs[i]["hot_terms"]:
+                assert d[0] >= base + salt * W, (term, i, salt)
+                assert salt == S - 1 or d[-1] < base + (salt + 1) * W, (term, i, salt)
         multi += runs > 1
     assert multi > 0, "needs range-salted runs"
 
@@ -157,8 +161,8 @@ def test_below_budget_build_salts_nothing_and_samples_nothing(tmp_path, corpus_s
                                                              monkeypatch):
     """An index of at most one posting row group of docs has no hot term:
     the hot-term pass returns without tokenizing a sample, every term is
-    one run in salt 0, and an add merges only the partitions the manifest
-    lists and its spill holds."""
+    one run in salt 0 of each segment, and an add writes only the
+    partitions its own spill holds."""
     calls = []
     estimate = bmod.estimate_hot_terms
 
@@ -176,14 +180,18 @@ def test_below_budget_build_salts_nothing_and_samples_nothing(tmp_path, corpus_s
     n = corpus_small.num_rows
     m = build_index(corpus_small.slice(0, n - 40), idx, cfg)["manifest"]
     assert m["n_docs"] <= cfg.hot_postings_budget
-    assert calls == [[]] and m["hot_terms"] == []
-    assert {p["salt"] for p in m["partitions"].values()} == {0}
+    assert calls == [[]] and m["segments"][0]["hot_terms"] == []
+    assert {p["salt"] for p in m["segments"][0]["partitions"].values()} == {0}
     add_documents(corpus_small.slice(n - 40), idx)
     eng = QueryEngine(idx)
-    assert {p["salt"] for p in eng.manifest["partitions"].values()} == {0}
-    assert set(eng.manifest["partitions"]) == {str(p * cfg.num_salts) for p in range(4)}
-    assert sorted(os.listdir(os.path.join(idx, eng._parts))) == sorted(
-        f"{kind}-{p:04d}-00.parquet" for kind in ("blocks", "dict") for p in range(4))
-    assert all(len(eng._salts(t)) == 1 for t in eng.full_dictionary()["term"].to_pylist())
+    base, seg = eng.manifest["segments"]
+    assert base == m["segments"][0] and seg["hot_terms"] == []
+    assert {p["salt"] for p in seg["partitions"].values()} == {0}
+    assert set(seg["partitions"]) <= {str(p * cfg.num_salts) for p in range(4)}
+    assert sorted(os.listdir(os.path.join(idx, seg["parts"]))) == sorted(
+        f"{kind}-{p['pkey']:04d}-00.parquet" for kind in ("blocks", "dict")
+        for p in seg["partitions"].values())
+    assert all(salt == 0 for t in eng.full_dictionary()["term"].to_pylist()
+               for _seg, salt in eng._salts(t))
     assert Counter(eng.export_postings()["term"].to_pylist()) == Counter(
         dict(zip(*[eng.full_dictionary()[c].to_pylist() for c in ("term", "df")])))

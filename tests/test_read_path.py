@@ -5,6 +5,7 @@ dictionary and posting files, on every index generation a write can leave,
 and each expansion against a brute-force scan of the dictionary."""
 
 import math
+import os
 import random
 import re
 import shutil
@@ -27,6 +28,7 @@ from librecatastro_ray.stages.merge import blocks_file, dict_file
 from librecatastro_ray.state.manifest import (
     INDEX_FORMAT_VERSION,
     delete_docs,
+    drop_index,
     load_manifest,
     save_manifest,
 )
@@ -60,29 +62,32 @@ def _positional(eng: QueryEngine, term: str, sel: np.ndarray | None = None) -> l
 
 
 def _direct(eng: QueryEngine, term: str) -> tuple[list[tuple], dict]:
-    """A term's doc-sorted (doc, tf, dl, positions) postings and per-salt
+    """A term's doc-sorted (doc, tf, dl, positions) postings and per-run
     (last_doc, max_tfnorm) block metadata, by whole-file parquet reads of
-    its dictionary (for its row span) and its posting file; the bounds are
+    its dictionary (for its row span) and its posting file in each
+    (segment, salt) the manifest's segments give it; the bounds are
     recomputed from those postings at the engine's avgdl."""
     rows, meta = [], {}
     B = eng.config.block_size
-    for salt in eng._salts(term):
-        pk = eng._pkey(term)
-        d = pq.read_table(dict_file(eng.index_dir, pk, salt, eng._parts)).to_pydict()
-        if term not in d["term"]:
-            meta[salt] = None
-            continue
-        i = d["term"].index(term)
-        first, n = sum(d["df"][:i]), d["df"][i]
-        bt = pq.read_table(blocks_file(eng.index_dir, pk, salt, eng._parts))
-        assert bt.column_names == ["doc", "tf", "dl", "positions"]
-        p = bt.slice(first, n).to_pydict()
-        rows += [(doc, f, L, tuple(pos))
-                 for doc, f, L, pos in zip(p["doc"], p["tf"], p["dl"], p["positions"])]
-        tn = bm25.tf_norm(np.array(p["tf"]), np.array(p["dl"]), eng.avgdl,
-                          eng.config.k1, eng.config.b)
-        meta[salt] = ([p["doc"][min(s + B, n) - 1] for s in range(0, n, B)],
-                      [float(tn[s:s + B].max()) for s in range(0, n, B)])
+    pk = eng._pkey(term)
+    for seg_i, seg in enumerate(eng.manifest["segments"]):
+        for salt in range(eng.config.num_salts) if term in seg["hot_terms"] else [0]:
+            meta[(seg_i, salt)] = None
+            path = dict_file(eng.index_dir, pk, salt, seg["parts"])
+            d = pq.read_table(path).to_pydict() if os.path.exists(path) else {"term": []}
+            if term not in d["term"]:
+                continue
+            i = d["term"].index(term)
+            first, n = sum(d["df"][:i]), d["df"][i]
+            bt = pq.read_table(blocks_file(eng.index_dir, pk, salt, seg["parts"]))
+            assert bt.column_names == ["doc", "tf", "dl", "positions"]
+            p = bt.slice(first, n).to_pydict()
+            rows += [(doc, f, L, tuple(pos))
+                     for doc, f, L, pos in zip(p["doc"], p["tf"], p["dl"], p["positions"])]
+            tn = bm25.tf_norm(np.array(p["tf"]), np.array(p["dl"]), eng.avgdl,
+                              eng.config.k1, eng.config.b)
+            meta[(seg_i, salt)] = ([p["doc"][min(s + B, n) - 1] for s in range(0, n, B)],
+                                   [float(tn[s:s + B].max()) for s in range(0, n, B)])
     return sorted(rows), meta
 
 
@@ -119,9 +124,9 @@ def test_readers_equal_filtered_parquet_decode_across_generations(tmp_path):
     idx = str(tmp_path / "idx")
     build_index(make_corpus(n_docs=150, seed=7, vocab_size=120, mean_tokens=25), idx, CFG)
     _check_readers(idx)
-    # a second batch whose keys partly collide: upserts + a generation flip
+    # a second batch whose keys partly collide: upserts + a second segment
     add_documents(make_corpus(n_docs=40, seed=8, vocab_size=120, mean_tokens=25), idx)
-    assert QueryEngine(idx)._parts != "parts"
+    assert len(QueryEngine(idx).manifest["segments"]) == 2
     _check_readers(idx)
     delete_docs(idx, np.arange(0, 150, 9))
     _check_readers(idx)
@@ -141,13 +146,13 @@ def test_dictionary_drift_raises_naming_the_file(small_index, tmp_path):
     idx = str(tmp_path / "idx")
     shutil.copytree(small_index, idx)
     eng = QueryEngine(idx)
-    path = dict_file(idx, 0, 0, eng._parts)
+    path = dict_file(idx, 0, 0, eng._seg_parts[0])
     d = pq.read_table(path)
     df = d["df"].to_numpy().copy()
     df[0] += CFG.block_size  # one more block than the file holds
     pq.write_table(d.set_column(1, "df", pa.array(df, pa.int64())), path)
     eng = QueryEngine(idx)
-    with pytest.raises(ValueError, match=re.escape(blocks_file(idx, 0, 0, eng._parts))):
+    with pytest.raises(ValueError, match=re.escape(blocks_file(idx, 0, 0, eng._seg_parts[0]))):
         eng.load_postings(d["term"][0].as_py())
 
 
@@ -157,13 +162,13 @@ def test_positions_drift_raises_naming_the_file(small_index, tmp_path):
     idx = str(tmp_path / "idx")
     shutil.copytree(small_index, idx)
     eng = QueryEngine(idx)
-    path = blocks_file(idx, 0, 0, eng._parts)
+    path = blocks_file(idx, 0, 0, eng._seg_parts[0])
     bt = pq.read_table(path)
     lists = bt["positions"].to_pylist()
     lists[0] = lists[0][:-1]
     i = bt.column_names.index("positions")
     pq.write_table(bt.set_column(i, "positions", pa.array(lists, bt.schema.field(i).type)), path)
-    term = pq.read_table(dict_file(idx, 0, 0, eng._parts))["term"][0].as_py()
+    term = pq.read_table(dict_file(idx, 0, 0, eng._seg_parts[0]))["term"][0].as_py()
     eng.load_postings(term)  # the posting file still matches its dictionary
     with pytest.raises(ValueError, match=re.escape(path)):
         _positional(eng, term)
@@ -176,9 +181,9 @@ def test_index_of_another_format_version_is_refused(small_index, tmp_path):
     idx = str(tmp_path / "idx")
     shutil.copytree(small_index, idx)
     m = load_manifest(idx)
-    assert m["version"] == INDEX_FORMAT_VERSION == 4
-    save_manifest(idx, dict(m, version=3))
-    refused = re.escape(f"format version 3; this code reads version {INDEX_FORMAT_VERSION}")
+    assert m["version"] == INDEX_FORMAT_VERSION == 5
+    save_manifest(idx, dict(m, version=4))
+    refused = re.escape(f"format version 4; this code reads version {INDEX_FORMAT_VERSION}")
     with pytest.raises(ValueError, match=refused):
         QueryEngine(idx)
     with pytest.raises(ValueError, match=refused):
@@ -216,10 +221,11 @@ def test_term_caches_hold_owned_arrays_not_row_group_views(small_index):
 
 
 def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
-    """An engine opened before an add reads terms it has not read yet after
-    the add reclaimed its generation's files: it raises, naming the file and
-    its generation, and never answers empty — from a dictionary, a posting
-    file footer, a row group or a positions column."""
+    """An engine whose index was dropped under it reads terms it has not
+    read yet: it raises, naming the file and its generation, and never
+    answers empty — from a dictionary, a posting file footer, a row group or
+    a positions column.  (No add or delete removes a file an engine can
+    read; ``test_add.py`` pins that.)"""
     idx = str(tmp_path / "idx")
     corpus = make_corpus(n_docs=120, seed=5, vocab_size=80, mean_tokens=20)
     build_index(corpus.slice(0, 100), idx, CFG)
@@ -230,8 +236,8 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     dict_only = QueryEngine(idx)
     for term in terms:
         dict_only.term_df(term)
-    add_documents(corpus.slice(100), idx)
-    assert old.match(warm, k=5).to_pylist() == want  # read before the add
+    drop_index(idx)
+    assert old.match(warm, k=5).to_pylist() == want  # read before the drop
     cold = [t for t in terms if old._pkey(t) != old._pkey(warm)]
     assert cold
     for term in cold:
@@ -273,8 +279,9 @@ def test_unlisted_partition_is_empty(tmp_path):
     cfg = IndexConfig(num_partitions=32, num_salts=1, block_size=4)
     build_index(make_corpus(n_docs=8, seed=1, vocab_size=10, mean_tokens=3), idx, cfg)
     eng = QueryEngine(idx)
-    assert len(eng.manifest["partitions"]) < cfg.num_partitions
-    n_terms = sum(p["n_terms"] for p in eng.manifest["partitions"].values())
+    partitions = eng.manifest["segments"][0]["partitions"]
+    assert len(partitions) < cfg.num_partitions
+    n_terms = sum(p["n_terms"] for p in partitions.values())
     assert len(eng.full_dictionary()) == n_terms
 
 
