@@ -125,7 +125,7 @@ def _engine_add(sf_dir: str):
 
     def make(idx_dir: str) -> None:
         _build_once(sf_dir, idx_dir, lambda b: b.filter(pc.not_equal(b["lang"], "de")))
-        if int(load_manifest(idx_dir).get("generation", 0)) == 0:
+        if len(load_manifest(idx_dir)["segments"]) == 1:
             add_documents(
                 corpus_from_documents(sf_dir).map_batches(
                     lambda b: b.filter(pc.equal(b["lang"], "de")), batch_format="pyarrow"

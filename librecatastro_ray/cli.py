@@ -162,11 +162,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.cmd == "delete":
         from librecatastro_ray.pipelines.query import delete_by_query
-        from librecatastro_ray.state.manifest import delete_docs
+        from librecatastro_ray.state.manifest import delete_docs, load_deleted
 
         if args.doc_ids:
-            total = delete_docs(args.index, args.doc_ids)
-            print(json.dumps({"tombstones_total": total}))
+            delete_docs(args.index, args.doc_ids)
+            print(json.dumps({"tombstones_total": len(load_deleted(args.index))}))
         elif args.text:
             n = delete_by_query(args.index, {"kind": "match", "text": args.text})
             print(json.dumps({"tombstoned": n}))

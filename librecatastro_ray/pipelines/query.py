@@ -486,8 +486,8 @@ class QueryEngine:
         dropped or rebuilt under this engine, and answering empty (or from
         another index) would be silently wrong."""
         return FileNotFoundError(
-            f"{path} is gone: generation {self.manifest['generation']} of the "
-            f"index at {self.index_dir} was dropped or rebuilt — open a new QueryEngine"
+            f"{path} is gone: the {len(self.manifest['segments'])}-segment index at "
+            f"{self.index_dir} was dropped or rebuilt — open a new QueryEngine"
         )
 
     def _dict_table(self, seg: int, pkey: int, salt: int) -> pa.Table:
@@ -1503,9 +1503,9 @@ def delete_by_query(index_dir: str, query: dict) -> int:
     eng = QueryEngine(index_dir)
     parts = [_eval_query(rng, q, rng.hi - rng.lo)[0] for rng in eng._ranges()]
     hits = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    before = len(load_deleted(index_dir))
-    after = delete_docs(index_dir, hits)
-    return after - before
+    n_new = len(np.setdiff1d(hits, load_deleted(index_dir, eng.manifest)))
+    delete_docs(index_dir, hits)
+    return n_new
 
 
 def multi_match_best_fields(

@@ -13,8 +13,8 @@ cadaster_entry.py:53; src/utils/elasticsearch_utils.py:100-136) — as:
 - resume = anti-join of the partition work list against completed checkpoints.
 
 Layout of an index directory:
-    manifest.json            the commit point: config, N, sum_dl, the
-                             generation and the segments, in doc order
+    manifest.json            the commit point: config, N, sum_dl and the
+                             segments, in doc order
     docs/part-*.parquet      segment 0's doc store: doc_id, repo, path,
                              commit, lang, content, sha256, dl
     docs/seg-{g}/part-*.parquet    the doc store of segment g >= 1
@@ -201,8 +201,9 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     result (hits, counts, hydrate) immediately, but corpus statistics
     (N, avgdl, per-term df) keep counting them until a rebuild — exactly
     Lucene's behavior for deletes before a segment merge.  Idempotent and
-    accumulative; atomic tmp+rename write.  Returns the total tombstone
-    count after the merge.
+    accumulative; atomic tmp+rename write.  Returns the count of
+    ``delete_docs`` tombstones after the merge (the ids adds upserted away
+    stay in their segments' files; ``load_deleted`` unions both).
 
     Raises ``ValueError``, writing nothing, for an id outside ``[0, n_docs)``
     of the committed manifest: ids are dense and an add appends from
@@ -218,7 +219,7 @@ def delete_docs(index_dir: str, doc_ids) -> int:
             f"{len(bad)} doc id(s) outside [0, {n_docs}) of {index_dir}: "
             f"{bad[:10].tolist()}"
         )
-    merged = np.union1d(load_deleted(index_dir, manifest), ids)
+    merged = np.union1d(read_ids(deleted_path(index_dir)), ids)
     write_ids(deleted_path(index_dir), merged)
     return int(len(merged))
 

@@ -222,7 +222,7 @@ def test_term_caches_hold_owned_arrays_not_row_group_views(small_index):
 
 def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     """An engine whose index was dropped under it reads terms it has not
-    read yet: it raises, naming the file and its generation, and never
+    read yet: it raises, naming the file and the index, and never
     answers empty — from a dictionary, a posting file footer, a row group or
     a positions column.  (No add or delete removes a file an engine can
     read; ``test_add.py`` pins that.)"""
@@ -241,20 +241,20 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
     cold = [t for t in terms if old._pkey(t) != old._pkey(warm)]
     assert cold
     for term in cold:
-        with pytest.raises(FileNotFoundError, match=r"dict-.*generation 0 "):
+        with pytest.raises(FileNotFoundError, match=r"dict-.*is gone: the 1-segment index "):
             old.match(term, k=5)
     # the warm term's dictionary and doc columns are cached, its positions
     # column is not
-    with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
+    with pytest.raises(FileNotFoundError, match=r"blocks-.*is gone: the 1-segment index "):
         old.match_phrase(warm, k=5)
     # every dictionary cached, no posting file footer read yet
     for term in terms:
-        with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
+        with pytest.raises(FileNotFoundError, match=r"blocks-.*is gone: the 1-segment index "):
             dict_only.match(term, k=5)
     # footer cached, row groups evicted
     old._rowgroup_cache.clear()
     salt = next(s for s in old._salts(warm) if old._span(warm, s) is not None)
-    with pytest.raises(FileNotFoundError, match=r"blocks-.*generation 0 "):
+    with pytest.raises(FileNotFoundError, match=r"blocks-.*is gone: the 1-segment index "):
         old._slice(warm, salt)
 
 

@@ -22,7 +22,8 @@ from librecatastro_ray.oracle import OracleIndex
 from librecatastro_ray.pipelines import build as build_mod
 from librecatastro_ray.pipelines.build import add_documents, build_index, compact_index
 from librecatastro_ray.pipelines.query import QueryEngine, batch_search_scatter
-from librecatastro_ray.state.manifest import delete_docs, load_deleted, load_manifest
+from librecatastro_ray.state.manifest import (delete_docs, deleted_path, load_deleted,
+                                              load_manifest, read_ids)
 
 VOCAB = [f"w{i}" for i in range(30)]
 _P = 1.0 / np.arange(1, len(VOCAB) + 1)
@@ -168,6 +169,7 @@ def test_multi_segment_index_equals_the_oracle(tmp_path, seed):
         _check_doc_store(idx, QueryEngine(idx), sim)
     victims = sorted(rng.choice(sorted(set(range(len(sim.rows))) - sim.dead), 5, replace=False))
     delete_docs(idx, victims)
+    assert read_ids(deleted_path(idx)).tolist() == victims  # upserts stay in their segments
     sim.dead.update(int(v) for v in victims)
 
     eng = QueryEngine(idx)
@@ -317,3 +319,33 @@ def test_engines_opened_before_an_add_and_a_compaction_answer_from_their_snapsho
         assert eng.keyword_docs("lang", "js").tolist() == ref.keyword_docs("lang", "js").tolist()
         assert eng.hydrate(np.arange(200)).equals(ref.hydrate(np.arange(200)))
         assert eng.count("w0 w5") == ref.count("w0 w5")
+
+
+def test_add_of_docs_without_tokens_commits(base_index, tmp_path):
+    """An add whose docs all tokenize to nothing (empty, null and
+    punctuation-only content, one of them an upsert) commits a segment
+    with no partitions: hydrate and keyword clauses serve its ids, the
+    replaced version is tombstoned, and a later add stacks on it."""
+    src, sim, delta = base_index
+    idx = _copy(src, tmp_path / "idx")
+    sim = sim.copy()
+    batch = [{"repo": "r", "path": sim.rows[0]["path"], "commit": "c1", "lang": "js",
+              "content": ""},
+             {"repo": "r", "path": "g1_empty.py", "commit": "c1", "lang": "py",
+              "content": "... !!! --"},
+             {"repo": "r", "path": "g1_null.py", "commit": "c1", "lang": "py",
+              "content": None}]
+    r = add_documents(pa.Table.from_pylist(batch), idx)
+    assert r["report"]["n_added"] == 3 and r["report"]["n_upserts"] == 1
+    sim.write(batch)
+    eng = QueryEngine(idx)
+    assert eng.manifest["segments"][-1]["partitions"] == {}
+    assert 0 in sim.dead
+    _check_doc_store(idx, eng, sim)
+    _check_text_queries(eng, sim, _texts(np.random.RandomState(2)))
+
+    add_documents(pa.Table.from_pylist(delta), idx)
+    sim.write(delta)
+    eng = QueryEngine(idx)
+    _check_doc_store(idx, eng, sim)
+    _check_text_queries(eng, sim, _texts(np.random.RandomState(3)))
