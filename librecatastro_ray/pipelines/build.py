@@ -1,23 +1,26 @@
-"""Index build pipeline (Ray-Data-first).
+"""Index build pipeline: one Ray Data pass, then plain tasks.
 
     read_parquet(corpus)
-      → map_batches: sha256                            (stateless, Arrow)
+      → map_batches: sha256                            (stateless, Arrow; the
+                                                        write's only Ray Data
+                                                        job)
       → key-only sort (repo, path, sha256) + per-block
         dedup + dense doc_id routed back to unmoved
         content blocks                                 (shuffle 1: keys only —
                                                         content bytes never
                                                         enter the exchange)
-      → write docs/                                    (the canonical doc
-                                                        store: forward index +
-                                                        sha256 invariant + dl
-                                                        norms, completed in
-                                                        the pre-dedup pass)
-      → map_batches flat_postings → salted partitioned
-        spill shuffle/skey=*/                          (tokenize pass 2; the
-                                                        all-to-all is a
-                                                        map-side scatter by
-                                                        partition_cols write,
-                                                        no sort network step)
+      → hot terms: sampled df over the id-stamped
+        blocks, only above the hot postings budget     (plain tasks)
+      → per block, one task: tokenize the winners
+        once → spill their salted flat postings to
+        shuffle/skey=K/part-{bid} → write the doc store
+        part docs/part-{bid}                           (forward index + sha256
+                                                        invariant + dl norms;
+                                                        the part is the block's
+                                                        commit — the all-to-all
+                                                        is this map-side scatter
+                                                        by skey, no sort network
+                                                        step)
       → merge_batch tasks over runs of partitions
         → parts/ + checkpoints/                        (≤ 2 × CPUs tasks; one
                                                         checkpoint per partition)
@@ -28,9 +31,9 @@ per-partition granularity via the checkpoint anti-join (the reference's
 resume mechanisms re-expressed: upsert idempotence + skip-already-scraped,
 reference: cadaster_entry.py:53, elasticsearch_utils.py:100-136).
 
-``add_documents`` runs the same doc-id, spill and merge phases over its
-batch alone into one more segment, and ``compact_index`` rebuilds the live
-docs of every segment as one.
+``add_documents`` runs the same doc-id pass (with its spill) and merge over
+its batch alone into one more segment, and ``compact_index`` rebuilds the
+live docs of every segment as one.
 """
 
 from __future__ import annotations
@@ -47,13 +50,8 @@ import ray
 import ray.data
 
 from librecatastro_ray.config import IndexConfig
-from librecatastro_ray.stages.doc_ids import dedup_assign_write
+from librecatastro_ray.stages.doc_ids import cluster_cpus, dedup_assign_write
 from librecatastro_ray.stages.merge import merge_batch
-from librecatastro_ray.stages.postings import (
-    flat_postings,
-    flat_postings_positional,
-    salt_range_width,
-)
 from librecatastro_ray.state.manifest import (
     INDEX_FORMAT_VERSION,
     atomic_write_json,
@@ -111,10 +109,6 @@ def corpus_fingerprint(path: str) -> str:
 TARGET_BLOCK_BYTES = 64 << 20  # ~64 MB of (compressed) parquet per block
 
 
-def _cluster_cpus() -> int:
-    return max(2, int(ray.cluster_resources().get("CPU", 4)))
-
-
 def _read_sized(path: str | list[str], columns: list[str]) -> ray.data.Dataset:
     """Size-aware parquet read of a directory or a list of files: Ray's
     default read split (min 200 blocks) fragments small inputs into KB-scale
@@ -125,7 +119,7 @@ def _read_sized(path: str | list[str], columns: list[str]) -> ray.data.Dataset:
     files = path if isinstance(path, list) else [
         os.path.join(r, f) for r, _d, fs in os.walk(path) for f in fs if f.endswith(".parquet")]
     total = sum(os.path.getsize(f) for f in files)
-    n_blocks = max(2 * _cluster_cpus(), total // TARGET_BLOCK_BYTES or 1)
+    n_blocks = max(2 * cluster_cpus(), total // TARGET_BLOCK_BYTES or 1)
     from librecatastro_ray.sources.readers import read_parquet_clean
 
     return read_parquet_clean(path, columns=columns, override_num_blocks=int(n_blocks))
@@ -139,95 +133,38 @@ def _as_dataset(corpus: Any) -> ray.data.Dataset:
     return corpus
 
 
-def _sample_term_counts(
-    batch: pa.Table, *, mod: int, analyzer_id: str = "code_standard_v1"
-) -> pa.Table:
-    """Partial df over a deterministic doc sample (doc_id % mod == 0):
-    per-batch (term, df_partial) tables, combined on the driver.  This is the
-    partial-aggregate-before-groupby pattern — the full df never shuffles."""
-    mask = (batch["doc_id"].to_numpy() % mod) == 0
-    sub = batch.filter(pa.array(mask))
-    empty = pa.table(
-        {
-            "term": pa.array([], pa.string()),
-            "df": pa.array([], pa.int64()),
-            "sampled": pa.array([], pa.int64()),
-        }
-    )
-    if len(sub) == 0:
-        return empty
+def _sample_term_counts(docs: pa.Table, *, mod: int, analyzer_id: str) -> tuple[pa.Table, int]:
+    """Partial df over a deterministic doc sample (doc_id % mod == 0) of
+    one id-stamped block: ``(term, df)`` and the number of sampled docs,
+    combined on the driver.  This is the partial-aggregate-before-groupby
+    pattern — the full df never shuffles."""
     from librecatastro_ray.functions.analysis import get_analyzer, term_frequencies_with
 
+    sub = docs.filter(pa.array(docs["doc_id"].to_numpy() % mod == 0))
     tf_table, _ = term_frequencies_with(get_analyzer(analyzer_id), sub["content"])
     g = tf_table.group_by("term", use_threads=False).aggregate([("row", "count")])
-    out = pa.table(
-        {
-            "term": g["term"],
-            "df": g["row_count"].cast(pa.int64()),
-            "sampled": pa.array(np.zeros(len(g), dtype=np.int64), pa.int64()),
-        }
-    )
-    # sentinel row carrying the per-batch sampled-doc count
-    sentinel = pa.table(
-        {
-            "term": pa.array(["\x00__sampled__"], pa.string()),
-            "df": pa.array([0], pa.int64()),
-            "sampled": pa.array([len(sub)], pa.int64()),
-        }
-    )
-    return pa.concat_tables([out, sentinel])
+    return pa.table({"term": g["term"], "df": g["row_count"].cast(pa.int64())}), len(sub)
 
 
-def estimate_hot_terms(docs_ds: ray.data.Dataset, n_docs: int, config: IndexConfig) -> list[str]:
+def estimate_hot_terms(map_docs, n_docs: int, config: IndexConfig) -> list[str]:
     """Terms whose estimated df exceeds ``config.hot_postings_budget`` (one
-    posting row group), from a deterministic doc sample.  No term of an
-    index of at most that many docs can exceed it, so then no sample is
-    tokenized.  Returns a sorted list (small: keyword-class terms only)."""
+    posting row group), from a deterministic sample of the ``n_docs``
+    id-stamped docs that ``map_docs`` maps over (``dedup_assign_write``).
+    No term of an index of at most that many docs can exceed it, so then no
+    sample is tokenized.  Returns a sorted list (small: keyword-class terms
+    only)."""
     budget = config.hot_postings_budget
     if n_docs <= budget:
         return []
     mod = max(1, n_docs // max(1, config.hot_sample_target))
-    parts = docs_ds.map_batches(
-        _sample_term_counts,
-        fn_kwargs={"mod": mod, "analyzer_id": config.analyzer},
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-    ).to_pandas()
-    if parts.empty:
-        return []
-    n_sampled = int(parts["sampled"].sum())
+    parts = map_docs(_sample_term_counts, mod=mod, analyzer_id=config.analyzer)
+    n_sampled = sum(n for _df, n in parts)
     if n_sampled == 0:
         return []
-    parts = parts[parts["term"] != "\x00__sampled__"]
-    df = parts.groupby("term", sort=True)["df"].sum()
+    df = pa.concat_tables([t for t, _n in parts]).group_by("term").aggregate([("df", "sum")])
     # estimated df = sampled df × n_docs / n_sampled
-    hot = df[df * n_docs > budget * n_sampled]
-    return sorted(hot.index.tolist())
-
-
-def _spill(docs_ds: ray.data.Dataset, spill_dir: str, config: IndexConfig,
-           hot_terms: list[str], width: int, base: int = 0) -> list[int]:
-    """Tokenize ``docs_ds``, the docs of the segment that starts at doc id
-    ``base``, into flat postings written partitioned by skey under
-    ``spill_dir``; returns the skeys the spill holds, sorted (none when no
-    doc has a token: the write then makes no directory)."""
-    os.makedirs(spill_dir, exist_ok=True)
-    docs_ds.map_batches(
-        flat_postings_positional if config.positions else flat_postings,
-        fn_kwargs={
-            "num_partitions": config.num_partitions,
-            "num_salts": config.num_salts,
-            "hot_terms": hot_terms,
-            "salt_width": width,
-            "salt_base": base,
-            "analyzer_id": config.analyzer,
-        },
-        batch_format="pyarrow",
-        batch_size=config.batch_size,
-    ).write_parquet(spill_dir, partition_cols=["skey"])
-    return sorted(
-        int(name.split("=")[1]) for name in os.listdir(spill_dir) if name.startswith("skey=")
-    )
+    hot = df["df_sum"].to_numpy() * n_docs > budget * n_sampled
+    return sorted(df["term"].filter(pa.array(hot)).to_pylist())
 
 
 def _partition_entry(ck: dict) -> dict:
@@ -274,26 +211,19 @@ def _lineage(segments: list[dict]) -> dict:
             "n_terms_with_salt_dups": sum(p["n_terms"] for p in parts)}
 
 
+_merge_task = ray.remote(num_cpus=1)(merge_batch)
+
+
 def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig, **dirs: str) -> None:
     """Merge the shuffle partitions ``skeys`` in min(#skeys, 2 × cluster
-    CPUs) tasks, each over a contiguous run of skeys (``batch_size=None``:
-    one batch per block), so a small cluster does not pay one task launch
-    per partition.  Each partition is checkpointed as soon as it is merged,
-    so resume stays per partition."""
-    ray.data.from_items(
-        [{"skey": int(s)} for s in skeys],
-        override_num_blocks=min(len(skeys), 2 * _cluster_cpus()),
-    ).map_batches(
-        merge_batch,
-        fn_kwargs={
-            "index_dir": index_dir,
-            "config_json": config.to_json(),
-            **dirs,
-        },
-        batch_format="pyarrow",
-        batch_size=None,
-        num_cpus=1,
-    ).materialize()
+    CPUs) plain tasks, each over a contiguous run of skeys, so a small
+    cluster does not pay one task launch per partition.  Each partition is
+    checkpointed as soon as it is merged, so resume stays per partition."""
+    runs = np.array_split(np.asarray(skeys, np.int64), min(len(skeys), 2 * cluster_cpus()))
+    refs = [_merge_task.remote(pa.table({"skey": run}), index_dir=index_dir,
+                               config_json=config.to_json(), **dirs) for run in runs]
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    ray.get(refs)
 
 
 def build_index(
@@ -302,7 +232,6 @@ def build_index(
     config: IndexConfig | None = None,
     *,
     resume: bool = True,
-    cleanup_shuffle: bool = False,
 ) -> dict:
     """Build (or resume building) an index.  Returns
     ``{"manifest": ..., "report": {...}}`` where the report carries
@@ -361,10 +290,11 @@ def build_index(
     _remove(glob.glob(os.path.join(index_dir, "seg-*"))
             + glob.glob(os.path.join(docs_dir, "seg-*")))
 
-    # ---- phase A: dedup + doc ids + dl → canonical doc store --------------
+    # ---- phase A: dedup + doc ids → canonical doc store + postings spill --
     # one key-only sort, one tokenize, one fused write: docs/ is forward
     # index, row-invariant (sha256) table and BM25 norm (dl) table in a
-    # single columnar parquet, written block-per-file by the id-apply tasks
+    # single columnar parquet, written block-per-file by the id-apply tasks,
+    # which spill each block's salted flat postings to shuffle/ first
     src_fp = corpus_fingerprint(corpus) if isinstance(corpus, str) else None
     # analysis fingerprint: a resumed build must NOT mix phases produced by
     # different strategies — dl/avgdl (docs phase) depend on the analyzer,
@@ -380,9 +310,8 @@ def build_index(
         return fp + ("|positions" if cfg.positions else "")
 
     analysis_fp = _analysis_fp(config)
-    stats = None
-    if _phase_done(docs_dir):
-        stats = read_json(_marker(docs_dir))
+    stats = read_json(_marker(docs_dir)) if _phase_done(docs_dir) else None
+    if stats is not None:
         stale_src = src_fp is not None and stats.get("src_fp") not in (None, src_fp)
         stored_fp = stats.get("analysis_fp") or _analysis_fp(IndexConfig())
         stale_analysis = stored_fp != analysis_fp
@@ -393,49 +322,33 @@ def build_index(
             _remove([docs_dir, shuffle_dir, os.path.join(index_dir, "checkpoints")])
             report["phases_invalidated"] = ["docs", "shuffle", "merge"]
             stats = None
-    if stats is not None:
-        report["phases_skipped"].append("docs")
+    shuffle_meta = read_json(_marker(shuffle_dir)) if _phase_done(shuffle_dir) else None
+    if shuffle_meta is not None and shuffle_meta.get("version") != INDEX_FORMAT_VERSION:
+        shuffle_meta = None
+    if stats is not None and shuffle_meta is not None:
+        report["phases_skipped"] += ["docs", "shuffle"]
     else:
-        # no wipe here: dedup_assign_write's _PLAN.json keeps part files
-        # from a crashed run when the corpus is unchanged (block-level
+        # one pass writes the doc store and the spill; the partitions merged
+        # from an earlier spill are stale.  No wipe of docs/ or shuffle/
+        # here: dedup_assign_write's _PLAN.json keeps the blocks a crashed
+        # run finished when corpus and config are unchanged (block-level
         # resume, content-fingerprinted) and clears them itself when not
-        ds = _as_dataset(corpus)
-        n_docs_a, sum_dl_a = dedup_assign_write(ds, docs_dir, analyzer_id=config.analyzer)
+        _remove([os.path.join(index_dir, "checkpoints"), os.path.join(index_dir, "parts")])
+        n_docs_a, sum_dl_a, shuffle_meta = dedup_assign_write(
+            _as_dataset(corpus), docs_dir, shuffle_dir, config, estimate_hot_terms)
         stats = {"n_docs": int(n_docs_a), "sum_dl": int(sum_dl_a),
                  "src_fp": src_fp, "analysis_fp": analysis_fp}
         atomic_write_json(_marker(docs_dir), stats)
+        shuffle_meta["version"] = INDEX_FORMAT_VERSION
+        atomic_write_json(_marker(shuffle_dir), shuffle_meta)
     report["phase_seconds"]["docs"] = round(_t() - _t0, 3)
     _t0 = _t()
-
     docs = _segment_docs(index_dir, "docs")
-    mat_docs = _read_sized([os.path.join(index_dir, f) for f in docs], ["doc_id", "content"])
-
     n_docs = int(stats["n_docs"])
     sum_dl = int(stats["sum_dl"])
-
-    # ---- phase C: hot terms + salted partitioned postings spill -----------
-    shuffle_meta = read_json(_marker(shuffle_dir)) if _phase_done(shuffle_dir) else None
-    if shuffle_meta is not None and shuffle_meta.get("version") == INDEX_FORMAT_VERSION:
-        report["phases_skipped"].append("shuffle")
-    else:
-        # a spill of another index format: it and every partition merged
-        # from it are stale
-        _remove([shuffle_dir, os.path.join(index_dir, "checkpoints"),
-                 os.path.join(index_dir, "parts")])
-        hot_terms = estimate_hot_terms(mat_docs, n_docs, config)
-        width = salt_range_width(n_docs, config.num_salts)
-        skeys_present = _spill(mat_docs, shuffle_dir, config, hot_terms, width)
-        atomic_write_json(
-            _marker(shuffle_dir),
-            {"hot_terms": hot_terms, "salt_width": width, "skeys": skeys_present,
-             "version": INDEX_FORMAT_VERSION},
-        )
-    report["phase_seconds"]["shuffle"] = round(_t() - _t0, 3)
-    _t0 = _t()
-    shuffle_meta = read_json(_marker(shuffle_dir))
     skeys_present = shuffle_meta["skeys"]
 
-    # ---- phase D: merge in task groups, checkpoint anti-join --------------
+    # ---- phase B: merge in task groups, checkpoint anti-join --------------
     done = completed_partitions(index_dir)
     pending = [s for s in skeys_present if s not in done]
     report["partitions_skipped"] = len(skeys_present) - len(pending)
@@ -461,8 +374,6 @@ def build_index(
                     **_lineage([segment])},
     }
     save_manifest(index_dir, manifest)
-    if cleanup_shuffle:
-        _remove([shuffle_dir])
     return {"manifest": manifest, "report": report}
 
 
@@ -492,8 +403,8 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
       - the batch becomes one new SEGMENT over the doc-id range
         [n_docs, n_docs + n_new): ids are dense, sorted by (repo, path)
         within the batch, and existing ids never change;
-      - the segment is written by the build's own doc-id, spill and merge
-        phases over the batch alone — its own doc store
+      - the segment is written by the build's own doc-id pass (with its
+        spill) and merge over the batch alone — its own doc store
         (``docs/seg-{g}/``), parts, checkpoints, hot-term list and salt
         width (``seg-{g}/``) — so an add costs what its batch costs and no
         older posting is read or rewritten;
@@ -529,12 +440,12 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     uncommitted = [os.path.join(index_dir, d) for d in (docs_dir, seg)]
     _remove(uncommitted)
 
-    # ---- new docs: dedup within batch, ids offset past the current space --
+    # ---- new docs and their postings spill: dedup within batch, ids offset
+    # past the current space, the segment's own hot terms and salt width ---
     base = int(manifest["n_docs"])
-    n_new, sum_dl_new = dedup_assign_write(
-        _as_dataset(corpus), os.path.join(index_dir, docs_dir), analyzer_id=config.analyzer,
-        id_base=base,
-    )
+    n_new, sum_dl_new, layout = dedup_assign_write(
+        _as_dataset(corpus), os.path.join(index_dir, docs_dir),
+        os.path.join(index_dir, dirs["spill_dir"]), config, estimate_hot_terms, base)
     report: dict[str, Any] = {"n_added": int(n_new), "segment": seg}
     if n_new == 0:
         _remove(uncommitted)
@@ -549,19 +460,13 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         upserted_file = f"{seg}/upserted.parquet"
         write_ids(os.path.join(index_dir, upserted_file), upserted)
 
-    # ---- the segment's postings: its own hot terms and salt width ---------
-    docs_ds = _read_sized([os.path.join(index_dir, f) for f in docs], ["doc_id", "content"])
-    hot_terms = estimate_hot_terms(docs_ds, n_new, config)
-    width = salt_range_width(n_new, config.num_salts)
-    skeys = _spill(docs_ds, os.path.join(index_dir, dirs["spill_dir"]), config, hot_terms,
-                   width, base)
-    if skeys:  # none when every new doc tokenizes to nothing
-        _merge_partitions(skeys, index_dir, config, **dirs)
+    if layout["skeys"]:  # none when every new doc tokenizes to nothing
+        _merge_partitions(layout["skeys"], index_dir, config, **dirs)
     done = completed_partitions(index_dir, dirs["ckpt_name"])
 
     # ---- commit: one manifest replace -------------------------------------
     segment = _segment_entry(base, int(n_new), int(sum_dl_new), docs, dirs["parts_dir"],
-                             hot_terms, width, done, upserted_file)
+                             layout["hot_terms"], layout["salt_width"], done, upserted_file)
     segments = [*manifest["segments"], segment]
     manifest = dict(
         manifest,
@@ -596,11 +501,10 @@ def compact_index(index_dir: str, target_dir: str) -> dict:
                          "(the source stays readable during compaction)")
     manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
-    dead = load_deleted(index_dir, manifest)
-    dead_ref = ray.put(dead)
+    dead_ref = ray.put(load_deleted(index_dir, manifest))
 
     def _live(batch: pa.Table) -> pa.Table:
-        d = ray.get(dead_ref) if not isinstance(dead_ref, np.ndarray) else dead_ref
+        d = ray.get(dead_ref)
         if len(d) == 0:
             return batch.select(CORPUS_COLUMNS)
         ids = batch["doc_id"].to_numpy()

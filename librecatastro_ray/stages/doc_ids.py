@@ -17,8 +17,8 @@ through the all-to-all exchange twice (map spill + reduce fetch); at corpus
 scale that is the whole dataset through the object store for what is logically
 a metadata operation.  Instead:
 
-  1. ``AddSha`` (stateless task map) appends sha256; blocks are materialized
-     once and stay where they are.
+  1. ``add_sha`` (stateless task map, the write's only Ray Data job)
+     appends sha256; blocks are materialized once and stay where they are.
   2. A per-block task projects the tiny key table
      ``(bid, row, repo, path, sha256)`` (~100 B/row).
   3. Only the key tables are globally sorted — the engine's one global
@@ -34,33 +34,38 @@ a metadata operation.  Instead:
      ref as its first argument, so Ray's locality-aware scheduling runs it on
      the node already holding the block — content crosses the network zero
      times in the common case, and the fused write variant streams the
-     finished doc-store block straight to parquet.
+     finished doc-store block straight to parquet.  That task tokenizes the
+     block's winners once, for their ``dl`` and for the block's flat
+     postings, which it spills before it writes the doc-store part.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
 
+from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.hashing import sha256_batch
+from librecatastro_ray.stages import postings
+from librecatastro_ray.stages.postings import salt_range_width
 
 
-def add_sha_dl(batch: pa.Table, *, analyzer_id: str = "code_standard_v1") -> pa.Table:
-    """map_batches (stateless task): append sha256(content) and the token
-    count ``dl`` in ONE pass over the corpus — the doc-store row is complete
-    before dedup, so no second full-content pipeline pass is needed after id
-    assignment.  (Dup losers get tokenized too; dups are rare, one avoided
-    full-corpus pass is not.)"""
-    from librecatastro_ray.functions.analysis import get_analyzer
+def add_sha(batch: pa.Table) -> pa.Table:
+    """map_batches (stateless task): append sha256(content), the dedup
+    tiebreak.  Nothing is tokenized before the dedup: the apply task
+    tokenizes each winner once, for its ``dl`` and its postings."""
+    return batch.append_column("sha256", sha256_batch(batch["content"]))
 
-    _idx, _terms, dl = get_analyzer(analyzer_id).tokenize_batch(batch["content"])
-    return batch.append_column("sha256", sha256_batch(batch["content"])).append_column(
-        "dl", pa.array(dl, pa.int64())
-    )
+
+def cluster_cpus() -> int:
+    """The CPUs the write path sizes its task rounds by (at least 2)."""
+    return max(2, int(ray.cluster_resources().get("CPU", 4)))
 
 
 @ray.remote
@@ -160,10 +165,9 @@ def _sorted_key_blocks(key_refs: list, n_rows: int) -> list:
     sampled boundaries → per-range sort), no Ray Data sort machinery.
     Boundaries come from deterministic evenly-spaced samples; they only
     steer partitioning — final order and dedup are boundary-independent."""
-    n_cpus = max(2, int(ray.cluster_resources().get("CPU", 4)))
     # ~300k keys per sort range; below one range, sorting in one task beats
     # paying the sample/split round
-    P = max(1, min(n_cpus, round(n_rows / 300_000)))
+    P = max(1, min(cluster_cpus(), round(n_rows / 300_000)))
     if P <= 1:
         return [_sort_keys_single.remote(*key_refs)]
     samples = sorted(
@@ -180,7 +184,6 @@ def _sorted_key_blocks(key_refs: list, n_rows: int) -> list:
         _split_keys.options(num_returns=P).remote(r, bounds) for r in key_refs
     ]
     return [_sort_range.remote(*[s[p] for s in splits]) for p in range(P)]
-
 
 
 @ray.remote
@@ -258,29 +261,49 @@ def _apply_ids(block: pa.Table, bid: int, *winner_groups: pa.Table) -> pa.Table:
     return _stamped_block(block, bid, winner_groups)
 
 
-@ray.remote(num_returns=2)
-def _apply_ids_write(
-    block: pa.Table, bid: int, docs_dir: str, compression: str, *winner_groups: pa.Table
-):
+@ray.remote
+def _map_stamped(block: pa.Table, bid: int, fn, kwargs: dict, *winner_groups: pa.Table):
+    """``fn(docs, **kwargs)`` over the id-stamped winners of one block."""
+    return fn(_stamped_block(block, bid, winner_groups), **kwargs)
+
+
+@ray.remote
+def _apply_ids_write(block: pa.Table, bid: int, docs_dir: str, analyzer_id: str, spill: dict,
+                     *winner_groups: pa.Table) -> tuple[int, int]:
     """Like _apply_ids, but writes the finished doc-store block straight to
     ``docs_dir/part-{bid}.parquet`` (atomic tmp+rename) instead of returning
     it — the corpus payload goes object store → disk without a second
-    materialized copy.  A part file that already exists (same build plan,
-    see dedup_assign_write) is left untouched and only re-counted — block-
-    level resume for the docs phase.  Returns (n_rows, sum_dl)."""
+    materialized copy.  The winners are tokenized once: the tokens give the
+    doc store its ``dl`` column and the block's flat postings, which
+    ``postings.spill_block(**spill)`` spills BEFORE the part is written, so
+    the part is the block's commit.  A part file that already exists (same
+    build plan, see dedup_assign_write) is not rewritten — block-level
+    resume — and if its spill is gone it is spilled again from the part.
+    Returns (n_rows, sum_dl)."""
     import pyarrow.parquet as pq
 
+    from librecatastro_ray.functions.analysis import get_analyzer
+
+    tokenize = get_analyzer(analyzer_id).tokenize_batch
     path = os.path.join(docs_dir, f"part-{bid:06d}.parquet")
     if os.path.exists(path):
-        t = pq.read_table(path, columns=["dl"])
-        return len(t), int(np.asarray(t["dl"]).sum()) if len(t) else 0
-    out = _stamped_block(block, bid, winner_groups)
-    if len(out) == 0:
+        if postings.spilled(spill["spill_dir"], bid):
+            dl = pq.read_table(path, columns=["dl"])["dl"]
+            return len(dl), int(np.asarray(dl).sum())
+        docs = pq.read_table(path)
+        postings.spill_block(docs, tokenize(docs["content"]), bid, **spill)
+        return len(docs), int(np.asarray(docs["dl"]).sum())
+    docs = _stamped_block(block, bid, winner_groups)
+    if len(docs) == 0:
         return 0, 0
+    tokens = tokenize(docs["content"])
+    # the doc-store column order: corpus columns, sha256, dl, doc_id
+    docs = docs.add_column(docs.num_columns - 1, "dl", pa.array(tokens[2], pa.int64()))
+    postings.spill_block(docs, tokens, bid, **spill)
     tmp = path + ".tmp"
-    pq.write_table(out, tmp, compression="zstd" if compression == "zstd" else compression)
+    pq.write_table(docs, tmp, compression="zstd")
     os.replace(tmp, path)
-    return len(out), int(np.asarray(out["dl"]).sum())
+    return len(docs), int(tokens[2].sum())
 
 
 def binary_column_payload(col) -> np.ndarray:
@@ -309,7 +332,7 @@ def binary_column_payload(col) -> np.ndarray:
 @ray.remote
 def _block_fp(block: pa.Table) -> str:
     """Content fingerprint of one corpus block: md5 over the FULL sha256
-    column (already computed by add_sha_dl — ~64 B/row, so hashing every row
+    column (already computed by add_sha — ~64 B/row, so hashing every row
     is microseconds per block).  Makes the resume plan CONTENT-aware: any
     byte change in any row changes that row's sha and hence the block
     fingerprint, so identical-layout content changes can no longer silently
@@ -388,11 +411,11 @@ def _winner_splits(
 
 
 def dedup_and_assign_ids(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
-    """sha256 + dl → key-only global sort (repo, path, sha256) → per-block
+    """sha256 → key-only global sort (repo, path, sha256) → per-block
     dedup + dense doc_id routed back to unmoved content blocks.  Returns
-    ``(dataset, n_docs)``; the dataset has sha256, dl and doc_id columns and
+    ``(dataset, n_docs)``; the dataset has sha256 and doc_id columns and
     at most one row per (repo, path)."""
-    ds = ds.map_batches(add_sha_dl, batch_format="pyarrow", batch_size=512)
+    ds = ds.map_batches(add_sha, batch_format="pyarrow", batch_size=512)
     mat = ds.materialize()
     block_refs = _bundle_refs(mat)
     if not block_refs:
@@ -408,44 +431,49 @@ def dedup_and_assign_ids(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
 def dedup_assign_write(
     ds: ray.data.Dataset,
     docs_dir: str,
-    compression: str = "zstd",
-    analyzer_id: str = "code_standard_v1",
+    spill_dir: str,
+    config: IndexConfig,
+    hot_terms: Callable[[Callable, int, IndexConfig], list[str]],
     id_base: int = 0,
-) -> tuple[int, int]:
-    """Fused variant for the build pipeline: dedup + id assignment with the
+) -> tuple[int, int, dict]:
+    """The doc-id pass of a build or an add: dedup + id assignment with the
     finished doc-store blocks written straight to ``docs_dir`` (one parquet
     file per content block, atomic rename) — the corpus payload crosses the
-    object store exactly once and is never re-materialized.
+    object store exactly once and is never re-materialized — and each
+    block's flat postings spilled to ``spill_dir/skey=K/part-{bid}.parquet``
+    by the same task, salted for the segment that starts at doc id
+    ``id_base``.  The sha256 ``map_batches`` is the pass's only Ray Data
+    job; the rest are plain tasks.  Once the ids are assigned,
+    ``hot_terms(map_docs, n_docs, config)`` chooses the segment's hot terms,
+    where ``map_docs(fn, **kwargs)`` returns ``fn(docs, **kwargs)`` over
+    every id-stamped block, run as plain tasks.
 
     Block-level resume: a ``_PLAN.json`` records (n_blocks, n_rows,
-    per-block row counts AND per-block content fingerprints) before any
-    write; when a rerun sees the same plan, part files that survived the
-    crash are kept (ids are deterministic for a fixed corpus, so surviving
-    files are correct) and only missing blocks are recomputed.  A differing
-    plan — shape OR content (the fingerprints hash each block's sha256
-    samples) — wipes the directory first.  Returns ``(n_docs, sum_dl)``."""
+    per-block row counts AND per-block content fingerprints, and the
+    config) before any write; when a rerun sees the same plan, part files
+    that survived the crash are kept (ids are deterministic for a fixed
+    corpus, so surviving files are correct) and only missing blocks are
+    recomputed.  A differing plan — shape, content (the fingerprints hash
+    each block's sha256 column) or config — wipes the doc-store parts and
+    the spill first.  Returns ``(n_docs, sum_dl, layout)``, where layout
+    holds the spill's ``hot_terms``, ``salt_width`` and ``skeys`` (sorted;
+    none when no doc has a token)."""
     import glob
     import json
 
     os.makedirs(docs_dir, exist_ok=True)
-    ds = ds.map_batches(
-        add_sha_dl,
-        fn_kwargs={"analyzer_id": analyzer_id},
-        batch_format="pyarrow",
-        batch_size=512,
-    )
-    mat = ds.materialize()
+    mat = ds.map_batches(add_sha, batch_format="pyarrow", batch_size=512).materialize()
     block_refs, block_rows = _bundle_refs_meta(mat)
     if not block_refs:
-        return 0, 0
+        return 0, 0, {"hot_terms": [], "salt_width": 1, "skeys": []}
     n_rows = mat.count()
     plan_path = os.path.join(docs_dir, "_PLAN.json")
-    block_fps = ray.get([_block_fp.remote(r) for r in block_refs])
     plan = {
         "n_blocks": len(block_refs),
         "n_rows": int(n_rows),
         "block_rows": block_rows,
-        "block_fps": block_fps,
+        "block_fps": ray.get([_block_fp.remote(r) for r in block_refs]),
+        "config": config.to_json(),
     }
     old_plan = None
     if os.path.exists(plan_path):
@@ -454,17 +482,30 @@ def dedup_assign_write(
     if old_plan != plan:
         for f in glob.glob(os.path.join(docs_dir, "part-*.parquet*")):
             os.remove(f)
+        shutil.rmtree(spill_dir, ignore_errors=True)
         tmp = plan_path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(plan, f)
         os.replace(tmp, plan_path)
     groups, span, n_docs = _winner_splits(block_refs, n_rows, id_base)
-    count_refs, dl_refs = [], []
-    for bid, block in enumerate(block_refs):
-        c, d = _apply_ids_write.remote(block, bid, docs_dir, compression, *groups[bid // span])
-        count_refs.append(c)
-        dl_refs.append(d)
-    counts = ray.get(count_refs)
-    dl_sums = ray.get(dl_refs)
+
+    def map_docs(fn, **kwargs) -> list:
+        return ray.get([_map_stamped.remote(block, bid, fn, kwargs, *groups[bid // span])
+                        for bid, block in enumerate(block_refs)])
+
+    hot = hot_terms(map_docs, n_docs, config)
+    width = salt_range_width(n_docs, config.num_salts)
+    spill = {"spill_dir": spill_dir, "positions": config.positions,
+             "num_partitions": config.num_partitions, "num_salts": config.num_salts,
+             "hot_terms": hot, "salt_width": width, "salt_base": id_base}
+    refs = [_apply_ids_write.remote(block, bid, docs_dir, config.analyzer, spill,
+                                    *groups[bid // span])
+            for bid, block in enumerate(block_refs)]
+    # let every task end before a failure surfaces: a rerun then never
+    # races a task of the failed attempt
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    counts, dl_sums = zip(*ray.get(refs))
     assert sum(counts) == n_docs, f"doc-store rows {sum(counts)} != winners {n_docs}"
-    return n_docs, int(sum(dl_sums))
+    skeys = sorted(int(name.split("=")[1]) for name in os.listdir(spill_dir)
+                   if name.startswith("skey=")) if os.path.isdir(spill_dir) else []
+    return n_docs, int(sum(dl_sums)), {"hot_terms": hot, "salt_width": width, "skeys": skeys}

@@ -1,7 +1,8 @@
-"""Flat-posting emission + salted term partitioning.
+"""Flat-posting emission + salted term partitioning + the block spill.
 
-map_batches stage (stateless in data, stateful in config → actor pool) that
-turns doc batches into flat postings ``(term, doc_id, tf, dl, skey)`` where
+Turns an id-stamped doc block into flat postings ``(term, doc_id, tf, dl,
+skey)`` — inside the doc-id apply task, from the tokens that also give the
+doc store its ``dl`` — and spills them partitioned by skey, where
 
     pkey = term_hash(term) % P                 (term partition — the analogue
                                                 of the reference's 5 shards,
@@ -24,12 +25,16 @@ bounds locally without a doc-stats join.
 
 from __future__ import annotations
 
+import glob
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
-from librecatastro_ray.functions.analysis import get_analyzer, term_frequencies_with
 from librecatastro_ray.functions.hashing import term_hashes
+from librecatastro_ray.functions.tokenizer import term_frequencies_from
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -53,22 +58,19 @@ def salt_range_width(n_docs: int, num_salts: int) -> int:
 
 def flat_postings(
     batch: pa.Table,
+    tokens: tuple,
     *,
     num_partitions: int,
     num_salts: int,
     hot_terms: list[str],
     salt_width: int,
     salt_base: int = 0,
-    analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
-    """map_batches (stateless task, ``fn_kwargs``): tokenize + emit flat
-    postings.  Task-based rather than an actor pool: the per-task state
-    (the hot-term list, typically tens of keyword-class strings) is trivially
-    small, and warm-worker reuse beats paying an actor-process startup per
-    pool slot.  A genuinely large broadcast side would move to ``ray.put`` +
-    an actor pool.  The analyzer travels as its registry ID (resolved here,
-    inside the task)."""
-    tf_table, dl = term_frequencies_with(get_analyzer(analyzer_id), batch["content"])
+    """The flat postings of a doc batch with a ``doc_id`` column, whose
+    content the analyzer tokenized to ``tokens`` = ``(parent_idx, terms,
+    dl)`` (the doc-id apply task tokenizes once: the same tokens give the
+    doc store its ``dl``)."""
+    tf_table, dl = term_frequencies_from(*tokens)
     rows = tf_table["row"].to_numpy()
     enc = pc.dictionary_encode(tf_table["term"].combine_chunks())
     return _postings_table(
@@ -116,13 +118,13 @@ def _postings_table(
 
 def flat_postings_positional(
     batch: pa.Table,
+    tokens: tuple,
     *,
     num_partitions: int,
     num_salts: int,
     hot_terms: list[str],
     salt_width: int,
     salt_base: int = 0,
-    analyzer_id: str = "code_standard_v1",
 ) -> pa.Table:
     """Positional twin of :func:`flat_postings`: each output posting also
     carries ``pos``, the term's ascending occurrence positions within the
@@ -132,8 +134,7 @@ def flat_postings_positional(
     IndexOptions.DOCS_AND_FREQS_AND_POSITIONS."""
     from librecatastro_ray.functions.tokenizer import token_positions_from
 
-    analyzer = get_analyzer(analyzer_id)
-    parent_idx, toks, dl = analyzer.tokenize_batch(batch["content"])
+    parent_idx, toks, dl = tokens
     pos = token_positions_from(parent_idx, dl)
     n_tok = len(toks)
     enc = pc.dictionary_encode(pa.array(toks, pa.string()))
@@ -163,3 +164,34 @@ def flat_postings_positional(
     )
 
 
+
+
+def spill_path(spill_dir: str, skey: int | str, bid: int) -> str:
+    """Block ``bid``'s spill file of partition ``skey``."""
+    return os.path.join(spill_dir, f"skey={skey}", f"part-{bid:06d}.parquet")
+
+
+def spilled(spill_dir: str, bid: int) -> bool:
+    """Whether block ``bid`` has written a spill file."""
+    return bool(glob.glob(spill_path(spill_dir, "*", bid)))
+
+
+def spill_block(docs: pa.Table, tokens: tuple, bid: int, spill_dir: str, *, positions: bool,
+                **route) -> None:
+    """Spill the flat postings of one id-stamped doc block, whose content
+    the analyzer tokenized to ``tokens``: one file per partition it holds,
+    ``spill_dir/skey=K/part-{bid}.parquet`` without the skey column, each
+    written to a dot-named tmp file (which the merge's dataset read skips)
+    and renamed.  ``route`` is the salting of :func:`flat_postings`."""
+    emit = flat_postings_positional if positions else flat_postings
+    flat = emit(docs, tokens, **route)
+    skey = flat["skey"].to_numpy()
+    order = np.argsort(skey, kind="stable")
+    keys, starts = np.unique(skey[order], return_index=True)
+    flat = flat.drop_columns("skey").take(pa.array(order))
+    for k, start, end in zip(keys, starts, [*starts[1:], len(order)]):
+        path = spill_path(spill_dir, int(k), bid)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+        pq.write_table(flat.slice(start, end - start), tmp)
+        os.replace(tmp, path)

@@ -5,14 +5,17 @@ docs [b + s × W, b + (s + 1) × W), its last salt the rest, so its runs in
 (segment, salt) order are doc order.  With a tiny budget, range-salted runs
 exist, every run is doc-sorted and inside its range, and every query kind
 answers as the pure-Python oracle, before and after an add, which writes a
-segment with its own hot terms and salt width.  Below the budget nothing is
-salted and the hot-term sample is never tokenized."""
+segment with its own hot terms and salt width.  Above the budget the hot
+terms are the sampled df of the committed (deduped) docs; below it nothing
+is salted and the hot-term sample is never tokenized."""
 
+import hashlib
 import os
 from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from librecatastro_ray.pipelines import build as bmod
 from librecatastro_ray.pipelines import query as qmod
 from librecatastro_ray.pipelines.build import add_documents, build_index
 from librecatastro_ray.pipelines.query import QueryEngine, batch_search_scatter
+from librecatastro_ray.state.manifest import load_manifest
 
 VOCAB = [f"w{i}" for i in range(24)]
 
@@ -195,3 +199,49 @@ def test_below_budget_build_salts_nothing_and_samples_nothing(tmp_path, corpus_s
                for _seg, salt in eng._salts(t))
     assert Counter(eng.export_postings()["term"].to_pylist()) == Counter(
         dict(zip(*[eng.full_dictionary()[c].to_pylist() for c in ("term", "df")])))
+
+
+def _with_losers(table: pa.Table, n_dups: int) -> pa.Table:
+    """``table`` plus a losing duplicate of each of its first ``n_dups``
+    keys: the same (repo, path), a smaller content sha256 (the dedup keeps
+    the greatest) and the token ``lost``, which no winner holds."""
+    def sha(c):
+        return hashlib.sha256(c.encode()).hexdigest()
+
+    rows = table.to_pylist()
+    losers = []
+    for r in rows[:n_dups]:
+        c = "lost " * 5 + r["content"]
+        while sha(c) > sha(r["content"]):
+            c = "lost " + c
+        losers.append(dict(r, content=c))
+    return pa.Table.from_pylist(rows + losers)
+
+
+def test_hot_terms_are_the_sampled_df_of_the_committed_docs(tmp_path):
+    """Above the budget, the hot terms of a build and of an add are exactly
+    the terms whose df over the segment's committed docs with
+    ``doc_id % mod == 0``, scaled to the segment, exceeds the budget: the
+    sample is drawn after the dedup, from the id-stamped winners, so the
+    duplicates that lost never count."""
+    rng = np.random.RandomState(4)
+    cfg = IndexConfig(num_partitions=2, num_salts=2, block_size=4, blocks_row_group_size=2,
+                      hot_sample_target=10)
+    corpus = _corpus(rng, 120)
+    idx = str(tmp_path / "idx")
+    build_index(_with_losers(corpus.slice(0, 80), 40), idx, cfg)
+    add_documents(_with_losers(corpus.slice(80), 20), idx)
+    segs = load_manifest(idx)["segments"]
+    assert [s["n_docs"] for s in segs] == [80, 40]
+    for seg in segs:
+        docs = pads.dataset([os.path.join(idx, f) for f in seg["docs"]],
+                            format="parquet").to_table(columns=["doc_id", "content"])
+        n = seg["n_docs"]
+        mod = n // cfg.hot_sample_target
+        assert mod > 1
+        sample = [c for d, c in zip(docs["doc_id"].to_pylist(), docs["content"].to_pylist())
+                  if d % mod == 0]
+        df = Counter(t for c in sample for t in set(tokenize(c)))
+        want = sorted(t for t, f in df.items() if f * n > cfg.hot_postings_budget * len(sample))
+        assert want and set(want) < set(df)
+        assert seg["hot_terms"] == want

@@ -139,6 +139,7 @@ def test_changed_block_content_invalidates_docs_resume(tmp_path):
     import pyarrow.dataset as pads
     import ray.data
 
+    from librecatastro_ray.pipelines.build import estimate_hot_terms
     from librecatastro_ray.stages.doc_ids import dedup_assign_write
 
     t1 = make_corpus(n_docs=200, seed=21, vocab_size=300, mean_tokens=20)
@@ -148,12 +149,13 @@ def test_changed_block_content_invalidates_docs_resume(tmp_path):
     t2 = t1.set_column(
         t1.schema.get_field_index("content"), "content", pa.array(contents, pa.string())
     )
-    docs_dir = str(tmp_path / "docs")
-    dedup_assign_write(ray.data.from_arrow(t1).repartition(4), docs_dir)
+    docs_dir, spill_dir = str(tmp_path / "docs"), str(tmp_path / "shuffle")
+    args = (docs_dir, spill_dir, IndexConfig(), estimate_hot_terms)
+    dedup_assign_write(ray.data.from_arrow(t1).repartition(4), *args)
     sha_v1 = set(pads.dataset(docs_dir, format="parquet").to_table(columns=["sha256"])["sha256"].to_pylist())
     # same shape (4 blocks, 200 rows) but new content — a rerun must NOT
     # keep the v1 part files
-    dedup_assign_write(ray.data.from_arrow(t2).repartition(4), docs_dir)
+    dedup_assign_write(ray.data.from_arrow(t2).repartition(4), *args)
     sha_v2 = set(pads.dataset(docs_dir, format="parquet").to_table(columns=["sha256"])["sha256"].to_pylist())
     assert sha_v1.isdisjoint(sha_v2), "stale doc-store part files survived a content change"
 
@@ -187,3 +189,82 @@ def test_changed_corpus_path_invalidates_completed_phases(tmp_path):
     eng = QueryEngine(idx)
     assert eng.count("zzznewterm") > 0, "new content must be indexed"
     assert eng.count("def") == 0, "stale content must be gone"
+
+
+def _crash_before_doc_parts(monkeypatch, bids: set[int]) -> None:
+    """Make the doc-id apply task of each block in ``bids`` fail after it
+    spilled its postings and before it wrote its doc-store part.  The task
+    runs in a worker, so a stand-in task fails the part's write there."""
+    import ray
+
+    from librecatastro_ray.stages import doc_ids
+
+    @ray.remote
+    def apply(block, bid, docs_dir, *args):
+        import pyarrow.parquet as pq
+
+        from librecatastro_ray.stages import doc_ids as worker_doc_ids
+
+        write = pq.write_table
+
+        def fail_doc_part(table, where, **kwargs):
+            if bid in bids and os.path.dirname(where) == docs_dir:
+                raise RuntimeError("simulated crash before the doc-store part")
+            return write(table, where, **kwargs)
+
+        pq.write_table = fail_doc_part
+        try:
+            return worker_doc_ids._apply_ids_write._function(block, bid, docs_dir, *args)
+        finally:
+            pq.write_table = write
+
+    monkeypatch.setattr(doc_ids, "_apply_ids_write", apply)
+
+
+def test_apply_round_crash_between_spill_and_doc_part_resumes_to_the_clean_index(
+        tmp_path, monkeypatch):
+    """The apply round of a build, and of an add, fails after some blocks
+    spilled their postings but before they wrote their doc-store parts.
+    ``build_index(resume=True)`` and a rerun of the add then give the
+    manifest (every posting file's sha256 included) of a clean run."""
+    import pytest
+    import ray.data
+
+    from librecatastro_ray.pipelines.build import add_documents
+    from librecatastro_ray.stages.postings import spilled
+
+    # 300-row input blocks, which the sha pass (batch_size=512) bundles in
+    # pairs into doc-id blocks: 3 in the build, 2 in the add
+    table = make_corpus(n_docs=3000, seed=17, vocab_size=300, mean_tokens=10)
+    base = lambda: ray.data.from_arrow(table.slice(0, 1800)).repartition(6)  # noqa: E731
+    delta = lambda: ray.data.from_arrow(table.slice(1800)).repartition(4)  # noqa: E731
+    clean, crash = str(tmp_path / "clean"), str(tmp_path / "crash")
+    build_index(base(), clean, _cfg())
+    seg = load_manifest(clean)["segments"][0]
+    assert seg["hot_terms"] and len(seg["docs"]) == 3
+
+    _crash_before_doc_parts(monkeypatch, {0, 2})
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        build_index(base(), crash, _cfg())
+    monkeypatch.undo()
+    docs, shuffle = os.path.join(crash, "docs"), os.path.join(crash, "shuffle")
+    for bid in range(3):
+        part = os.path.exists(os.path.join(docs, f"part-{bid:06d}.parquet"))
+        assert spilled(shuffle, bid) and part == (bid == 1), bid
+    build_index(base(), crash, _cfg(), resume=True)
+    assert json.dumps(load_manifest(crash), sort_keys=True) == json.dumps(
+        load_manifest(clean), sort_keys=True)
+
+    add_documents(delta(), clean)
+    committed = load_manifest(crash)
+    _crash_before_doc_parts(monkeypatch, {1})
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        add_documents(delta(), crash)
+    monkeypatch.undo()
+    assert load_manifest(crash) == committed
+    assert spilled(os.path.join(crash, "seg-0001", "shuffle"), 1)
+    add_documents(delta(), crash)
+    assert json.dumps(load_manifest(crash), sort_keys=True) == json.dumps(
+        load_manifest(clean), sort_keys=True)
+    for text in ("def", "return if", "id_00001 id_00002"):
+        assert QueryEngine(crash).match(text, 10).equals(QueryEngine(clean).match(text, 10))

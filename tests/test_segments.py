@@ -13,6 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pytest
+import ray
 
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.bm25 import idf, tf_norm
@@ -22,6 +23,7 @@ from librecatastro_ray.oracle import OracleIndex
 from librecatastro_ray.pipelines import build as build_mod
 from librecatastro_ray.pipelines.build import add_documents, build_index, compact_index
 from librecatastro_ray.pipelines.query import QueryEngine, batch_search_scatter
+from librecatastro_ray.stages import doc_ids as doc_ids_mod
 from librecatastro_ray.state.manifest import (delete_docs, deleted_path, load_deleted,
                                               load_manifest, read_ids)
 
@@ -235,7 +237,20 @@ def _copy(src: str, dst) -> str:
 
 def _crash_at(monkeypatch, step: str) -> None:
     """Make the add's ``step`` raise: after doing its work, or, for the
-    manifest save (the commit point), before."""
+    manifest save (the commit point), before.  ``_apply_ids_write`` is the
+    doc-id task that spills its block's postings and writes its doc-store
+    part; it runs in a worker, so a stand-in task runs it there and
+    raises."""
+    if step == "_apply_ids_write":
+        @ray.remote
+        def crash(*args):
+            from librecatastro_ray.stages import doc_ids
+
+            doc_ids._apply_ids_write._function(*args)
+            raise RuntimeError(f"simulated crash in {step}")
+
+        monkeypatch.setattr(doc_ids_mod, step, crash)
+        return
     real = getattr(build_mod, step)
 
     def crash(*args, **kwargs):
@@ -246,8 +261,8 @@ def _crash_at(monkeypatch, step: str) -> None:
     monkeypatch.setattr(build_mod, step, crash)
 
 
-@pytest.mark.parametrize("step", ["dedup_assign_write", "_upserted_ids", "write_ids", "_spill",
-                                  "_merge_partitions", "save_manifest"])
+@pytest.mark.parametrize("step", ["dedup_assign_write", "_upserted_ids", "write_ids",
+                                  "_apply_ids_write", "_merge_partitions", "save_manifest"])
 def test_add_crash_at_any_step_leaves_the_committed_index(base_index, tmp_path, monkeypatch,
                                                           step):
     """An add (with upserts) that fails at any step shows nothing of itself:

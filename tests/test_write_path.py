@@ -8,6 +8,8 @@
 - A merge task over a run of partitions checkpoints each partition as it
   finishes: a failure part-way keeps the finished checkpoints, and resume
   merges exactly the rest.
+- A build or an add runs one Ray Data job and tokenizes each winning doc
+  once.
 """
 
 import json
@@ -62,11 +64,11 @@ def test_emitters_route_every_posting_by_its_term_and_doc(
     else:
         hot = data.draw(st.lists(st.sampled_from(vocab), unique=True)) if vocab else []
     hot_set = set(hot)
-    kw = {"num_partitions": P, "num_salts": S, "hot_terms": hot, "salt_width": W,
-          "analyzer_id": analyzer_id}
+    kw = {"num_partitions": P, "num_salts": S, "hot_terms": hot, "salt_width": W}
     cols = ["term", "doc_id", "tf", "dl", "skey"]
-    plain = flat_postings(batch, **kw)
-    positional = flat_postings_positional(batch, **kw)
+    tokens = get_analyzer(analyzer_id).tokenize_batch(batch["content"])
+    plain = flat_postings(batch, tokens, **kw)
+    positional = flat_postings_positional(batch, tokens, **kw)
     for out in (plain, positional):
         rows = out.select(cols).to_pylist()
         assert {r["term"] for r in rows} == set(vocab)
@@ -181,3 +183,74 @@ def test_multi_row_merge_batch_writes_the_bytes_of_one_row_calls(clean_build, tm
     got = _parts_bytes(grouped)
     assert got == _parts_bytes(single) == _parts_bytes(clean_dir)
     assert len(got) == 2 * len(skeys)
+
+
+# Run in a fresh interpreter with its own one-CPU Ray session, whose
+# workers all start with a set-up hook that counts the rows every
+# tokenize call sees; the driver counts Ray Data executions.
+_ONE_PASS_SCRIPT = r'''
+import json, os, sys
+import ray, ray.data
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
+from librecatastro_ray import IndexConfig, add_documents, build_index
+from librecatastro_ray.sources.synth import make_corpus
+
+def count_tokenized_rows():
+    from librecatastro_ray.functions import tokenizer
+    real = tokenizer.tokenize_batch_pattern
+    def counted(arr, pattern):
+        with open(os.path.join(os.environ["ROWS_DIR"], f"{os.getpid()}.txt"), "a") as f:
+            f.write(f"{len(arr)}\n")
+        return real(arr, pattern)
+    tokenizer.tokenize_batch_pattern = counted
+
+def tokenized_rows():
+    d = os.environ["ROWS_DIR"]
+    return sum(int(n) for f in os.listdir(d) for n in open(os.path.join(d, f)))
+
+jobs = []
+execute = StreamingExecutor.execute
+def counted_execute(self, *args, **kwargs):
+    jobs.append(1)
+    return execute(self, *args, **kwargs)
+StreamingExecutor.execute = counted_execute
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR",
+         runtime_env={"worker_process_setup_hook": count_tokenized_rows,
+                      "env_vars": {"ROWS_DIR": os.environ["ROWS_DIR"]}})
+ray.data.DataContext.get_current().enable_progress_bars = False
+idx = sys.argv[1]
+base = make_corpus(n_docs=300, seed=3, vocab_size=200, mean_tokens=20, dup_frac=0.1)
+delta = make_corpus(n_docs=60, seed=4, vocab_size=200, mean_tokens=20, dup_frac=0.2)
+out = []
+for write in (lambda: build_index(base, idx, IndexConfig(positions=True)),
+              lambda: add_documents(delta, idx)):
+    jobs.clear()
+    rows = tokenized_rows()
+    m = write()["manifest"]
+    out.append({"rows": base.num_rows if not out else delta.num_rows,
+                "winners": m["segments"][-1]["n_docs"], "jobs": len(jobs),
+                "tokenized": tokenized_rows() - rows})
+ray.shutdown()
+print(json.dumps(out))
+'''
+
+
+def test_a_write_runs_one_ray_data_job_and_tokenizes_each_winner_once(tmp_path):
+    """A build and an add each run one Ray Data job (the corpus read and
+    the sha256 map) and tokenize every doc that wins the dedup exactly
+    once: no duplicate that loses is tokenized, and nothing re-reads the
+    doc store to tokenize it again."""
+    import subprocess
+    import sys
+
+    rows_dir = tmp_path / "rows"
+    rows_dir.mkdir()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, ROWS_DIR=str(rows_dir), PYTHONPATH=root)
+    proc = subprocess.run([sys.executable, "-c", _ONE_PASS_SCRIPT, str(tmp_path / "idx")],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    for write in json.loads(proc.stdout.strip().splitlines()[-1]):
+        assert write["winners"] < write["rows"], "needs duplicates that lose"
+        assert write["jobs"] == 1 and write["tokenized"] == write["winners"], write
