@@ -66,8 +66,9 @@ class IndexConfig:
     # ``blocks_row_group_size`` rows.
     blocks_row_group_size: int = 2048
 
-    # Tokenize/doc-stats batch size (rows per map_batches call). content can
-    # be 100KB+ per row, so keep batches modest.
+    # Rows per tokenize call of the doc-id apply task (one slice of its
+    # block: its dl and its flat postings). content can be 100KB+ per row,
+    # so keep batches modest.
     batch_size: int = 512
 
     @property

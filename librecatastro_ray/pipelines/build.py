@@ -82,6 +82,15 @@ def _phase_done(d: str) -> bool:
     return os.path.exists(_marker(d))
 
 
+def _partitioning(config: IndexConfig) -> dict:
+    """The config fields that decide the spill's skeys, hot terms and salt
+    width and the merged parts' blocks (the analysis ones are the docs
+    marker's ``analysis_fp``), recorded in the shuffle marker."""
+    fields = ("num_partitions", "num_salts", "hot_sample_target", "block_size",
+              "blocks_row_group_size")
+    return {f: getattr(config, f) for f in fields}
+
+
 def corpus_fingerprint(path: str) -> str:
     """Cheap content-change detector for resume validation: sha256 over the
     sorted (relpath, size, mtime_ns) of the corpus parquet files.  Stored in
@@ -323,7 +332,11 @@ def build_index(
             report["phases_invalidated"] = ["docs", "shuffle", "merge"]
             stats = None
     shuffle_meta = read_json(_marker(shuffle_dir)) if _phase_done(shuffle_dir) else None
-    if shuffle_meta is not None and shuffle_meta.get("version") != INDEX_FORMAT_VERSION:
+    # a finished spill of another partitioning is stale: the pass below
+    # rewrites it (and the doc store), and its merged partitions go too
+    if shuffle_meta is not None and (
+            shuffle_meta.get("version") != INDEX_FORMAT_VERSION
+            or shuffle_meta.get("partitioning") != _partitioning(config)):
         shuffle_meta = None
     if stats is not None and shuffle_meta is not None:
         report["phases_skipped"] += ["docs", "shuffle"]
@@ -339,7 +352,7 @@ def build_index(
         stats = {"n_docs": int(n_docs_a), "sum_dl": int(sum_dl_a),
                  "src_fp": src_fp, "analysis_fp": analysis_fp}
         atomic_write_json(_marker(docs_dir), stats)
-        shuffle_meta["version"] = INDEX_FORMAT_VERSION
+        shuffle_meta.update(version=INDEX_FORMAT_VERSION, partitioning=_partitioning(config))
         atomic_write_json(_marker(shuffle_dir), shuffle_meta)
     report["phase_seconds"]["docs"] = round(_t() - _t0, 3)
     _t0 = _t()

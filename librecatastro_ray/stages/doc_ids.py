@@ -35,8 +35,9 @@ a metadata operation.  Instead:
      the node already holding the block — content crosses the network zero
      times in the common case, and the fused write variant streams the
      finished doc-store block straight to parquet.  That task tokenizes the
-     block's winners once, for their ``dl`` and for the block's flat
-     postings, which it spills before it writes the doc-store part.
+     block's winners once (``batch_size`` rows at a time), for their ``dl``
+     and for the block's flat postings, which it spills before it writes
+     the doc-store part.
 """
 
 from __future__ import annotations
@@ -273,12 +274,13 @@ def _apply_ids_write(block: pa.Table, bid: int, docs_dir: str, analyzer_id: str,
     """Like _apply_ids, but writes the finished doc-store block straight to
     ``docs_dir/part-{bid}.parquet`` (atomic tmp+rename) instead of returning
     it — the corpus payload goes object store → disk without a second
-    materialized copy.  The winners are tokenized once: the tokens give the
-    doc store its ``dl`` column and the block's flat postings, which
-    ``postings.spill_block(**spill)`` spills BEFORE the part is written, so
-    the part is the block's commit.  A part file that already exists (same
-    build plan, see dedup_assign_write) is not rewritten — block-level
-    resume — and if its spill is gone it is spilled again from the part.
+    materialized copy.  The winners are tokenized once, ``batch_size`` rows
+    at a time, by ``postings.spill_block(**spill)``: the tokens give the
+    block's flat postings, which it spills BEFORE the part is written (so
+    the part is the block's commit), and the doc store's ``dl`` column.  A
+    part file that already exists (same build plan, see
+    dedup_assign_write) is not rewritten — block-level resume — and if its
+    spill is gone it is spilled again from the part.
     Returns (n_rows, sum_dl)."""
     import pyarrow.parquet as pq
 
@@ -291,19 +293,18 @@ def _apply_ids_write(block: pa.Table, bid: int, docs_dir: str, analyzer_id: str,
             dl = pq.read_table(path, columns=["dl"])["dl"]
             return len(dl), int(np.asarray(dl).sum())
         docs = pq.read_table(path)
-        postings.spill_block(docs, tokenize(docs["content"]), bid, **spill)
+        postings.spill_block(docs, tokenize, bid, **spill)
         return len(docs), int(np.asarray(docs["dl"]).sum())
     docs = _stamped_block(block, bid, winner_groups)
     if len(docs) == 0:
         return 0, 0
-    tokens = tokenize(docs["content"])
+    dl = postings.spill_block(docs, tokenize, bid, **spill)
     # the doc-store column order: corpus columns, sha256, dl, doc_id
-    docs = docs.add_column(docs.num_columns - 1, "dl", pa.array(tokens[2], pa.int64()))
-    postings.spill_block(docs, tokens, bid, **spill)
+    docs = docs.add_column(docs.num_columns - 1, "dl", pa.array(dl, pa.int64()))
     tmp = path + ".tmp"
     pq.write_table(docs, tmp, compression="zstd")
     os.replace(tmp, path)
-    return len(docs), int(tokens[2].sum())
+    return len(docs), int(dl.sum())
 
 
 def binary_column_payload(col) -> np.ndarray:
@@ -495,9 +496,10 @@ def dedup_assign_write(
 
     hot = hot_terms(map_docs, n_docs, config)
     width = salt_range_width(n_docs, config.num_salts)
-    spill = {"spill_dir": spill_dir, "positions": config.positions,
-             "num_partitions": config.num_partitions, "num_salts": config.num_salts,
-             "hot_terms": hot, "salt_width": width, "salt_base": id_base}
+    spill = {"spill_dir": spill_dir, "batch_size": config.batch_size,
+             "positions": config.positions, "num_partitions": config.num_partitions,
+             "num_salts": config.num_salts, "hot_terms": hot, "salt_width": width,
+             "salt_base": id_base}
     refs = [_apply_ids_write.remote(block, bid, docs_dir, config.analyzer, spill,
                                     *groups[bid // span])
             for bid, block in enumerate(block_refs)]

@@ -176,15 +176,25 @@ def spilled(spill_dir: str, bid: int) -> bool:
     return bool(glob.glob(spill_path(spill_dir, "*", bid)))
 
 
-def spill_block(docs: pa.Table, tokens: tuple, bid: int, spill_dir: str, *, positions: bool,
-                **route) -> None:
-    """Spill the flat postings of one id-stamped doc block, whose content
-    the analyzer tokenized to ``tokens``: one file per partition it holds,
+def spill_block(docs: pa.Table, tokenize, bid: int, spill_dir: str, *, batch_size: int,
+                positions: bool, **route) -> np.ndarray:
+    """Spill the flat postings of one id-stamped doc block and return its
+    docs' ``dl``: one file per partition it holds,
     ``spill_dir/skey=K/part-{bid}.parquet`` without the skey column, each
     written to a dot-named tmp file (which the merge's dataset read skips)
-    and renamed.  ``route`` is the salting of :func:`flat_postings`."""
+    and renamed.  ``tokenize`` (an analyzer's ``tokenize_batch``) runs over
+    ``batch_size`` rows at a time, so the per-token Python strings of a
+    block of wide rows never exist at once; each slice's tokens give its
+    ``dl`` and its flat postings.  ``route`` is the salting of
+    :func:`flat_postings`."""
     emit = flat_postings_positional if positions else flat_postings
-    flat = emit(docs, tokens, **route)
+    dls, flats = [], []
+    for start in range(0, len(docs), batch_size):
+        batch = docs.slice(start, batch_size)
+        tokens = tokenize(batch["content"])
+        dls.append(tokens[2])
+        flats.append(emit(batch, tokens, **route))
+    flat = pa.concat_tables(flats)
     skey = flat["skey"].to_numpy()
     order = np.argsort(skey, kind="stable")
     keys, starts = np.unique(skey[order], return_index=True)
@@ -195,3 +205,4 @@ def spill_block(docs: pa.Table, tokens: tuple, bid: int, spill_dir: str, *, posi
         tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
         pq.write_table(flat.slice(start, end - start), tmp)
         os.replace(tmp, path)
+    return np.concatenate(dls)

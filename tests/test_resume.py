@@ -191,6 +191,26 @@ def test_changed_corpus_path_invalidates_completed_phases(tmp_path):
     assert eng.count("def") == 0, "stale content must be gone"
 
 
+def test_mid_merge_resume_under_another_partitioning_rebuilds_the_spill(tmp_path):
+    """Crash mid-merge (both the docs and the shuffle marker written), then
+    resume with another partitioning: the finished spill's skeys belong to
+    the old config, so the resume rewrites it and gives the index of a
+    clean build under the new config."""
+    corpus = make_corpus(n_docs=200, seed=29, vocab_size=300, mean_tokens=30)
+    new_cfg = IndexConfig(num_partitions=3, num_salts=3, block_size=16, blocks_row_group_size=2)
+    clean = str(tmp_path / "clean")
+    build_index(corpus, clean, new_cfg)
+    idx = str(tmp_path / "idx")
+    build_index(corpus, idx, _cfg())
+    os.remove(os.path.join(idx, "manifest.json"))
+    cks = sorted(os.listdir(os.path.join(idx, "checkpoints")))
+    os.remove(os.path.join(idx, "checkpoints", cks[0]))
+    r = build_index(corpus, idx, new_cfg, resume=True)
+    assert "shuffle" not in r["report"]["phases_skipped"]
+    assert json.dumps(load_manifest(idx), sort_keys=True) == json.dumps(
+        load_manifest(clean), sort_keys=True)
+
+
 def _crash_before_doc_parts(monkeypatch, bids: set[int]) -> None:
     """Make the doc-id apply task of each block in ``bids`` fail after it
     spilled its postings and before it wrote its doc-store part.  The task

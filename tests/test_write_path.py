@@ -204,9 +204,9 @@ def count_tokenized_rows():
         return real(arr, pattern)
     tokenizer.tokenize_batch_pattern = counted
 
-def tokenized_rows():
+def tokenize_calls():
     d = os.environ["ROWS_DIR"]
-    return sum(int(n) for f in os.listdir(d) for n in open(os.path.join(d, f)))
+    return [int(n) for f in sorted(os.listdir(d)) for n in open(os.path.join(d, f))]
 
 jobs = []
 execute = StreamingExecutor.execute
@@ -223,14 +223,15 @@ idx = sys.argv[1]
 base = make_corpus(n_docs=300, seed=3, vocab_size=200, mean_tokens=20, dup_frac=0.1)
 delta = make_corpus(n_docs=60, seed=4, vocab_size=200, mean_tokens=20, dup_frac=0.2)
 out = []
-for write in (lambda: build_index(base, idx, IndexConfig(positions=True)),
+for write in (lambda: build_index(base, idx, IndexConfig(positions=True, batch_size=32)),
               lambda: add_documents(delta, idx)):
     jobs.clear()
-    rows = tokenized_rows()
+    seen = len(tokenize_calls())
     m = write()["manifest"]
+    calls = tokenize_calls()[seen:]
     out.append({"rows": base.num_rows if not out else delta.num_rows,
                 "winners": m["segments"][-1]["n_docs"], "jobs": len(jobs),
-                "tokenized": tokenized_rows() - rows})
+                "tokenized": sum(calls), "largest_call": max(calls)})
 ray.shutdown()
 print(json.dumps(out))
 '''
@@ -240,7 +241,8 @@ def test_a_write_runs_one_ray_data_job_and_tokenizes_each_winner_once(tmp_path):
     """A build and an add each run one Ray Data job (the corpus read and
     the sha256 map) and tokenize every doc that wins the dedup exactly
     once: no duplicate that loses is tokenized, and nothing re-reads the
-    doc store to tokenize it again."""
+    doc store to tokenize it again.  No tokenize call sees more than
+    ``batch_size`` rows, so a block of wide rows is tokenized in slices."""
     import subprocess
     import sys
 
@@ -254,3 +256,4 @@ def test_a_write_runs_one_ray_data_job_and_tokenizes_each_winner_once(tmp_path):
     for write in json.loads(proc.stdout.strip().splitlines()[-1]):
         assert write["winners"] < write["rows"], "needs duplicates that lose"
         assert write["jobs"] == 1 and write["tokenized"] == write["winners"], write
+        assert write["largest_call"] == 32, write
