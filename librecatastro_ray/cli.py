@@ -90,16 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="write results to this parquet dir (streaming) "
                          "instead of stdout")
 
-    cu = sub.add_parser("curate", help="composite curation pipeline → parquet "
-                        "partitioned by predicted language (streaming; the "
-                        "100 TB production path — no driver materialization)")
-    cu.add_argument("--sf-dir", required=True,
-                    help="directory holding documents.parquet")
-    cu.add_argument("--out", required=True, help="output parquet dir")
-    cu.add_argument("--min-tokens", type=int, default=10)
-    cu.add_argument("--max-stop-ratio", type=float, default=0.9)
-    cu.add_argument("--max-punct-ratio", type=float, default=0.3)
-
     d = sub.add_parser("drop", help="delete an index (idempotent)")
     d.add_argument("--index", required=True)
 
@@ -236,21 +226,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for row in out.to_pylist():
                 print(json.dumps(row))
-        import ray
-
-        ray.shutdown()
-        return 0
-
-    if args.cmd == "curate":
-        _init_ray()
-        from librecatastro_ray.pipelines.training import curate_corpus_to_parquet
-
-        rep = curate_corpus_to_parquet(
-            args.sf_dir, args.out, min_tokens=args.min_tokens,
-            max_stop_ratio=args.max_stop_ratio,
-            max_punct_ratio=args.max_punct_ratio,
-        )
-        print(json.dumps(rep))
         import ray
 
         ray.shutdown()

@@ -36,19 +36,6 @@ def tf_norm(
     return tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
 
 
-def bm25_contribution(
-    tf: np.ndarray,
-    dl: np.ndarray,
-    df: int,
-    n_docs: int,
-    avgdl: float,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
-) -> np.ndarray:
-    """idf * tfnorm for one term over aligned (tf, dl) posting arrays."""
-    return float(idf(df, n_docs)) * tf_norm(tf, dl, avgdl, k1, b)
-
-
 def topk_indices(scores: np.ndarray, doc_ids: np.ndarray, k: int) -> np.ndarray:
     """Deterministic top-k: score desc, doc_id asc.  Returns indices into the
     input arrays, ordered by rank (the reference's default ES sort,

@@ -111,9 +111,3 @@ def term_frequencies_from(
     )
     return tf_table, dl
 
-
-def term_frequencies_batch(
-    arr: pa.Array | pa.ChunkedArray,
-) -> tuple[pa.Table, np.ndarray]:
-    """Per-(row, term) frequencies under the canonical tokenizer."""
-    return term_frequencies_from(*tokenize_batch(arr))

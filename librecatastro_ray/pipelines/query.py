@@ -661,11 +661,6 @@ class QueryEngine:
                 runs.append((s.doc, s.tf, s.values, s.offsets))
         return runs
 
-    def preload_terms(self, terms: list[str]) -> None:
-        """Warm the contribution (and postings) caches for a term list."""
-        for t in dict.fromkeys(terms):
-            self._term_contribution(t)
-
     def load_postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full decoded postings of a term, doc-sorted:
         (doc_ids int64, tf int64, dl int64).  LRU-cached per term (a batch

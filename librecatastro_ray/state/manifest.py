@@ -68,19 +68,6 @@ def atomic_write_json(path: str, obj: Any) -> None:
             os.unlink(tmp)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    d = os.path.dirname(path)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def read_json(path: str) -> Any:
     with open(path) as f:
         return json.load(f)

@@ -1,8 +1,8 @@
 """Property-based and randomized-conformance tests: vectorized kernels
-(top-k selection, the training layer's document fingerprint, the prefix
-upper bound) vs their obviously-correct scalar counterparts, a randomized
-query sweep and search_after walk against the pure-Python oracle, and
-block-max bounds (WAND exactness) across add and delete."""
+(top-k selection, the prefix upper bound) vs their obviously-correct scalar
+counterparts, a randomized query sweep and search_after walk against the
+pure-Python oracle, and block-max bounds (WAND exactness) across add and
+delete."""
 
 import numpy as np
 import pytest
@@ -23,24 +23,6 @@ def test_topk_indices_matches_naive_lexsort(scores, k):
     got = topk_indices(scores, doc_ids, k)
     order = np.lexsort((doc_ids, -scores))[: min(k, len(scores))]
     assert list(got) == list(order)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.text(alphabet=st.characters(max_codepoint=0x2FFF), max_size=120))
-def test_fingerprint_property(text):
-    import pyarrow as pa
-
-    from librecatastro_ray.functions.hashing import term_hash
-    from librecatastro_ray.functions.tokenizer import tokenize
-    from librecatastro_ray.pipelines.training import _fingerprint_batch
-
-    MOD = (1 << 61) - 1
-    BASE = 1_000_003
-    h = 0
-    for tok in tokenize(text):
-        h = (h * BASE + term_hash(tok)) % MOD
-    got = _fingerprint_batch(pa.array([text], pa.string()))
-    assert int(got[0]) == h
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,8 @@
 manifest replace.  A multi-segment index (salted segments of different
 widths, upserts, a delete) answers every query kind as the pure-Python
 oracle; an add that fails at any step leaves nothing of itself visible to
-any read path, compaction included, and reruns cleanly; engines opened
+any read path, compaction included, and reruns cleanly; a compaction or a
+delete that fails part-way leaves the last commit's index; engines opened
 before an add or a compaction keep answering from their snapshot."""
 
 import os
@@ -364,3 +365,91 @@ def test_add_of_docs_without_tokens_commits(base_index, tmp_path):
     eng = QueryEngine(idx)
     _check_doc_store(idx, eng, sim)
     _check_text_queries(eng, sim, _texts(np.random.RandomState(3)))
+
+
+def _file_bytes(root: str) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path."""
+    out = {}
+    for d, _dirs, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
+
+
+def _committed_bytes(root: str) -> dict[str, bytes]:
+    """The manifest and the parquet files of a one-segment index, the spill
+    (``shuffle/``, whose file names are per block) left out."""
+    return {f: b for f, b in _file_bytes(root).items() if f == "manifest.json"
+            or (f.endswith(".parquet") and not f.startswith("shuffle" + os.sep))}
+
+
+def _check_committed(idx: str, engines: list[QueryEngine], sim: Sim, manifest: dict) -> None:
+    """The manifest and tombstones are the last commit's, and every engine
+    answers ranked queries, keyword clauses and hydrate as its oracle."""
+    assert load_manifest(idx) == manifest
+    assert load_deleted(idx).tolist() == sorted(sim.dead)
+    for eng in engines:
+        _check_doc_store(idx, eng, sim)
+        _check_text_queries(eng, sim, _texts(np.random.RandomState(4)))
+
+
+@pytest.mark.parametrize("step", ["_apply_ids_write", "_merge_partitions", "save_manifest"])
+def test_compaction_crash_leaves_the_source_and_reruns_clean(base_index, tmp_path,
+                                                             monkeypatch, step):
+    """A compaction that fails part-way (its doc-id pass, its merge, or its
+    target's commit) changes no byte of the source: manifest, tombstones
+    and answers are unchanged for an engine held open across the crash and
+    for a fresh one.  Rerunning into the same target writes a manifest and
+    parquet files byte-identical to a clean compaction."""
+    src, sim, _delta = base_index
+    idx = _copy(src, tmp_path / "idx")
+    manifest, before = load_manifest(idx), _file_bytes(idx)
+    held = QueryEngine(idx)
+    _check_text_queries(held, sim, _texts(np.random.RandomState(4)))
+    target = str(tmp_path / "target")
+    _crash_at(monkeypatch, step)
+    with pytest.raises(RuntimeError, match=f"simulated crash in {step}"):
+        compact_index(idx, target)
+    monkeypatch.undo()
+    assert _file_bytes(idx) == before
+    _check_committed(idx, [held, QueryEngine(idx)], sim, manifest)
+
+    compact_index(idx, target)
+    compact_index(idx, str(tmp_path / "clean"))
+    got = _committed_bytes(target)
+    assert "manifest.json" in got and got == _committed_bytes(str(tmp_path / "clean"))
+
+
+def test_delete_crash_in_the_tombstone_write_leaves_the_committed_tombstones(
+        base_index, tmp_path, monkeypatch):
+    """A ``delete_docs`` whose tombstone write is torn (half the file
+    written, then a crash) leaves the last commit's tombstones and answers,
+    for an engine held open across the crash and for a fresh one: the
+    write goes to a temporary file that replaces ``deleted.parquet`` only
+    when complete.  Rerunning the delete lands it."""
+    import pyarrow.parquet as pq
+
+    src, sim, _delta = base_index
+    idx = _copy(src, tmp_path / "idx")
+    manifest = load_manifest(idx)
+    held = QueryEngine(idx)
+    _check_text_queries(held, sim, _texts(np.random.RandomState(4)))
+    real = pq.write_table
+
+    def torn(table, where, *args, **kwargs):
+        real(table, where, *args, **kwargs)
+        with open(where, "r+b") as f:
+            f.truncate(os.path.getsize(where) // 2)
+        raise RuntimeError("simulated crash in the tombstone write")
+
+    monkeypatch.setattr(pq, "write_table", torn)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        delete_docs(idx, [5, 30])
+    monkeypatch.undo()
+    _check_committed(idx, [held, QueryEngine(idx)], sim, manifest)
+
+    assert delete_docs(idx, [5, 30]) == 4
+    after = sim.copy()
+    after.dead.update([5, 30])
+    _check_committed(idx, [QueryEngine(idx)], after, manifest)

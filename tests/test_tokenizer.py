@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 
 from librecatastro_ray.functions.tokenizer import (
-    term_frequencies_batch,
+    term_frequencies_from,
     tokenize,
     tokenize_batch,
 )
@@ -45,7 +45,7 @@ def test_tokenize_batch_matches_pure_python():
 
 def test_term_frequencies_batch():
     arr = pa.array(["a a b", "b", ""], pa.string())
-    tf_table, dl = term_frequencies_batch(arr)
+    tf_table, dl = term_frequencies_from(*tokenize_batch(arr))
     assert list(dl) == [3, 1, 0]
     rows = {(r["row"], r["term"]): r["tf"] for r in tf_table.to_pylist()}
     assert rows == {(0, "a"): 2, (0, "b"): 1, (1, "b"): 1}
