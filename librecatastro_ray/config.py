@@ -27,9 +27,13 @@ class IndexConfig:
     analyzer: str = "code_standard_v1"
     scorer: str = "bm25_v1"
 
-    # Term partitioning: postings are hash-partitioned into ``num_partitions``
-    # term partitions (the analogue of the reference's 5 doc-hash shards, but
-    # partitioned by *term* so a query term routes to exactly one partition).
+    # Term partitioning: each segment's postings are hash-partitioned into at
+    # most ``num_partitions`` term partitions (the analogue of the
+    # reference's 5 doc-hash shards, but partitioned by *term* so a query
+    # term routes to exactly one partition per segment).  A segment gets the
+    # smallest divisor d of ``num_partitions`` whose d posting row groups
+    # (``hot_postings_budget`` each) hold all its postings, so a small
+    # segment is one partition.
     num_partitions: int = 8
 
     # Skew handling: a term whose (estimated) document frequency exceeds

@@ -1,9 +1,11 @@
-"""Index build pipeline: one Ray Data pass, then plain tasks.
+"""Index build pipeline: plain Ray tasks, no Ray Data job unless the corpus
+is a Dataset.
 
-    read_parquet(corpus)
-      → map_batches: sha256                            (stateless, Arrow; the
-                                                        write's only Ray Data
-                                                        job)
+    corpus path → one read task per block of parquet
+      rows (sha256 appended in the task); an in-memory
+      table → row slices hashed in the driver; a
+      Dataset → map_batches: sha256                    (the write's one Ray
+                                                        Data job)
       → key-only sort (repo, path, sha256) + per-block
         dedup + dense doc_id routed back to unmoved
         content blocks                                 (shuffle 1: keys only —
@@ -21,8 +23,12 @@
                                                         is this map-side scatter
                                                         by skey, no sort network
                                                         step)
-      → merge_batch tasks over runs of partitions
-        → parts/ + checkpoints/                        (≤ 2 × CPUs tasks; one
+      → the segment's partition count d from the
+        spill footers: the fewest partitions (a
+        divisor of num_partitions) whose posting row
+        groups hold its postings                       (driver, footers only)
+      → merge_batch tasks over runs of the d × salts
+        partitions → parts/ + checkpoints/             (≤ 2 × CPUs tasks; one
                                                         checkpoint per partition)
       → finalize manifest.json                         (segment 0)
 
@@ -32,8 +38,9 @@ resume mechanisms re-expressed: upsert idempotence + skip-already-scraped,
 reference: cadaster_entry.py:53, elasticsearch_utils.py:100-136).
 
 ``add_documents`` runs the same doc-id pass (with its spill) and merge over
-its batch alone into one more segment, and ``compact_index`` rebuilds the
-live docs of every segment as one.
+its batch alone into one more segment, with its own partition count, and
+``compact_index`` rebuilds the live docs of every segment as one (its
+live-row read is a Ray Data job).
 """
 
 from __future__ import annotations
@@ -50,7 +57,13 @@ import ray
 import ray.data
 
 from librecatastro_ray.config import IndexConfig
-from librecatastro_ray.stages.doc_ids import cluster_cpus, dedup_assign_write
+from librecatastro_ray.stages.doc_ids import (
+    CORPUS_COLUMNS,
+    TARGET_BLOCK_BYTES,
+    check_corpus_columns,
+    cluster_cpus,
+    dedup_assign_write,
+)
 from librecatastro_ray.stages.merge import merge_batch
 from librecatastro_ray.state.manifest import (
     INDEX_FORMAT_VERSION,
@@ -65,9 +78,6 @@ from librecatastro_ray.state.manifest import (
     save_manifest,
     write_ids,
 )
-
-CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
-
 
 def _remove(paths: list[str]) -> None:
     for p in paths:
@@ -115,31 +125,25 @@ def corpus_fingerprint(path: str) -> str:
     return h.hexdigest()
 
 
-TARGET_BLOCK_BYTES = 64 << 20  # ~64 MB of (compressed) parquet per block
-
-
-def _read_sized(path: str | list[str], columns: list[str]) -> ray.data.Dataset:
-    """Size-aware parquet read of a directory or a list of files: Ray's
-    default read split (min 200 blocks) fragments small inputs into KB-scale
-    blocks, multiplying per-block task overhead and — worse — the
-    partitioned shuffle-spill file count (map_blocks × skeys).  Target
-    ~TARGET_BLOCK_BYTES per block with a floor of 2 tasks per CPU for
-    parallelism."""
-    files = path if isinstance(path, list) else [
-        os.path.join(r, f) for r, _d, fs in os.walk(path) for f in fs if f.endswith(".parquet")]
+def _read_sized(files: list[str], columns: list[str]) -> ray.data.Dataset:
+    """Size-aware Ray Data read of parquet files (compaction's live rows):
+    Ray's default read split (min 200 blocks) fragments small inputs into
+    KB-scale blocks, multiplying per-block task overhead and the spill file
+    count (blocks × skeys).  Target ~TARGET_BLOCK_BYTES per block with a
+    floor of 2 tasks per CPU for parallelism."""
     total = sum(os.path.getsize(f) for f in files)
     n_blocks = max(2 * cluster_cpus(), total // TARGET_BLOCK_BYTES or 1)
     from librecatastro_ray.sources.readers import read_parquet_clean
 
-    return read_parquet_clean(path, columns=columns, override_num_blocks=int(n_blocks))
+    return read_parquet_clean(files, columns=columns, override_num_blocks=int(n_blocks))
 
 
-def _as_dataset(corpus: Any) -> ray.data.Dataset:
-    if isinstance(corpus, str):
-        return _read_sized(corpus, CORPUS_COLUMNS)
-    if isinstance(corpus, pa.Table):
-        return ray.data.from_arrow(corpus)
-    return corpus
+def _corpus_table(table: pa.Table) -> pa.Table:
+    """An in-memory corpus table's ``CORPUS_COLUMNS``, extra columns dropped
+    as a path read drops them, or a ``ValueError`` naming the missing ones
+    (raised before the write touches anything)."""
+    check_corpus_columns(table.column_names, "corpus table")
+    return table.select(CORPUS_COLUMNS)
 
 
 def _sample_term_counts(docs: pa.Table, *, mod: int, analyzer_id: str) -> tuple[pa.Table, int]:
@@ -195,20 +199,21 @@ def _segment_docs(index_dir: str, docs_dir: str) -> list[str]:
 
 
 def _segment_entry(base: int, n_docs: int, sum_dl: int, docs: list[str], parts: str,
-                   hot_terms: list[str], width: int, done: dict[int, dict],
-                   upserted: str | None = None) -> dict:
+                   layout: dict, done: dict[int, dict], upserted: str | None = None) -> dict:
     """A segment's manifest entry: its doc range [base, base + n_docs),
-    doc-store files, parts dir, salt layout, the partitions its merge
-    checkpoints ``done`` list, and the tombstone file of the ids it
-    upserted away (None when there are none)."""
+    doc-store files, parts dir, salt layout and term partition count (from
+    the doc-id pass's ``layout``), the partitions its merge checkpoints
+    ``done`` list, and the tombstone file of the ids it upserted away (None
+    when there are none)."""
     return {
         "base": base,
         "n_docs": n_docs,
         "sum_dl": sum_dl,
         "docs": docs,
         "parts": parts,
-        "hot_terms": hot_terms,
-        "salt_width": width,
+        "hot_terms": layout["hot_terms"],
+        "salt_width": layout["salt_width"],
+        "num_partitions": layout["num_partitions"],
         "partitions": {str(skey): _partition_entry(ck) for skey, ck in sorted(done.items())},
         "upserted": upserted,
     }
@@ -223,14 +228,17 @@ def _lineage(segments: list[dict]) -> dict:
 _merge_task = ray.remote(num_cpus=1)(merge_batch)
 
 
-def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig, **dirs: str) -> None:
-    """Merge the shuffle partitions ``skeys`` in min(#skeys, 2 × cluster
-    CPUs) plain tasks, each over a contiguous run of skeys, so a small
-    cluster does not pay one task launch per partition.  Each partition is
-    checkpointed as soon as it is merged, so resume stays per partition."""
+def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig,
+                      num_partitions: int, **dirs: str) -> None:
+    """Merge the partitions ``skeys`` of a segment of ``num_partitions``
+    partitions in min(#skeys, 2 × cluster CPUs) plain tasks, each over a
+    contiguous run of skeys, so a small cluster does not pay one task
+    launch per partition.  Each partition is checkpointed as soon as it is
+    merged, so resume stays per partition."""
     runs = np.array_split(np.asarray(skeys, np.int64), min(len(skeys), 2 * cluster_cpus()))
     refs = [_merge_task.remote(pa.table({"skey": run}), index_dir=index_dir,
-                               config_json=config.to_json(), **dirs) for run in runs]
+                               config_json=config.to_json(), num_partitions=num_partitions,
+                               **dirs) for run in runs]
     ray.wait(refs, num_returns=len(refs), fetch_local=False)
     ray.get(refs)
 
@@ -246,6 +254,8 @@ def build_index(
     ``{"manifest": ..., "report": {...}}`` where the report carries
     per-phase skip/recompute counts (used by the resume tests)."""
     config = config or IndexConfig()
+    if isinstance(corpus, pa.Table):
+        corpus = _corpus_table(corpus)
     # fail fast on an unknown strategy id — before any phase writes
     from librecatastro_ray.functions.analysis import get_analyzer, get_scorer
 
@@ -348,7 +358,7 @@ def build_index(
         # resume, content-fingerprinted) and clears them itself when not
         _remove([os.path.join(index_dir, "checkpoints"), os.path.join(index_dir, "parts")])
         n_docs_a, sum_dl_a, shuffle_meta = dedup_assign_write(
-            _as_dataset(corpus), docs_dir, shuffle_dir, config, estimate_hot_terms)
+            corpus, docs_dir, shuffle_dir, config, estimate_hot_terms)
         stats = {"n_docs": int(n_docs_a), "sum_dl": int(sum_dl_a),
                  "src_fp": src_fp, "analysis_fp": analysis_fp}
         atomic_write_json(_marker(docs_dir), stats)
@@ -367,7 +377,7 @@ def build_index(
     report["partitions_skipped"] = len(skeys_present) - len(pending)
     report["partitions_merged"] = len(pending)
     if pending:
-        _merge_partitions(pending, index_dir, config)
+        _merge_partitions(pending, index_dir, config, shuffle_meta["num_partitions"])
     report["phase_seconds"]["merge"] = round(_t() - _t0, 3)
     done = completed_partitions(index_dir)
     missing = [s for s in skeys_present if s not in done]
@@ -375,8 +385,7 @@ def build_index(
         raise RuntimeError(f"merge incomplete: partitions {missing} missing checkpoints")
 
     # ---- finalize: manifest (deterministic content — no wall clock) -------
-    segment = _segment_entry(0, n_docs, sum_dl, docs, "parts", shuffle_meta["hot_terms"],
-                             shuffle_meta["salt_width"], done)
+    segment = _segment_entry(0, n_docs, sum_dl, docs, "parts", shuffle_meta, done)
     manifest = {
         "version": INDEX_FORMAT_VERSION,
         "config": config.to_json(),
@@ -418,9 +427,12 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         within the batch, and existing ids never change;
       - the segment is written by the build's own doc-id pass (with its
         spill) and merge over the batch alone — its own doc store
-        (``docs/seg-{g}/``), parts, checkpoints, hot-term list and salt
-        width (``seg-{g}/``) — so an add costs what its batch costs and no
-        older posting is read or rewritten;
+        (``docs/seg-{g}/``), parts, checkpoints, hot-term list, salt width
+        and term partition count (``seg-{g}/``) — so an add costs what its
+        batch costs and no older posting is read or rewritten.  A batch
+        whose postings fit one posting row group (``hot_postings_budget``)
+        is one partition, merged by one task, and an in-memory table runs
+        no Ray Data job;
       - an incoming (repo, path) that already exists UPSERTS: the old doc
         id is tombstoned and the new doc serves — exactly Lucene's
         delete-then-add update.  The upserted-away ids go to
@@ -442,6 +454,8 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     1 CPU): there is no merge policy yet, so compact an index that has
     taken many adds.
     """
+    if isinstance(corpus, pa.Table):
+        corpus = _corpus_table(corpus)
     manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
     seg = f"seg-{len(manifest['segments']):04d}"
@@ -457,7 +471,7 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     # past the current space, the segment's own hot terms and salt width ---
     base = int(manifest["n_docs"])
     n_new, sum_dl_new, layout = dedup_assign_write(
-        _as_dataset(corpus), os.path.join(index_dir, docs_dir),
+        corpus, os.path.join(index_dir, docs_dir),
         os.path.join(index_dir, dirs["spill_dir"]), config, estimate_hot_terms, base)
     report: dict[str, Any] = {"n_added": int(n_new), "segment": seg}
     if n_new == 0:
@@ -474,12 +488,12 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
         write_ids(os.path.join(index_dir, upserted_file), upserted)
 
     if layout["skeys"]:  # none when every new doc tokenizes to nothing
-        _merge_partitions(layout["skeys"], index_dir, config, **dirs)
+        _merge_partitions(layout["skeys"], index_dir, config, layout["num_partitions"], **dirs)
     done = completed_partitions(index_dir, dirs["ckpt_name"])
 
     # ---- commit: one manifest replace -------------------------------------
-    segment = _segment_entry(base, int(n_new), int(sum_dl_new), docs, dirs["parts_dir"],
-                             layout["hot_terms"], layout["salt_width"], done, upserted_file)
+    segment = _segment_entry(base, int(n_new), int(sum_dl_new), docs, dirs["parts_dir"], layout,
+                             done, upserted_file)
     segments = [*manifest["segments"], segment]
     manifest = dict(
         manifest,

@@ -408,6 +408,9 @@ class QueryEngine:
         self._seg_parts: list[str] = [seg["parts"] for seg in segments]
         self._seg_hot: list[frozenset[str]] = [frozenset(seg["hot_terms"]) for seg in segments]
         self._seg_partitions: list[dict] = [seg["partitions"] for seg in segments]
+        # each segment's term partition count: a term of segment i lives in
+        # its partition term_hash % self._seg_nparts[i]
+        self._seg_nparts: list[int] = [seg["num_partitions"] for seg in segments]
         self._all_salts = tuple(range(self.config.num_salts))
         # the runs of a term hot in no segment: salt 0 of each segment
         self._unsalted_runs = [(i, 0) for i in range(len(segments))]
@@ -477,8 +480,9 @@ class QueryEngine:
         return [(i, salt) for i, hot in enumerate(self._seg_hot)
                 for salt in (self._all_salts if term in hot else (0,))]
 
-    def _pkey(self, term: str) -> int:
-        return term_hash(term) % self.config.num_partitions
+    def _pkey(self, term: str, seg: int) -> int:
+        """The partition of segment ``seg`` that holds ``term``."""
+        return term_hash(term) % self._seg_nparts[seg]
 
     def _replaced(self, path: str) -> FileNotFoundError:
         """The error for a file of a partition the manifest lists that is no
@@ -533,14 +537,13 @@ class QueryEngine:
     def _span(self, term: str, run: tuple[int, int]) -> tuple[int, int] | None:
         """Row span [first, end) of a term's (segment, salt) run in its
         posting file."""
-        s = self._span_table(run[0], self._pkey(term), run[1])[0].get(term)
+        s = self._span_table(run[0], self._pkey(term, run[0]), run[1])[0].get(term)
         return None if s is None else (s[0], s[1])
 
     def term_df(self, term: str) -> int:
         """Total document frequency (summed over the term's runs)."""
-        pkey = self._pkey(term)
         return sum(
-            self._span_table(seg, pkey, salt)[0].get(term, (0, 0, 0))[2]
+            self._span_table(seg, self._pkey(term, seg), salt)[0].get(term, (0, 0, 0))[2]
             for seg, salt in self._salts(term)
         )
 
@@ -636,8 +639,8 @@ class QueryEngine:
         """The rows of a term's (segment, salt) run, or None when the term
         has no postings there."""
         span = self._span(term, run)
-        return None if span is None else self._rows(run[0], self._pkey(term), run[1], *span,
-                                                    positions)
+        return None if span is None else self._rows(run[0], self._pkey(term, run[0]), run[1],
+                                                    *span, positions)
 
     def _run(self, term: str, run: tuple[int, int]) -> tuple | None:
         """``(docs, tf, dl)`` views of a term's (segment, salt) run, or None

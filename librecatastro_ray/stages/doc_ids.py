@@ -17,8 +17,12 @@ through the all-to-all exchange twice (map spill + reduce fetch); at corpus
 scale that is the whole dataset through the object store for what is logically
 a metadata operation.  Instead:
 
-  1. ``add_sha`` (stateless task map, the write's only Ray Data job)
-     appends sha256; blocks are materialized once and stay where they are.
+  1. ``add_sha`` appends sha256 to each content block; the blocks stay in
+     the object store where they are put.  A corpus path is read by one
+     plain task per block of parquet rows, and an in-memory table is cut
+     into row-slice blocks that the driver hashes and puts, so neither runs
+     a Ray Data job; a Dataset runs it as a stateless ``map_batches`` and is
+     materialized once (the write's only Ray Data job).
   2. A per-block task projects the tiny key table
      ``(bid, row, repo, path, sha256)`` (~100 B/row).
   3. Only the key tables are globally sorted — the engine's one global
@@ -37,7 +41,9 @@ a metadata operation.  Instead:
      finished doc-store block straight to parquet.  That task tokenizes the
      block's winners once (``batch_size`` rows at a time), for their ``dl``
      and for the block's flat postings, which it spills before it writes
-     the doc-store part.
+     the doc-store part.  Once every block has spilled, the footers of the
+     spill files give the segment's posting count, which sets its term
+     partition count (``merge.partition_count``).
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import ray.data
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions.hashing import sha256_batch
 from librecatastro_ray.stages import postings
+from librecatastro_ray.stages.merge import merged_skeys, partition_count
 from librecatastro_ray.stages.postings import salt_range_width
 
 
@@ -255,14 +262,6 @@ def _stamped_block(block: pa.Table, bid: int, winner_groups) -> pa.Table:
 
 
 @ray.remote
-def _apply_ids(block: pa.Table, bid: int, *winner_groups: pa.Table) -> pa.Table:
-    """Filter a content block to its dedup winners and append doc_id.  The
-    block is the first (largest) argument so Ray schedules this task on the
-    node that owns it — winners are the only bytes that travel."""
-    return _stamped_block(block, bid, winner_groups)
-
-
-@ray.remote
 def _map_stamped(block: pa.Table, bid: int, fn, kwargs: dict, *winner_groups: pa.Table):
     """``fn(docs, **kwargs)`` over the id-stamped winners of one block."""
     return fn(_stamped_block(block, bid, winner_groups), **kwargs)
@@ -271,14 +270,16 @@ def _map_stamped(block: pa.Table, bid: int, fn, kwargs: dict, *winner_groups: pa
 @ray.remote
 def _apply_ids_write(block: pa.Table, bid: int, docs_dir: str, analyzer_id: str, spill: dict,
                      *winner_groups: pa.Table) -> tuple[int, int]:
-    """Like _apply_ids, but writes the finished doc-store block straight to
-    ``docs_dir/part-{bid}.parquet`` (atomic tmp+rename) instead of returning
-    it — the corpus payload goes object store → disk without a second
-    materialized copy.  The winners are tokenized once, ``batch_size`` rows
-    at a time, by ``postings.spill_block(**spill)``: the tokens give the
-    block's flat postings, which it spills BEFORE the part is written (so
-    the part is the block's commit), and the doc store's ``dl`` column.  A
-    part file that already exists (same build plan, see
+    """Filter a content block to its dedup winners, append doc_id and write
+    the finished doc-store block straight to ``docs_dir/part-{bid}.parquet``
+    (atomic tmp+rename) — the corpus payload goes object store → disk
+    without a second materialized copy.  The block is the first (largest)
+    argument so Ray schedules this task on the node that owns it: winners
+    are the only bytes that travel.  The winners are tokenized once,
+    ``batch_size`` rows at a time, by ``postings.spill_block(**spill)``: the
+    tokens give the block's flat postings, which it spills BEFORE the part
+    is written (so the part is the block's commit), and the doc store's
+    ``dl`` column.  A part file that already exists (same build plan, see
     dedup_assign_write) is not rewritten — block-level resume — and if its
     spill is gone it is spilled again from the part.
     Returns (n_rows, sum_dl)."""
@@ -330,7 +331,6 @@ def binary_column_payload(col) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@ray.remote
 def _block_fp(block: pa.Table) -> str:
     """Content fingerprint of one corpus block: md5 over the FULL sha256
     column (already computed by add_sha — ~64 B/row, so hashing every row
@@ -350,22 +350,103 @@ def _block_fp(block: pa.Table) -> str:
     return h.hexdigest()
 
 
-def _bundle_refs(mat: ray.data.Dataset) -> list:
-    refs: list = []
-    for bundle in mat.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    return refs
+_block_fp_task = ray.remote(_block_fp)
 
 
-def _bundle_refs_meta(mat: ray.data.Dataset) -> tuple[list, list[int]]:
-    """Block refs plus per-block row counts (from bundle metadata — free)."""
-    refs: list = []
+# the columns of a corpus row: the dedup key (repo, path), the sha256 input
+# (content) and the rest of the doc store
+CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+
+TARGET_BLOCK_BYTES = 64 << 20  # ~64 MB of input per content block
+
+# the fewest rows a content block of a corpus path or table has (unless the
+# input has fewer), and the map_batches batch size of a Dataset's sha256
+SHA_BATCH_ROWS = 512
+
+
+def check_corpus_columns(names: list[str], what: str) -> None:
+    """A ``ValueError`` naming the ``CORPUS_COLUMNS`` that ``names`` (the
+    columns of ``what``) lacks."""
+    missing = [c for c in CORPUS_COLUMNS if c not in names]
+    if missing:
+        raise ValueError(f"{what} lacks column(s) {missing}: a corpus has columns "
+                         f"{CORPUS_COLUMNS}")
+
+
+def _block_rows(n_rows: int, nbytes: int) -> int:
+    """Rows per content block of an input of ``n_rows`` rows and ``nbytes``
+    bytes: about ``TARGET_BLOCK_BYTES`` a block with a floor of 2 blocks per
+    CPU for parallelism, but at least ``SHA_BATCH_ROWS`` rows, so a small
+    write (a 100-doc add) is one block and one apply task."""
+    n_blocks = max(2 * cluster_cpus(), nbytes // TARGET_BLOCK_BYTES)
+    return max(SHA_BATCH_ROWS, -(-n_rows // n_blocks))
+
+
+def _path_blocks(path: str) -> list[tuple[str, int, int]]:
+    """``(file, first row, rows)`` of each content block of a parquet
+    corpus path (one file or a directory of them), a block never spanning
+    two files; a ``ValueError`` for a file without the corpus columns.
+    Only the footers are read."""
+    import pyarrow.parquet as pq
+
+    files = [path] if os.path.isfile(path) else sorted(
+        os.path.join(r, f) for r, _d, fs in os.walk(path) for f in fs if f.endswith(".parquet"))
+    if not files:
+        raise FileNotFoundError(f"no parquet corpus file at {path}")
+    metas = [pq.read_metadata(f) for f in files]
+    for f, m in zip(files, metas):
+        check_corpus_columns(m.schema.to_arrow_schema().names, f)
+    step = _block_rows(sum(m.num_rows for m in metas), sum(os.path.getsize(f) for f in files))
+    return [(f, first, min(step, m.num_rows - first))
+            for f, m in zip(files, metas) for first in range(0, m.num_rows, step)]
+
+
+@ray.remote(num_returns=2)
+def _read_block(path: str, first: int, n: int) -> tuple[pa.Table, str]:
+    """Rows [first, first + n) of a corpus parquet file (its corpus columns
+    only) with sha256 appended, and the block's content fingerprint: only
+    the row groups that hold the rows are read."""
+    import bisect
+
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(path) as pf:
+        md = pf.metadata
+        starts = np.cumsum([0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)])
+        lo = bisect.bisect_right(starts, first) - 1
+        hi = bisect.bisect_left(starts, first + n)
+        t = pf.read_row_groups(range(lo, hi), columns=CORPUS_COLUMNS, use_threads=False)
+    block = add_sha(t.slice(first - starts[lo], n).replace_schema_metadata(None))
+    return block, _block_fp(block)
+
+
+def _sha_blocks(corpus: str | pa.Table | ray.data.Dataset) -> tuple[list, list[int], list[str]]:
+    """The pass's content blocks with sha256 appended: their object refs,
+    row counts and content fingerprints.  A corpus path is read by one
+    plain task per block (``_path_blocks``); an in-memory table (its
+    ``CORPUS_COLUMNS``) is cut into row slices of the same size that the
+    driver hashes and puts in the object store; neither runs a Ray Data
+    job.  A Dataset runs the sha256 ``map_batches``, the write's one Ray
+    Data job, and is materialized."""
+    if isinstance(corpus, str):
+        blocks = _path_blocks(corpus)
+        refs, fps = [], []
+        for path, first, n in blocks:
+            block, fp = _read_block.remote(path, first, n)
+            refs.append(block)
+            fps.append(fp)
+        return refs, [n for _p, _f, n in blocks], ray.get(fps)
+    if isinstance(corpus, pa.Table):
+        step = _block_rows(len(corpus), corpus.nbytes)
+        blocks = [add_sha(corpus.slice(i, step)) for i in range(0, len(corpus), step)]
+        return [ray.put(b) for b in blocks], [len(b) for b in blocks], [_block_fp(b) for b in blocks]
+    mat = corpus.map_batches(add_sha, batch_format="pyarrow", batch_size=SHA_BATCH_ROWS)
+    refs = []
     rows: list[int] = []
-    for bundle in mat.iter_internal_ref_bundles():
+    for bundle in mat.materialize().iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
-        for m in bundle.metadata:
-            rows.append(int(m.num_rows if m.num_rows is not None else -1))
-    return refs, rows
+        rows.extend(int(m.num_rows) for m in bundle.metadata)
+    return refs, rows, ray.get([_block_fp_task.remote(r) for r in refs])
 
 
 def _winner_splits(
@@ -411,26 +492,8 @@ def _winner_splits(
     return groups, span, n_docs
 
 
-def dedup_and_assign_ids(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
-    """sha256 → key-only global sort (repo, path, sha256) → per-block
-    dedup + dense doc_id routed back to unmoved content blocks.  Returns
-    ``(dataset, n_docs)``; the dataset has sha256 and doc_id columns and
-    at most one row per (repo, path)."""
-    ds = ds.map_batches(add_sha, batch_format="pyarrow", batch_size=512)
-    mat = ds.materialize()
-    block_refs = _bundle_refs(mat)
-    if not block_refs:
-        return mat, 0
-    groups, span, n_docs = _winner_splits(block_refs, mat.count())
-    out_refs = [
-        _apply_ids.remote(block, bid, *groups[bid // span])
-        for bid, block in enumerate(block_refs)
-    ]
-    return ray.data.from_arrow_refs(out_refs), n_docs
-
-
 def dedup_assign_write(
-    ds: ray.data.Dataset,
+    corpus: str | pa.Table | ray.data.Dataset,
     docs_dir: str,
     spill_dir: str,
     config: IndexConfig,
@@ -443,8 +506,9 @@ def dedup_assign_write(
     object store exactly once and is never re-materialized — and each
     block's flat postings spilled to ``spill_dir/skey=K/part-{bid}.parquet``
     by the same task, salted for the segment that starts at doc id
-    ``id_base``.  The sha256 ``map_batches`` is the pass's only Ray Data
-    job; the rest are plain tasks.  Once the ids are assigned,
+    ``id_base``.  ``corpus`` is a parquet corpus path, an in-memory table
+    of ``CORPUS_COLUMNS`` or a Dataset; only a Dataset runs a Ray Data job
+    (``_sha_blocks``), the rest are plain tasks.  Once the ids are assigned,
     ``hot_terms(map_docs, n_docs, config)`` chooses the segment's hot terms,
     where ``map_docs(fn, **kwargs)`` returns ``fn(docs, **kwargs)`` over
     every id-stamped block, run as plain tasks.
@@ -457,23 +521,23 @@ def dedup_assign_write(
     recomputed.  A differing plan — shape, content (the fingerprints hash
     each block's sha256 column) or config — wipes the doc-store parts and
     the spill first.  Returns ``(n_docs, sum_dl, layout)``, where layout
-    holds the spill's ``hot_terms``, ``salt_width`` and ``skeys`` (sorted;
-    none when no doc has a token)."""
+    holds the spill's ``hot_terms`` and ``salt_width``, the segment's term
+    partition count ``num_partitions`` (``merge.partition_count``) and the
+    ``skeys`` its merge writes (sorted; none when no doc has a token)."""
     import glob
     import json
 
+    block_refs, block_rows, block_fps = _sha_blocks(corpus)
     os.makedirs(docs_dir, exist_ok=True)
-    mat = ds.map_batches(add_sha, batch_format="pyarrow", batch_size=512).materialize()
-    block_refs, block_rows = _bundle_refs_meta(mat)
     if not block_refs:
-        return 0, 0, {"hot_terms": [], "salt_width": 1, "skeys": []}
-    n_rows = mat.count()
+        return 0, 0, {"hot_terms": [], "salt_width": 1, "num_partitions": 1, "skeys": []}
+    n_rows = sum(block_rows)
     plan_path = os.path.join(docs_dir, "_PLAN.json")
     plan = {
         "n_blocks": len(block_refs),
         "n_rows": int(n_rows),
         "block_rows": block_rows,
-        "block_fps": ray.get([_block_fp.remote(r) for r in block_refs]),
+        "block_fps": block_fps,
         "config": config.to_json(),
     }
     old_plan = None
@@ -508,6 +572,8 @@ def dedup_assign_write(
     ray.wait(refs, num_returns=len(refs), fetch_local=False)
     counts, dl_sums = zip(*ray.get(refs))
     assert sum(counts) == n_docs, f"doc-store rows {sum(counts)} != winners {n_docs}"
-    skeys = sorted(int(name.split("=")[1]) for name in os.listdir(spill_dir)
-                   if name.startswith("skey=")) if os.path.isdir(spill_dir) else []
-    return n_docs, int(sum(dl_sums)), {"hot_terms": hot, "salt_width": width, "skeys": skeys}
+    spilled = [int(name.split("=")[1]) for name in os.listdir(spill_dir)
+               if name.startswith("skey=")] if os.path.isdir(spill_dir) else []
+    d = partition_count(spill_dir, config)
+    return n_docs, int(sum(dl_sums)), {"hot_terms": hot, "salt_width": width, "num_partitions": d,
+                                       "skeys": merged_skeys(spilled, d, config.num_salts)}

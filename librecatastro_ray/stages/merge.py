@@ -1,15 +1,25 @@
 """Per-partition posting merge: sort the flat postings by (term, doc) and
 write them as Parquet columns → atomic write + checkpoint.
 
-One merge task owns a run of shuffle partitions (skeys); partitions are
+The spill is routed by the config's ``num_partitions`` N (skey = (term_hash
+% N) × S + salt), but a segment is term-partitioned only as far as its
+postings need: once its spill is written, :func:`partition_count` picks the
+segment's partition count d, the smallest divisor of N whose d × hot
+postings budget holds every posting of the segment (the rule that salts a
+term only past one posting row group, one level up).  Merged partition
+q × S + salt of the segment reads the spill skeys p × S + salt of every
+p ≡ q (mod d) — exact, because d | N gives (h % N) % d == h % d — so a
+reader finds a term of the segment in partition term_hash % d.
+
+One merge task owns a run of merged partitions; partitions are
 independent units, each checkpointed as soon as it is merged, so resume is
 per partition (reference analogue: the per-street anti-join skip that makes
 crawls resumable, reference: src/utils/elasticsearch_utils.py:100-136).
 
-Output per skey = (pkey, salt) of one segment (the build's or an add's;
-shown here for the build's dirs) — salt 0 for every term under the hot
-postings budget; a hot term's salt s holds its postings in the segment's
-doc range s, so its runs in salt order are doc order:
+Output per merged skey = (pkey, salt) of one segment (the build's or an
+add's; shown here for the build's dirs) — salt 0 for every term under the
+hot postings budget; a hot term's salt s holds its postings in the
+segment's doc range s, so its runs in salt order are doc order:
     parts/blocks-{pkey}-{salt}.parquet
         one row per posting, term-major and doc-sorted within a term:
         doc, tf, dl (int64) and, for positional builds, positions
@@ -27,6 +37,7 @@ Nothing stored depends on avgdl: block-max bounds are derived at read time.
 
 from __future__ import annotations
 
+import glob
 import os
 import time
 
@@ -67,6 +78,26 @@ def _atomic_write_parquet(path: str, table: pa.Table, row_group_size: int, **kw)
     return os.path.getsize(path)
 
 
+def partition_count(spill_dir: str, config: IndexConfig) -> int:
+    """A segment's term partition count: the smallest divisor d of
+    ``config.num_partitions`` with the segment's postings (the row counts in
+    its spill files' footers, so a resumed spill counts too) at most
+    d × ``config.hot_postings_budget``; ``num_partitions`` when none is."""
+    n = config.num_partitions
+    total = sum(pq.read_metadata(f).num_rows
+                for f in glob.glob(os.path.join(spill_dir, "skey=*", "part-*.parquet")))
+    return next((d for d in range(1, n) if n % d == 0 and total <= d * config.hot_postings_budget),
+                n)
+
+
+def merged_skeys(spill_skeys: list[int], num_partitions: int, num_salts: int) -> list[int]:
+    """The skeys a segment of ``num_partitions`` partitions merges its spill
+    skeys into (sorted): spill skey p × S + salt goes to
+    (p % num_partitions) × S + salt."""
+    S = num_salts
+    return sorted({(s // S) % num_partitions * S + s % S for s in spill_skeys})
+
+
 def _empty_flat(with_pos: bool) -> pa.Table:
     schema = POSITIONAL_BLOCKS_SCHEMA if with_pos else BLOCKS_SCHEMA
     flat = pa.schema([pa.field("term", pa.string())]
@@ -79,15 +110,17 @@ def merge_partition(
     skey: int,
     config: IndexConfig,
     *,
+    num_partitions: int,
     parts_dir: str = "parts",
     spill_dir: str = "shuffle",
     ckpt_name: str = "checkpoints",
 ) -> dict:
-    """Merge one shuffle partition of flat postings into its posting and
-    dictionary files under ``parts_dir``.
+    """Merge partition ``skey`` of a segment of ``num_partitions``
+    partitions into its posting and dictionary files under ``parts_dir``.
 
-    Reads ``{index_dir}/{spill_dir}/skey={skey}/`` (written by the phase-1
-    partitioned spill), returns the checkpoint entry it wrote to
+    Reads the spill skeys of its partitions, ``{index_dir}/{spill_dir}/
+    skey={p × S + salt}/`` for every p ≡ pkey (mod num_partitions) (written
+    by the doc-id pass), and returns the checkpoint entry it wrote to
     ``ckpt_name``.  The build and every add (one segment each) merge only
     their own spill."""
     t0 = time.monotonic()
@@ -99,15 +132,15 @@ def merge_partition(
         pa.set_io_thread_count(4)
     S = config.num_salts
     pkey, salt = divmod(skey, S)
-    part_dir = os.path.join(index_dir, spill_dir, f"skey={skey}")
+    inputs = [f"skey={p * S + salt}" for p in range(pkey, config.num_partitions, num_partitions)]
     with_pos = bool(getattr(config, "positions", False))
     schema = POSITIONAL_BLOCKS_SCHEMA if with_pos else BLOCKS_SCHEMA
     cols = ["term"] + [_FLAT_NAMES[n] for n in schema.names]
-    lineage_files: list[str] = []
-    if os.path.isdir(part_dir):
-        dset = pads.dataset(part_dir, format="parquet")
-        lineage_files = sorted(os.path.basename(f) for f in dset.files)
-        t = dset.to_table(columns=cols)
+    spill = os.path.join(index_dir, spill_dir)
+    files = [f for d in inputs for f in sorted(glob.glob(os.path.join(spill, d, "part-*.parquet")))]
+    lineage_files = [os.path.relpath(f, spill) for f in files]
+    if files:
+        t = pads.dataset(files, format="parquet").to_table(columns=cols)
     else:
         t = _empty_flat(with_pos)
 
@@ -159,7 +192,7 @@ def merge_partition(
         "pkey": pkey,
         "salt": salt,
         "lineage": {
-            "input_dir": f"{spill_dir}/skey={skey}",
+            "input_dirs": [f"{spill_dir}/{d}" for d in inputs],
             "input_files": lineage_files,
             "input_rows": int(N),
         },
@@ -181,23 +214,23 @@ def merge_batch(
     *,
     index_dir: str,
     config_json: dict,
+    num_partitions: int,
     parts_dir: str = "parts",
     spill_dir: str = "shuffle",
     ckpt_name: str = "checkpoints",
 ) -> pa.Table:
-    """map_batches (task, ``fn_kwargs``): merge the partitions named in the
-    batch, one after another (one row per skey; a batch is a whole block of
-    ``_merge_partitions``' task groups).  Each partition is checkpointed as
-    soon as it is merged, so a task that fails part-way keeps the finished
-    ones.  Stateless tasks, not an actor pool: the only state is the small
-    (index_dir, config) kwargs."""
+    """One merge task (``build._merge_partitions`` runs it as a plain
+    ``ray.remote`` task): merge the partitions of a segment of
+    ``num_partitions`` partitions named in the batch, one after another
+    (one row per merged skey).  Each partition is checkpointed as soon as
+    it is merged, so a task that fails part-way keeps the finished ones."""
     import json
 
     config = IndexConfig.from_json(config_json)
     entries = []
     for skey in batch["skey"].to_pylist():
         entry = merge_partition(
-            index_dir, int(skey), config,
+            index_dir, int(skey), config, num_partitions=num_partitions,
             parts_dir=parts_dir, spill_dir=spill_dir, ckpt_name=ckpt_name,
         )
         entries.append(json.dumps(entry, sort_keys=True))

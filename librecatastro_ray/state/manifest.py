@@ -19,7 +19,9 @@ Layout of an index directory:
                              commit, lang, content, sha256, dl
     docs/seg-{g}/part-*.parquet    the doc store of segment g >= 1
     parts/blocks-{p}-{s}.parquet   segment 0's postings per (partition,
-                                   salt): doc, tf, dl [, positions] columns,
+                                   salt), p < the segment's num_partitions
+                                   (a term is in p = term_hash % it):
+                                   doc, tf, dl [, positions] columns,
                                    one row per posting; a hot term's salt s
                                    holds the segment's docs in
                                    [base + s × width, base + (s + 1) × width),
@@ -33,9 +35,11 @@ Layout of an index directory:
     deleted/deleted.parquet  tombstones written by ``delete_docs``
 
 A segment covers the doc-id range [base, base + n_docs) and has its own doc
-store, parts, hot-term list and salt width; its manifest entry lists its
-doc-store files, its parts dir and the (partition, salt) pairs that hold
-postings.  The build writes segment 0 and every ``add_documents`` one more
+store, parts, hot-term list, salt width and term partition count (the
+fewest partitions, a divisor of the config's ``num_partitions``, whose
+posting row groups hold its postings); its manifest entry lists its
+doc-store files, its parts dir, ``num_partitions`` and the (partition,
+salt) pairs that hold postings.  The build writes segment 0 and every ``add_documents`` one more
 segment; segments accumulate until ``compact_index`` rebuilds the live docs
 as one.  A reader opens only the files the manifest names, so files of a
 write that has not replaced the manifest are never read.
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 # bumped whenever the on-disk index layout/schema changes; an index of
 # another version is refused (check_version), never misread
-INDEX_FORMAT_VERSION = 5
+INDEX_FORMAT_VERSION = 6
 
 import json
 import os

@@ -26,7 +26,7 @@ def _dictionary(index_dir: str) -> list[tuple]:
     eng = QueryEngine(index_dir)
     rows = []
     for seg in eng.manifest["segments"]:
-        for pkey in range(eng.config.num_partitions):
+        for pkey in range(seg["num_partitions"]):
             for salt in range(eng.config.num_salts):
                 p = dict_file(index_dir, pkey, salt, seg["parts"])
                 if os.path.exists(p):
@@ -195,3 +195,40 @@ def test_compact_reclaims_tombstones_bit_identical(tmp_path, corpus_small):
     pa_cmp = {k: v["output_sha256"]
               for k, v in load_manifest(tgt)["segments"][0]["partitions"].items()}
     assert pa_ref == pa_cmp
+
+
+def test_a_corpus_table_is_read_as_its_corpus_columns(tmp_path):
+    """A corpus table's extra column is dropped, as a path read drops it,
+    so every segment's doc store has one schema; a table (or a corpus file)
+    that lacks a corpus column is refused, naming the column, and a refused
+    table writes nothing."""
+    from librecatastro_ray.pipelines.build import CORPUS_COLUMNS
+    from librecatastro_ray.state.manifest import doc_files, load_manifest
+
+    corpus = make_corpus(n_docs=60, seed=21, vocab_size=80, mean_tokens=15)
+    extra = corpus.append_column("stars", pa.array(np.arange(corpus.num_rows), pa.int64()))
+    idx = str(tmp_path / "idx")
+    build_index(extra.slice(0, 40), idx, CFG)
+    add_documents(extra.slice(40), idx)
+    files = doc_files(idx, load_manifest(idx))
+    assert len({os.path.dirname(f) for f in files}) == 2
+    for f in files:
+        assert pq.read_schema(f).names == CORPUS_COLUMNS + ["sha256", "dl", "doc_id"], f
+    assert QueryEngine(idx).hydrate(np.arange(5))["commit"].null_count == 0
+
+    no_commit = corpus.drop_columns(["commit"])
+    refused = r"lacks column\(s\) \['commit'\]"
+    with pytest.raises(ValueError, match=refused):
+        build_index(no_commit, str(tmp_path / "new"), CFG)
+    assert not os.path.exists(tmp_path / "new")
+    before = {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+              for r, _d, fs in os.walk(idx) for f in fs}
+    with pytest.raises(ValueError, match=refused):
+        add_documents(no_commit, idx)
+    assert {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+            for r, _d, fs in os.walk(idx) for f in fs} == before
+    src = tmp_path / "corpus"
+    src.mkdir()
+    pq.write_table(no_commit, str(src / "part-0.parquet"))
+    with pytest.raises(ValueError, match=refused):
+        build_index(str(src), str(tmp_path / "from_path"), CFG)

@@ -156,7 +156,6 @@ def test_salting_actually_used(engine):
     salted result equals the oracle (covered above) — verify the layout."""
     assert len(engine.hot) > 0, "corpus should produce hot terms"
     term = sorted(engine.hot)[0]
-    pkey = engine._pkey(term)
     salted_runs = 0
     for salt in range(engine.config.num_salts):
         if engine._span(term, (0, salt)) is not None:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.functions import bm25
 from librecatastro_ray.functions.editdist import osa_distance, osa_within
+from librecatastro_ray.functions.hashing import term_hash
 from librecatastro_ray.pipelines import query as qmod
 from librecatastro_ray.pipelines.build import add_documents, build_index, compact_index
 from librecatastro_ray.pipelines.query import QueryEngine, wildcard_regex
@@ -69,8 +70,8 @@ def _direct(eng: QueryEngine, term: str) -> tuple[list[tuple], dict]:
     recomputed from those postings at the engine's avgdl."""
     rows, meta = [], {}
     B = eng.config.block_size
-    pk = eng._pkey(term)
     for seg_i, seg in enumerate(eng.manifest["segments"]):
+        pk = term_hash(term) % seg["num_partitions"]
         for salt in range(eng.config.num_salts) if term in seg["hot_terms"] else [0]:
             meta[(seg_i, salt)] = None
             path = dict_file(eng.index_dir, pk, salt, seg["parts"])
@@ -181,9 +182,9 @@ def test_index_of_another_format_version_is_refused(small_index, tmp_path):
     idx = str(tmp_path / "idx")
     shutil.copytree(small_index, idx)
     m = load_manifest(idx)
-    assert m["version"] == INDEX_FORMAT_VERSION == 5
-    save_manifest(idx, dict(m, version=4))
-    refused = re.escape(f"format version 4; this code reads version {INDEX_FORMAT_VERSION}")
+    assert m["version"] == INDEX_FORMAT_VERSION == 6
+    save_manifest(idx, dict(m, version=5))
+    refused = re.escape(f"format version 5; this code reads version {INDEX_FORMAT_VERSION}")
     with pytest.raises(ValueError, match=refused):
         QueryEngine(idx)
     with pytest.raises(ValueError, match=refused):
@@ -238,7 +239,7 @@ def test_engine_of_a_replaced_generation_raises_not_empty(tmp_path):
         dict_only.term_df(term)
     drop_index(idx)
     assert old.match(warm, k=5).to_pylist() == want  # read before the drop
-    cold = [t for t in terms if old._pkey(t) != old._pkey(warm)]
+    cold = [t for t in terms if old._pkey(t, 0) != old._pkey(warm, 0)]
     assert cold
     for term in cold:
         with pytest.raises(FileNotFoundError, match=r"dict-.*is gone: the 1-segment index "):
@@ -276,9 +277,11 @@ def test_unlisted_partition_is_empty(tmp_path):
     """A (partition, salt) no posting hashed to is absent from the manifest
     and has no files: the engine reads it as empty."""
     idx = str(tmp_path / "idx")
-    cfg = IndexConfig(num_partitions=32, num_salts=1, block_size=4)
+    # a hot postings budget of 1, so the segment keeps all 32 partitions
+    cfg = IndexConfig(num_partitions=32, num_salts=1, block_size=1, blocks_row_group_size=1)
     build_index(make_corpus(n_docs=8, seed=1, vocab_size=10, mean_tokens=3), idx, cfg)
     eng = QueryEngine(idx)
+    assert eng.manifest["segments"][0]["num_partitions"] == cfg.num_partitions
     partitions = eng.manifest["segments"][0]["partitions"]
     assert len(partitions) < cfg.num_partitions
     n_terms = sum(p["n_terms"] for p in partitions.values())

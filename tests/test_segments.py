@@ -182,6 +182,13 @@ def test_multi_segment_index_equals_the_oracle(tmp_path, seed):
     assert len({s["salt_width"] for s in salted}) > 1, "needs segments of different widths"
     assert any(len([r for r in eng._salts(t) if eng._span(t, r) is not None]) > len(segs)
                for t in eng.hot), "needs a term read from several salt runs"
+    _check_every_kind(idx, eng, sim, rng)
+
+
+def _check_every_kind(idx: str, eng: QueryEngine, sim: Sim, rng: np.random.RandomState) -> None:
+    """The doc store, every text query kind, prefix, fuzzy and the scatter
+    path (match, phrase, bool with a keyword clause, prefix, fuzzy, count)
+    answer as the oracle of ``sim``."""
     _check_doc_store(idx, eng, sim)
     texts = _texts(rng)
     _check_text_queries(eng, sim, texts)
@@ -453,3 +460,121 @@ def test_delete_crash_in_the_tombstone_write_leaves_the_committed_tombstones(
     after = sim.copy()
     after.dead.update([5, 30])
     _check_committed(idx, [QueryEngine(idx)], after, manifest)
+
+
+# a hot postings budget of 40 over at most 4 partitions: a segment of at most
+# 40 postings is 1 partition, one of at most 80 is 2, a bigger one 4
+PCFG = IndexConfig(num_partitions=4, num_salts=2, block_size=4, blocks_row_group_size=10,
+                   positions=True)
+
+
+def _three_term_rows(rng: np.random.RandomState, paths: list[str], gen: int) -> list[dict]:
+    """Docs of three distinct terms each: three postings a doc."""
+    return [{"repo": "r", "path": p, "commit": f"c{gen}", "lang": str(rng.choice(["py", "js"])),
+             "content": " ".join(rng.choice(VOCAB, size=3, replace=False))} for p in paths]
+
+
+def test_segments_of_different_partition_counts_equal_the_oracle(tmp_path):
+    """A base of 4 partitions with a salted hot term, an add of 30 postings
+    (1 partition) and one of 60 (2 partitions): every query kind and the
+    scatter path answer as the oracle, and the postings are those of one
+    build of the same docs at ``num_partitions=1``."""
+    import dataclasses
+
+    rng = np.random.RandomState(7)
+    idx = str(tmp_path / "idx")
+    batches = [_rows(rng, [f"f{i:04d}.py" for i in range(60)], 0),
+               _three_term_rows(rng, [f"g1_{j:03d}.py" for j in range(10)], 1),
+               _three_term_rows(rng, [f"g2_{j:03d}.py" for j in range(20)], 2)]
+    build_index(pa.Table.from_pylist(batches[0]), idx, PCFG)
+    for batch in batches[1:]:
+        add_documents(pa.Table.from_pylist(batch), idx)
+    sim = Sim()
+    for batch in batches:
+        sim.write(batch)
+    eng = QueryEngine(idx)
+    segs = eng.manifest["segments"]
+    assert [s["num_partitions"] for s in segs] == [4, 1, 2]
+    assert segs[0]["hot_terms"] and any(
+        len([r for r in eng._salts(t) if eng._span(t, r) is not None]) > len(segs)
+        for t in eng.hot), "needs a term read from several salt runs"
+    for s in segs:
+        assert {p["pkey"] for p in s["partitions"].values()} <= set(range(s["num_partitions"]))
+    _check_every_kind(idx, eng, sim, rng)
+
+    one = str(tmp_path / "one")
+    build_index(pa.Table.from_pylist([r for batch in batches for r in batch]), one,
+                dataclasses.replace(PCFG, num_partitions=1))
+    assert load_manifest(one)["segments"][0]["num_partitions"] == 1
+    by_key = [("term", "ascending"), ("doc_id", "ascending")]
+    assert eng.export_postings().sort_by(by_key).equals(
+        QueryEngine(one).export_postings().sort_by(by_key))
+
+
+def _crash_in_merge(monkeypatch, skey: int) -> None:
+    """Make the merge of partition ``skey`` fail; the merge task runs in a
+    worker, so a stand-in task fails it there."""
+    @ray.remote
+    def merge_task(batch, **kwargs):
+        from librecatastro_ray.stages import merge
+
+        real = merge.merge_partition
+
+        def failing(index_dir, k, *args, **kw):
+            if k == skey:
+                raise RuntimeError("simulated crash in the grouped merge")
+            return real(index_dir, k, *args, **kw)
+
+        merge.merge_partition = failing
+        try:
+            return merge.merge_batch(batch, **kwargs)
+        finally:
+            merge.merge_partition = real
+
+    monkeypatch.setattr(build_mod, "_merge_task", merge_task)
+
+
+def _parts_bytes(idx: str, seg: dict) -> dict[str, bytes]:
+    parts = os.path.join(idx, seg["parts"])
+    out = {}
+    for name in sorted(os.listdir(parts)):
+        with open(os.path.join(parts, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+def test_grouped_merge_crash_resumes_to_the_clean_parts(tmp_path, monkeypatch):
+    """Segments of 2 of 4 partitions merge two spill skeys into each
+    partition.  A build whose merge fails after one partition resumes, and
+    an add whose merge fails reruns, to the manifest and the posting and
+    dictionary files of a clean run, byte for byte."""
+    from librecatastro_ray.state.manifest import completed_partitions
+
+    rng = np.random.RandomState(13)
+    base = pa.Table.from_pylist(_three_term_rows(rng, [f"f{i:04d}.py" for i in range(20)], 0))
+    delta = pa.Table.from_pylist(_three_term_rows(rng, [f"g{i:04d}.py" for i in range(20)], 1))
+    clean, crash = str(tmp_path / "clean"), str(tmp_path / "crash")
+    build_index(base, clean, PCFG)
+    add_documents(delta, clean)
+    segs = load_manifest(clean)["segments"]
+    assert [s["num_partitions"] for s in segs] == [2, 2]
+    assert [sorted(s["partitions"]) for s in segs] == [["0", "2"], ["0", "2"]]
+    for ck in completed_partitions(clean).values():
+        assert len(ck["lineage"]["input_dirs"]) == 2
+        assert len({f.split("/")[0] for f in ck["lineage"]["input_files"]}) == 2
+
+    _crash_in_merge(monkeypatch, PCFG.num_salts)  # partition 1, salt 0
+    with pytest.raises(RuntimeError, match="simulated crash in the grouped merge"):
+        build_index(base, crash, PCFG)
+    monkeypatch.undo()
+    assert sorted(completed_partitions(crash)) == [0]
+    r = build_index(base, crash, PCFG)
+    assert (r["report"]["partitions_merged"], r["report"]["partitions_skipped"]) == (1, 1)
+    _crash_in_merge(monkeypatch, PCFG.num_salts)
+    with pytest.raises(RuntimeError, match="simulated crash in the grouped merge"):
+        add_documents(delta, crash)
+    monkeypatch.undo()
+    add_documents(delta, crash)
+    assert load_manifest(crash) == load_manifest(clean)
+    for seg in segs:
+        assert _parts_bytes(crash, seg) == _parts_bytes(clean, seg)

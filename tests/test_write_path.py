@@ -8,8 +8,8 @@
 - A merge task over a run of partitions checkpoints each partition as it
   finishes: a failure part-way keeps the finished checkpoints, and resume
   merges exactly the rest.
-- A build or an add runs one Ray Data job and tokenizes each winning doc
-  once.
+- A write of a Dataset runs one Ray Data job, a write from a corpus path
+  or of an in-memory table none, and each tokenizes each winning doc once.
 """
 
 import json
@@ -123,7 +123,12 @@ def _unmerged_copy(clean_dir: str, dst: str) -> list[int]:
 
 
 def _merge_kwargs(index_dir):
-    return {"index_dir": index_dir, "config_json": _cfg().to_json()}
+    """The merge task's arguments: the segment's partition count comes from
+    the shuffle marker, as the build's merge takes it."""
+    with open(os.path.join(index_dir, "shuffle", "_DONE.json")) as f:
+        num_partitions = json.load(f)["num_partitions"]
+    return {"index_dir": index_dir, "config_json": _cfg().to_json(),
+            "num_partitions": num_partitions}
 
 
 def _parts_bytes(index_dir: str) -> dict[str, bytes]:
@@ -190,6 +195,7 @@ def test_multi_row_merge_batch_writes_the_bytes_of_one_row_calls(clean_build, tm
 # tokenize call sees; the driver counts Ray Data executions.
 _ONE_PASS_SCRIPT = r'''
 import json, os, sys
+import pyarrow.parquet as pq
 import ray, ray.data
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from librecatastro_ray import IndexConfig, add_documents, build_index
@@ -221,25 +227,32 @@ ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ER
 ray.data.DataContext.get_current().enable_progress_bars = False
 idx = sys.argv[1]
 base = make_corpus(n_docs=300, seed=3, vocab_size=200, mean_tokens=20, dup_frac=0.1)
+corpus_dir = os.path.join(os.path.dirname(idx), "corpus")
+os.makedirs(corpus_dir)
+pq.write_table(base, os.path.join(corpus_dir, "part-0.parquet"))
 delta = make_corpus(n_docs=60, seed=4, vocab_size=200, mean_tokens=20, dup_frac=0.2)
+delta2 = make_corpus(n_docs=40, seed=5, vocab_size=200, mean_tokens=20, dup_frac=0.2)
 out = []
-for write in (lambda: build_index(base, idx, IndexConfig(positions=True, batch_size=32)),
-              lambda: add_documents(delta, idx)):
+for name, rows, write in (
+        ("path build", base.num_rows,
+         lambda: build_index(corpus_dir, idx, IndexConfig(positions=True, batch_size=32))),
+        ("table add", delta.num_rows, lambda: add_documents(delta, idx)),
+        ("dataset add", delta2.num_rows, lambda: add_documents(ray.data.from_arrow(delta2), idx))):
     jobs.clear()
     seen = len(tokenize_calls())
     m = write()["manifest"]
     calls = tokenize_calls()[seen:]
-    out.append({"rows": base.num_rows if not out else delta.num_rows,
-                "winners": m["segments"][-1]["n_docs"], "jobs": len(jobs),
-                "tokenized": sum(calls), "largest_call": max(calls)})
+    out.append({"write": name, "rows": rows, "winners": m["segments"][-1]["n_docs"],
+                "jobs": len(jobs), "tokenized": sum(calls), "largest_call": max(calls)})
 ray.shutdown()
 print(json.dumps(out))
 '''
 
 
-def test_a_write_runs_one_ray_data_job_and_tokenizes_each_winner_once(tmp_path):
-    """A build and an add each run one Ray Data job (the corpus read and
-    the sha256 map) and tokenize every doc that wins the dedup exactly
+def test_only_a_dataset_write_runs_a_ray_data_job_and_each_winner_is_tokenized_once(tmp_path):
+    """An add of a Dataset runs one Ray Data job (the sha256 map); a build
+    from a corpus path and an add of an in-memory table run none (plain
+    read tasks, driver-side slices).  Each write tokenizes every doc that wins the dedup exactly
     once: no duplicate that loses is tokenized, and nothing re-reads the
     doc store to tokenize it again.  No tokenize call sees more than
     ``batch_size`` rows, so a block of wide rows is tokenized in slices."""
@@ -253,7 +266,10 @@ def test_a_write_runs_one_ray_data_job_and_tokenizes_each_winner_once(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _ONE_PASS_SCRIPT, str(tmp_path / "idx")],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    for write in json.loads(proc.stdout.strip().splitlines()[-1]):
+    writes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [(w["write"], w["jobs"]) for w in writes] == [
+        ("path build", 0), ("table add", 0), ("dataset add", 1)], writes
+    for write in writes:
         assert write["winners"] < write["rows"], "needs duplicates that lose"
-        assert write["jobs"] == 1 and write["tokenized"] == write["winners"], write
+        assert write["tokenized"] == write["winners"], write
         assert write["largest_call"] == 32, write
