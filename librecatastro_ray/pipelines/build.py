@@ -2,7 +2,8 @@
 is a Dataset.
 
     corpus path → one read task per block of parquet
-      rows (sha256 appended in the task); an in-memory
+      rows, a block spanning small files (sha256
+      appended in the task); an in-memory
       table → row slices hashed in the driver; a
       Dataset → map_batches: sha256                    (the write's one Ray
                                                         Data job)
@@ -39,8 +40,8 @@ reference: cadaster_entry.py:53, elasticsearch_utils.py:100-136).
 
 ``add_documents`` runs the same doc-id pass (with its spill) and merge over
 its batch alone into one more segment, with its own partition count, and
-``compact_index`` rebuilds the live docs of every segment as one (its
-live-row read is a Ray Data job).
+``compact_index`` rebuilds the live docs of every segment as one, read
+by the same plain tasks as a corpus path.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data
 
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.stages.doc_ids import (
     CORPUS_COLUMNS,
-    TARGET_BLOCK_BYTES,
+    ParquetCorpus,
     check_corpus_columns,
     cluster_cpus,
     dedup_assign_write,
@@ -123,19 +123,6 @@ def corpus_fingerprint(path: str) -> str:
                     f"{os.path.relpath(p, path)}:{st.st_size}:{st.st_mtime_ns}\n".encode()
                 )
     return h.hexdigest()
-
-
-def _read_sized(files: list[str], columns: list[str]) -> ray.data.Dataset:
-    """Size-aware Ray Data read of parquet files (compaction's live rows):
-    Ray's default read split (min 200 blocks) fragments small inputs into
-    KB-scale blocks, multiplying per-block task overhead and the spill file
-    count (blocks × skeys).  Target ~TARGET_BLOCK_BYTES per block with a
-    floor of 2 tasks per CPU for parallelism."""
-    total = sum(os.path.getsize(f) for f in files)
-    n_blocks = max(2 * cluster_cpus(), total // TARGET_BLOCK_BYTES or 1)
-    from librecatastro_ray.sources.readers import read_parquet_clean
-
-    return read_parquet_clean(files, columns=columns, override_num_blocks=int(n_blocks))
 
 
 def _corpus_table(table: pa.Table) -> pa.Table:
@@ -518,7 +505,9 @@ def compact_index(index_dir: str, target_dir: str) -> dict:
 
     Reads the live rows of the committed segments' doc stores as the
     corpus (content is already deduped and carried there; the files of an
-    add that never committed are not read), so compaction cost equals one
+    add that never committed are not read) with the plain read tasks of a
+    corpus path, which drop the tombstoned rows, so no Ray Data job runs
+    and compaction cost equals one
     build over the live corpus minus crawling/derivation — the merge policy
     that folds the segments adds accumulate back into one.  ``target_dir`` must not
     be the source (the source stays readable throughout — the caller swaps
@@ -528,19 +517,5 @@ def compact_index(index_dir: str, target_dir: str) -> dict:
                          "(the source stays readable during compaction)")
     manifest = check_version(index_dir, load_manifest(index_dir))
     config = IndexConfig.from_json(manifest["config"])
-    dead_ref = ray.put(load_deleted(index_dir, manifest))
-
-    def _live(batch: pa.Table) -> pa.Table:
-        d = ray.get(dead_ref)
-        if len(d) == 0:
-            return batch.select(CORPUS_COLUMNS)
-        ids = batch["doc_id"].to_numpy()
-        idx = np.searchsorted(d, ids)
-        idx[idx == len(d)] = len(d) - 1
-        alive = d[idx] != ids
-        return batch.filter(pa.array(alive)).select(CORPUS_COLUMNS)
-
-    live_ds = _read_sized(
-        doc_files(index_dir, manifest), ["doc_id"] + CORPUS_COLUMNS
-    ).map_batches(_live, batch_format="pyarrow", batch_size=1024)
-    return build_index(live_ds, target_dir, config, resume=False)
+    live = ParquetCorpus(doc_files(index_dir, manifest), load_deleted(index_dir, manifest))
+    return build_index(live, target_dir, config, resume=False)

@@ -18,8 +18,9 @@ scale that is the whole dataset through the object store for what is logically
 a metadata operation.  Instead:
 
   1. ``add_sha`` appends sha256 to each content block; the blocks stay in
-     the object store where they are put.  A corpus path is read by one
-     plain task per block of parquet rows, and an in-memory table is cut
+     the object store where they are put.  Parquet files (a corpus path,
+     or compaction's live rows) are read by one plain task per block of
+     consecutive rows, which may span files, and an in-memory table is cut
      into row-slice blocks that the driver hashes and puts, so neither runs
      a Ray Data job; a Dataset runs it as a stateless ``map_batches`` and is
      materialized once (the write's only Ray Data job).
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -382,30 +384,60 @@ def _block_rows(n_rows: int, nbytes: int) -> int:
     return max(SHA_BATCH_ROWS, -(-n_rows // n_blocks))
 
 
-def _path_blocks(path: str) -> list[tuple[str, int, int]]:
-    """``(file, first row, rows)`` of each content block of a parquet
-    corpus path (one file or a directory of them), a block never spanning
-    two files; a ``ValueError`` for a file without the corpus columns.
-    Only the footers are read."""
-    import pyarrow.parquet as pq
+@dataclass(frozen=True)
+class ParquetCorpus:
+    """Corpus parquet ``files`` read by plain tasks, in order; the rows
+    whose ``doc_id`` is in ``dead`` (sorted ids, compaction's tombstones)
+    are dropped.  A corpus path is read as the parquet files under it."""
 
+    files: list[str]
+    dead: np.ndarray | None = None
+
+
+def _parquet_files(path: str) -> list[str]:
+    """The parquet files of a corpus path (one file or a directory of
+    them), sorted."""
     files = [path] if os.path.isfile(path) else sorted(
         os.path.join(r, f) for r, _d, fs in os.walk(path) for f in fs if f.endswith(".parquet"))
     if not files:
         raise FileNotFoundError(f"no parquet corpus file at {path}")
+    return files
+
+
+def _plan_blocks(files: list[str]) -> list[list[tuple[str, int, int]]]:
+    """The ``(file, first row, rows)`` pieces of each content block of
+    parquet ``files``: consecutive rows of the files in order, cut every
+    ``_block_rows`` rows, so a block spans as many small files as it takes
+    and a directory of many small files is not one block per file.  Only
+    the footers are read; a ``ValueError`` for a file without the corpus
+    columns."""
+    import pyarrow.parquet as pq
+
     metas = [pq.read_metadata(f) for f in files]
     for f, m in zip(files, metas):
         check_corpus_columns(m.schema.to_arrow_schema().names, f)
     step = _block_rows(sum(m.num_rows for m in metas), sum(os.path.getsize(f) for f in files))
-    return [(f, first, min(step, m.num_rows - first))
-            for f, m in zip(files, metas) for first in range(0, m.num_rows, step)]
+    blocks: list[list[tuple[str, int, int]]] = []
+    block: list[tuple[str, int, int]] = []
+    room = step
+    for f, m in zip(files, metas):
+        first = 0
+        while first < m.num_rows:
+            n = min(room, m.num_rows - first)
+            block.append((f, first, n))
+            first += n
+            room -= n
+            if room == 0:
+                blocks.append(block)
+                block, room = [], step
+    if block:
+        blocks.append(block)
+    return blocks
 
 
-@ray.remote(num_returns=2)
-def _read_block(path: str, first: int, n: int) -> tuple[pa.Table, str]:
-    """Rows [first, first + n) of a corpus parquet file (its corpus columns
-    only) with sha256 appended, and the block's content fingerprint: only
-    the row groups that hold the rows are read."""
+def _read_rows(path: str, first: int, n: int, columns: list[str]) -> pa.Table:
+    """Rows [first, first + n) of a parquet file: only the row groups that
+    hold them are read."""
     import bisect
 
     import pyarrow.parquet as pq
@@ -415,27 +447,46 @@ def _read_block(path: str, first: int, n: int) -> tuple[pa.Table, str]:
         starts = np.cumsum([0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)])
         lo = bisect.bisect_right(starts, first) - 1
         hi = bisect.bisect_left(starts, first + n)
-        t = pf.read_row_groups(range(lo, hi), columns=CORPUS_COLUMNS, use_threads=False)
-    block = add_sha(t.slice(first - starts[lo], n).replace_schema_metadata(None))
-    return block, _block_fp(block)
+        t = pf.read_row_groups(range(lo, hi), columns=columns, use_threads=False)
+    return t.slice(first - starts[lo], n).replace_schema_metadata(None)
 
 
-def _sha_blocks(corpus: str | pa.Table | ray.data.Dataset) -> tuple[list, list[int], list[str]]:
+@ray.remote(num_returns=3)
+def _read_block(pieces: list[tuple[str, int, int]], dead: np.ndarray | None
+                ) -> tuple[pa.Table, int, str]:
+    """One content block, the rows of its ``(file, first, n)`` pieces
+    (corpus columns only, without the rows whose doc_id ``dead`` holds)
+    with sha256 appended, its row count and its content fingerprint."""
+    columns = CORPUS_COLUMNS if dead is None else ["doc_id", *CORPUS_COLUMNS]
+    t = pa.concat_tables([_read_rows(f, first, n, columns) for f, first, n in pieces],
+                         promote_options="permissive")
+    if dead is not None:
+        t = t.filter(pa.array(~np.isin(t["doc_id"].to_numpy(), dead))).select(CORPUS_COLUMNS)
+    block = add_sha(t)
+    return block, len(block), _block_fp(block)
+
+
+def _sha_blocks(corpus: str | ParquetCorpus | pa.Table | ray.data.Dataset
+                ) -> tuple[list, list[int], list[str]]:
     """The pass's content blocks with sha256 appended: their object refs,
-    row counts and content fingerprints.  A corpus path is read by one
-    plain task per block (``_path_blocks``); an in-memory table (its
-    ``CORPUS_COLUMNS``) is cut into row slices of the same size that the
-    driver hashes and puts in the object store; neither runs a Ray Data
-    job.  A Dataset runs the sha256 ``map_batches``, the write's one Ray
-    Data job, and is materialized."""
+    row counts and content fingerprints.  Parquet files (a corpus path or
+    a ``ParquetCorpus``) are read by one plain task per block
+    (``_plan_blocks``); an in-memory table (its ``CORPUS_COLUMNS``) is cut
+    into row slices of the same size that the driver hashes and puts in
+    the object store; neither runs a Ray Data job.  A Dataset runs the
+    sha256 ``map_batches``, the write's one Ray Data job, and is
+    materialized."""
     if isinstance(corpus, str):
-        blocks = _path_blocks(corpus)
-        refs, fps = [], []
-        for path, first, n in blocks:
-            block, fp = _read_block.remote(path, first, n)
+        corpus = ParquetCorpus(_parquet_files(corpus))
+    if isinstance(corpus, ParquetCorpus):
+        dead = None if corpus.dead is None else ray.put(corpus.dead)
+        refs, rows, fps = [], [], []
+        for pieces in _plan_blocks(corpus.files):
+            block, n, fp = _read_block.remote(pieces, dead)
             refs.append(block)
+            rows.append(n)
             fps.append(fp)
-        return refs, [n for _p, _f, n in blocks], ray.get(fps)
+        return refs, ray.get(rows), ray.get(fps)
     if isinstance(corpus, pa.Table):
         step = _block_rows(len(corpus), corpus.nbytes)
         blocks = [add_sha(corpus.slice(i, step)) for i in range(0, len(corpus), step)]
@@ -493,7 +544,7 @@ def _winner_splits(
 
 
 def dedup_assign_write(
-    corpus: str | pa.Table | ray.data.Dataset,
+    corpus: str | ParquetCorpus | pa.Table | ray.data.Dataset,
     docs_dir: str,
     spill_dir: str,
     config: IndexConfig,
@@ -506,8 +557,9 @@ def dedup_assign_write(
     object store exactly once and is never re-materialized — and each
     block's flat postings spilled to ``spill_dir/skey=K/part-{bid}.parquet``
     by the same task, salted for the segment that starts at doc id
-    ``id_base``.  ``corpus`` is a parquet corpus path, an in-memory table
-    of ``CORPUS_COLUMNS`` or a Dataset; only a Dataset runs a Ray Data job
+    ``id_base``.  ``corpus`` is a parquet corpus path, a ``ParquetCorpus``,
+    an in-memory table of ``CORPUS_COLUMNS`` or a Dataset; only a Dataset
+    runs a Ray Data job
     (``_sha_blocks``), the rest are plain tasks.  Once the ids are assigned,
     ``hot_terms(map_docs, n_docs, config)`` chooses the segment's hot terms,
     where ``map_docs(fn, **kwargs)`` returns ``fn(docs, **kwargs)`` over

@@ -8,8 +8,10 @@
 - A merge task over a run of partitions checkpoints each partition as it
   finishes: a failure part-way keeps the finished checkpoints, and resume
   merges exactly the rest.
+- A corpus directory of small files is read in blocks that span files.
 - A write of a Dataset runs one Ray Data job, a write from a corpus path
-  or of an in-memory table none, and each tokenizes each winning doc once.
+  or of an in-memory table and a compaction none, and each tokenizes each
+  winning doc once.
 """
 
 import json
@@ -190,6 +192,38 @@ def test_multi_row_merge_batch_writes_the_bytes_of_one_row_calls(clean_build, tm
     assert len(got) == 2 * len(skeys)
 
 
+def test_a_corpus_directory_of_small_files_is_read_in_blocks_that_span_files(tmp_path):
+    """A corpus directory of many small parquet files is read in blocks of
+    consecutive rows that span files, not one block per file: 1,200 rows in
+    12 files of 40 to 160 rows make the 3 blocks (512, 512, 176 rows) of the
+    same rows as one table, and the index equals that table's, segment
+    entry and doc store alike."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from librecatastro_ray.pipelines.build import build_index
+    from librecatastro_ray.sources.synth import make_corpus
+
+    corpus = make_corpus(n_docs=1200, seed=11, vocab_size=300, mean_tokens=10).slice(0, 1200)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    sizes = [40, 160, 70, 130, 100, 100, 60, 140, 90, 110, 120, 80]
+    firsts = np.cumsum([0] + sizes[:-1])
+    assert sum(sizes) == corpus.num_rows
+    for i, (first, n) in enumerate(zip(firsts, sizes)):
+        pq.write_table(corpus.slice(int(first), n), str(corpus_dir / f"part-{i:02d}.parquet"))
+    got, want = str(tmp_path / "from_files"), str(tmp_path / "from_table")
+    m_got = build_index(str(corpus_dir), got, _cfg())["manifest"]
+    m_want = build_index(corpus, want, _cfg())["manifest"]
+    for d in (got, want):
+        with open(os.path.join(d, "docs", "_PLAN.json")) as f:
+            assert json.load(f)["block_rows"] == [512, 512, 176], d
+    assert len(m_got["segments"][0]["docs"]) == 3
+    assert m_got["segments"] == m_want["segments"]
+    assert all(pads.dataset(os.path.join(got, f)).to_table().equals(
+        pads.dataset(os.path.join(want, f)).to_table()) for f in m_got["segments"][0]["docs"])
+
+
 # Run in a fresh interpreter with its own one-CPU Ray session, whose
 # workers all start with a set-up hook that counts the rows every
 # tokenize call sees; the driver counts Ray Data executions.
@@ -199,7 +233,9 @@ import pyarrow.parquet as pq
 import ray, ray.data
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from librecatastro_ray import IndexConfig, add_documents, build_index
+from librecatastro_ray.pipelines.build import compact_index
 from librecatastro_ray.sources.synth import make_corpus
+from librecatastro_ray.state.manifest import delete_docs, load_deleted, load_manifest
 
 def count_tokenized_rows():
     from librecatastro_ray.functions import tokenizer
@@ -229,7 +265,8 @@ idx = sys.argv[1]
 base = make_corpus(n_docs=300, seed=3, vocab_size=200, mean_tokens=20, dup_frac=0.1)
 corpus_dir = os.path.join(os.path.dirname(idx), "corpus")
 os.makedirs(corpus_dir)
-pq.write_table(base, os.path.join(corpus_dir, "part-0.parquet"))
+for i, (first, n) in enumerate(((0, 70), (70, 130), (200, 100))):  # one block of 3 files
+    pq.write_table(base.slice(first, n), os.path.join(corpus_dir, f"part-{i}.parquet"))
 delta = make_corpus(n_docs=60, seed=4, vocab_size=200, mean_tokens=20, dup_frac=0.2)
 delta2 = make_corpus(n_docs=40, seed=5, vocab_size=200, mean_tokens=20, dup_frac=0.2)
 out = []
@@ -237,7 +274,11 @@ for name, rows, write in (
         ("path build", base.num_rows,
          lambda: build_index(corpus_dir, idx, IndexConfig(positions=True, batch_size=32))),
         ("table add", delta.num_rows, lambda: add_documents(delta, idx)),
-        ("dataset add", delta2.num_rows, lambda: add_documents(ray.data.from_arrow(delta2), idx))):
+        ("dataset add", delta2.num_rows, lambda: add_documents(ray.data.from_arrow(delta2), idx)),
+        ("compaction", None, lambda: compact_index(idx, idx + "-compact"))):
+    if rows is None:  # the live docs
+        delete_docs(idx, [0, 1, 2])
+        rows = load_manifest(idx)["n_docs"] - len(load_deleted(idx))
     jobs.clear()
     seen = len(tokenize_calls())
     m = write()["manifest"]
@@ -251,8 +292,9 @@ print(json.dumps(out))
 
 def test_only_a_dataset_write_runs_a_ray_data_job_and_each_winner_is_tokenized_once(tmp_path):
     """An add of a Dataset runs one Ray Data job (the sha256 map); a build
-    from a corpus path and an add of an in-memory table run none (plain
-    read tasks, driver-side slices).  Each write tokenizes every doc that wins the dedup exactly
+    from a corpus path of 3 files, an add of an in-memory table and a
+    compaction run none (plain read tasks, driver-side slices).  Each write
+    tokenizes every doc that wins the dedup exactly
     once: no duplicate that loses is tokenized, and nothing re-reads the
     doc store to tokenize it again.  No tokenize call sees more than
     ``batch_size`` rows, so a block of wide rows is tokenized in slices."""
@@ -268,8 +310,11 @@ def test_only_a_dataset_write_runs_a_ray_data_job_and_each_winner_is_tokenized_o
     assert proc.returncode == 0, proc.stderr[-3000:]
     writes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert [(w["write"], w["jobs"]) for w in writes] == [
-        ("path build", 0), ("table add", 0), ("dataset add", 1)], writes
+        ("path build", 0), ("table add", 0), ("dataset add", 1), ("compaction", 0)], writes
     for write in writes:
-        assert write["winners"] < write["rows"], "needs duplicates that lose"
+        if write["write"] == "compaction":
+            assert write["winners"] == write["rows"], write
+        else:
+            assert write["winners"] < write["rows"], "needs duplicates that lose"
         assert write["tokenized"] == write["winners"], write
         assert write["largest_call"] == 32, write
