@@ -31,17 +31,20 @@ is a Dataset.
       → merge_batch tasks over runs of the d × salts
         partitions → parts/ + checkpoints/             (≤ 2 × CPUs tasks; one
                                                         checkpoint per partition)
-      → finalize manifest.json                         (segment 0)
+      → commit manifest.json, then remove the spill    (segment 0)
 
-Every phase is gated by a completion marker; the merge phase is resumable at
-per-partition granularity via the checkpoint anti-join (the reference's
-resume mechanisms re-expressed: upsert idempotence + skip-already-scraped,
-reference: cadaster_entry.py:53, elasticsearch_utils.py:100-136).
-
-``add_documents`` runs the same doc-id pass (with its spill) and merge over
-its batch alone into one more segment, with its own partition count, and
-``compact_index`` rebuilds the live docs of every segment as one, read
-by the same plain tasks as a corpus path.
+``build_index`` and ``add_documents`` write a segment the same way
+(``_write_segment``): the add runs this pass and merge over its batch alone
+into one more segment, with its own partition count, and ``compact_index``
+is a build over the live docs of every segment, read by the same plain
+tasks as a corpus path.  Two records decide what a rerun after a crash
+reuses: the doc-id pass's ``_PLAN.json`` (block rows and content
+fingerprints, config, format version, id base), whose change discards the
+segment's doc parts, spill, merged parts and checkpoints, and the
+per-partition merge checkpoints, whose anti-join skips the merged
+partitions (the reference's resume mechanisms re-expressed: upsert
+idempotence + skip-already-scraped, reference: cadaster_entry.py:53,
+elasticsearch_utils.py:100-136).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 import ray
+import ray.data
 
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.stages.doc_ids import (
@@ -67,14 +71,12 @@ from librecatastro_ray.stages.doc_ids import (
 from librecatastro_ray.stages.merge import merge_batch
 from librecatastro_ray.state.manifest import (
     INDEX_FORMAT_VERSION,
-    atomic_write_json,
     check_version,
     completed_partitions,
     doc_files,
     load_deleted,
     load_manifest,
     manifest_path,
-    read_json,
     save_manifest,
     write_ids,
 )
@@ -84,53 +86,26 @@ def _remove(paths: list[str]) -> None:
         shutil.rmtree(p, ignore_errors=True)
 
 
-def _marker(path: str) -> str:
-    return os.path.join(path, "_DONE.json")
+def _corpus(corpus: Any) -> Any:
+    """``corpus``, or a ``ValueError`` naming the ``CORPUS_COLUMNS`` it
+    lacks, raised before the write touches anything.  A table keeps only
+    those columns, as a path read does; a Dataset keeps its extra columns
+    in the doc store (a Dataset whose plan cannot infer its schema runs its
+    first block for the check).  A corpus path's files are checked by
+    their footers when its blocks are planned."""
+    if isinstance(corpus, pa.Table):
+        check_corpus_columns(corpus.column_names, "corpus table")
+        return corpus.select(CORPUS_COLUMNS)
+    if isinstance(corpus, ray.data.Dataset):
+        schema = corpus.schema()
+        check_corpus_columns(schema.names if schema else [], "corpus Dataset")
+    return corpus
 
 
-def _phase_done(d: str) -> bool:
-    return os.path.exists(_marker(d))
-
-
-def _partitioning(config: IndexConfig) -> dict:
-    """The config fields that decide the spill's skeys, hot terms and salt
-    width and the merged parts' blocks (the analysis ones are the docs
-    marker's ``analysis_fp``), recorded in the shuffle marker."""
-    fields = ("num_partitions", "num_salts", "hot_sample_target", "block_size",
-              "blocks_row_group_size")
-    return {f: getattr(config, f) for f in fields}
-
-
-def corpus_fingerprint(path: str) -> str:
-    """Cheap content-change detector for resume validation: sha256 over the
-    sorted (relpath, size, mtime_ns) of the corpus parquet files.  Stored in
-    the docs phase marker so a crashed build resumed against a CHANGED
-    corpus invalidates the finished phases instead of mixing old and new
-    content."""
-    import hashlib
-
-    h = hashlib.sha256()
-    if os.path.isfile(path):
-        st = os.stat(path)
-        h.update(f"{os.path.basename(path)}:{st.st_size}:{st.st_mtime_ns}\n".encode())
-        return h.hexdigest()
-    for root, _dirs, files in sorted(os.walk(path)):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                p = os.path.join(root, f)
-                st = os.stat(p)
-                h.update(
-                    f"{os.path.relpath(p, path)}:{st.st_size}:{st.st_mtime_ns}\n".encode()
-                )
-    return h.hexdigest()
-
-
-def _corpus_table(table: pa.Table) -> pa.Table:
-    """An in-memory corpus table's ``CORPUS_COLUMNS``, extra columns dropped
-    as a path read drops them, or a ``ValueError`` naming the missing ones
-    (raised before the write touches anything)."""
-    check_corpus_columns(table.column_names, "corpus table")
-    return table.select(CORPUS_COLUMNS)
+def _dir_stats(path: str) -> tuple[int, int]:
+    """(files, bytes) under ``path``."""
+    sizes = [os.path.getsize(os.path.join(r, f)) for r, _d, fs in os.walk(path) for f in fs]
+    return len(sizes), sum(sizes)
 
 
 def _sample_term_counts(docs: pa.Table, *, mod: int, analyzer_id: str) -> tuple[pa.Table, int]:
@@ -230,6 +205,87 @@ def _merge_partitions(skeys: list[int], index_dir: str, config: IndexConfig,
     ray.get(refs)
 
 
+def _segment_dirs(seg: str | None) -> dict[str, str]:
+    """The dirs, relative to the index dir, of the build's segment 0
+    (``seg`` None) or of an add's segment ``seg``: its doc store, merged
+    parts, spill and merge checkpoints."""
+    if seg is None:
+        return {"docs": "docs", "parts_dir": "parts", "spill_dir": "shuffle",
+                "ckpt_name": "checkpoints"}
+    return {"docs": os.path.join("docs", seg), "parts_dir": f"{seg}/parts",
+            "spill_dir": f"{seg}/shuffle", "ckpt_name": f"{seg}/checkpoints"}
+
+
+def _write_segment(corpus: Any, index_dir: str, config: IndexConfig, committed: dict,
+                   seg: str | None = None) -> dict:
+    """Write ``corpus`` as one more segment after those of ``committed``
+    (the index's manifest; a build passes one without segments) and commit
+    it.  The build and every add run the same steps, in order:
+
+      1. the doc-id pass (``dedup_assign_write``): doc store and spill;
+      2. the merge of the partitions that have no checkpoint;
+      3. the segment's manifest entry, with the committed ids its docs
+         upsert away, committed by the one manifest ``os.replace``;
+      4. the removal of the segment's spill, once the commit is done.
+
+    A rerun after a crash reuses what the doc-id pass's plan and the merge
+    checkpoints allow: a differing plan discards the segment's doc parts,
+    spill, merged parts and checkpoints; a matching one keeps the finished
+    blocks, and the checkpoint anti-join the merged partitions.  An add of
+    no doc commits nothing and removes what it wrote.  Returns
+    ``{"manifest": ..., "report": {...}}``."""
+    dirs = _segment_dirs(seg)
+    path = lambda d: os.path.join(index_dir, d)  # noqa: E731
+    base = int(committed["n_docs"])
+    t0 = time.monotonic()
+    n_docs, sum_dl, layout = dedup_assign_write(
+        corpus, path(dirs["docs"]), path(dirs["spill_dir"]), config, estimate_hot_terms, base,
+        derived=(path(dirs["parts_dir"]), path(dirs["ckpt_name"])))
+    report: dict[str, Any] = {"n_added": int(n_docs),
+                              "phase_seconds": {"docs": round(time.monotonic() - t0, 3)}}
+    if n_docs == 0 and committed["segments"]:
+        _remove([path(dirs["docs"]), path(seg)])
+        return {"manifest": committed, "report": report}
+
+    t0 = time.monotonic()
+    skeys = layout["skeys"]  # none when no doc has a token
+    done = completed_partitions(index_dir, dirs["ckpt_name"])
+    pending = [s for s in skeys if s not in done]
+    report["partitions_merged"] = len(pending)
+    report["partitions_skipped"] = len(skeys) - len(pending)
+    if pending:
+        _merge_partitions(pending, index_dir, config, layout["num_partitions"],
+                          **{k: dirs[k] for k in ("parts_dir", "spill_dir", "ckpt_name")})
+        done = completed_partitions(index_dir, dirs["ckpt_name"])
+    missing = [s for s in skeys if s not in done]
+    if missing:
+        raise RuntimeError(f"merge incomplete: partitions {missing} missing checkpoints")
+    report["phase_seconds"]["merge"] = round(time.monotonic() - t0, 3)
+
+    docs = _segment_docs(index_dir, dirs["docs"])
+    upserted = _upserted_ids(index_dir, committed, docs) if committed["segments"] else []
+    report["n_upserts"] = int(len(upserted))
+    upserted_file = None
+    if len(upserted):
+        upserted_file = f"{seg}/upserted.parquet"
+        write_ids(path(upserted_file), upserted)
+    segment = _segment_entry(base, int(n_docs), int(sum_dl), docs, dirs["parts_dir"], layout,
+                             {s: done[s] for s in skeys}, upserted_file)
+    segments = [*committed["segments"], segment]
+    manifest = dict(
+        committed,
+        n_docs=base + int(n_docs),
+        sum_dl=int(committed["sum_dl"]) + int(sum_dl),
+        segments=segments,
+        lineage=dict(committed["lineage"], **_lineage(segments)),
+    )
+    save_manifest(index_dir, manifest)
+    report["n_docs"] = manifest["n_docs"]
+    report["spill_files"], report["spill_bytes"] = _dir_stats(path(dirs["spill_dir"]))
+    _remove([path(dirs["spill_dir"])])
+    return {"manifest": manifest, "report": report}
+
+
 def build_index(
     corpus: Any,
     index_dir: str,
@@ -237,25 +293,17 @@ def build_index(
     *,
     resume: bool = True,
 ) -> dict:
-    """Build (or resume building) an index.  Returns
-    ``{"manifest": ..., "report": {...}}`` where the report carries
-    per-phase skip/recompute counts (used by the resume tests)."""
+    """Build (or resume building) an index: segment 0, written by
+    ``_write_segment``.  Returns ``{"manifest": ..., "report": {...}}``;
+    the report's ``phases_skipped`` is ``["all"]`` when a complete index
+    was reused, and it counts the merged and skipped partitions."""
     config = config or IndexConfig()
-    if isinstance(corpus, pa.Table):
-        corpus = _corpus_table(corpus)
+    corpus = _corpus(corpus)
     # fail fast on an unknown strategy id — before any phase writes
     from librecatastro_ray.functions.analysis import get_analyzer, get_scorer
 
     get_analyzer(config.analyzer)
     get_scorer(config.scorer, config.k1, config.b)
-    report: dict[str, Any] = {
-        "phases_skipped": [],
-        "partitions_merged": 0,
-        "partitions_skipped": 0,
-        "phase_seconds": {},
-    }
-    _t = time.monotonic
-    _t0 = _t()
 
     if resume and os.path.exists(manifest_path(index_dir)):
         # a COMPLETE index is reused as-is (drop to rebuild) — but only if
@@ -275,12 +323,11 @@ def build_index(
             and float(mcfg.b) == float(config.b)
             and bool(mcfg.positions) == bool(config.positions)
         ):
-            report["phases_skipped"] = ["all"]
-            return {"manifest": old, "report": report}
-        # mismatch: fall through to a rebuild (the phase markers carry the
-        # old analysis fingerprint, so the stale phases are wiped).  Remove
-        # the stale manifest FIRST — otherwise a crash mid-rebuild leaves a
-        # "complete" manifest over gutted phase dirs and the next resume
+            return {"manifest": old, "report": {"phases_skipped": ["all"]}}
+        # mismatch: fall through to a rebuild (the doc-id plan records the
+        # old config, so the stale segment is discarded).  Remove the stale
+        # manifest FIRST — otherwise a crash mid-rebuild leaves a
+        # "complete" manifest over a discarded segment and the next resume
         # would return it as-is.
         os.remove(manifest_path(index_dir))
     if not resume:
@@ -289,101 +336,21 @@ def build_index(
         drop_index(index_dir)
 
     os.makedirs(index_dir, exist_ok=True)
-    docs_dir = os.path.join(index_dir, "docs")
-    shuffle_dir = os.path.join(index_dir, "shuffle")
     # a build writes segment 0 only: the added segments of an index it
     # replaces are stale
     _remove(glob.glob(os.path.join(index_dir, "seg-*"))
-            + glob.glob(os.path.join(docs_dir, "seg-*")))
-
-    # ---- phase A: dedup + doc ids → canonical doc store + postings spill --
-    # one key-only sort, one tokenize, one fused write: docs/ is forward
-    # index, row-invariant (sha256) table and BM25 norm (dl) table in a
-    # single columnar parquet, written block-per-file by the id-apply tasks,
-    # which spill each block's salted flat postings to shuffle/ first
-    src_fp = corpus_fingerprint(corpus) if isinstance(corpus, str) else None
-    # analysis fingerprint: a resumed build must NOT mix phases produced by
-    # different strategies — dl/avgdl (docs phase) depend on the analyzer,
-    # postings + block-max tfnorm (shuffle/merge) on analyzer AND scorer
-    # params.  A marker WITHOUT the key is a pre-strategy index, which was
-    # by definition built with the canonical defaults — it must compare
-    # against the default fingerprint, not match any requested strategy.
-    def _analysis_fp(cfg: IndexConfig) -> str:
-        # positions is part of the fingerprint: the shuffle spill and the
-        # merged blocks physically differ between the two layouts (a legacy
-        # marker without the suffix is a positions=False build by definition)
-        fp = f"{cfg.analyzer}|{cfg.scorer}|k1={cfg.k1}|b={cfg.b}"
-        return fp + ("|positions" if cfg.positions else "")
-
-    analysis_fp = _analysis_fp(config)
-    stats = read_json(_marker(docs_dir)) if _phase_done(docs_dir) else None
-    if stats is not None:
-        stale_src = src_fp is not None and stats.get("src_fp") not in (None, src_fp)
-        stored_fp = stats.get("analysis_fp") or _analysis_fp(IndexConfig())
-        stale_analysis = stored_fp != analysis_fp
-        if stale_src or stale_analysis:
-            # crash-resume against a CHANGED corpus or analysis strategy:
-            # the finished docs phase (and everything derived from it) is
-            # stale — invalidate all of it rather than mixing old and new
-            _remove([docs_dir, shuffle_dir, os.path.join(index_dir, "checkpoints")])
-            report["phases_invalidated"] = ["docs", "shuffle", "merge"]
-            stats = None
-    shuffle_meta = read_json(_marker(shuffle_dir)) if _phase_done(shuffle_dir) else None
-    # a finished spill of another partitioning is stale: the pass below
-    # rewrites it (and the doc store), and its merged partitions go too
-    if shuffle_meta is not None and (
-            shuffle_meta.get("version") != INDEX_FORMAT_VERSION
-            or shuffle_meta.get("partitioning") != _partitioning(config)):
-        shuffle_meta = None
-    if stats is not None and shuffle_meta is not None:
-        report["phases_skipped"] += ["docs", "shuffle"]
-    else:
-        # one pass writes the doc store and the spill; the partitions merged
-        # from an earlier spill are stale.  No wipe of docs/ or shuffle/
-        # here: dedup_assign_write's _PLAN.json keeps the blocks a crashed
-        # run finished when corpus and config are unchanged (block-level
-        # resume, content-fingerprinted) and clears them itself when not
-        _remove([os.path.join(index_dir, "checkpoints"), os.path.join(index_dir, "parts")])
-        n_docs_a, sum_dl_a, shuffle_meta = dedup_assign_write(
-            corpus, docs_dir, shuffle_dir, config, estimate_hot_terms)
-        stats = {"n_docs": int(n_docs_a), "sum_dl": int(sum_dl_a),
-                 "src_fp": src_fp, "analysis_fp": analysis_fp}
-        atomic_write_json(_marker(docs_dir), stats)
-        shuffle_meta.update(version=INDEX_FORMAT_VERSION, partitioning=_partitioning(config))
-        atomic_write_json(_marker(shuffle_dir), shuffle_meta)
-    report["phase_seconds"]["docs"] = round(_t() - _t0, 3)
-    _t0 = _t()
-    docs = _segment_docs(index_dir, "docs")
-    n_docs = int(stats["n_docs"])
-    sum_dl = int(stats["sum_dl"])
-    skeys_present = shuffle_meta["skeys"]
-
-    # ---- phase B: merge in task groups, checkpoint anti-join --------------
-    done = completed_partitions(index_dir)
-    pending = [s for s in skeys_present if s not in done]
-    report["partitions_skipped"] = len(skeys_present) - len(pending)
-    report["partitions_merged"] = len(pending)
-    if pending:
-        _merge_partitions(pending, index_dir, config, shuffle_meta["num_partitions"])
-    report["phase_seconds"]["merge"] = round(_t() - _t0, 3)
-    done = completed_partitions(index_dir)
-    missing = [s for s in skeys_present if s not in done]
-    if missing:
-        raise RuntimeError(f"merge incomplete: partitions {missing} missing checkpoints")
-
-    # ---- finalize: manifest (deterministic content — no wall clock) -------
-    segment = _segment_entry(0, n_docs, sum_dl, docs, "parts", shuffle_meta, done)
-    manifest = {
+            + glob.glob(os.path.join(index_dir, "docs", "seg-*")))
+    empty = {
         "version": INDEX_FORMAT_VERSION,
         "config": config.to_json(),
-        "n_docs": n_docs,
-        "sum_dl": sum_dl,
-        "segments": [segment],
-        "lineage": {"source": corpus if isinstance(corpus, str) else "<dataset>",
-                    **_lineage([segment])},
+        "n_docs": 0,
+        "sum_dl": 0,
+        "segments": [],
+        "lineage": {"source": corpus if isinstance(corpus, str) else "<dataset>"},
     }
-    save_manifest(index_dir, manifest)
-    return {"manifest": manifest, "report": report}
+    out = _write_segment(corpus, index_dir, config, empty)
+    out["report"]["phases_skipped"] = []
+    return out
 
 
 def _upserted_ids(index_dir: str, manifest: dict, new_docs: list[str]) -> np.ndarray:
@@ -412,14 +379,14 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
       - the batch becomes one new SEGMENT over the doc-id range
         [n_docs, n_docs + n_new): ids are dense, sorted by (repo, path)
         within the batch, and existing ids never change;
-      - the segment is written by the build's own doc-id pass (with its
-        spill) and merge over the batch alone — its own doc store
-        (``docs/seg-{g}/``), parts, checkpoints, hot-term list, salt width
-        and term partition count (``seg-{g}/``) — so an add costs what its
-        batch costs and no older posting is read or rewritten.  A batch
-        whose postings fit one posting row group (``hot_postings_budget``)
-        is one partition, merged by one task, and an in-memory table runs
-        no Ray Data job;
+      - the segment is written as the build writes its own
+        (``_write_segment``: the doc-id pass with its spill, then the merge,
+        over the batch alone) — its own doc store (``docs/seg-{g}/``),
+        parts, checkpoints, hot-term list, salt width and term partition
+        count (``seg-{g}/``) — so an add costs what its batch costs and no
+        older posting is read or rewritten.  A batch whose postings fit one
+        posting row group (``hot_postings_budget``) is one partition,
+        merged by one task, and an in-memory table runs no Ray Data job;
       - an incoming (repo, path) that already exists UPSERTS: the old doc
         id is tombstoned and the new doc serves — exactly Lucene's
         delete-then-add update.  The upserted-away ids go to
@@ -433,66 +400,22 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     The manifest ``os.replace`` is the one commit point: before it no
     reader sees any of the segment's docs, postings or tombstones, so an
     add that fails part-way leaves the last committed index as it was, and
-    rerunning it redoes it.  The add deletes nothing a reader of an earlier
-    manifest can open (only its own spill, after the commit).  Segments
-    accumulate until ``compact_index`` rebuilds the live docs as one, and
-    a query reads one run per segment, so read cost grows with their count
-    (``match_wand`` p50 about 0.16 ms at 1 segment, 17.6 ms at 200 on
-    1 CPU): there is no merge policy yet, so compact an index that has
-    taken many adds.
+    rerunning it resumes it as a build resumes (what the doc-id plan and
+    the merge checkpoints allow is kept).  The add deletes nothing a reader
+    of an earlier manifest can open (only its own spill, after the commit).
+    Segments accumulate until ``compact_index`` rebuilds the live docs as
+    one, and a query reads one run per segment, so read cost grows with
+    their count (``match_wand`` p50 about 0.16 ms at 1 segment, 17.6 ms at
+    200 on 1 CPU): there is no merge policy yet, so compact an index that
+    has taken many adds.
     """
-    if isinstance(corpus, pa.Table):
-        corpus = _corpus_table(corpus)
+    corpus = _corpus(corpus)
     manifest = check_version(index_dir, load_manifest(index_dir))
-    config = IndexConfig.from_json(manifest["config"])
     seg = f"seg-{len(manifest['segments']):04d}"
-    docs_dir = os.path.join("docs", seg)
-    dirs = {"parts_dir": f"{seg}/parts", "spill_dir": f"{seg}/shuffle",
-            "ckpt_name": f"{seg}/checkpoints"}
-    # a rerun after a crash redoes the whole add: wipe this segment's
-    # uncommitted files (no committed file is touched)
-    uncommitted = [os.path.join(index_dir, d) for d in (docs_dir, seg)]
-    _remove(uncommitted)
-
-    # ---- new docs and their postings spill: dedup within batch, ids offset
-    # past the current space, the segment's own hot terms and salt width ---
-    base = int(manifest["n_docs"])
-    n_new, sum_dl_new, layout = dedup_assign_write(
-        corpus, os.path.join(index_dir, docs_dir),
-        os.path.join(index_dir, dirs["spill_dir"]), config, estimate_hot_terms, base)
-    report: dict[str, Any] = {"n_added": int(n_new), "segment": seg}
-    if n_new == 0:
-        _remove(uncommitted)
-        return {"manifest": manifest, "report": report}
-    docs = _segment_docs(index_dir, docs_dir)
-
-    # ---- upsert: the committed ids whose (repo, path) reappears ----------
-    upserted = _upserted_ids(index_dir, manifest, docs)
-    report["n_upserts"] = int(len(upserted))
-    upserted_file = None
-    if len(upserted):
-        upserted_file = f"{seg}/upserted.parquet"
-        write_ids(os.path.join(index_dir, upserted_file), upserted)
-
-    if layout["skeys"]:  # none when every new doc tokenizes to nothing
-        _merge_partitions(layout["skeys"], index_dir, config, layout["num_partitions"], **dirs)
-    done = completed_partitions(index_dir, dirs["ckpt_name"])
-
-    # ---- commit: one manifest replace -------------------------------------
-    segment = _segment_entry(base, int(n_new), int(sum_dl_new), docs, dirs["parts_dir"], layout,
-                             done, upserted_file)
-    segments = [*manifest["segments"], segment]
-    manifest = dict(
-        manifest,
-        n_docs=base + int(n_new),
-        sum_dl=int(manifest["sum_dl"]) + int(sum_dl_new),
-        segments=segments,
-        lineage=dict(manifest["lineage"], **_lineage(segments)),
-    )
-    save_manifest(index_dir, manifest)
-    _remove([os.path.join(index_dir, dirs["spill_dir"])])
-    report["n_docs"] = manifest["n_docs"]
-    return {"manifest": manifest, "report": report}
+    out = _write_segment(corpus, index_dir, IndexConfig.from_json(manifest["config"]), manifest,
+                         seg)
+    out["report"]["segment"] = seg
+    return out
 
 
 def compact_index(index_dir: str, target_dir: str) -> dict:

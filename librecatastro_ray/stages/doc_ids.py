@@ -64,6 +64,7 @@ from librecatastro_ray.functions.hashing import sha256_batch
 from librecatastro_ray.stages import postings
 from librecatastro_ray.stages.merge import merged_skeys, partition_count
 from librecatastro_ray.stages.postings import salt_range_width
+from librecatastro_ray.state.manifest import INDEX_FORMAT_VERSION
 
 
 def add_sha(batch: pa.Table) -> pa.Table:
@@ -550,6 +551,7 @@ def dedup_assign_write(
     config: IndexConfig,
     hot_terms: Callable[[Callable, int, IndexConfig], list[str]],
     id_base: int = 0,
+    derived: tuple[str, ...] = (),
 ) -> tuple[int, int, dict]:
     """The doc-id pass of a build or an add: dedup + id assignment with the
     finished doc-store blocks written straight to ``docs_dir`` (one parquet
@@ -566,26 +568,30 @@ def dedup_assign_write(
     every id-stamped block, run as plain tasks.
 
     Block-level resume: a ``_PLAN.json`` records (n_blocks, n_rows,
-    per-block row counts AND per-block content fingerprints, and the
-    config) before any write; when a rerun sees the same plan, part files
-    that survived the crash are kept (ids are deterministic for a fixed
-    corpus, so surviving files are correct) and only missing blocks are
-    recomputed.  A differing plan — shape, content (the fingerprints hash
-    each block's sha256 column) or config — wipes the doc-store parts and
-    the spill first.  Returns ``(n_docs, sum_dl, layout)``, where layout
-    holds the spill's ``hot_terms`` and ``salt_width``, the segment's term
-    partition count ``num_partitions`` (``merge.partition_count``) and the
-    ``skeys`` its merge writes (sorted; none when no doc has a token)."""
+    per-block row counts AND per-block content fingerprints, the config,
+    the index format version and ``id_base``) before any write; when a
+    rerun sees the same plan, part files that survived the crash are kept
+    (ids are deterministic for a fixed plan, so surviving files are
+    correct) and only missing blocks are recomputed.  A differing plan —
+    shape, content (the fingerprints hash each block's sha256 column),
+    config, version or id base — discards the doc-store parts, the spill
+    and the ``derived`` dirs (the merged parts and checkpoints made from
+    them) first, the old plan before anything else, so a crash mid-discard
+    still leaves a differing plan.  Returns ``(n_docs, sum_dl, layout)``,
+    where layout holds the spill's ``hot_terms`` and ``salt_width``, the
+    segment's term partition count ``num_partitions``
+    (``merge.partition_count``) and the ``skeys`` its merge writes (sorted;
+    none when no doc has a token)."""
     import glob
     import json
 
     block_refs, block_rows, block_fps = _sha_blocks(corpus)
     os.makedirs(docs_dir, exist_ok=True)
-    if not block_refs:
-        return 0, 0, {"hot_terms": [], "salt_width": 1, "num_partitions": 1, "skeys": []}
     n_rows = sum(block_rows)
     plan_path = os.path.join(docs_dir, "_PLAN.json")
     plan = {
+        "version": INDEX_FORMAT_VERSION,
+        "id_base": int(id_base),
         "n_blocks": len(block_refs),
         "n_rows": int(n_rows),
         "block_rows": block_rows,
@@ -597,13 +603,18 @@ def dedup_assign_write(
         with open(plan_path) as f:
             old_plan = json.load(f)
     if old_plan != plan:
+        if old_plan is not None:
+            os.remove(plan_path)
         for f in glob.glob(os.path.join(docs_dir, "part-*.parquet*")):
             os.remove(f)
-        shutil.rmtree(spill_dir, ignore_errors=True)
+        for d in (spill_dir, *derived):
+            shutil.rmtree(d, ignore_errors=True)
         tmp = plan_path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(plan, f)
         os.replace(tmp, plan_path)
+    if not block_refs:
+        return 0, 0, {"hot_terms": [], "salt_width": 1, "num_partitions": 1, "skeys": []}
     groups, span, n_docs = _winner_splits(block_refs, n_rows, id_base)
 
     def map_docs(fn, **kwargs) -> list:

@@ -28,9 +28,13 @@ Layout of an index directory:
                                    the last salt also the rest
     parts/dict-{p}-{s}.parquet     term dictionary per (partition, salt)
     checkpoints/part-{skey}.json   per-partition merge checkpoint
-    shuffle/skey=*/                phase-1 partitioned flat postings (scratch)
-    seg-{g}/parts/, seg-{g}/checkpoints/, seg-{g}/shuffle/
-                             the same for segment g >= 1
+    docs/_PLAN.json                the doc-id pass's plan: what a rerun of
+                                   an uncommitted write may reuse
+    shuffle/skey=*/                the doc-id pass's partitioned flat
+                                   postings, removed once the segment's
+                                   commit is done
+    seg-{g}/parts/, seg-{g}/checkpoints/, docs/seg-{g}/_PLAN.json,
+    seg-{g}/shuffle/         the same for segment g >= 1
     seg-{g}/upserted.parquet the ids segment g upserted away
     deleted/deleted.parquet  tombstones written by ``delete_docs``
 
@@ -196,12 +200,21 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     ``delete_docs`` tombstones after the merge (the ids adds upserted away
     stay in their segments' files; ``load_deleted`` unions both).
 
-    Raises ``ValueError``, writing nothing, for an id outside ``[0, n_docs)``
-    of the committed manifest: ids are dense and an add appends from
-    ``n_docs`` on, so such a tombstone would hide a future document."""
+    Raises ``ValueError``, writing nothing, for an id that is not an
+    integer (a float, bool or string would be cast to some other doc's id)
+    or is outside ``[0, n_docs)`` of the committed manifest: ids are dense
+    and an add appends from ``n_docs`` on, so such a tombstone would hide a
+    future document."""
     import numpy as np
 
-    ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
+    items = doc_ids if isinstance(doc_ids, np.ndarray) else list(doc_ids)
+    if isinstance(items, np.ndarray):
+        ints = items.size == 0 or np.issubdtype(items.dtype, np.integer)
+    else:
+        ints = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items)
+    if not ints:
+        raise ValueError(f"doc ids must be integers, not {list(items[:10])}")
+    ids = np.unique(np.asarray(items, dtype=np.int64))
     manifest = load_manifest(index_dir)
     n_docs = int(manifest["n_docs"])
     bad = ids[(ids < 0) | (ids >= n_docs)]

@@ -108,14 +108,18 @@ def test_add_upsert_replaces_and_tombstones(tmp_path, corpus_small):
 
 def test_add_generations_stack_and_old_parts_reclaimed(tmp_path, corpus_small):
     """Each add stacks one segment over the next doc range and rewrites no
-    older segment's files; only its own spill is reclaimed."""
+    older segment's files; only its own spill is reclaimed, once its
+    commit is done, and every write reports the spill it removed."""
     idx = str(tmp_path / "idx")
     base = corpus_small.slice(0, 200)
-    build_index(base, idx, CFG)
+    reports = [build_index(base, idx, CFG)["report"]]
+    assert not os.path.isdir(os.path.join(idx, "shuffle"))
     base_parts = {f: os.stat(os.path.join(idx, "parts", f)).st_ino
                   for f in os.listdir(os.path.join(idx, "parts"))}
-    add_documents(corpus_small.slice(200, 100), idx)
-    add_documents(corpus_small.slice(300, 100), idx)
+    reports += [add_documents(corpus_small.slice(200, 100), idx)["report"],
+                add_documents(corpus_small.slice(300, 100), idx)["report"]]
+    for r in reports:
+        assert r["spill_files"] >= r["partitions_merged"] > 0 and r["spill_bytes"] > 0, r
     eng = QueryEngine(idx)
     segs = eng.manifest["segments"]
     assert [s["parts"] for s in segs] == ["parts", "seg-0001/parts", "seg-0002/parts"]
@@ -232,3 +236,29 @@ def test_a_corpus_table_is_read_as_its_corpus_columns(tmp_path):
     pq.write_table(no_commit, str(src / "part-0.parquet"))
     with pytest.raises(ValueError, match=refused):
         build_index(str(src), str(tmp_path / "from_path"), CFG)
+
+
+@pytest.mark.parametrize("missing", ["repo", "lang"])
+def test_a_corpus_dataset_lacking_a_corpus_column_is_refused(tmp_path, missing):
+    """A corpus Dataset is checked against the corpus columns before
+    anything is written, as a table is: one that lacks a column is refused
+    by a build (no index dir appears) and by an add (no file of the index
+    changes), naming the column.  Unchecked, a build without ``repo``
+    committed 0 docs and one without ``lang`` an index whose keyword
+    clauses raised."""
+    import ray.data
+
+    corpus = make_corpus(n_docs=60, seed=22, vocab_size=80, mean_tokens=15)
+    idx = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(corpus.slice(0, 40)), idx, CFG)
+    lacking = ray.data.from_arrow(corpus.slice(40).drop_columns([missing]))
+    refused = rf"lacks column\(s\) \['{missing}'\]"
+    with pytest.raises(ValueError, match=refused):
+        build_index(lacking, str(tmp_path / "new"), CFG)
+    assert not os.path.exists(tmp_path / "new")
+    before = {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+              for r, _d, fs in os.walk(idx) for f in fs}
+    with pytest.raises(ValueError, match=refused):
+        add_documents(lacking, idx)
+    assert {os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+            for r, _d, fs in os.walk(idx) for f in fs} == before

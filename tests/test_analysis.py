@@ -222,13 +222,17 @@ def test_scorer_param_mismatch_rejected(built_index):
 
 
 def test_resume_invalidates_on_analyzer_change(tmp_path, corpus_small):
-    """A resumed build with a DIFFERENT analyzer must invalidate the finished
-    phases (dl/avgdl from the old tokenizer + postings from the new one =
-    silently wrong scores), not skip them."""
+    """A resumed build with a DIFFERENT analyzer, or a crashed build resumed
+    with different BM25 params, must invalidate the finished work (dl/avgdl
+    from the old tokenizer + postings from the new one = silently wrong
+    scores; stale block-max bounds would break WAND pruning), not skip it."""
+    import os
+
     import pyarrow.parquet as pq
 
     from librecatastro_ray.pipelines.build import build_index
     from librecatastro_ray.pipelines.query import QueryEngine
+    from librecatastro_ray.state.manifest import load_manifest, manifest_path
 
     corpus_dir = str(tmp_path / "corpus")
     pq.write_table(corpus_small, corpus_dir + ".parquet")
@@ -236,6 +240,8 @@ def test_resume_invalidates_on_analyzer_change(tmp_path, corpus_small):
     cfg = dict(num_partitions=2, num_salts=2, block_size=16, blocks_row_group_size=5)
     out1 = build_index(corpus_dir + ".parquet", idx, IndexConfig(**cfg))
     assert out1["report"]["phases_skipped"] == []
+    assert out1["report"]["partitions_merged"] > 0
+    assert out1["report"]["partitions_skipped"] == 0
     # same analyzer resumes clean
     out2 = build_index(corpus_dir + ".parquet", idx, IndexConfig(**cfg))
     assert out2["report"]["phases_skipped"] == ["all"]
@@ -243,52 +249,27 @@ def test_resume_invalidates_on_analyzer_change(tmp_path, corpus_small):
     out3 = build_index(
         corpus_dir + ".parquet", idx, IndexConfig(**cfg, analyzer="whitespace_v1")
     )
-    assert "docs" in out3["report"].get("phases_invalidated", [])
+    assert out3["report"]["partitions_skipped"] == 0
     fresh = str(tmp_path / "fresh")
     build_index(corpus_dir + ".parquet", fresh, IndexConfig(**cfg, analyzer="whitespace_v1"))
     a = QueryEngine(idx).match("def return", k=5).to_pylist()
     b = QueryEngine(fresh).match("def return", k=5).to_pylist()
     assert a == b
-
-
-def test_legacy_marker_resumed_with_changed_params_invalidates(tmp_path, corpus_small):
-    """A pre-strategy phase marker (no analysis_fp) means 'built with the
-    canonical defaults' — resuming it with different k1 must invalidate, not
-    match anything (stale block-max bounds would break WAND pruning)."""
-    import json
-    import os
-
-    import pyarrow.parquet as pq
-
-    from librecatastro_ray.pipelines.build import build_index
-    from librecatastro_ray.state.manifest import manifest_path
-
-    corpus = str(tmp_path / "c.parquet")
-    pq.write_table(corpus_small, corpus)
-    idx = str(tmp_path / "idx")
-    cfg = dict(num_partitions=2, num_salts=2, block_size=16, blocks_row_group_size=5)
-    build_index(corpus, idx, IndexConfig(**cfg))
-    # simulate a CRASHED legacy build: docs phase done, marker without
-    # analysis_fp, no manifest
-    marker = os.path.join(idx, "docs", "_DONE.json")
-    stats = json.load(open(marker))
-    stats.pop("analysis_fp")
-    json.dump(stats, open(marker, "w"))
+    # a crashed build (no manifest, every checkpoint kept) resumed with
+    # another k1 merges every partition again: its plan records the config
     os.remove(manifest_path(idx))
-    out = build_index(corpus, idx, IndexConfig(**cfg, k1=2.0))
-    assert "docs" in out["report"].get("phases_invalidated", [])
-    # same shape with DEFAULT params resumes the legacy marker cleanly
-    os.remove(manifest_path(idx))
-    stats = json.load(open(marker))
-    stats.pop("analysis_fp")
-    json.dump(stats, open(marker, "w"))
-    out2 = build_index(corpus, idx, IndexConfig(**cfg))
-    assert "docs" in out2["report"]["phases_skipped"]
+    out4 = build_index(corpus_dir + ".parquet", idx,
+                       IndexConfig(**cfg, analyzer="whitespace_v1", k1=2.0))
+    assert out4["report"]["partitions_skipped"] == 0
+    k1_fresh = str(tmp_path / "k1_fresh")
+    build_index(corpus_dir + ".parquet", k1_fresh, IndexConfig(**cfg, analyzer="whitespace_v1",
+                                                              k1=2.0))
+    assert load_manifest(idx) == load_manifest(k1_fresh)
 
 
 def test_complete_index_strategy_change_is_crash_safe(tmp_path, corpus_small):
     """Requesting a different analyzer over a COMPLETE index removes the
-    stale manifest BEFORE wiping phases, so a crash mid-rebuild cannot
+    stale manifest BEFORE discarding the segment, so a crash mid-rebuild cannot
     resurrect a gutted index as complete."""
     import os
     from unittest import mock
@@ -305,8 +286,9 @@ def test_complete_index_strategy_change_is_crash_safe(tmp_path, corpus_small):
     cfg = dict(num_partitions=2, num_salts=2, block_size=16, blocks_row_group_size=5)
     build_index(corpus, idx, IndexConfig(**cfg))
     assert os.path.exists(manifest_path(idx))
-    # crash immediately after the fast-path falls through (before any phase)
-    with mock.patch.object(build_mod, "corpus_fingerprint",
+    # crash immediately after the fast-path falls through (in the first
+    # step of the segment write, the doc-id pass)
+    with mock.patch.object(build_mod, "dedup_assign_write",
                            side_effect=RuntimeError("boom")):
         with pytest.raises(RuntimeError, match="boom"):
             build_index(corpus, idx, IndexConfig(**cfg, analyzer="whitespace_v1"))

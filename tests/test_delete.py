@@ -199,3 +199,16 @@ def test_delete_by_query_tombstones_exactly_the_hits(tmp_path, corpus_small):
         with pytest.raises(ValueError):
             delete_by_query(index_dir, bad)
     assert load_deleted(index_dir).tolist() == before
+
+
+@pytest.mark.parametrize("doc_ids", [[3.7], "12", [True], [1, True], np.array([2.0])],
+                         ids=["float", "str", "bool", "int_and_bool", "float_array"])
+def test_non_integer_ids_are_refused(tmp_path, corpus_small, doc_ids):
+    """An id that is not an integer is refused and nothing is written: cast
+    to int64, 3.7 would tombstone doc 3, "12" docs 1 and 2, True doc 1."""
+    index_dir = str(tmp_path / "idx")
+    build_index(corpus_small.slice(0, 50), index_dir, IndexConfig(num_partitions=2, num_salts=1))
+    with pytest.raises(ValueError, match="must be integers"):
+        delete_docs(index_dir, doc_ids)
+    assert len(load_deleted(index_dir)) == 0
+    assert delete_docs(index_dir, np.array([3, 1], np.int32)) == 2

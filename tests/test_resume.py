@@ -7,6 +7,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from librecatastro_ray.config import IndexConfig
 from librecatastro_ray.pipelines.build import build_index
 from librecatastro_ray.pipelines.query import QueryEngine
@@ -16,6 +18,27 @@ from librecatastro_ray.state.manifest import drop_index, load_manifest
 
 def _cfg():
     return IndexConfig(num_partitions=4, num_salts=2, block_size=16, blocks_row_group_size=2)
+
+
+def _doc_parts(index_dir: str) -> dict[str, tuple[int, int]]:
+    """(inode, mtime) of each of segment 0's doc-store parts: a part that
+    is written again gets a new inode (tmp + rename)."""
+    docs = os.path.join(index_dir, "docs")
+    return {f: (os.stat(os.path.join(docs, f)).st_ino, os.stat(os.path.join(docs, f)).st_mtime_ns)
+            for f in os.listdir(docs) if f.startswith("part-")}
+
+
+def _crash_mid_merge(monkeypatch) -> None:
+    """Make the build's merge fail after it merged its first partition."""
+    from librecatastro_ray.pipelines import build as build_mod
+
+    real = build_mod._merge_partitions
+
+    def crash(skeys, *args, **kwargs):
+        real(skeys[:1], *args, **kwargs)
+        raise RuntimeError("simulated crash mid-merge")
+
+    monkeypatch.setattr(build_mod, "_merge_partitions", crash)
 
 
 def test_resume_after_partial_merge(tmp_path):
@@ -40,11 +63,11 @@ def test_resume_after_partial_merge(tmp_path):
             if os.path.exists(p):
                 os.remove(p)
 
+    docs_before = _doc_parts(crash_dir)
     r2 = build_index(corpus, crash_dir, _cfg(), resume=True)
     assert r2["report"]["partitions_merged"] == len(killed)
     assert r2["report"]["partitions_skipped"] == len(cks) - len(killed)
-    assert "docs" in r2["report"]["phases_skipped"]
-    assert "shuffle" in r2["report"]["phases_skipped"]
+    assert _doc_parts(crash_dir) == docs_before, "a doc-store part was rewritten"
 
     # byte-identical final manifest (deterministic content, no wall clock)
     m_resumed = load_manifest(crash_dir)
@@ -83,9 +106,9 @@ def test_rebuild_is_idempotent_and_drop(tmp_path):
 
 
 def test_docs_phase_block_level_resume(tmp_path):
-    """A crash mid-docs-phase (no _DONE marker, some part files written)
-    resumes without rewriting the surviving part files, and the final index
-    answers queries identically."""
+    """A crash mid-docs-phase (some part files written, no spill, parts or
+    checkpoints) resumes without rewriting the surviving part files, and
+    the final index answers queries identically."""
     import ray.data
 
     table = make_corpus(n_docs=1200, seed=11, vocab_size=400, mean_tokens=25)
@@ -97,11 +120,11 @@ def test_docs_phase_block_level_resume(tmp_path):
 
     crash_dir = str(tmp_path / "crash")
     # run only the docs phase by building fully, then simulating a crash:
-    # remove the phase marker + every later artifact + SOME part files
+    # remove every later artifact + SOME part files (the committed build
+    # already removed its spill)
     shutil.copytree(full_dir, crash_dir)
     os.remove(os.path.join(crash_dir, "manifest.json"))
     docs = os.path.join(crash_dir, "docs")
-    os.remove(os.path.join(docs, "_DONE.json"))
     parts = sorted(f for f in os.listdir(docs) if f.startswith("part-"))
     assert len(parts) >= 2, "need multiple doc part files for this test"
     removed = parts[0]
@@ -110,10 +133,11 @@ def test_docs_phase_block_level_resume(tmp_path):
     mtime_before = os.path.getmtime(survivor)
     shutil.rmtree(os.path.join(crash_dir, "parts"))
     shutil.rmtree(os.path.join(crash_dir, "checkpoints"))
-    shutil.rmtree(os.path.join(crash_dir, "shuffle"))
+    assert not os.path.exists(os.path.join(crash_dir, "shuffle"))
 
     r = build_index(corpus(), crash_dir, _cfg(), resume=True)
-    assert "docs" not in r["report"]["phases_skipped"]
+    n_parts = len(load_manifest(full_dir)["segments"][0]["partitions"])
+    assert (r["report"]["partitions_merged"], r["report"]["partitions_skipped"]) == (n_parts, 0)
     assert os.path.exists(os.path.join(docs, removed))
     assert os.path.getmtime(survivor) == mtime_before, "survivor was rewritten"
     got = QueryEngine(crash_dir).match("def", 10).to_pylist()
@@ -162,8 +186,8 @@ def test_changed_block_content_invalidates_docs_resume(tmp_path):
 
 def test_changed_corpus_path_invalidates_completed_phases(tmp_path):
     """Crash mid-merge, then resume against a corpus path whose CONTENT
-    changed: the source fingerprint in the docs marker invalidates docs +
-    shuffle + checkpoints instead of mixing old and new."""
+    changed: the doc-id plan's block fingerprints differ, so the doc store,
+    spill and checkpoints are discarded instead of mixing old and new."""
     import pyarrow.parquet as pq
 
     t1 = make_corpus(n_docs=150, seed=23, vocab_size=300, mean_tokens=20)
@@ -185,17 +209,18 @@ def test_changed_corpus_path_invalidates_completed_phases(tmp_path):
     )
     pq.write_table(t2, os.path.join(corpus_dir, "part-0.parquet"))
     r = build_index(corpus_dir, idx, _cfg(), resume=True)
-    assert r["report"].get("phases_invalidated") == ["docs", "shuffle", "merge"]
+    assert r["report"]["partitions_skipped"] == 0
+    assert r["report"]["partitions_merged"] == len(load_manifest(idx)["segments"][0]["partitions"])
     eng = QueryEngine(idx)
     assert eng.count("zzznewterm") > 0, "new content must be indexed"
     assert eng.count("def") == 0, "stale content must be gone"
 
 
 def test_mid_merge_resume_under_another_partitioning_rebuilds_the_spill(tmp_path):
-    """Crash mid-merge (both the docs and the shuffle marker written), then
-    resume with another partitioning: the finished spill's skeys belong to
-    the old config, so the resume rewrites it and gives the index of a
-    clean build under the new config."""
+    """Crash mid-merge (the manifest and a checkpoint gone), then resume
+    with another partitioning: the doc store and the spill belong to the
+    old config, so the resume rewrites them, merges every partition again
+    and gives the index of a clean build under the new config."""
     corpus = make_corpus(n_docs=200, seed=29, vocab_size=300, mean_tokens=30)
     new_cfg = IndexConfig(num_partitions=3, num_salts=3, block_size=16, blocks_row_group_size=2)
     clean = str(tmp_path / "clean")
@@ -206,9 +231,42 @@ def test_mid_merge_resume_under_another_partitioning_rebuilds_the_spill(tmp_path
     cks = sorted(os.listdir(os.path.join(idx, "checkpoints")))
     os.remove(os.path.join(idx, "checkpoints", cks[0]))
     r = build_index(corpus, idx, new_cfg, resume=True)
-    assert "shuffle" not in r["report"]["phases_skipped"]
+    assert r["report"]["partitions_skipped"] == 0
+    assert r["report"]["partitions_merged"] == len(load_manifest(clean)["segments"][0]["partitions"])
     assert json.dumps(load_manifest(idx), sort_keys=True) == json.dumps(
         load_manifest(clean), sort_keys=True)
+
+
+@pytest.mark.parametrize("as_dataset", [False, True], ids=["table", "dataset"])
+def test_mid_merge_resume_with_changed_content_equals_a_clean_build(tmp_path, monkeypatch,
+                                                                    as_dataset):
+    """A build of a table (or a Dataset) crashes mid-merge, and the resume
+    gets the same rows with "def" replaced by "zzznewterm": nothing of the
+    old content may survive, so the index equals a clean build of the new
+    content, manifest and answers alike."""
+    import pyarrow as pa
+    import ray.data
+
+    t1 = make_corpus(n_docs=300, seed=31, vocab_size=300, mean_tokens=25)
+    t2 = t1.set_column(t1.schema.get_field_index("content"), "content", pa.array(
+        [(c or "").replace("def", "zzznewterm") for c in t1["content"].to_pylist()], pa.string()))
+    corpus = (lambda t: ray.data.from_arrow(t)) if as_dataset else (lambda t: t)  # noqa: E731
+    clean, idx = str(tmp_path / "clean"), str(tmp_path / "idx")
+    build_index(corpus(t2), clean, _cfg())
+    _crash_mid_merge(monkeypatch)
+    with pytest.raises(RuntimeError, match="simulated crash mid-merge"):
+        build_index(corpus(t1), idx, _cfg())
+    monkeypatch.undo()
+    assert len(os.listdir(os.path.join(idx, "checkpoints"))) == 1
+
+    r = build_index(corpus(t2), idx, _cfg())
+    assert r["report"]["partitions_skipped"] == 0
+    assert load_manifest(idx) == load_manifest(clean)
+    eng, ref = QueryEngine(idx), QueryEngine(clean)
+    assert eng.count("zzznewterm") == ref.count("zzznewterm") > 0
+    assert eng.count("def") == ref.count("def") == 0
+    for text in ("zzznewterm return", "if id_00001"):
+        assert eng.match(text, 10).equals(ref.match(text, 10))
 
 
 def _crash_before_doc_parts(monkeypatch, bids: set[int]) -> None:

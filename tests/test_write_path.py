@@ -17,6 +17,7 @@
 import json
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -104,33 +105,38 @@ def _cfg():
 
 @pytest.fixture(scope="module")
 def clean_build(tmp_path_factory):
-    from librecatastro_ray.pipelines.build import build_index
+    """A clean build, and the same build crashed just before its merge: doc
+    store and spill complete; no manifest, parts or checkpoint."""
+    from librecatastro_ray.pipelines import build as build_mod
     from librecatastro_ray.sources.synth import make_corpus
 
     corpus = make_corpus(n_docs=200, seed=7, vocab_size=500, mean_tokens=40)
-    d = str(tmp_path_factory.mktemp("grouped") / "clean")
-    build_index(corpus, d, _cfg())
-    return corpus, d
+    root = tmp_path_factory.mktemp("grouped")
+    d, unmerged = str(root / "clean"), str(root / "unmerged")
+    build_mod.build_index(corpus, d, _cfg())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build_mod, "_merge_partitions", mock.Mock(side_effect=RuntimeError("crash")))
+        with pytest.raises(RuntimeError, match="crash"):
+            build_mod.build_index(corpus, unmerged, _cfg())
+    assert not os.path.exists(os.path.join(unmerged, "parts"))
+    return corpus, d, unmerged
 
 
-def _unmerged_copy(clean_dir: str, dst: str) -> list[int]:
-    """``clean_dir`` as a build that crashed before its merge phase: the
-    shuffle spill is complete; no manifest, parts or checkpoint exists."""
-    shutil.copytree(clean_dir, dst)
-    os.remove(os.path.join(dst, "manifest.json"))
-    shutil.rmtree(os.path.join(dst, "parts"))
-    shutil.rmtree(os.path.join(dst, "checkpoints"))
-    with open(os.path.join(dst, "shuffle", "_DONE.json")) as f:
-        return json.load(f)["skeys"]
+def _unmerged_copy(unmerged_dir: str, dst: str) -> list[int]:
+    """A copy of the build that crashed before its merge, and the skeys its
+    merge writes (``merge.merged_skeys`` of its spill, for the segment's
+    partition count ``merge.partition_count``)."""
+    shutil.copytree(unmerged_dir, dst)
+    spill = os.path.join(dst, "shuffle")
+    spilled = [int(name.split("=")[1]) for name in os.listdir(spill)]
+    return merge.merged_skeys(spilled, merge.partition_count(spill, _cfg()), _cfg().num_salts)
 
 
 def _merge_kwargs(index_dir):
     """The merge task's arguments: the segment's partition count comes from
-    the shuffle marker, as the build's merge takes it."""
-    with open(os.path.join(index_dir, "shuffle", "_DONE.json")) as f:
-        num_partitions = json.load(f)["num_partitions"]
+    the spill's footers, as the build's merge takes it."""
     return {"index_dir": index_dir, "config_json": _cfg().to_json(),
-            "num_partitions": num_partitions}
+            "num_partitions": merge.partition_count(os.path.join(index_dir, "shuffle"), _cfg())}
 
 
 def _parts_bytes(index_dir: str) -> dict[str, bytes]:
@@ -146,9 +152,9 @@ def test_grouped_merge_crash_keeps_finished_checkpoints(clean_build, tmp_path, m
     from librecatastro_ray.pipelines.build import build_index
     from librecatastro_ray.state.manifest import completed_partitions, load_manifest
 
-    corpus, clean_dir = clean_build
+    corpus, clean_dir, unmerged = clean_build
     crash_dir = str(tmp_path / "crash")
-    skeys = _unmerged_copy(clean_dir, crash_dir)
+    skeys = _unmerged_copy(unmerged, crash_dir)
     assert len(skeys) > 3
     real = merge.merge_partition
 
@@ -180,10 +186,10 @@ def test_grouped_merge_crash_keeps_finished_checkpoints(clean_build, tmp_path, m
 
 
 def test_multi_row_merge_batch_writes_the_bytes_of_one_row_calls(clean_build, tmp_path):
-    _corpus, clean_dir = clean_build
+    _corpus, clean_dir, unmerged = clean_build
     grouped, single = str(tmp_path / "grouped"), str(tmp_path / "single")
-    skeys = _unmerged_copy(clean_dir, grouped)
-    _unmerged_copy(clean_dir, single)
+    skeys = _unmerged_copy(unmerged, grouped)
+    _unmerged_copy(unmerged, single)
     merge.merge_batch(pa.table({"skey": skeys}), **_merge_kwargs(grouped))
     for s in skeys:
         merge.merge_batch(pa.table({"skey": [s]}), **_merge_kwargs(single))
