@@ -1,12 +1,22 @@
 """CLI — the analogue of the reference's entry points
 (libreCatastro.py:21-72 argument surface + initialize_elasticsearch.py DDL):
 
-    python -m librecatastro_ray.cli build  --corpus DIR --index DIR [--partitions P] [--salts S] [--no-resume]
-    python -m librecatastro_ray.cli query  --index DIR --text "..." [--k 10] [--must t1 t2] [--prefix p] [--count]
-    python -m librecatastro_ray.cli drop   --index DIR
-    python -m librecatastro_ray.cli info   --index DIR
+    python -m librecatastro_ray.cli build   --corpus DIR --index DIR [--partitions P] [--salts S] [--no-resume] [--positions]
+    python -m librecatastro_ray.cli add     --corpus DIR --index DIR
+    python -m librecatastro_ray.cli compact --index DIR --target DIR
+    python -m librecatastro_ray.cli delete  --index DIR (--doc-ids ID ... | --text "...")
+    python -m librecatastro_ray.cli query   --index DIR --text "..." [--k 10] [--from N] [--must t1 t2]
+                                            [--must-not ...] [--should ...] [--lang L] [--path-prefix P]
+                                            [--prefix p] [--count]
+    python -m librecatastro_ray.cli search-batch --index DIR --queries FILE.jsonl [--ranges 8] [--out DIR]
+    python -m librecatastro_ray.cli drop    --index DIR
+    python -m librecatastro_ray.cli info    --index DIR
+    python -m librecatastro_ray.cli list    --index DIR [--field repo|lang|commit]
 
-Owns its Ray session (the library never calls ray.init).
+The library never calls ray.init: the subcommands that run Ray tasks
+(``build``, ``add``, ``compact``, ``search-batch``) start a local session
+when none is running and shut down only a session they started, so an
+in-process caller keeps its own.
 """
 
 from __future__ import annotations
@@ -16,11 +26,17 @@ import json
 import os
 import sys
 
+# the subcommands that run Ray tasks and so need a session
+_RAY_COMMANDS = {"build", "add", "compact", "search-batch"}
 
-def _init_ray():
+
+def _init_ray() -> bool:
+    """Start a local Ray session unless one is running; True when this call
+    started it (and so the caller owns its shutdown)."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         ray.init(
             address="local",
             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
@@ -31,6 +47,7 @@ def _init_ray():
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
+    return started
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     q.add_argument("--from", dest="offset", type=int, default=0,
                    help="pagination offset (ES 'from')")
     q.add_argument("--count", action="store_true", help="print hits.total only")
-    q.add_argument("--wand", action="store_true",
-                   help="use block-max pruned top-k (identical results)")
 
     sb = sub.add_parser("search-batch", help="batch evaluation via doc-range "
                         "scatter-gather; queries from a JSONL file, results to "
@@ -102,9 +117,18 @@ def main(argv: list[str] | None = None) -> int:
     ls.add_argument("--field", default="repo", choices=["repo", "lang", "commit"])
 
     args = p.parse_args(argv)
+    started = args.cmd in _RAY_COMMANDS and _init_ray()
+    try:
+        return _run(p, args)
+    finally:
+        if started:
+            import ray
 
+            ray.shutdown()
+
+
+def _run(p: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.cmd == "build":
-        _init_ray()
         from librecatastro_ray.config import IndexConfig
         from librecatastro_ray.pipelines.build import build_index
 
@@ -122,32 +146,21 @@ def main(argv: list[str] | None = None) -> int:
             "hot_terms": len(m["segments"][0]["hot_terms"]),
             "report": res["report"],
         }))
-        import ray
-
-        ray.shutdown()
         return 0
 
     if args.cmd == "add":
-        _init_ray()
         from librecatastro_ray.pipelines.build import add_documents
 
         res = add_documents(args.corpus, args.index)
         print(json.dumps(res["report"]))
-        import ray
-
-        ray.shutdown()
         return 0
 
     if args.cmd == "compact":
-        _init_ray()
         from librecatastro_ray.pipelines.build import compact_index
 
         res = compact_index(args.index, args.target)
         print(json.dumps({"n_docs": res["manifest"]["n_docs"],
                           "target": args.target}))
-        import ray
-
-        ray.shutdown()
         return 0
 
     if args.cmd == "delete":
@@ -195,9 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.prefix is not None:
             res = eng.prefix_content(args.prefix, k=args.k, offset=args.offset)
         elif args.text is not None:
-            res = (eng.match_wand if args.wand else eng.match)(
-                args.text, k=args.k, offset=args.offset
-            )
+            res = eng.match(args.text, k=args.k, offset=args.offset)
         else:
             p.error("query needs --text, --must, --must-not, --should, "
                     "--lang, --path-prefix or --prefix")
@@ -213,7 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "search-batch":
-        _init_ray()
         from librecatastro_ray.pipelines.query import batch_search_scatter
 
         with open(args.queries) as f:
@@ -226,9 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for row in out.to_pylist():
                 print(json.dumps(row))
-        import ray
-
-        ray.shutdown()
         return 0
 
     if args.cmd == "list":

@@ -26,11 +26,10 @@ register at import time (a module your workers import), never inside a
 closure.  The id string, not the object, is what travels through
 ``fn_kwargs`` and the manifest.
 
-Scorer contract required by the block-max WAND path: a document's score must
-be ``Σ_t idf(df_t, N) · tf_norm(tf_td, dl_d)`` with ``idf ≥ 0`` and
-``tf_norm`` nondecreasing in ``tf`` — the per-block ``max_tfnorm`` stored at
-build time (stages/merge.py) is then a valid upper bound for any Scorer, and
-it is computed with the BUILD-time scorer, which is why the id is pinned.
+Scorer contract required by block-max bounds: a document's score must be
+``Σ_t idf(df_t, N) · tf_norm(tf_td, dl_d)`` with ``idf ≥ 0`` and ``tf_norm``
+nondecreasing in ``tf`` — a block's ``max_tfnorm`` (derived at read time,
+``QueryEngine._block_meta``) is then a valid upper bound for any Scorer.
 """
 
 from __future__ import annotations

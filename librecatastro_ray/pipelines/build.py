@@ -405,9 +405,9 @@ def add_documents(corpus: Any, index_dir: str) -> dict:
     of an earlier manifest can open (only its own spill, after the commit).
     Segments accumulate until ``compact_index`` rebuilds the live docs as
     one, and a query reads one run per segment, so read cost grows with
-    their count (``match_wand`` p50 about 0.16 ms at 1 segment, 17.6 ms at
-    200 on 1 CPU): there is no merge policy yet, so compact an index that
-    has taken many adds.
+    their count (warm ``match`` p50 about 0.1 ms at 1 segment and 0.5-0.8 ms
+    at 200 segments of 100 docs over a 1000-doc base, on 1 CPU): there is
+    no merge policy yet, so compact an index that has taken many adds.
     """
     corpus = _corpus(corpus)
     manifest = check_version(index_dir, load_manifest(index_dir))

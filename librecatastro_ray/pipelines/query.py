@@ -96,8 +96,7 @@ def _empty_result() -> pa.Table:
 
 # the evaluator's per-doc accumulators are dense over its doc range, so the
 # engine's query methods cut the doc-id space into ranges of at most this
-# many docs (8M × 8 B = 64 MB per accumulator); match_wand, whose chunk
-# accumulator spans the whole doc-id space, falls back to match beyond it
+# many docs (8M × 8 B = 64 MB per accumulator)
 DENSE_ACC_LIMIT = 8 << 20
 
 
@@ -683,7 +682,10 @@ class QueryEngine:
         """(prev_last, last, max_tfnorm) int64/int64/float64 arrays for a
         term's (segment, salt) run, one entry per ``block_size`` postings —
         the block-max skip structure, derived from the run at this engine's
-        avgdl, so every bound is its block's exact maximum tf_norm."""
+        avgdl, so every bound is its block's exact maximum tf_norm.  No query
+        reads it: it stays for perfbench's traced search run
+        (``spans._count_wand_blocks``), the bound property tests, and a
+        block-max mode of :class:`RangeEngine`."""
         key = (term, run)
         if key in self._blockmeta_cache:
             return self._blockmeta_cache[key]
@@ -731,10 +733,10 @@ class QueryEngine:
     def _topk_table(
         self, docs: np.ndarray, scores: np.ndarray, k: int, offset: int = 0
     ) -> pa.Table:
-        """Top-k with pagination over whole-index scores (match_wand and
-        multi_match): select the top ``offset + k`` live docs and return
-        rows offset+1..offset+k with their GLOBAL rank numbers (ES
-        ``from``/``size`` semantics, reference: elasticsearch_utils.py:121)."""
+        """Top-k with pagination over whole-index scores (multi_match):
+        select the top ``offset + k`` live docs and return rows
+        offset+1..offset+k with their GLOBAL rank numbers (ES ``from``/``size``
+        semantics, reference: elasticsearch_utils.py:121)."""
         if len(self._deleted):
             m = self._alive(docs)
             docs, scores = docs[m], scores[m]
@@ -810,153 +812,11 @@ class QueryEngine:
         return self._ranked(k, 0, lambda rng, n: rng.match(terms, n, after=after))
 
     def match_wand(self, text: str, k: int = 10, offset: int = 0) -> pa.Table:
-        """Q1+Q4 via block-max pruning (the WAND family, north_star): exact
-        top-k identical to :meth:`match`, but only posting blocks that can
-        still beat the running k-th score are scored.
-
-        The doc-id space is cut at every block boundary of every query
-        term's (segment, salt) run into elementary intervals; by
-        construction each interval lies entirely inside (or outside) one
-        block per run, so ``UB(interval) = Σ_terms idf·max_tfnorm(covering
-        block)`` is a valid score bound for every doc in it (a term takes
-        the max over its runs — a doc lives in exactly one).  Intervals are scored exactly
-        in descending-UB chunks; once the k-th exact score θ exceeds the best
-        remaining UB, no unscored block can contribute a top-k doc.  Exact
-        scores accumulate in query-term order (float-identical to match()
-        and the oracle); ties at θ are kept (strict < pruning) so the
-        (score desc, doc_id asc) tiebreak is preserved."""
-        k, offset = _check_page(k, offset)
-        terms = self.analyzer.tokenize(text)
-        if not terms:
-            return _empty_result()
-        k_eff = offset + k  # prune against the page's end, slice at the end
-        B = self.config.block_size
-        if self.n_docs > DENSE_ACC_LIMIT:
-            # the chunk accumulator is dense over the whole doc-id space
-            return self.match(text, k, offset)
-        tinfo = []
-        for term in terms:
-            df = self.term_df(term)
-            if df == 0:
-                continue
-            w = float(self.scorer.idf(df, self.n_docs))
-            streams = []
-            for run in self._salts(term):
-                bm = self._block_meta(term, run)
-                if bm is not None:
-                    streams.append((run, bm))
-            if streams:
-                tinfo.append((term, w, streams))
-        if not tinfo:
-            return _empty_result()
-
-        # elementary intervals (lo, hi] from all block boundaries
-        edges = np.unique(
-            np.concatenate([bm[1] for _, _, streams in tinfo for _, bm in streams])
-        )
-        hi = edges
-        lo = np.empty_like(edges)
-        lo[0] = -1
-        lo[1:] = edges[:-1]
-
-        ub = np.zeros(len(edges), dtype=np.float64)
-        for _term, w, streams in tinfo:
-            term_ub = np.zeros(len(edges), dtype=np.float64)
-            for _run, (prev, last, maxtf) in streams:
-                j = np.searchsorted(last, hi)
-                valid = j < len(last)
-                jj = np.clip(j, 0, len(last) - 1)
-                covered = valid & (prev[jj] <= lo)
-                term_ub = np.maximum(term_ub, np.where(covered, w * maxtf[jj], 0.0))
-            ub += term_ub
-
-        order = np.argsort(-ub, kind="stable")
-        theta = -np.inf
-        out_docs: list[np.ndarray] = []
-        out_scores: list[np.ndarray] = []
-        n_scored = 0
-        decoded_blocks: dict[str, int] = {}
-        total_blocks = {
-            term: sum(len(bm[1]) for _s, bm in streams) for term, _w, streams in tinfo
-        }
-        chunk_docs = 1 << 15
-        i = 0
-        while i < len(order):
-            if ub[order[i]] < theta:
-                break
-            sel = []
-            span = 0
-            while i < len(order) and ub[order[i]] >= theta and (not sel or span < chunk_docs):
-                idx = order[i]
-                sel.append(idx)
-                span += int(hi[idx] - lo[idx])
-                i += 1
-            lo_s = lo[sel]
-            hi_s = hi[sel]
-            o = np.argsort(hi_s)
-            lo_s, hi_s = lo_s[o], hi_s[o]
-
-            acc = np.zeros(self.n_docs, dtype=np.float64)
-            touched = np.zeros(self.n_docs, dtype=bool)
-
-            def in_intervals(d: np.ndarray) -> np.ndarray:
-                pos = np.searchsorted(hi_s, d)
-                pos_c = np.clip(pos, 0, len(hi_s) - 1)
-                return (pos < len(hi_s)) & (d > lo_s[pos_c])
-
-            for term, w, streams in tinfo:  # term order → oracle-identical sums
-                # a block spanning many chunks would be re-scored per chunk;
-                # once a term is (or becomes) cheaper to score whole,
-                # gather from the cached contribution arrays instead
-                if (
-                    term in self._contrib_cache
-                    or term in self._postings_cache
-                    or decoded_blocks.get(term, 0) > 0.25 * total_blocks[term]
-                ):
-                    d, contrib_all = self._term_contribution(term)
-                    inside = in_intervals(d)
-                    d_in = d[inside]
-                    if len(d_in):
-                        acc[d_in] += contrib_all[inside]
-                        touched[d_in] = True
-                    continue
-                for run, (prev, last, maxtf) in streams:
-                    j = np.searchsorted(last, hi_s)
-                    valid = (j < len(last))
-                    jj = np.clip(j, 0, len(last) - 1)
-                    needed = np.unique(jj[valid & (prev[jj] <= lo_s)])
-                    if len(needed) == 0:
-                        continue
-                    decoded_blocks[term] = decoded_blocks.get(term, 0) + len(needed)
-                    d, f, L = self._run(term, run)
-                    first = needed * B
-                    rows = _segment_index(first, np.minimum(B, len(d) - first))
-                    d, f, L = d[rows], f[rows], L[rows]
-                    inside = in_intervals(d)
-                    d_in = d[inside]
-                    if len(d_in) == 0:
-                        continue
-                    contrib = w * self.scorer.tf_norm(f[inside], L[inside], self.avgdl)
-                    acc[d_in] += contrib
-                    touched[d_in] = True
-            docs_c = np.nonzero(touched)[0].astype(np.int64)
-            if len(self._deleted) and len(docs_c):
-                # filter BEFORE the threshold update: a tombstoned doc's
-                # score must never inflate θ (it would over-prune live docs)
-                docs_c = docs_c[self._alive(docs_c)]
-            if len(docs_c):
-                out_docs.append(docs_c)
-                out_scores.append(acc[docs_c])
-                n_scored += len(docs_c)
-                if n_scored >= k_eff:
-                    all_scores = np.concatenate(out_scores)
-                    theta = float(np.partition(all_scores, len(all_scores) - k_eff)[len(all_scores) - k_eff])
-            # weak pruning (uniform scores) → grow chunks so the number of
-            # chunk rounds stays logarithmic in the worst case
-            chunk_docs *= 2
-        if not out_docs:
-            return _empty_result()
-        return self._topk_table(np.concatenate(out_docs), np.concatenate(out_scores), k, offset)
+        """Q1+Q4 under the WAND family's name (north_star): exact top-k
+        through the one evaluator, so its answer is :meth:`match`'s.
+        Block-max pruning is to return as a mode of :class:`RangeEngine`
+        once a workload exists where bounds discard most candidates."""
+        return self.match(text, k, offset)
 
     def match_phrase(self, text: str, k: int = 10, offset: int = 0) -> pa.Table:
         """ES ``match_phrase`` (slop=0): documents containing the analyzed

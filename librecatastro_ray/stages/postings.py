@@ -19,8 +19,8 @@ doc store its ``dl`` — and spills them partitioned by skey, where
 A hot term's salt runs are doc ranges in salt order, so a reader merges
 them by concatenation.
 
-Postings carry dl so the per-partition merge can compute exact BM25 block-max
-bounds locally without a doc-stats join.
+Postings carry dl so a term read can score, and derive exact block-max bounds,
+without a doc-stats join.
 """
 
 from __future__ import annotations
