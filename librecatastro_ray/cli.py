@@ -100,7 +100,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="JSONL file, one query object per line "
                          '({"query_id", "kind", "text"|"must_terms"|"prefix", '
                          '"k", "from", "keyword_eq", ...})')
-    sb.add_argument("--ranges", type=int, default=8)
+    sb.add_argument("--ranges", type=int, default=8,
+                    help="the most range actors to serve the batch (the "
+                         "session's pool holds at most one per cluster CPU); "
+                         "each scores one contiguous share of the doc ids")
     sb.add_argument("--out", default=None,
                     help="write results to this parquet dir (streaming) "
                          "instead of stdout")

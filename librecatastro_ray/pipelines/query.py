@@ -33,11 +33,13 @@ One evaluator, :class:`RangeEngine`, scores every query kind over a doc-id
 range, reading each term as a slice of the engine's bounded term caches.
 The engine's own query methods run it over consecutive ranges of at most
 ``DENSE_ACC_LIMIT`` docs and merge the partials in the pinned (score desc,
-doc_id asc) order; ``batch_search_scatter`` runs it over one range per task.
+doc_id asc) order; ``batch_search_scatter`` runs it over one contiguous
+share of the doc ids per pool actor, cut the same way where a share exceeds
+``DENSE_ACC_LIMIT``.
 
 ``batch_search_scatter`` serves query batches from a pool of long-lived
-zero-CPU range actors, one pool per Ray session: each actor keeps its doc
-ranges' engines warm across rounds — the stateful-actor fix for the
+zero-CPU range actors, one pool per Ray session: each actor keeps its
+share's range engines warm across rounds — the stateful-actor fix for the
 reference's per-record client connections (reference: cadaster_entry.py:48,57
 opens a new ES client per document).
 """
@@ -529,7 +531,9 @@ class QueryEngine:
             df = d["df"].to_numpy()
             ends = np.cumsum(df)
             spans = zip((ends - df).tolist(), ends.tolist(), df.tolist())
-            entry = (dict(zip(d["term"].to_pylist(), spans)), int(ends[-1]) if len(ends) else 0)
+            # numpy's tolist builds the str objects ~20x faster than to_pylist
+            terms = d["term"].to_numpy(zero_copy_only=False).tolist()
+            entry = (dict(zip(terms, spans)), int(ends[-1]) if len(ends) else 0)
             self._span_maps[key] = entry
         return entry
 
@@ -1397,7 +1401,7 @@ def multi_match_best_fields(
 
 # ---------------------------------------------------------------------------
 # Scatter-gather serving (doc-range sharded — the ES 5-shard model, SURVEY.md
-# §1.2, re-expressed for a corpus where no single worker can hold the index)
+# §1.2, re-expressed as one contiguous doc range per pool actor)
 # ---------------------------------------------------------------------------
 
 _PROCESS_ENGINES: dict[tuple, tuple[QueryEngine, tuple]] = {}
@@ -1669,9 +1673,10 @@ class RangeEngine:
 
 
 _PROCESS_RANGE_ENGINES: "OrderedDict[tuple[str, int, int], RangeEngine]" = OrderedDict()
-# a pool actor serves many ranges over a session; each cached RangeEngine
-# holds a prefix-union cache of up to _PREFIX_CACHE_DOCS ids, so bound the
-# set (LRU)
+# a pool actor evaluates one share of each index it serves (one range unless
+# the share exceeds DENSE_ACC_LIMIT docs), and the shares move when the pool
+# grows or the doc count changes; each cached RangeEngine holds a
+# prefix-union cache of up to _PREFIX_CACHE_DOCS ids, so bound the set (LRU)
 _PROCESS_RANGE_ENGINES_CAP = 8
 # this process's range-engine LRU events; range_cache_stats() sums them over
 # the pool actors
@@ -1872,6 +1877,18 @@ def _check_queries(queries: list[dict]) -> None:
         _check_query(q)
 
 
+def _check_positive(value, name: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name`` when it is not
+    a positive integer."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return n
+
+
 def batch_search_scatter(
     index_dir: str,
     queries: list[dict],
@@ -1879,16 +1896,18 @@ def batch_search_scatter(
     chunk_size: int = 2048,
     output_dir: str | None = None,
 ) -> pa.Table:
-    """Scatter-gather batch evaluation: every query runs against ``n_ranges``
-    doc-id ranges in parallel (each range touches only its slice of the
-    postings — the memory-bounded serving path for corpora whose index
-    exceeds one worker).  The ranges are served by this Ray session's pool of
-    min(``n_ranges``, cluster CPUs) range actors, each call at most
-    ``chunk_size`` queries; the driver gathers their partial top-k/count rows
-    and merges them exactly in one vectorized pass, holding at most
-    ``n_ranges × (from + k)`` partial rows per query (one per range for a
-    count).  A query dict without ``query_id``, of an unknown kind or with a
-    key its kind does not take raises ``ValueError`` before any actor call.
+    """Scatter-gather batch evaluation on this Ray session's pool of
+    min(``n_ranges``, cluster CPUs) range actors.  ``[0, n_docs)`` is cut
+    into one contiguous share per actor, scored as one doc range: a range
+    bounds only the evaluator's dense accumulator, so a share is cut further
+    only where it exceeds ``DENSE_ACC_LIMIT`` docs.  Each call carries at most
+    ``chunk_size`` queries; the driver gathers the actors' partial
+    top-(from + k)/count rows and merges them exactly in one vectorized pass,
+    holding at most one page of partial rows per range per query (one row
+    per range for a count).  A query dict without ``query_id``, of an
+    unknown kind or with a key its kind does not take, or an ``n_ranges`` or
+    ``chunk_size`` that is not a positive integer, raises ``ValueError``
+    before any actor call.
 
     Results are identical to running each query on a single full engine:
     per-doc scores are computed whole within the doc's range and the merge
@@ -1897,6 +1916,8 @@ def batch_search_scatter(
     written to ``output_dir/part-0.parquet`` (the directory is emptied
     first) and a one-row ``rows_written`` summary is returned.
     """
+    n_ranges = _check_positive(n_ranges, "n_ranges")
+    chunk_size = _check_positive(chunk_size, "chunk_size")
     _check_queries(queries)
     merged = (
         _scatter(index_dir, queries, n_ranges, chunk_size)
@@ -1968,18 +1989,28 @@ def _replace_actor(slot: int, dead) -> "ray.actor.ActorHandle":
     return actors[slot]
 
 
+def _cut(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` as ``n`` consecutive ranges whose widths differ by at
+    most one doc."""
+    bounds = [lo + i * (hi - lo) // n for i in range(n)] + [hi]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _scatter(index_dir: str, queries: list[dict], n_ranges: int, chunk_size: int) -> pa.Table:
-    """Evaluate ``queries`` over ``n_ranges`` doc ranges on the pool actors
-    and merge their partials on the driver.  Range r always goes to actor
-    r % pool size, so its RangeEngine stays warm across calls.  A call whose
-    actor died runs once more on a replacement."""
+    """Evaluate ``queries`` on the pool actors and merge their partials on
+    the driver.  ``[0, n_docs)`` is cut into one contiguous share per actor,
+    and a share is cut further only into runs of at most ``DENSE_ACC_LIMIT``
+    docs, which its actor evaluates in one call.  More ranges on one actor
+    would bound nothing (they slice the same process engine's term caches)
+    and would only repeat each query's tokenize, accumulate and top-k.
+    Share s always goes to actor s, so its RangeEngines stay warm across
+    calls.  A call whose actor died runs once more on a replacement."""
     n_docs = int(load_manifest(index_dir)["n_docs"])
-    n_ranges = max(1, min(n_ranges, max(1, n_docs)))
-    bounds = [round(i * n_docs / n_ranges) for i in range(n_ranges)] + [n_docs]
-    pool = _range_pool(n_ranges)
+    pool = _range_pool(min(n_ranges, max(1, n_docs)))
+    shares = [_cut(lo, hi, max(1, -(-(hi - lo) // DENSE_ACC_LIMIT)))
+              for lo, hi in _cut(0, n_docs, len(pool))]
     calls = [
-        (slot, [(bounds[r], bounds[r + 1]) for r in range(slot, n_ranges, len(pool))],
-         queries[i : i + chunk_size])
+        (slot, shares[slot], queries[i : i + chunk_size])
         for i in range(0, len(queries), chunk_size)
         for slot in range(len(pool))
     ]
@@ -1996,8 +2027,10 @@ def _scatter(index_dir: str, queries: list[dict], n_ranges: int, chunk_size: int
 
 def range_cache_stats() -> dict | None:
     """Range-engine LRU hits, misses and evictions summed over the scatter
-    pool's actors (each counts its own lookups), or None when this Ray
-    session has no pool.  A dead actor's counts died with it."""
+    pool's actors, or None when this Ray session has no pool.  An actor
+    counts one lookup per range of its share per call: one per call unless
+    its share exceeds ``DENSE_ACC_LIMIT`` docs.  A dead actor's counts died
+    with it."""
     if not ray.is_initialized() or _POOL["session"] != _session():
         return None
     totals = {"hits": 0, "misses": 0, "evictions": 0}

@@ -1,13 +1,14 @@
 """batch_search_scatter served by the session's range-actor pool: every
 query dict is checked on the driver, random queries of every kind answer as
 the direct engine does, the pool stays min(n_ranges, CPUs) actors across
-calls and index dirs, a killed actor is replaced, a process holds only its
-current engine's range engines, and 10⁴ queries over 4 ranges stay well
-formed."""
+calls and index dirs, each actor scores one contiguous share of the doc
+ids, a killed actor is replaced, a process holds only its current engine's
+range engines, and 10⁴ queries over 4 ranges stay well formed."""
 
 import gc
 import time
 import weakref
+from types import SimpleNamespace
 
 import pytest
 import ray
@@ -188,6 +189,105 @@ def test_scatter_rejects_unknown_kinds_and_keys(pool_index, monkeypatch, bad, of
         batch_search_scatter(index_dir, [ok, {"query_id": 41, **bad}])
     with pytest.raises(ValueError, match="no query_id"):
         batch_search_scatter(index_dir, [{"kind": "match", "text": "def"}])
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_ranges": 0}, "n_ranges"),
+    ({"n_ranges": -3}, "n_ranges"),
+    ({"n_ranges": 2.0}, "n_ranges"),
+    ({"n_ranges": "2"}, "n_ranges"),
+    ({"chunk_size": 0}, "chunk_size"),
+    ({"chunk_size": -1}, "chunk_size"),
+    ({"chunk_size": None}, "chunk_size"),
+])
+def test_scatter_rejects_bad_n_ranges_and_chunk_size(pool_index, monkeypatch, kwargs, name):
+    """An n_ranges or chunk_size that is not a positive integer raises,
+    naming it, before any actor call (also for an empty batch)."""
+    index_dir = pool_index[0]
+
+    def no_actor(n_ranges):
+        raise AssertionError("an actor was called")
+
+    monkeypatch.setattr(qmod, "_range_pool", no_actor)
+    q = [{"query_id": 0, "kind": "match", "text": "def", "k": 3}]
+    for queries in (q, []):
+        with pytest.raises(ValueError, match=rf"{name} must be a positive integer"):
+            batch_search_scatter(index_dir, queries, **kwargs)
+
+
+def _mixed_queries(pool_index) -> list[dict]:
+    """A fixed batch of every kind over the pool index."""
+    _, _, terms, phrases, langs, paths = pool_index
+    t = terms[len(terms) // 2]
+    return [
+        {"query_id": 0, "kind": "match", "text": f"{terms[3]} {t}", "k": 7},
+        {"query_id": 1, "kind": "match", "text": terms[-5], "k": 4, "from": 2},
+        {"query_id": 2, "kind": "match_phrase", "text": phrases[0], "k": 5},
+        {"query_id": 3, "kind": "bool_must", "must_terms": [terms[10]],
+         "should_terms": [t], "keyword_eq": [["lang", langs[0]]], "k": 6},
+        {"query_id": 4, "kind": "prefix_content", "prefix": t[:2], "k": 9},
+        {"query_id": 5, "kind": "wildcard", "pattern": t[:1] + "*", "k": 5, "from": 1},
+        {"query_id": 6, "kind": "fuzzy", "term": t[:-1] + "q", "max_edits": 1,
+         "prefix_length": 0, "transpositions": True, "k": 8},
+        {"query_id": 7, "kind": "count", "text": f"{terms[0]} {t}", "k": 10},
+        {"query_id": 8, "kind": "bool_must", "must_terms": [],
+         "keyword_prefix": [["path", paths[0]]], "k": 5},
+    ]
+
+
+def test_one_range_per_actor_when_n_ranges_exceeds_the_pool(pool_index):
+    """With n_ranges above the pool size each actor evaluates one range per
+    chunk: the range-engine LRU counts one lookup per actor per chunk."""
+    index_dir, eng, *_ = pool_index
+    queries = _mixed_queries(pool_index)
+    pool_size = min(6, int(ray.cluster_resources()["CPU"]))
+    assert pool_size < 6
+
+    def lookups() -> int:
+        stats = qmod.range_cache_stats()
+        return 0 if stats is None else stats["hits"] + stats["misses"]
+
+    batch_search_scatter(index_dir, queries[:1], n_ranges=6)  # grow the pool first
+    before = lookups()
+    out = batch_search_scatter(index_dir, queries, n_ranges=6, chunk_size=4)
+    assert lookups() - before == pool_size * 3  # 9 queries in chunks of 4
+    _assert_same(_by_query(out), eng, queries)
+
+
+def test_shares_above_the_dense_limit_split_into_contiguous_runs(pool_index, monkeypatch):
+    """A share wider than DENSE_ACC_LIMIT docs is cut into ranges of at most
+    that many docs; each actor gets the same contiguous run in every call,
+    the runs tile [0, n_docs) in pool order, and answers stay exact."""
+    index_dir, eng, *_ = pool_index
+    queries = _mixed_queries(pool_index)
+    limit = 7
+    real_pool = qmod._range_pool
+    sent: dict[int, list] = {}
+
+    def recording_pool(n_ranges):
+        def proxy(slot, actor):
+            def remote(index_dir, ranges, chunk):
+                sent.setdefault(slot, []).append(list(ranges))
+                return actor.eval.remote(index_dir, ranges, chunk)
+            return SimpleNamespace(eval=SimpleNamespace(remote=remote))
+        return [proxy(slot, actor) for slot, actor in enumerate(real_pool(n_ranges))]
+
+    monkeypatch.setattr(qmod, "_range_pool", recording_pool)
+    monkeypatch.setattr(qmod, "DENSE_ACC_LIMIT", limit)
+    out = batch_search_scatter(index_dir, queries, n_ranges=3, chunk_size=5)
+    assert len(sent) == min(3, int(ray.cluster_resources()["CPU"]))
+    tiles = []
+    for slot in sorted(sent):
+        calls = sent[slot]
+        assert len(calls) == 2 and calls[0] == calls[1]  # 9 queries in chunks of 5
+        run = calls[0]
+        assert len(run) > 1
+        assert all(0 < hi - lo <= limit for lo, hi in run)
+        assert all(a[1] == b[0] for a, b in zip(run, run[1:]))
+        tiles.extend(run)
+    assert tiles[0][0] == 0 and tiles[-1][1] == eng.n_docs
+    assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+    _assert_same(_by_query(out), eng, queries)
 
 
 def test_pool_size_is_stable_across_calls_and_index_dirs(pool_index, built_index):
